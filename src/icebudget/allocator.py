@@ -4,10 +4,19 @@ linear -> ReLU -> linear -> ReLU -> linear -> softmax, trained with plain
 minibatch SGD on cross-entropy. Gradients are hand-derived for this fixed
 architecture; the loss is computed from logits via log-sum-exp for
 numerical stability.
+
+All clients of a run train together: their weights are stacked along a
+leading client axis, (C, fan_in, fan_out), and one SGD loop updates the
+stack, so the Python-level step count does not grow with C. The stacked
+products use `@` (np.matmul), which multiplies each client's matrices
+exactly as a 2-D product for that client alone would; `einsum` sums the
+same terms in another order and differs in the last bits, which would
+change the trained models and every report built on them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -17,6 +26,7 @@ from .errors import ValidationError
 from .oracle import BudgetDataset, dequantize
 
 DEFAULT_WIDTH = 300
+PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 @dataclass
@@ -63,11 +73,7 @@ class AllocatorModel:
     input_scale: float = 1.0
 
     def params(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-
-    def copy_params_from(self, other: "AllocatorModel"):
-        for mine, theirs in zip(self.params(), other.params()):
-            mine[...] = theirs
+        return [getattr(self, name) for name in PARAM_NAMES]
 
     def clone(self) -> "AllocatorModel":
         return AllocatorModel(self.client_id, self.dim, self.width,
@@ -97,14 +103,19 @@ def init_model(dim, width, num_classes, seed, client_id=0,
         input_scale=float(input_scale))
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes: a matrix, or each matrix of a stack."""
+    return a.swapaxes(-1, -2)
+
+
 def _logits(m: AllocatorModel, x: np.ndarray):
     """Forward pass on a batch; returns intermediates needed for backprop."""
     x = m.input_scale * x
-    z1 = x @ m.w1 + m.b1
+    z1 = x @ m.w1 + m.b1[..., None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ m.w2 + m.b2
+    z2 = a1 @ m.w2 + m.b2[..., None, :]
     a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ m.w3 + m.b3
+    z3 = a2 @ m.w3 + m.b3[..., None, :]
     return z1, a1, z2, a2, z3
 
 
@@ -126,29 +137,34 @@ def forward(m: AllocatorModel, e) -> np.ndarray:
 def batch_loss_and_grads(m: AllocatorModel, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and gradients for every parameter.
 
+    `x` is (batch, dim) and `y` (batch,) for one model. When the model's
+    parameters are stacked along a leading client axis, `x` is
+    (clients, batch, dim), `y` (clients, batch), the loss is one value per
+    client and each gradient is stacked like its parameter.
+
     The loss uses log-sum-exp on logits directly rather than log of the
     softmax output.
     """
-    n = x.shape[0]
+    n = x.shape[-2]
     z1, a1, z2, a2, z3 = _logits(m, x)
-    shifted = z3 - z3.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + z3.max(axis=1)
-    loss = float(np.mean(logsumexp - z3[np.arange(n), y]))
+    onehot = np.eye(z3.shape[-1])[y]
+    top = z3.max(axis=-1)
+    logsumexp = np.log(np.exp(z3 - top[..., None]).sum(axis=-1)) + top
+    picked = z3[onehot.astype(bool)].reshape(y.shape)
+    loss = (logsumexp - picked).sum(axis=-1) / n  # the batch mean
 
-    probs = _softmax(z3)
-    dz3 = probs
-    dz3[np.arange(n), y] -= 1.0
+    dz3 = _softmax(z3) - onehot
     dz3 /= n
-    gw3 = a2.T @ dz3
-    gb3 = dz3.sum(axis=0)
-    da2 = dz3 @ m.w3.T
+    gw3 = _t(a2) @ dz3
+    gb3 = dz3.sum(axis=-2)
+    da2 = dz3 @ _t(m.w3)
     dz2 = da2 * (z2 > 0)
-    gw2 = a1.T @ dz2
-    gb2 = dz2.sum(axis=0)
-    da1 = dz2 @ m.w2.T
+    gw2 = _t(a1) @ dz2
+    gb2 = dz2.sum(axis=-2)
+    da1 = dz2 @ _t(m.w2)
     dz1 = da1 * (z1 > 0)
-    gw1 = (m.input_scale * x).T @ dz1
-    gb1 = dz1.sum(axis=0)
+    gw1 = _t(m.input_scale * x) @ dz1
+    gb1 = dz1.sum(axis=-2)
     return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
 
 
@@ -156,68 +172,112 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
 
 
-def train(records: BudgetDataset, client: int, cfg: TrainConfig,
-          width: int = DEFAULT_WIDTH, init_seed: int | None = None,
-          input_scale: float = 1.0) -> AllocatorModel:
-    """Minibatch SGD on the records of one client.
+def _split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(train, validation) record indices for one client's seed."""
+    if cfg.validation_fraction > 0 and n > 1:
+        n_val = max(1, int(round(cfg.validation_fraction * n)))
+        # epoch indices stay below 2**32, so this stream never collides
+        order = _epoch_rng(cfg.seed, 2**32).permutation(n)
+        val_idx, train_idx = order[:n_val], order[n_val:]
+        if len(train_idx) == 0:
+            train_idx, val_idx = val_idx, train_idx
+        return train_idx, val_idx
+    return np.arange(n), np.array([], dtype=np.int64)
+
+
+def train(records: BudgetDataset, client, cfg, width: int = DEFAULT_WIDTH,
+          init_seed=None, input_scale: float = 1.0):
+    """Minibatch SGD on the records of one client, or of several at once.
+
+    `client` is one client index, with one TrainConfig and init seed, and
+    one model is returned. Or it is a sequence of C client indices, with
+    `cfg` and `init_seed` sequences aligned to it, and C models are
+    returned. Either way the clients' weights are stacked along a leading
+    axis of length C and updated in one loop; each client keeps its own
+    shuffle stream and validation split (both from its cfg.seed), init
+    seed, labels and best-validation snapshot, so every model is
+    bit-identical to training that client alone. The configs may differ
+    only in their seed.
 
     Shuffling is reseeded per epoch from cfg.seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,
     otherwise the final-epoch ones.
     """
+    if np.ndim(client) == 0:
+        return train(records, [client], [cfg], width, [init_seed],
+                     input_scale)[0]
+    clients, cfgs = list(client), list(cfg)
+    init_seeds = list(init_seed) if init_seed is not None else [None] * len(clients)
+    if not clients or len(cfgs) != len(clients) or len(init_seeds) != len(clients):
+        raise ValidationError("need one config and one init seed per client")
+    shared = cfgs[0]
+    if any(dataclasses.replace(c, seed=shared.seed) != shared for c in cfgs):
+        raise ValidationError("clients trained together may differ only in seed")
     if len(records) == 0:
         raise ValidationError("cannot train on an empty budget dataset")
     x = records.embeddings().astype(np.float64)
-    y = records.client_labels(client)
+    y = np.stack([records.client_labels(c) for c in clients])
     num_classes = records.num_classes
     if np.any(y >= num_classes):
         raise ValidationError("class label out of range for num_classes")
     dim = x.shape[1]
 
-    if cfg.validation_fraction > 0 and len(records) > 1:
-        n_val = max(1, int(round(cfg.validation_fraction * len(records))))
-        # epoch indices stay below 2**32, so this stream never collides
-        split_rng = _epoch_rng(cfg.seed, 2**32)
-        order = split_rng.permutation(len(records))
-        val_idx, train_idx = order[:n_val], order[n_val:]
-        if len(train_idx) == 0:
-            train_idx, val_idx = val_idx, train_idx
-    else:
-        train_idx = np.arange(len(records))
-        val_idx = np.array([], dtype=np.int64)
+    splits = [_split(len(records), c) for c in cfgs]
+    train_idx = np.stack([t for t, _ in splits])
+    val_idx = np.stack([v for _, v in splits])
+    x_train = x[train_idx]
+    y_train = np.take_along_axis(y, train_idx, axis=1)
+    x_val = x[val_idx]
+    y_val = np.take_along_axis(y, val_idx, axis=1)
+    rows = np.arange(len(clients))[:, None]
 
-    model = init_model(dim, width, num_classes,
-                       cfg.seed if init_seed is None else init_seed,
-                       client_id=client, input_scale=input_scale)
-    model.train_config = cfg.to_dict()
-    x_train, y_train = x[train_idx], y[train_idx]
-    best = None
-    best_val = np.inf
-    for epoch in range(cfg.epochs):
-        order = _epoch_rng(cfg.seed, epoch).permutation(len(x_train))
-        epoch_loss = 0.0
+    models = [init_model(dim, width, num_classes,
+                         c.seed if seed is None else seed, client_id=client_id,
+                         input_scale=input_scale)
+              for client_id, c, seed in zip(clients, cfgs, init_seeds)]
+    stack = dataclasses.replace(
+        models[0], **{name: np.stack([getattr(m, name) for m in models])
+                      for name in PARAM_NAMES})
+    best = [p.copy() for p in stack.params()]
+    best_val = np.full(len(clients), np.inf)
+    history = []
+    for epoch in range(shared.epochs):
+        order = np.stack([_epoch_rng(c.seed, epoch).permutation(train_idx.shape[1])
+                          for c in cfgs])
+        x_epoch, y_epoch = x_train[rows, order], y_train[rows, order]
+        epoch_loss = np.zeros(len(clients))
         n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            loss, grads = batch_loss_and_grads(model, x_train[batch], y_train[batch])
-            if not np.isfinite(loss):
+        for start in range(0, order.shape[1], shared.batch_size):
+            stop = start + shared.batch_size
+            loss, grads = batch_loss_and_grads(stack, x_epoch[:, start:stop],
+                                               y_epoch[:, start:stop])
+            if not np.all(np.isfinite(loss)):
+                bad = clients[int(np.argmin(np.isfinite(loss)))]
                 raise ValidationError(
-                    f"non-finite training loss at epoch {epoch}, "
-                    f"batch starting {start} (lr={cfg.learning_rate})")
-            for param, grad in zip(model.params(), grads):
-                param -= cfg.learning_rate * grad
+                    f"client {bad}: non-finite training loss at epoch {epoch}, "
+                    f"batch starting {start} (lr={shared.learning_rate})")
+            for param, grad in zip(stack.params(), grads):
+                param -= shared.learning_rate * grad
             epoch_loss += loss
             n_batches += 1
-        model.loss_history.append(epoch_loss / max(n_batches, 1))
-        if len(val_idx):
-            val_loss, _ = batch_loss_and_grads(model, x[val_idx], y[val_idx])
-            if val_loss < best_val:
-                best_val = val_loss
-                best = model.clone()
-    if best is not None:
-        best.loss_history = model.loss_history
-        return best
-    return model
+        history.append(epoch_loss / max(n_batches, 1))
+        if val_idx.shape[1]:
+            val_loss, _ = batch_loss_and_grads(stack, x_val, y_val)
+            better = val_loss < best_val
+            best_val[better] = val_loss[better]
+            for kept, param in zip(best, stack.params()):
+                kept[better] = param[better]
+    if val_idx.shape[1]:
+        # a client whose validation loss never improved keeps its final epoch
+        seen = np.isfinite(best_val)
+        for kept, param in zip(best, stack.params()):
+            param[seen] = kept[seen]
+    for i, (model, c) in enumerate(zip(models, cfgs)):
+        for name, param in zip(PARAM_NAMES, stack.params()):
+            setattr(model, name, param[i].copy())
+        model.loss_history = [float(h[i]) for h in history]
+        model.train_config = c.to_dict()
+    return models
 
 
 def predict_budget(m: AllocatorModel, e_q, delta: int) -> int:

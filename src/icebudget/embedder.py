@@ -20,68 +20,93 @@ BINARY_MAGIC = b"ICEB"
 
 
 class EmbeddingStore:
-    """Immutable map from example id to a fixed-dimension float64 vector."""
+    """Immutable map from example id to a fixed-dimension float64 vector.
 
-    def __init__(self, dim: int):
-        if dim < 1:
+    Held as one (sorted int64 ids, float64 matrix) pair that is validated
+    once, at construction; lookups and subsets are index gathers.
+    """
+
+    def __init__(self, ids, matrix):
+        ids = np.asarray(ids, dtype=np.int64)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise ValidationError("embedding dimension must be positive")
-        self.dim = dim
-        self._vectors: dict[int, np.ndarray] = {}
-        self._ids: list[int] = []
-        self._matrix: np.ndarray | None = None
+        if ids.shape != (len(matrix),):
+            raise ValidationError(
+                f"{ids.size} embedding ids for {len(matrix)} vectors")
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise ValidationError(
+                f"id {ids[np.argmin(finite)]}: non-finite component")
+        order = np.argsort(ids, kind="stable")
+        ids, matrix = ids[order], matrix[order]  # gathers copy: we own both
+        repeated = ids[1:] == ids[:-1]
+        if repeated.any():
+            raise ValidationError(
+                f"duplicate embedding id {ids[1:][repeated][0]}")
+        self._adopt(ids, matrix)
+
+    def _adopt(self, ids: np.ndarray, matrix: np.ndarray):
+        """Take ownership of validated, id-sorted arrays."""
+        ids.flags.writeable = False
+        matrix.flags.writeable = False
+        self.dim = matrix.shape[1]
+        self._ids = ids
+        self._matrix = matrix
+        self._bound_to = None  # last dataset check_bound accepted
 
     @classmethod
     def from_dict(cls, dim: int, vectors: dict[int, np.ndarray]) -> "EmbeddingStore":
-        store = cls(dim)
-        for example_id in sorted(vectors):
-            store._add(example_id, vectors[example_id])
-        return store
-
-    def _add(self, example_id: int, vector):
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ValidationError(
-                f"id {example_id}: vector has shape {vec.shape}, expected ({self.dim},)"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"id {example_id}: non-finite component")
-        if example_id in self._vectors:
-            raise ValidationError(f"duplicate embedding id {example_id}")
-        self._vectors[example_id] = vec
-        self._ids.append(example_id)
-        self._matrix = None
+        ids = sorted(vectors)
+        rows = [np.asarray(vectors[i], dtype=np.float64) for i in ids]
+        for example_id, row in zip(ids, rows):
+            if row.shape != (dim,):
+                raise ValidationError(f"id {example_id}: vector has shape "
+                                      f"{row.shape}, expected ({dim},)")
+        return cls(ids, np.stack(rows) if rows else np.empty((0, dim)))
 
     def __len__(self):
-        return len(self._vectors)
+        return len(self._ids)
 
     def __contains__(self, example_id):
-        return example_id in self._vectors
+        pos = np.searchsorted(self._ids, example_id)
+        return pos < len(self._ids) and self._ids[pos] == example_id
 
     @property
     def ids(self) -> list[int]:
-        return list(self._ids)
+        return self._ids.tolist()
+
+    def _positions(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.int64)
+        pos = np.searchsorted(self._ids, ids)
+        found = pos < len(self._ids)
+        found[found] = self._ids[pos[found]] == ids[found]
+        if not found.all():
+            raise ValidationError(f"no embedding for id {ids[~found][0]}")
+        return pos
 
     def get(self, example_id: int) -> np.ndarray:
-        vec = self._vectors.get(example_id)
-        if vec is None:
-            raise ValidationError(f"no embedding for id {example_id}")
-        return vec
+        return self._matrix[self._positions([example_id])[0]]
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, vectors) as aligned arrays, sorted by id."""
-        if self._matrix is None:
-            ids = np.array(sorted(self._ids), dtype=np.int64)
-            self._matrix = (ids, np.stack([self._vectors[i] for i in ids]))
-        return self._matrix
+        """(ids, vectors) as aligned read-only arrays, sorted by id."""
+        return self._ids, self._matrix
 
     def subset(self, ids) -> "EmbeddingStore":
-        return EmbeddingStore.from_dict(self.dim, {i: self.get(i) for i in ids})
+        """The entries with the given ids (duplicates collapse)."""
+        pos = self._positions(np.unique(np.asarray(ids, dtype=np.int64)))
+        sub = object.__new__(EmbeddingStore)  # rows of a validated store
+        sub._adopt(self._ids[pos], self._matrix[pos])
+        return sub
 
     def check_bound(self, d: Dataset):
         """Require this store's id set to match the dataset's exactly."""
-        if set(self._ids) != set(d.ids):
+        if d is self._bound_to:  # both are immutable
+            return
+        if not np.array_equal(self._ids, d.ids):  # dataset ids are increasing
             raise ValidationError("embedding store is not bound to the dataset: "
                                   "id sets differ")
+        self._bound_to = d
 
 
 def load_embeddings(path) -> EmbeddingStore:
@@ -93,25 +118,47 @@ def load_embeddings(path) -> EmbeddingStore:
     return _load_jsonl(path)
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One binary record: little-endian u64 id, then dim float32 values."""
+    return np.dtype([("id", "<u8"), ("vector", "<f4", (dim,))])
+
+
 def _load_binary(path) -> EmbeddingStore:
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != BINARY_MAGIC:
             raise ParseError(f"not a binary embedding file: {path}")
         _, dim, count = struct.unpack("<4sIQ", header)
-        store = EmbeddingStore(dim)
-        record = struct.Struct(f"<Q{dim}f")
-        for _ in range(count):
-            raw = fh.read(record.size)
-            if len(raw) != record.size:
-                raise ParseError(f"truncated embedding file: {path}")
-            values = record.unpack(raw)
-            store._add(values[0], np.array(values[1:], dtype=np.float64))
-    return store
+        if dim < 1:
+            raise ParseError(f"{path}: embedding dimension must be positive")
+        record = _record_dtype(dim)
+        raw = fh.read(count * record.itemsize)
+    if len(raw) != count * record.itemsize:
+        raise ParseError(f"truncated embedding file {path}: record "
+                         f"{len(raw) // record.itemsize} of {count} is cut short")
+    records = np.frombuffer(raw, dtype=record)
+    ids, vectors = records["id"], records["vector"].astype(np.float64)
+    too_big = ids > np.iinfo(np.int64).max
+    if too_big.any():
+        index = int(np.argmax(too_big))
+        raise ParseError(f"{path}: record {index}: id {ids[index]} exceeds int64")
+    bad = ~np.isfinite(vectors).all(axis=1)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ParseError(f"{path}: record {index} (id {ids[index]}): "
+                         "non-finite component")
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order][1:] == ids[order][:-1]]
+    if repeats.size:
+        index = int(repeats.min())
+        raise ParseError(f"{path}: record {index}: duplicate embedding id "
+                         f"{ids[index]}")
+    return EmbeddingStore(ids.astype(np.int64), vectors)
 
 
 def _load_jsonl(path) -> EmbeddingStore:
-    store = None
+    rows = []
+    first_line: dict[int, int] = {}  # id -> line, in file order
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -121,30 +168,49 @@ def _load_jsonl(path) -> EmbeddingStore:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if "id" not in obj or "vector" not in obj:
+            if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
                 raise ParseError("record needs 'id' and 'vector'", line=lineno)
-            vec = obj["vector"]
-            if store is None:
-                store = EmbeddingStore(len(vec))
-            store._add(obj["id"], vec)
-    if store is None:
+            example_id = obj["id"]
+            if (not isinstance(example_id, int) or isinstance(example_id, bool)
+                    or not -2**63 <= example_id < 2**63):
+                raise ParseError("'id' must be a 64-bit integer", line=lineno)
+            try:
+                vec = np.asarray(obj["vector"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"'vector' is not numeric: {exc}",
+                                 line=lineno) from exc
+            if vec.size == 0:
+                raise ParseError(f"id {example_id}: empty vector", line=lineno)
+            dim = len(rows[0]) if rows else vec.size
+            if vec.shape != (dim,):
+                raise ParseError(f"id {example_id}: vector has shape {vec.shape}, "
+                                 f"expected ({dim},)", line=lineno)
+            if not np.isfinite(vec).all():
+                raise ParseError(f"id {example_id}: non-finite component",
+                                 line=lineno)
+            if example_id in first_line:
+                raise ParseError(f"duplicate embedding id {example_id} (first "
+                                 f"on line {first_line[example_id]})", line=lineno)
+            first_line[example_id] = lineno
+            rows.append(vec)
+    if not rows:
         raise ValidationError(f"empty embedding file: {path}")
-    return store
+    return EmbeddingStore(list(first_line), np.stack(rows))
 
 
 def save_embeddings(store: EmbeddingStore, path, format="binary"):
+    ids, matrix = store.matrix()
     if format == "binary":
+        records = np.empty(len(ids), dtype=_record_dtype(store.dim))
+        records["id"] = ids
+        records["vector"] = matrix
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sIQ", BINARY_MAGIC, store.dim, len(store)))
-            record = struct.Struct(f"<Q{store.dim}f")
-            for example_id in sorted(store.ids):
-                vec = store.get(example_id).astype(np.float32)
-                fh.write(record.pack(example_id, *vec.tolist()))
+            fh.write(records.tobytes())
     elif format == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for example_id in sorted(store.ids):
-                fh.write(json.dumps({"id": example_id,
-                                     "vector": store.get(example_id).tolist()}) + "\n")
+            for example_id, vec in zip(ids.tolist(), matrix.tolist()):
+                fh.write(json.dumps({"id": example_id, "vector": vec}) + "\n")
     else:
         raise ValidationError(f"unknown embedding format: {format}")
 

@@ -9,6 +9,11 @@ class ValidationError(IceBudgetError):
     """Bad input data or configuration (CLI exit code 1)."""
 
 
+class StageError(IceBudgetError):
+    """A pipeline stage failed on an error from outside the package, such as
+    a corrupt cached artifact; the original is chained (CLI exit code 2)."""
+
+
 class ParseError(ValidationError):
     """Malformed input file; carries the offending line number when known."""
 

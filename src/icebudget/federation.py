@@ -20,7 +20,7 @@ from .embedder import EmbeddingStore
 from .errors import BackendError, ValidationError
 from .inference import (HttpBackend, MockVoteBackend, PromptTemplate,
                         answer_http, answer_mock, build_prompt)
-from .retrieval import RankedSet, merge_rerank, top_k
+from .retrieval import RankedSet, rank, top_k
 
 POLICY_VARIANTS = ("learned", "uniform", "random", "singleton",
                    "social_learning", "infinite", "proxy_only", "zero_shot")
@@ -205,35 +205,56 @@ def client_retrieve(client: ClientNode, e_q, budget: int) -> RankedSet:
     return top_k(e_q, budget, client.shard, client.store)
 
 
-def _candidate_store(clients, returned: list[RankedSet], dim: int) -> EmbeddingStore:
-    vectors = {}
-    for client, ranked in zip(clients, returned):
-        for example_id, _ in ranked:
-            vectors[example_id] = client.store.get(example_id)
-    return EmbeddingStore.from_dict(dim, vectors)
+def _aggregate(returned: list[RankedSet], k: int, rng=None):
+    """Server side of one round, shared by every policy that gathers from
+    clients: deduplicate the concatenated client returns by id, then order
+    the picked entries by (distance, id) and keep the first k.
+
+    The distances are the ones the clients computed, so nothing is looked up
+    again. Without `rng` every union entry is a candidate (the reorder
+    step); with it, min(k, |union|) entries are drawn uniformly first.
+    Returns (union positions into the concatenation, sorted by id; the
+    final RankedSet; the index of the client each final entry came from).
+    """
+    ids = np.concatenate([r.id_array for r in returned])
+    distances = np.concatenate([r.distances for r in returned])
+    owners = np.repeat(np.arange(len(returned)), [len(r) for r in returned])
+    ids, first = np.unique(ids, return_index=True)
+    distances, owners = distances[first], owners[first]
+    pool = np.arange(len(ids))
+    if rng is not None and len(ids):
+        pool = rng.choice(len(ids), size=min(k, len(ids)), replace=False)
+    final = rank(ids[pool], distances[pool], k)
+    order = np.searchsorted(ids, final.id_array)
+    return first, final, owners[order]
 
 
-def _owner_lookup(clients) -> dict[int, Example]:
-    lookup = {}
-    for client in clients:
-        for ex in client.shard:
-            lookup[ex.id] = ex
-    return lookup
+def _gather(clients, e_q, budgets, k: int, transcript, rng=None):
+    """Ask every client for its local top-budget, record the round in the
+    transcript and return the final ICEs with the examples behind them."""
+    returned = [client_retrieve(client, e_q, budget)
+                for client, budget in zip(clients, budgets)]
+    transcript.samples_returned = [r.ids for r in returned]
+    transcript.total_samples_communicated = sum(len(r) for r in returned)
+    union, final, owners = _aggregate(returned, k, rng)
+    # share the int objects of samples_returned: transcripts stay in memory
+    flat = [i for ids in transcript.samples_returned for i in ids]
+    transcript.aggregated_ids = [flat[i] for i in union.tolist()]
+    transcript.fallback_zero_shot = not transcript.aggregated_ids
+    examples = [clients[owner].shard.by_id(example_id)
+                for example_id, owner in zip(final.ids, owners.tolist())]
+    return final, examples
 
 
-def _finish(server: ServerNode, clients, query, e_q, final: RankedSet,
-            transcript: Transcript, example_lookup):
-    """Build the prompt from the final ranked set, query the backend, and
-    complete the transcript."""
-    entries = list(final.entries)
+def _finish(server: ServerNode, query, final: RankedSet, examples,
+            transcript: Transcript):
+    """Build the prompt from the final ranked set and its examples, query
+    the backend, and complete the transcript."""
+    entries = list(zip(final.ids, final.distances.tolist(), examples))
     if server.ice_order == "descending":
         entries = entries[::-1]  # nearest example ends up adjacent to the query
-    ices = []
-    ices_with_distances = []
-    for example_id, dist in entries:
-        ex = example_lookup[example_id]
-        ices.append((ex.text, ex.label))
-        ices_with_distances.append((ex.label, dist))
+    ices = [(ex.text, ex.label) for _, _, ex in entries]
+    ices_with_distances = [(ex.label, dist) for _, dist, ex in entries]
 
     labels = server.labels
     if labels is None:
@@ -245,7 +266,7 @@ def _finish(server: ServerNode, clients, query, e_q, final: RankedSet,
             f"prompt of {len(prompt)} chars exceeds cap {server.max_prompt_chars}")
     transcript.prompt_text = prompt
     transcript.prompt_chars = len(prompt)
-    transcript.final_ice_ids = [example_id for example_id, _ in entries]
+    transcript.final_ice_ids = [example_id for example_id, _, _ in entries]
 
     backend = server.backend
     try:
@@ -278,26 +299,13 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
         total_samples_communicated=0)
 
     if policy.variant == "zero_shot":
-        lookup = {}
-        final = RankedSet(())
+        final, examples = RankedSet(), []
     elif policy.variant == "proxy_only":
-        lookup = {ex.id: ex for ex in server.proxy}
         final = top_k(e_q, server.k, server.proxy, server.proxy_store)
+        examples = [server.proxy.by_id(example_id) for example_id in final.ids]
     else:
-        returned = [client_retrieve(client, e_q, budget)
-                    for client, budget in zip(clients, budgets)]
-        transcript.samples_returned = [ranked.ids for ranked in returned]
-        transcript.total_samples_communicated = sum(len(r) for r in returned)
-        dim = clients[0].store.dim
-        candidate_store = _candidate_store(clients, returned, dim)
-        union_ids = sorted(candidate_store.ids)
-        transcript.aggregated_ids = union_ids
-        final = merge_rerank(e_q, server.k, [union_ids], candidate_store) \
-            if union_ids else RankedSet(())
-        if not union_ids:
-            transcript.fallback_zero_shot = True
-        lookup = _owner_lookup(clients)
-    return _finish(server, clients, query, e_q, final, transcript, lookup)
+        final, examples = _gather(clients, e_q, budgets, server.k, transcript)
+    return _finish(server, query, final, examples, transcript)
 
 
 def social_learning_infer(server: ServerNode, clients, e_q, seed, query=None):
@@ -306,32 +314,14 @@ def social_learning_infer(server: ServerNode, clients, e_q, seed, query=None):
     c = len(clients)
     per_client = math.ceil(server.k / c)
     query_id = query.id if isinstance(query, Example) else -1
-    returned = [client_retrieve(client, e_q, per_client) for client in clients]
     transcript = Transcript(
         query_id=query_id, policy="social_learning",
-        budgets_sent=[per_client] * c,
-        samples_returned=[r.ids for r in returned],
+        budgets_sent=[per_client] * c, samples_returned=[],
         aggregated_ids=[], final_ice_ids=[], prompt_text="", prompt_chars=0,
-        answer_label=None,
-        total_samples_communicated=sum(len(r) for r in returned))
-
-    pairs = {}
-    for ranked in returned:
-        for example_id, dist in ranked:
-            pairs[example_id] = dist
-    union_ids = sorted(pairs)
-    transcript.aggregated_ids = union_ids
-    rng = _per_query_rng(seed, query_id)
-    take = min(server.k, len(union_ids))
-    if take:
-        chosen = rng.choice(len(union_ids), size=take, replace=False)
-        selected = sorted((pairs[union_ids[i]], union_ids[i]) for i in chosen)
-        final = RankedSet(tuple((example_id, dist) for dist, example_id in selected))
-    else:
-        final = RankedSet(())
-        transcript.fallback_zero_shot = True
-    return _finish(server, clients, query, e_q, final, transcript,
-                   _owner_lookup(clients))
+        answer_label=None, total_samples_communicated=0)
+    final, examples = _gather(clients, e_q, transcript.budgets_sent, server.k,
+                              transcript, rng=_per_query_rng(seed, query_id))
+    return _finish(server, query, final, examples, transcript)
 
 
 def save_transcripts(transcripts, path):
@@ -359,9 +349,5 @@ def replay_transcript(t: Transcript, clients, e_q, k: int) -> bool:
         return False
     if t.policy == "social_learning":
         return True  # final set depends on the recorded seeded draw
-    dim = clients[0].store.dim
-    candidate_store = _candidate_store(clients, returned, dim)
-    if not candidate_store.ids:
-        return t.final_ice_ids == []
-    final = merge_rerank(e_q, k, [candidate_store.ids], candidate_store)
+    _, final, _ = _aggregate(returned, k)
     return sorted(t.final_ice_ids) == sorted(final.ids)

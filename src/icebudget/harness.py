@@ -8,6 +8,7 @@ a budget-histogram CSV.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -21,8 +22,9 @@ from .config import ExperimentConfig, derive_seed
 from .corpus import (Dataset, load_dataset, load_shard_manifest, partition_iid,
                      partition_noniid, PartitionSpec, sample_proxy,
                      synth_clusters, write_shard_manifest)
-from .embedder import HashEncoder, encode_dataset, load_embeddings
-from .errors import ValidationError
+from .embedder import (EmbeddingStore, HashEncoder, encode_dataset,
+                       load_embeddings)
+from .errors import IceBudgetError, StageError, ValidationError
 from .federation import (BudgetPolicy, ClientNode, ServerNode,
                          distributed_infer, load_transcripts, save_transcripts)
 from .inference import HttpBackend, MockVoteBackend
@@ -93,11 +95,9 @@ class _SeedContext:
                 self.eval_store = encode_dataset(self.eval_ds, encoder)
             else:
                 self.train_store = load_embeddings(cfg.embeddings.train_path)
-                raw_eval = load_embeddings(cfg.embeddings.eval_path)
-                from .embedder import EmbeddingStore
-                self.eval_store = EmbeddingStore.from_dict(
-                    raw_eval.dim,
-                    {i + offset: raw_eval.get(i) for i in raw_eval.ids})
+                eval_ids, eval_matrix = load_embeddings(
+                    cfg.embeddings.eval_path).matrix()
+                self.eval_store = EmbeddingStore(eval_ids + offset, eval_matrix)
         if self.train_store.dim != self.eval_store.dim:
             raise ValidationError("train/eval embedding dimensions differ")
         self.train_store.check_bound(self.train_ds)
@@ -145,31 +145,34 @@ class _SeedContext:
         return bproxy
 
     def allocators(self):
+        """One model per client: cached ones are loaded, the missing ones
+        are trained together in one stacked SGD loop."""
         cfg = self.cfg
         model_dir = os.path.join(self.out_dir, "models")
         os.makedirs(model_dir, exist_ok=True)
-        models = []
-        bproxy = None
-        for c in range(cfg.partition.num_clients):
-            json_path = os.path.join(model_dir, f"client{c}.json")
-            blob_path = os.path.join(model_dir, f"client{c}.bin")
-            if os.path.exists(json_path) and os.path.exists(blob_path):
-                models.append(load_model(json_path, blob_path))
-                continue
-            if bproxy is None:
-                bproxy = self.budget_dataset()
-            train_cfg = TrainConfig(
+        paths = [(os.path.join(model_dir, f"client{c}.json"),
+                  os.path.join(model_dir, f"client{c}.bin"))
+                 for c in range(cfg.partition.num_clients)]
+        models = [load_model(*p) if all(map(os.path.exists, p)) else None
+                  for p in paths]
+        missing = [c for c, model in enumerate(models) if model is None]
+        if missing:
+            train_cfgs = [TrainConfig(
                 epochs=cfg.train.epochs,
                 learning_rate=cfg.train.learning_rate,
                 batch_size=cfg.train.batch_size,
                 seed=derive_seed(self.run_seed, f"shuffle-{c}"),
                 validation_fraction=cfg.train.validation_fraction)
+                for c in missing]
             scale = cfg.synthetic.scale if cfg.synthetic is not None else 1.0
-            model = train(bproxy, c, train_cfg, width=cfg.train.width,
-                          init_seed=derive_seed(self.run_seed, f"init-{c}"),
-                          input_scale=1.0 / scale)
-            save_model(model, json_path, blob_path)
-            models.append(model)
+            trained = train(self.budget_dataset(), missing, train_cfgs,
+                            width=cfg.train.width,
+                            init_seed=[derive_seed(self.run_seed, f"init-{c}")
+                                       for c in missing],
+                            input_scale=1.0 / scale)
+            for c, model in zip(missing, trained):
+                save_model(model, *paths[c])
+                models[c] = model
         return models
 
     def make_server(self, policy: BudgetPolicy) -> ServerNode:
@@ -245,6 +248,20 @@ def _budget_histogram(transcripts, num_clients: int):
     return hists
 
 
+@contextlib.contextmanager
+def _stage(name: str, seed_index: int):
+    """Prefix any error raised in the block with the stage and seed. Package
+    errors keep their type (and so their CLI exit code); any other error
+    becomes a StageError chained to the original."""
+    where = f"stage '{name}' (seed {seed_index})"
+    try:
+        yield
+    except IceBudgetError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+    except Exception as exc:
+        raise StageError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute every stage for every seed and write report + artifacts."""
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -256,17 +273,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for i in range(cfg.num_seeds):
         run_seed = derive_seed(cfg.seed, f"run{i}")
         seed_dir = os.path.join(cfg.output_dir, f"seed{i}")
-        try:
+        with _stage("setup", i):
             ctx = _SeedContext(cfg, run_seed, seed_dir)
-        except Exception as exc:
-            raise type(exc)(f"stage 'setup' (seed {i}): {exc}") from exc
         contexts.append(ctx)
         for name in cfg.policies:
             transcript_path = os.path.join(seed_dir, f"transcripts_{name}.jsonl")
-            try:
+            with _stage(f"evaluate:{name}", i):
                 acc, total, transcripts = _evaluate_policy(ctx, name)
-            except Exception as exc:
-                raise type(exc)(f"stage 'evaluate:{name}' (seed {i}): {exc}") from exc
             save_transcripts(transcripts, transcript_path)
             policy_results[name]["per_seed_accuracy"].append(acc)
             policy_results[name]["per_seed_samples_communicated"].append(total)
@@ -308,27 +321,30 @@ def _write_histogram_csv(histograms, path):
 def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,
                             global_store, query_store, k, multipliers):
     """Mean recall of the global top-k set when every recorded per-client
-    budget is scaled by each multiplier (rounded up)."""
-    rows = []
-    per_query_budgets = [(t.query_id, t.budgets_sent) for t in transcripts]
-    global_tops = {}
-    for query_id, _ in per_query_budgets:
-        e_q = query_store.get(query_id)
-        global_tops[query_id] = top_k(e_q, k, global_dataset,
-                                      global_store).id_set()
-    for m in multipliers:
-        recalls = []
-        for query_id, budgets in per_query_budgets:
-            e_q = query_store.get(query_id)
-            union = set()
-            for shard, store, budget in zip(shards, shard_stores, budgets):
-                scaled = math.ceil(m * budget)
-                if scaled > 0:
-                    union |= top_k(e_q, scaled, shard, store).id_set()
-            recalls.append(len(union & global_tops[query_id]) / k)
-        rows.append({"multiplier": float(m),
-                     "mean_recall": float(np.mean(recalls)) if recalls else 0.0})
-    return rows
+    budget is scaled by each multiplier (rounded up).
+
+    Each (query, client) pair is ranked once, at its largest scaled budget;
+    a smaller budget takes a prefix, since the top-k' under (distance, id)
+    is the first k' entries of the top-K for any k' <= K.
+    """
+    multipliers = [float(m) for m in multipliers]
+    recalls = [[] for _ in multipliers]
+    for t in transcripts:
+        e_q = query_store.get(t.query_id)
+        global_top = top_k(e_q, k, global_dataset, global_store).id_set()
+        unions = [set() for _ in multipliers]
+        for shard, store, budget in zip(shards, shard_stores, t.budgets_sent):
+            scaled = [math.ceil(m * budget) for m in multipliers]
+            if max(scaled, default=0) <= 0:
+                continue
+            ranked = top_k(e_q, max(scaled), shard, store).ids
+            for union, n in zip(unions, scaled):
+                union.update(ranked[:max(n, 0)])
+        for row, union in zip(recalls, unions):
+            row.append(len(union & global_top) / k)
+    return [{"multiplier": m,
+             "mean_recall": float(np.mean(row)) if row else 0.0}
+            for m, row in zip(multipliers, recalls)]
 
 
 def efficiency_curve_from_run(cfg: ExperimentConfig, seed_index: int,

@@ -96,11 +96,9 @@ def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
         raise ValidationError("delta must be >= 1")
     proxy_store.check_bound(proxy)
     if union_store is None:
-        merged: dict[int, np.ndarray] = {}
-        for store in shard_stores:
-            for example_id in store.ids:
-                merged[example_id] = store.get(example_id)
-        union_store = EmbeddingStore.from_dict(shard_stores[0].dim, merged)
+        ids, matrices = zip(*(store.matrix() for store in shard_stores))
+        ids, first = np.unique(np.concatenate(ids), return_index=True)
+        union_store = EmbeddingStore(ids, np.concatenate(matrices)[first])
 
     records = []
     for ex in proxy.examples:

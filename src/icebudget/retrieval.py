@@ -6,8 +6,6 @@ any platform. All distance comparisons happen in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import Dataset
@@ -15,24 +13,46 @@ from .embedder import EmbeddingStore
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
 class RankedSet:
-    """Ordered (example id, distance) pairs, ascending by (distance, id)."""
+    """Ordered (example id, distance) pairs, ascending by (distance, id),
+    held as aligned int64 id and float64 distance arrays."""
 
-    entries: tuple[tuple[int, float], ...]
+    __slots__ = ("id_array", "distances")
+
+    def __init__(self, entries=()):
+        entries = tuple(entries)
+        self.id_array = np.array([i for i, _ in entries], dtype=np.int64)
+        self.distances = np.array([d for _, d in entries], dtype=np.float64)
+
+    @classmethod
+    def from_arrays(cls, ids: np.ndarray, distances: np.ndarray) -> "RankedSet":
+        ranked = cls.__new__(cls)
+        ranked.id_array, ranked.distances = ids, distances
+        return ranked
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.ids, self.distances.tolist()))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.id_array)
 
     def __iter__(self):
         return iter(self.entries)
 
     @property
     def ids(self) -> list[int]:
-        return [example_id for example_id, _ in self.entries]
+        return self.id_array.tolist()
 
     def id_set(self) -> set[int]:
-        return {example_id for example_id, _ in self.entries}
+        return set(self.ids)
+
+
+def rank(ids: np.ndarray, distances: np.ndarray, k: int) -> RankedSet:
+    """The k entries minimizing (distance, id)."""
+    # lexsort's last key is primary: sort by distance, then id
+    order = np.lexsort((ids, distances))[:k]
+    return RankedSet.from_arrays(ids[order], distances[order])
 
 
 def distance(a, b) -> float:
@@ -45,14 +65,8 @@ def distance(a, b) -> float:
 
 
 def _rank(query: np.ndarray, ids: np.ndarray, matrix: np.ndarray, k: int) -> RankedSet:
-    if len(ids) == 0 or k == 0:
-        return RankedSet(())
     diffs = matrix - query
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    k = min(k, len(ids))
-    # lexsort's last key is primary: sort by distance, then id
-    order = np.lexsort((ids, dists))[:k]
-    return RankedSet(tuple((int(ids[i]), float(dists[i])) for i in order))
+    return rank(ids, np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), k)
 
 
 def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
@@ -72,18 +86,7 @@ def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
 def merge_rerank(e_q, k: int, candidates, store: EmbeddingStore) -> RankedSet:
     """Top-k over the deduplicated union of candidate id collections, with
     distances recomputed from the store."""
-    union: set[int] = set()
-    for cand in candidates:
-        if isinstance(cand, RankedSet):
-            union.update(cand.id_set())
-        else:
-            union.update(int(i) for i in cand)
-    for example_id in union:
-        if example_id not in store:
-            raise ValidationError(f"candidate id {example_id} missing from store")
-    if not union:
-        return RankedSet(())
-    query = np.asarray(e_q, dtype=np.float64)
-    ids = np.array(sorted(union), dtype=np.int64)
-    matrix = np.stack([store.get(int(i)) for i in ids])
-    return _rank(query, ids, matrix, k)
+    union = [c.id_array if isinstance(c, RankedSet)
+             else np.asarray(list(c), dtype=np.int64) for c in candidates]
+    sub = store.subset(np.concatenate(union) if union else [])
+    return _rank(np.asarray(e_q, dtype=np.float64), *sub.matrix(), k)

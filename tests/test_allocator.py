@@ -212,3 +212,135 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValidationError):
             TrainConfig(validation_fraction=1.0)
+
+
+# The single-client loop the stacked trainer replaced, kept verbatim as the
+# reference: per-client 2-D products and a Python-float loss.
+def _reference_logits(m, x):
+    x = m.input_scale * x
+    z1 = x @ m.w1 + m.b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ m.w2 + m.b2
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ m.w3 + m.b3
+    return z1, a1, z2, a2, z3
+
+
+def _reference_batch_loss_and_grads(m, x, y):
+    n = x.shape[0]
+    z1, a1, z2, a2, z3 = _reference_logits(m, x)
+    shifted = z3 - z3.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + z3.max(axis=1)
+    loss = float(np.mean(logsumexp - z3[np.arange(n), y]))
+    expz = np.exp(z3 - z3.max(axis=-1, keepdims=True))
+    dz3 = expz / expz.sum(axis=-1, keepdims=True)
+    dz3[np.arange(n), y] -= 1.0
+    dz3 /= n
+    gw3 = a2.T @ dz3
+    gb3 = dz3.sum(axis=0)
+    da2 = dz3 @ m.w3.T
+    dz2 = da2 * (z2 > 0)
+    gw2 = a1.T @ dz2
+    gb2 = dz2.sum(axis=0)
+    da1 = dz2 @ m.w2.T
+    dz1 = da1 * (z1 > 0)
+    gw1 = (m.input_scale * x).T @ dz1
+    gb1 = dz1.sum(axis=0)
+    return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
+
+
+def _reference_train(records, client, cfg, width, init_seed, input_scale):
+    def epoch_rng(seed, epoch):
+        return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
+
+    x = records.embeddings().astype(np.float64)
+    y = records.client_labels(client)
+    if cfg.validation_fraction > 0 and len(records) > 1:
+        n_val = max(1, int(round(cfg.validation_fraction * len(records))))
+        order = epoch_rng(cfg.seed, 2**32).permutation(len(records))
+        val_idx, train_idx = order[:n_val], order[n_val:]
+        if len(train_idx) == 0:
+            train_idx, val_idx = val_idx, train_idx
+    else:
+        train_idx = np.arange(len(records))
+        val_idx = np.array([], dtype=np.int64)
+    model = init_model(x.shape[1], width, records.num_classes, init_seed,
+                       client_id=client, input_scale=input_scale)
+    x_train, y_train = x[train_idx], y[train_idx]
+    best, best_val = None, np.inf
+    for epoch in range(cfg.epochs):
+        order = epoch_rng(cfg.seed, epoch).permutation(len(x_train))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            loss, grads = _reference_batch_loss_and_grads(
+                model, x_train[batch], y_train[batch])
+            for param, grad in zip(model.params(), grads):
+                param -= cfg.learning_rate * grad
+            epoch_loss += loss
+            n_batches += 1
+        model.loss_history.append(epoch_loss / max(n_batches, 1))
+        if len(val_idx):
+            val_loss, _ = _reference_batch_loss_and_grads(model, x[val_idx],
+                                                          y[val_idx])
+            if val_loss < best_val:
+                best_val, best = val_loss, model.clone()
+    if best is not None:
+        best.loss_history = model.loss_history
+        return best
+    return model
+
+
+def three_client_records(n, dim, seed):
+    """Shared query embeddings with different labels per client."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    raw = rng.integers(0, 4, size=(n, 3))
+    return make_records(x, raw, k=3, delta=1, num_clients=3)
+
+
+class TestStackedTraining:
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
+    def test_equals_single_client_loop_bit_for_bit(self, validation_fraction):
+        records = three_client_records(37, dim=5, seed=4)  # ragged last batch
+        clients = [2, 0, 1]
+        # a large step makes the loss wander, so snapshots are not the last epoch
+        cfgs = [TrainConfig(epochs=12, learning_rate=0.3, batch_size=8,
+                            seed=100 + c, validation_fraction=validation_fraction)
+                for c in clients]
+        init_seeds = [7, 8, 9]
+        stacked = train(records, clients, cfgs, width=6, init_seed=init_seeds,
+                        input_scale=3.0)
+        assert [m.client_id for m in stacked] == clients
+        for model, c, cfg, seed in zip(stacked, clients, cfgs, init_seeds):
+            expected = _reference_train(records, c, cfg, 6, seed, 3.0)
+            alone = train(records, c, cfg, width=6, init_seed=seed,
+                          input_scale=3.0)
+            for other in (expected, alone):
+                for got, want in zip(model.params(), other.params()):
+                    assert np.array_equal(got, want)
+                assert model.loss_history == other.loss_history
+            assert model.train_config == cfg.to_dict()
+
+    def test_stacked_loss_is_per_client(self):
+        rng = np.random.default_rng(3)
+        models = [init_model(4, 5, 3, seed=s) for s in (1, 2)]
+        stack = models[0].clone()
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            setattr(stack, name, np.stack([getattr(m, name) for m in models]))
+        x = rng.standard_normal((2, 6, 4))
+        y = rng.integers(0, 3, size=(2, 6))
+        loss, grads = batch_loss_and_grads(stack, x, y)
+        assert loss.shape == (2,)
+        for c, model in enumerate(models):
+            want_loss, want_grads = _reference_batch_loss_and_grads(
+                model, x[c], y[c])
+            assert loss[c] == want_loss
+            for got, want in zip(grads, want_grads):
+                assert np.array_equal(got[c], want)
+
+    def test_configs_may_differ_only_in_seed(self):
+        records = three_client_records(10, dim=3, seed=1)
+        cfgs = [TrainConfig(epochs=2, seed=1), TrainConfig(epochs=3, seed=2)]
+        with pytest.raises(ValidationError):
+            train(records, [0, 1], cfgs, width=4, init_seed=[1, 2])

@@ -61,6 +61,18 @@ class TestRun:
         assert report["config"]["seed"] == 9
 
 
+class TestStageErrors:
+    def test_corrupt_manifest_is_a_runtime_error(self, config_path, tmp_path,
+                                                 capsys):
+        seed_dir = tmp_path / "out" / "seed0"
+        seed_dir.mkdir(parents=True)
+        (seed_dir / "shards.json").write_text("{not json")
+        assert main(["--config", config_path, "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: stage 'setup' (seed 0): ")
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 1

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,14 @@ class TestEmbeddingStore:
         with pytest.raises(ValidationError):
             random_store(1, 3).check_bound(d)  # missing id
 
+    def test_constructor_sorts_and_rejects_duplicates(self):
+        store = EmbeddingStore([5, 2], [[5.0], [2.0]])
+        assert store.ids == [2, 5] and store.get(5).tolist() == [5.0]
+        with pytest.raises(ValidationError):
+            EmbeddingStore([1, 1], [[0.0], [1.0]])
+        with pytest.raises(ValidationError):
+            store.subset([2, 3])  # no embedding for 3
+
     def test_subset(self):
         store = random_store(5, 2, seed=1)
         sub = store.subset([1, 3])
@@ -91,6 +102,50 @@ class TestSerialization:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ValidationError):
+            load_embeddings(path)
+
+
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def write_binary(path, dim, records):
+    """Raw 'ICEB' file from (id, values) pairs, bypassing the store checks."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIQ", b"ICEB", dim, len(records)))
+        for example_id, values in records:
+            fh.write(struct.pack(f"<Q{dim}f", example_id, *values))
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("bad, message", [
+        ({"id": 2, "vector": [1.0]}, "shape"),
+        ({"id": 2, "vector": [1.0, float("nan")]}, "non-finite"),
+        ({"id": 0, "vector": [1.0, 2.0]}, "duplicate"),
+    ])
+    def test_jsonl_record_errors_carry_line(self, tmp_path, bad, message):
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, [{"id": 0, "vector": [0.0, 1.0]},
+                           {"id": 1, "vector": [1.0, 0.0]}, bad])
+        with pytest.raises(ParseError, match=f"line 3: .*{message}") as info:
+            load_embeddings(path)
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("bad, message", [
+        ((2, [1.0, float("inf")]), "record 2 .*non-finite"),
+        ((0, [1.0, 2.0]), "record 2: duplicate embedding id 0"),
+    ])
+    def test_binary_record_errors_name_the_record(self, tmp_path, bad, message):
+        path = tmp_path / "emb.bin"
+        write_binary(path, 2, [(0, [0.0, 1.0]), (1, [1.0, 0.0]), bad])
+        with pytest.raises(ParseError, match=message):
+            load_embeddings(path)
+
+    def test_truncated_binary_names_the_record(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_binary(path, 2, [(0, [0.0, 1.0]), (1, [1.0, 0.0])])
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ParseError, match="record 1 of 2"):
             load_embeddings(path)
 
 

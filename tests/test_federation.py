@@ -138,10 +138,8 @@ class TestDistributedInfer:
             budgets = [k] * len(clients)
             returned = [client_retrieve(c, e_q, b)
                         for c, b in zip(clients, budgets)]
-            from icebudget.federation import _candidate_store
-            cand = _candidate_store(clients, returned, store.dim)
-            from icebudget.retrieval import merge_rerank
-            final = merge_rerank(e_q, k, [cand.ids], cand)
+            from icebudget.federation import _aggregate
+            _, final, _ = _aggregate(returned, k)
             assert final.ids == top_k(e_q, k, d, store).ids
 
     def test_transcript_accounting(self):
@@ -285,3 +283,76 @@ class TestServerValidation:
     def test_unknown_policy_variant(self):
         with pytest.raises(ValidationError):
             BudgetPolicy("nonexistent")
+
+
+def _reference_candidate_rerank(clients, returned, e_q, k):
+    """The dict-based aggregation the array routine replaced: a candidate
+    store of every returned vector, distances recomputed from it, then the
+    top-k by (distance, id). Returns (sorted union ids, [(id, distance)])."""
+    vectors = {}
+    for client, ranked in zip(clients, returned):
+        for example_id, _ in ranked:
+            vectors[example_id] = client.store.get(example_id)
+    union = sorted(vectors)
+    if not union:
+        return union, []
+    ids = np.array(union, dtype=np.int64)
+    matrix = np.stack([vectors[i] for i in union])
+    diffs = matrix - np.asarray(e_q, dtype=np.float64)
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    order = np.lexsort((ids, dists))[:k]
+    return union, [(int(ids[i]), float(dists[i])) for i in order]
+
+
+class TestAggregateMatchesCandidateStore:
+    def check(self, clients, budgets, e_q, k):
+        from icebudget.federation import _aggregate
+        returned = [client_retrieve(c, e_q, b) for c, b in zip(clients, budgets)]
+        union, final, owners = _aggregate(returned, k)
+        flat = [i for r in returned for i in r.ids]
+        want_union, want_final = _reference_candidate_rerank(
+            clients, returned, e_q, k)
+        assert [flat[i] for i in union.tolist()] == want_union
+        assert final.entries == tuple(want_final)
+        for example_id, owner in zip(final.ids, owners.tolist()):
+            assert example_id in returned[owner].ids
+
+    def test_random_worlds(self):
+        rng = np.random.default_rng(77)
+        for trial in range(60):
+            n = int(rng.integers(5, 80))
+            num_clients = int(rng.integers(1, 5))
+            d, store, clients = make_clients(n=n, dim=3,
+                                             num_clients=num_clients,
+                                             seed=300 + trial)
+            k = int(rng.integers(1, 12))
+            e_q = rng.standard_normal(3)
+            # zero budgets, small budgets and budgets past the shard size
+            budgets = [int(b) for b in rng.integers(0, k + 3, size=num_clients)]
+            self.check(clients, budgets, e_q, k)
+            self.check(clients, [0] * num_clients, e_q, k)
+            self.check(clients, [len(c.shard) for c in clients], e_q, k)
+
+    def test_overlapping_candidates(self):
+        d, store = make_world(30, 4, seed=5)
+        halves = [d.subset(d.ids[:20]), d.subset(d.ids[10:])]
+        clients = [ClientNode(i, shard, store.subset(shard.ids))
+                   for i, shard in enumerate(halves)]
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            self.check(clients, [12, 12], rng.standard_normal(4), 7)
+
+    def test_transcript_round_matches(self):
+        d, store, clients = make_clients(n=40, num_clients=4, seed=23)
+        for variant in ("uniform", "infinite"):
+            server = make_server(k=5, policy=BudgetPolicy(variant),
+                                 labels=d.labels, ice_order="ascending")
+            for query in d.examples[:10]:
+                e_q = store.get(query.id)
+                _, t = distributed_infer(server, clients, query, e_q)
+                returned = [client_retrieve(c, e_q, b)
+                            for c, b in zip(clients, t.budgets_sent)]
+                union, final = _reference_candidate_rerank(clients, returned,
+                                                           e_q, 5)
+                assert t.aggregated_ids == union
+                assert t.final_ice_ids == [i for i, _ in final]

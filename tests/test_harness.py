@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import shutil
 
@@ -12,6 +13,7 @@ from icebudget.federation import load_transcripts
 from icebudget.harness import (_SeedContext, budget_efficiency_curve,
                                efficiency_curve_from_run, evaluate_accuracy,
                                mean_std, run_experiment)
+from icebudget.retrieval import top_k
 
 
 class TestEvaluateAccuracy:
@@ -116,6 +118,31 @@ def report_query_count(cfg):
     return spec.num_classes * spec.per_class_eval - cfg.proxy_size
 
 
+def _reference_curve(transcripts, shards, shard_stores, global_dataset,
+                     global_store, query_store, k, multipliers):
+    """The curve as first written: a fresh top_k for every multiplier."""
+    rows = []
+    per_query_budgets = [(t.query_id, t.budgets_sent) for t in transcripts]
+    global_tops = {}
+    for query_id, _ in per_query_budgets:
+        e_q = query_store.get(query_id)
+        global_tops[query_id] = top_k(e_q, k, global_dataset,
+                                      global_store).id_set()
+    for m in multipliers:
+        recalls = []
+        for query_id, budgets in per_query_budgets:
+            e_q = query_store.get(query_id)
+            union = set()
+            for shard, store, budget in zip(shards, shard_stores, budgets):
+                scaled = math.ceil(m * budget)
+                if scaled > 0:
+                    union |= top_k(e_q, scaled, shard, store).id_set()
+            recalls.append(len(union & global_tops[query_id]) / k)
+        rows.append({"multiplier": float(m),
+                     "mean_recall": float(np.mean(recalls)) if recalls else 0.0})
+    return rows
+
+
 class TestEfficiencyCurve:
     @pytest.fixture
     def learned_run(self, tiny_config):
@@ -144,6 +171,19 @@ class TestEfficiencyCurve:
                                          [0.5, 1.0, 1.25, 2.0])
         recalls = [r["mean_recall"] for r in rows]
         assert recalls == sorted(recalls)
+
+    def test_prefixes_equal_per_multiplier_ranking(self, learned_run):
+        ctx = _SeedContext(learned_run, derive_seed(learned_run.seed, "run0"),
+                           os.path.join(learned_run.output_dir, "seed0"))
+        transcripts = load_transcripts(os.path.join(
+            learned_run.output_dir, "seed0", "transcripts_learned.jsonl"))
+        # vary the recorded budgets so prefixes of every length get used
+        for i, t in enumerate(transcripts):
+            t.budgets_sent = [(i + c) % 5 for c in range(len(t.budgets_sent))]
+        multipliers = [0.0, 0.5, 1.0, 1.25, 2.0, 3.0]
+        args = (transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
+                ctx.train_store, ctx.test_store, learned_run.k, multipliers)
+        assert budget_efficiency_curve(*args) == _reference_curve(*args)
 
     def test_missing_transcripts_rejected(self, tiny_config):
         run_experiment(tiny_config)  # uniform only; no learned transcripts
