@@ -8,15 +8,17 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
 
 from .config import derive_seed, load_config
-from .corpus import load_dataset, write_shard_manifest
+from .corpus import load_dataset
 from .embedder import HashEncoder, encode_dataset, save_embeddings
 from .errors import IceBudgetError, ValidationError
-from .inference import paraphrase as run_paraphrase
+from .inference import make_backend, paraphrase as run_paraphrase
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,15 +83,30 @@ def _cmd_run(args):
     return 0
 
 
-def _cmd_partition(args):
+def _per_seed(describe, args):
+    """Run one stage for every seed of the config, one stdout line each."""
     from .harness import _SeedContext
     cfg = _load_cfg(args)
     for i in range(cfg.num_seeds):
-        ctx = _SeedContext(cfg, derive_seed(cfg.seed, f"run{i}"),
-                           os.path.join(cfg.output_dir, f"seed{i}"))
-        sizes = [len(s) for s in ctx.shards]
-        print(f"seed {i}: shard sizes {sizes}")
+        print(f"seed {i}: {describe(_SeedContext.for_seed(cfg, i))}")
     return 0
+
+
+def _describe_partition(ctx):
+    return f"shard sizes {[len(s) for s in ctx.shards]}"
+
+
+def _describe_budget_dataset(ctx):
+    bproxy = ctx.budget_dataset()
+    return f"{len(bproxy)} budget records ({bproxy.num_classes} classes)"
+
+
+def _describe_allocators(ctx):
+    models = ctx.allocators()
+    losses = [m.loss_history[-1] if m.loss_history else float("nan")
+              for m in models]
+    return (f"trained {len(models)} allocators, "
+            f"final losses {[f'{l:.4f}' for l in losses]}")
 
 
 def _cmd_encode(args):
@@ -101,47 +118,21 @@ def _cmd_encode(args):
     return 0
 
 
-def _cmd_build_budget_dataset(args):
-    from .harness import _SeedContext
-    cfg = _load_cfg(args)
-    for i in range(cfg.num_seeds):
-        ctx = _SeedContext(cfg, derive_seed(cfg.seed, f"run{i}"),
-                           os.path.join(cfg.output_dir, f"seed{i}"))
-        bproxy = ctx.budget_dataset()
-        print(f"seed {i}: {len(bproxy)} budget records "
-              f"({bproxy.num_classes} classes)")
-    return 0
-
-
-def _cmd_train_allocator(args):
-    from .harness import _SeedContext
-    cfg = _load_cfg(args)
-    for i in range(cfg.num_seeds):
-        ctx = _SeedContext(cfg, derive_seed(cfg.seed, f"run{i}"),
-                           os.path.join(cfg.output_dir, f"seed{i}"))
-        models = ctx.allocators()
-        losses = [m.loss_history[-1] if m.loss_history else float("nan")
-                  for m in models]
-        print(f"seed {i}: trained {len(models)} allocators, "
-              f"final losses {[f'{l:.4f}' for l in losses]}")
-    return 0
-
-
 def _cmd_infer(args):
     from .federation import distributed_infer
     from .harness import _SeedContext, _policy_for
     cfg = _load_cfg(args)
+    # the query is hash-encoded, so the stores must be hash-encoded text too
+    if cfg.dataset is None or cfg.embeddings.source != "hash":
+        raise ValidationError(
+            "ad-hoc text inference needs a 'dataset' config with "
+            "'embeddings.source: hash'")
     if args.policy:
         cfg.policies = [args.policy]
-    run_seed = derive_seed(cfg.seed, f"run{args.seed_index}")
-    ctx = _SeedContext(cfg, run_seed,
-                       os.path.join(cfg.output_dir, f"seed{args.seed_index}"))
-    if cfg.synthetic is not None and cfg.embeddings.source == "synthetic":
-        raise ValidationError(
-            "ad-hoc text inference needs a hash or file embedding source")
+    ctx = _SeedContext.for_seed(cfg, args.seed_index)
     encoder = HashEncoder(cfg.embeddings.dim, derive_seed(cfg.seed, "hash-encoder"))
     e_q = encoder(args.text)
-    server = ctx.make_server(_policy_for(cfg.policies[0], run_seed))
+    server = ctx.make_server(_policy_for(cfg.policies[0], ctx.run_seed))
     answer, transcript = distributed_infer(server, ctx.clients, args.text, e_q)
     print(json.dumps(transcript.to_dict(), sort_keys=True))
     print(f"answer: {ctx.train_ds.labels.verbalizers[answer]} ({answer})")
@@ -163,27 +154,20 @@ def _cmd_report(args):
 
 
 def _cmd_paraphrase(args):
-    from .inference import HttpBackend, MockVoteBackend
     cfg = _load_cfg(args)
-    if cfg.backend.type == "http":
-        backend = HttpBackend(endpoint=cfg.backend.endpoint,
-                              model=cfg.backend.model,
-                              auth_env=cfg.backend.auth_env,
-                              timeout=cfg.backend.timeout,
-                              max_retries=cfg.backend.max_retries,
-                              max_tokens=64)
-    else:
-        backend = MockVoteBackend()
+    # a paraphrase is a sentence, not a label: allow a longer completion
+    backend = make_backend(dataclasses.replace(cfg.backend, max_tokens=64))
     print(run_paraphrase(args.text, backend))
     return 0
 
 
 _COMMANDS = {
     "run": _cmd_run,
-    "partition": _cmd_partition,
+    "partition": functools.partial(_per_seed, _describe_partition),
     "encode": _cmd_encode,
-    "build-budget-dataset": _cmd_build_budget_dataset,
-    "train-allocator": _cmd_train_allocator,
+    "build-budget-dataset": functools.partial(_per_seed,
+                                              _describe_budget_dataset),
+    "train-allocator": functools.partial(_per_seed, _describe_allocators),
     "infer": _cmd_infer,
     "report": _cmd_report,
     "paraphrase": _cmd_paraphrase,

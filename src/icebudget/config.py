@@ -14,28 +14,28 @@ import yaml
 
 from .errors import ValidationError
 
-# Per-dataset hyper-parameters used for the headline runs. quant_ratio is
-# carried through verbatim for provenance but has no implemented semantics.
+# The budget policies, by the names a config lists them under; federation
+# validates BudgetPolicy.variant against the same tuple.
+POLICY_VARIANTS = ("learned", "uniform", "random", "singleton",
+                   "social_learning", "infinite", "proxy_only", "zero_shot")
+
+# Per-dataset hyper-parameters used for the headline runs.
 PRESETS = {
     "sst5":   {"k": 32, "num_clients": 4, "labels_per_client": 2,
-               "proxy_size": 500, "delta": 3, "alpha": 0, "quant_ratio": 0.5},
+               "proxy_size": 500, "delta": 3, "alpha": 0},
     "amazon": {"k": 8,  "num_clients": 2, "labels_per_client": 3,
-               "proxy_size": 750, "delta": 2, "alpha": 0, "quant_ratio": 0.5},
+               "proxy_size": 750, "delta": 2, "alpha": 0},
     "yelp":   {"k": 4,  "num_clients": 2, "labels_per_client": 3,
-               "proxy_size": 750, "delta": 2, "alpha": 2, "quant_ratio": 0.5},
+               "proxy_size": 750, "delta": 2, "alpha": 2},
     "mr":     {"k": 32, "num_clients": 4, "labels_per_client": 1,
-               "proxy_size": 500, "delta": 3, "alpha": 0, "quant_ratio": 0.5},
+               "proxy_size": 500, "delta": 3, "alpha": 0},
     "yahoo":  {"k": 4,  "num_clients": 2, "labels_per_client": 5,
-               "proxy_size": 750, "delta": 2, "alpha": 2, "quant_ratio": 0.5},
+               "proxy_size": 750, "delta": 2, "alpha": 2},
     "agnews": {"k": 4,  "num_clients": 2, "labels_per_client": 2,
-               "proxy_size": 750, "delta": 2, "alpha": 2, "quant_ratio": 0.5},
+               "proxy_size": 750, "delta": 2, "alpha": 2},
     "subj":   {"k": 32, "num_clients": 4, "labels_per_client": 1,
-               "proxy_size": 500, "delta": 3, "alpha": 0, "quant_ratio": 0.3},
+               "proxy_size": 500, "delta": 3, "alpha": 0},
 }
-
-KNOWN_POLICIES = ("learned", "uniform", "random", "singleton",
-                  "social_learning", "infinite", "proxy_only", "zero_shot")
-
 
 def derive_seed(master: int, label: str) -> int:
     """Stable 63-bit seed for a named stage."""
@@ -133,7 +133,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     ice_order: str = "descending"
     max_prompt_chars: int = 1_000_000
-    quant_ratio: float | None = None  # recorded, no semantics
 
     def __post_init__(self):
         if self.k < 1:
@@ -149,7 +148,7 @@ class ExperimentConfig:
         if not self.policies:
             raise ValidationError("at least one policy required")
         for policy in self.policies:
-            if policy not in KNOWN_POLICIES:
+            if policy not in POLICY_VARIANTS:
                 raise ValidationError(f"unknown policy: {policy}")
         if (self.synthetic is None) == (self.dataset is None):
             raise ValidationError(
@@ -188,15 +187,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         preset = PRESETS.get(str(preset_name).lower())
         if preset is None:
             raise ValidationError(f"unknown preset: {preset_name}")
-        data.setdefault("k", preset["k"])
-        data.setdefault("delta", preset["delta"])
-        data.setdefault("alpha", preset["alpha"])
-        data.setdefault("proxy_size", preset["proxy_size"])
-        data.setdefault("quant_ratio", preset["quant_ratio"])
-        part = data.setdefault("partition", {})
-        part.setdefault("scheme", "noniid")
-        part.setdefault("num_clients", preset["num_clients"])
-        part.setdefault("labels_per_client", preset["labels_per_client"])
+        for key in ("k", "delta", "alpha", "proxy_size"):
+            data.setdefault(key, preset[key])
+        part = data.get("partition", {})
+        if not isinstance(part, dict):
+            raise ValidationError("config section 'partition' must be a mapping")
+        # a new dict: the caller's nested mapping stays as it was
+        data["partition"] = {"scheme": "noniid",
+                             "num_clients": preset["num_clients"],
+                             "labels_per_client": preset["labels_per_client"],
+                             **part}
 
     sections = {
         "partition": (PartitionConfig, True),
@@ -214,8 +214,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         elif not has_default:
             kwargs[key] = None
     known = {"name", "seed", "num_seeds", "k", "delta", "alpha", "proxy_size",
-             "policies", "output_dir", "ice_order", "max_prompt_chars",
-             "quant_ratio"}
+             "policies", "output_dir", "ice_order", "max_prompt_chars"}
     for key in data:
         if key not in known:
             raise ValidationError(f"unknown config key: {key}")

@@ -3,7 +3,9 @@
 The "network" is an in-process request/response exchange recorded in a
 Transcript per query. All budget policies (learned allocator plus the
 uniform, random, singleton, social-learning, infinite, proxy-only, and
-zero-shot baselines) are implemented here.
+zero-shot baselines) are implemented here, and every one of them answers a
+query through `distributed_infer`: a policy only decides how `allocate`
+splits the budget and how the server selects the final ICEs.
 """
 
 from __future__ import annotations
@@ -15,19 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator import AllocatorModel, predict_budget
+from .config import POLICY_VARIANTS
 from .corpus import Dataset, Example, LabelSpace
 from .embedder import EmbeddingStore
 from .errors import BackendError, ValidationError
-from .inference import (HttpBackend, MockVoteBackend, PromptTemplate,
-                        answer_http, answer_mock, build_prompt)
+from .inference import MockVoteBackend, PromptTemplate, build_prompt
 from .retrieval import RankedSet, rank, top_k
-
-POLICY_VARIANTS = ("learned", "uniform", "random", "singleton",
-                   "social_learning", "infinite", "proxy_only", "zero_shot")
 
 
 @dataclass(frozen=True)
 class BudgetPolicy:
+    """A budget policy as a plain value: `variant` names the allocation and
+    selection rule, `seed` drives the random and social-learning draws,
+    `client` is the one client a singleton policy asks."""
+
     variant: str
     seed: int = 0
     client: int = 0
@@ -35,38 +38,6 @@ class BudgetPolicy:
     def __post_init__(self):
         if self.variant not in POLICY_VARIANTS:
             raise ValidationError(f"unknown policy variant: {self.variant}")
-
-    @staticmethod
-    def learned():
-        return BudgetPolicy("learned")
-
-    @staticmethod
-    def uniform():
-        return BudgetPolicy("uniform")
-
-    @staticmethod
-    def random(seed):
-        return BudgetPolicy("random", seed=seed)
-
-    @staticmethod
-    def singleton(client):
-        return BudgetPolicy("singleton", client=client)
-
-    @staticmethod
-    def social_learning(seed):
-        return BudgetPolicy("social_learning", seed=seed)
-
-    @staticmethod
-    def infinite():
-        return BudgetPolicy("infinite")
-
-    @staticmethod
-    def proxy_only():
-        return BudgetPolicy("proxy_only")
-
-    @staticmethod
-    def zero_shot():
-        return BudgetPolicy("zero_shot")
 
 
 @dataclass
@@ -83,11 +54,12 @@ class ClientNode:
 class ServerNode:
     k: int
     alpha: int = 0
-    policy: BudgetPolicy = field(default_factory=BudgetPolicy.uniform)
+    policy: BudgetPolicy = BudgetPolicy("uniform")
     allocators: list[AllocatorModel] | None = None
     delta: int = 1
     proxy: Dataset | None = None
     proxy_store: EmbeddingStore | None = None
+    # anything with answer(prompt, votes, labels) -> label index
     backend: object = field(default_factory=MockVoteBackend)
     template: PromptTemplate = field(default_factory=PromptTemplate)
     labels: LabelSpace | None = None
@@ -158,7 +130,10 @@ class Transcript:
 
 
 def _per_query_rng(seed: int, query_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, query_id)))
+    # Ad-hoc text queries carry id -1; taken modulo 2**64 they still get a
+    # seeded draw, and no int64 example id maps to the same entropy.
+    return np.random.default_rng(
+        np.random.SeedSequence((seed, query_id % 2**64)))
 
 
 def _random_composition(k: int, parts: int, rng) -> list[int]:
@@ -177,7 +152,7 @@ def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
     c = len(clients)
     server.require_ready(c)
     variant = policy.variant
-    if variant == "uniform":
+    if variant in ("uniform", "social_learning"):
         return [math.ceil(server.k / c)] * c
     if variant == "random":
         rng = _per_query_rng(policy.seed, query_id)
@@ -187,8 +162,6 @@ def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
                 + server.alpha for i in range(c)]
     if variant == "singleton":
         return [server.k if i == policy.client else 0 for i in range(c)]
-    if variant == "social_learning":
-        return [math.ceil(server.k / c)] * c
     if variant == "infinite":
         return [len(client.shard) for client in clients]
     if variant in ("proxy_only", "zero_shot"):
@@ -254,7 +227,7 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
     if server.ice_order == "descending":
         entries = entries[::-1]  # nearest example ends up adjacent to the query
     ices = [(ex.text, ex.label) for _, _, ex in entries]
-    ices_with_distances = [(ex.label, dist) for _, dist, ex in entries]
+    votes = [(ex.label, dist) for _, dist, ex in entries]
 
     labels = server.labels
     if labels is None:
@@ -268,14 +241,8 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
     transcript.prompt_chars = len(prompt)
     transcript.final_ice_ids = [example_id for example_id, _, _ in entries]
 
-    backend = server.backend
     try:
-        if isinstance(backend, MockVoteBackend):
-            answer = answer_mock(ices_with_distances, query_text)
-        elif isinstance(backend, HttpBackend):
-            answer = answer_http(prompt, backend, labels)
-        else:
-            raise ValidationError(f"unknown backend: {backend!r}")
+        answer = server.backend.answer(prompt, votes, labels)
     except BackendError as exc:
         exc.transcript = transcript
         raise
@@ -285,11 +252,12 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
 
 def distributed_infer(server: ServerNode, clients, query, e_q):
     """One full budgeted inference round (Alg.-style): allocate budgets,
-    gather client returns, reorder-aggregate to top-k, prompt, answer."""
+    gather client returns, select the final k ICEs, prompt, answer.
+
+    The selection reranks the gathered union by (distance, id), except under
+    social learning, where the server draws k of the union uniformly at
+    random (seeded per query) and orders only those."""
     policy = server.policy
-    if policy.variant == "social_learning":
-        return social_learning_infer(server, clients, e_q, policy.seed,
-                                     query=query)
     query_id = query.id if isinstance(query, Example) else -1
     budgets = allocate(policy, e_q, server, clients, query_id=query_id)
     transcript = Transcript(
@@ -304,23 +272,10 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
         final = top_k(e_q, server.k, server.proxy, server.proxy_store)
         examples = [server.proxy.by_id(example_id) for example_id in final.ids]
     else:
-        final, examples = _gather(clients, e_q, budgets, server.k, transcript)
-    return _finish(server, query, final, examples, transcript)
-
-
-def social_learning_infer(server: ServerNode, clients, e_q, seed, query=None):
-    """Each client returns its local top-ceil(k/C); the server picks k ICEs
-    uniformly at random (seeded) from the union instead of reranking."""
-    c = len(clients)
-    per_client = math.ceil(server.k / c)
-    query_id = query.id if isinstance(query, Example) else -1
-    transcript = Transcript(
-        query_id=query_id, policy="social_learning",
-        budgets_sent=[per_client] * c, samples_returned=[],
-        aggregated_ids=[], final_ice_ids=[], prompt_text="", prompt_chars=0,
-        answer_label=None, total_samples_communicated=0)
-    final, examples = _gather(clients, e_q, transcript.budgets_sent, server.k,
-                              transcript, rng=_per_query_rng(seed, query_id))
+        rng = (_per_query_rng(policy.seed, query_id)
+               if policy.variant == "social_learning" else None)
+        final, examples = _gather(clients, e_q, budgets, server.k, transcript,
+                                  rng)
     return _finish(server, query, final, examples, transcript)
 
 

@@ -27,7 +27,7 @@ from .embedder import (EmbeddingStore, HashEncoder, encode_dataset,
 from .errors import IceBudgetError, StageError, ValidationError
 from .federation import (BudgetPolicy, ClientNode, ServerNode,
                          distributed_infer, load_transcripts, save_transcripts)
-from .inference import HttpBackend, MockVoteBackend
+from .inference import make_backend
 from .oracle import (construct_budget_dataset, load_budget_dataset,
                      save_budget_dataset)
 from .retrieval import top_k
@@ -62,6 +62,12 @@ class _SeedContext:
         self._load_data()
         self._partition()
         self._split_proxy()
+
+    @classmethod
+    def for_seed(cls, cfg: ExperimentConfig, seed_index: int) -> "_SeedContext":
+        """The context of the config's `seed_index`-th seeded run."""
+        return cls(cfg, derive_seed(cfg.seed, f"run{seed_index}"),
+                   os.path.join(cfg.output_dir, f"seed{seed_index}"))
 
     def _load_data(self):
         cfg = self.cfg
@@ -177,18 +183,9 @@ class _SeedContext:
 
     def make_server(self, policy: BudgetPolicy) -> ServerNode:
         cfg = self.cfg
-        if cfg.backend.type == "http":
-            backend = HttpBackend(endpoint=cfg.backend.endpoint,
-                                  model=cfg.backend.model,
-                                  auth_env=cfg.backend.auth_env,
-                                  timeout=cfg.backend.timeout,
-                                  max_retries=cfg.backend.max_retries,
-                                  max_tokens=cfg.backend.max_tokens)
-        else:
-            backend = MockVoteBackend()
         server = ServerNode(
             k=cfg.k, alpha=cfg.alpha, policy=policy, delta=cfg.delta,
-            backend=backend, labels=self.train_ds.labels,
+            backend=make_backend(cfg.backend), labels=self.train_ds.labels,
             ice_order=cfg.ice_order, max_prompt_chars=cfg.max_prompt_chars)
         if policy.variant == "learned":
             server.allocators = self.allocators()
@@ -200,12 +197,10 @@ class _SeedContext:
 
 def _policy_for(name: str, run_seed: int, client: int = 0) -> BudgetPolicy:
     if name == "random":
-        return BudgetPolicy.random(derive_seed(run_seed, "policy-random"))
+        return BudgetPolicy(name, seed=derive_seed(run_seed, "policy-random"))
     if name == "social_learning":
-        return BudgetPolicy.social_learning(derive_seed(run_seed, "policy-social"))
-    if name == "singleton":
-        return BudgetPolicy.singleton(client)
-    return BudgetPolicy(name)
+        return BudgetPolicy(name, seed=derive_seed(run_seed, "policy-social"))
+    return BudgetPolicy(name, client=client)
 
 
 def _evaluate_policy(ctx: _SeedContext, name: str):
@@ -271,13 +266,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     histograms = []
     contexts = []
     for i in range(cfg.num_seeds):
-        run_seed = derive_seed(cfg.seed, f"run{i}")
-        seed_dir = os.path.join(cfg.output_dir, f"seed{i}")
         with _stage("setup", i):
-            ctx = _SeedContext(cfg, run_seed, seed_dir)
+            ctx = _SeedContext.for_seed(cfg, i)
         contexts.append(ctx)
         for name in cfg.policies:
-            transcript_path = os.path.join(seed_dir, f"transcripts_{name}.jsonl")
+            transcript_path = os.path.join(ctx.out_dir,
+                                           f"transcripts_{name}.jsonl")
             with _stage(f"evaluate:{name}", i):
                 acc, total, transcripts = _evaluate_policy(ctx, name)
             save_transcripts(transcripts, transcript_path)
@@ -351,11 +345,9 @@ def efficiency_curve_from_run(cfg: ExperimentConfig, seed_index: int,
                               multipliers, transcripts=None):
     """Rebuild the seeded run's shards and compute the efficiency curve from
     its learned-policy transcripts."""
-    run_seed = derive_seed(cfg.seed, f"run{seed_index}")
-    seed_dir = os.path.join(cfg.output_dir, f"seed{seed_index}")
-    ctx = _SeedContext(cfg, run_seed, seed_dir)
+    ctx = _SeedContext.for_seed(cfg, seed_index)
     if transcripts is None:
-        path = os.path.join(seed_dir, "transcripts_learned.jsonl")
+        path = os.path.join(ctx.out_dir, "transcripts_learned.jsonl")
         if not os.path.exists(path):
             raise ValidationError(f"no learned transcripts at {path}")
         transcripts = load_transcripts(path)

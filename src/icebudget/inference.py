@@ -1,8 +1,10 @@
 """Prompt construction, answering backends, and the paraphrase pass.
 
 Two backends: a deterministic similarity-weighted vote for self-contained
-runs, and an OpenAI-style completions endpoint for real LLM answering.
-Labels are decoded from generated text by case-insensitive verbalizer match.
+runs, and an OpenAI-style completions endpoint for real LLM answering. Each
+answers for itself through `answer(prompt, votes, labels) -> label index`,
+where `votes` are the prompt's ICEs as (label, distance) pairs. Labels are
+decoded from generated text by case-insensitive verbalizer match.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ class MockVoteBackend:
 
     name: str = "mock-vote"
 
+    def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
+        return answer_mock(votes)
+
 
 @dataclass(frozen=True)
 class HttpBackend:
@@ -81,6 +86,19 @@ class HttpBackend:
         if not (self.endpoint.startswith("http://")
                 or self.endpoint.startswith("https://")):
             raise ValidationError(f"malformed endpoint URL: {self.endpoint}")
+
+    def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
+        return decode_label(_post_completion(prompt, self), labels)
+
+
+def make_backend(spec):
+    """The backend a config's `backend` section describes."""
+    if spec.type == "http":
+        return HttpBackend(endpoint=spec.endpoint, model=spec.model,
+                           auth_env=spec.auth_env, timeout=spec.timeout,
+                           max_retries=spec.max_retries,
+                           max_tokens=spec.max_tokens)
+    return MockVoteBackend()
 
 
 def build_prompt(ices, query_text: str, template: PromptTemplate,
@@ -100,13 +118,14 @@ def build_prompt(ices, query_text: str, template: PromptTemplate,
     return template.joiner.join(parts)
 
 
-def answer_mock(ices_with_distances, query_text: str = "") -> int:
-    """Similarity-weighted vote: each ICE votes for its label with weight
-    1/(eps + distance). Ties go to the lowest label index; no ICEs -> 0."""
-    if not ices_with_distances:
+def answer_mock(votes) -> int:
+    """Similarity-weighted vote over (label, distance) pairs: each ICE votes
+    for its label with weight 1/(eps + distance). Ties go to the lowest label
+    index; no ICEs -> 0."""
+    if not votes:
         return 0
     totals: dict[int, float] = {}
-    for label, dist in ices_with_distances:
+    for label, dist in votes:
         if dist < 0:
             raise ValidationError("distance must be nonnegative")
         totals[label] = totals.get(label, 0.0) + 1.0 / (MOCK_VOTE_EPSILON + dist)
@@ -156,11 +175,6 @@ def _post_completion(prompt: str, backend: HttpBackend) -> str:
         if attempt < backend.max_retries:
             time.sleep(min(2.0 ** attempt * 0.5, 8.0))
     raise last_error
-
-
-def answer_http(prompt: str, backend: HttpBackend, labels: LabelSpace) -> int:
-    completion = _post_completion(prompt, backend)
-    return decode_label(completion, labels)
 
 
 def paraphrase(text: str, backend, template: str = PARAPHRASE_FEW_SHOT) -> str:

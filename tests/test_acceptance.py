@@ -291,13 +291,13 @@ def test_criterion_9_baseline_arithmetic():
     clients = [ClientNode(i, s, store.subset(s.ids))
                for i, s in enumerate(shards)]
     for k in (1, 4, 6, 7, 32):
-        server = ServerNode(k=k, policy=BudgetPolicy.uniform(),
+        server = ServerNode(k=k, policy=BudgetPolicy("uniform"),
                             labels=d.labels)
         budgets = allocate(server.policy, np.zeros(4), server, clients)
         if budgets != [math.ceil(k / 4)] * 4:
             problems.append(f"uniform k={k}: {budgets}")
 
-    server = ServerNode(k=7, policy=BudgetPolicy.random(seed=3),
+    server = ServerNode(k=7, policy=BudgetPolicy("random", seed=3),
                         labels=d.labels)
     for query_id in range(10_000):
         budgets = allocate(server.policy, np.zeros(4), server, clients,
@@ -307,7 +307,8 @@ def test_criterion_9_baseline_arithmetic():
             break
 
     for k in (3, 5, 8):
-        server = ServerNode(k=k, policy=BudgetPolicy.social_learning(seed=2),
+        server = ServerNode(k=k,
+                            policy=BudgetPolicy("social_learning", seed=2),
                             labels=d.labels)
         query = d.examples[0]
         _, t = distributed_infer(server, clients, query, store.get(query.id))
@@ -363,7 +364,7 @@ def test_criterion_10_http_smoke(tmp_path):
                for i, s in enumerate(shards)]
     backend = HttpBackend(endpoint=endpoint, model=model_name, timeout=30,
                           max_retries=2)
-    server = ServerNode(k=4, policy=BudgetPolicy.uniform(), backend=backend,
+    server = ServerNode(k=4, policy=BudgetPolicy("uniform"), backend=backend,
                         labels=labels)
     decoded = 0
     for i, text in enumerate(queries):

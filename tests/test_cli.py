@@ -116,8 +116,9 @@ class TestStages:
 class TestReport:
     def test_curve_after_learned_run(self, config_path, tmp_path, capsys):
         cfg2 = tmp_path / "cfg2.yaml"
-        text = open(config_path).read().replace("policies: [uniform]",
-                                                "policies: [learned]")
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
         cfg2.write_text(text)
         assert main(["--config", str(cfg2), "run"]) == 0
         capsys.readouterr()
@@ -129,6 +130,76 @@ class TestReport:
 
     def test_report_without_transcripts_fails(self, config_path, capsys):
         assert main(["--config", config_path, "report"]) == 1
+
+
+@pytest.fixture
+def text_config_path(tmp_path):
+    """A JSONL text dataset with hash embeddings: what `infer` accepts."""
+    train, _ = synth_clusters(3, 20, 4, 0.3, seed=1)
+    evals, _ = synth_clusters(3, 15, 4, 0.3, seed=2)
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_dataset(evals, tmp_path / "eval.jsonl")
+    path = tmp_path / "text.yaml"
+    path.write_text(
+        "seed: 5\n"
+        "num_seeds: 1\n"
+        "k: 4\n"
+        "proxy_size: 20\n"
+        "partition: {scheme: noniid, num_clients: 3, labels_per_client: 1}\n"
+        f"dataset: {{train_path: {tmp_path / 'train.jsonl'}, "
+        f"eval_path: {tmp_path / 'eval.jsonl'}}}\n"
+        "embeddings: {source: hash, dim: 16}\n"
+        "train: {epochs: 3, width: 8}\n"
+        f"output_dir: {tmp_path / 'out'}\n")
+    return str(path)
+
+
+class TestInfer:
+    @pytest.mark.parametrize("policy", ["uniform", "random",
+                                        "social_learning", "learned"])
+    def test_answers_deterministically(self, text_config_path, capsys,
+                                       policy):
+        argv = ["--config", text_config_path, "infer",
+                "--text", "synthetic sample 3", "--policy", policy]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        transcript = json.loads(outs[0].splitlines()[0])
+        assert transcript["policy"] == policy
+        assert transcript["query_id"] == -1
+        assert outs[0].splitlines()[1].startswith("answer: ")
+
+    @pytest.mark.parametrize("embeddings", [
+        "embeddings: {source: synthetic, dim: 4}",
+        "embeddings: {source: hash, dim: 4}",
+    ])
+    def test_synthetic_stores_rejected(self, config_path, tmp_path, capsys,
+                                       embeddings):
+        with open(config_path) as fh:
+            text = fh.read().replace(
+                "embeddings:\n  source: synthetic\n  dim: 4\n",
+                embeddings + "\n")
+        assert embeddings in text
+        path = tmp_path / "synthetic.yaml"
+        path.write_text(text)
+        assert main(["--config", str(path), "infer", "--text", "q"]) == 1
+        assert "hash" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "seed0" / "shards.json").exists()
+
+    def test_file_embeddings_rejected(self, text_config_path, tmp_path,
+                                      capsys):
+        with open(text_config_path) as fh:
+            text = fh.read().replace(
+                "embeddings: {source: hash, dim: 16}",
+                "embeddings: {source: file, dim: 16, train_path: a.bin, "
+                "eval_path: b.bin}")
+        path = tmp_path / "file.yaml"
+        path.write_text(text)
+        assert main(["--config", str(path), "infer", "--text", "q"]) == 1
+        assert "hash" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "seed0" / "shards.json").exists()
 
 
 class TestParaphrase:

@@ -59,6 +59,23 @@ class TestPresets:
         with pytest.raises(ValidationError):
             config_from_dict({"preset": "imdb", **MINIMAL})
 
+    def test_non_mapping_partition_rejected(self):
+        for partition in (None, [1], "noniid"):
+            with pytest.raises(ValidationError, match="partition"):
+                config_from_dict({"preset": "sst5", "partition": partition,
+                                  **MINIMAL})
+
+    def test_caller_partition_left_untouched(self):
+        data = {"preset": "sst5", "partition": {"num_clients": 3}, **MINIMAL}
+        cfg = config_from_dict(data)
+        assert data["partition"] == {"num_clients": 3}
+        assert cfg.partition.num_clients == 3
+        assert cfg.partition.labels_per_client == 2
+
+    def test_presets_set_no_quant_ratio(self):
+        cfg = config_from_dict({"preset": "subj", **MINIMAL})
+        assert "quant_ratio" not in cfg.to_dict()
+
 
 class TestValidation:
     def test_minimal_config(self):
@@ -76,6 +93,13 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             config_from_dict({**MINIMAL, "bogus": 1})
+
+    def test_quant_ratio_is_an_unknown_key(self):
+        for data in ({**MINIMAL, "quant_ratio": 0.5},
+                     {"preset": "sst5", **MINIMAL, "quant_ratio": 0.3}):
+            with pytest.raises(ValidationError,
+                               match="unknown config key: quant_ratio"):
+                config_from_dict(data)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValidationError):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from icebudget.corpus import partition_iid
-from icebudget.errors import ValidationError
+from icebudget.allocator import init_model
+from icebudget.config import POLICY_VARIANTS, config_from_dict
+from icebudget.corpus import Example, partition_iid
+from icebudget.errors import BackendError, ValidationError
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
-                                  _random_composition, allocate,
-                                  client_retrieve, distributed_infer,
-                                  load_transcripts, replay_transcript,
-                                  save_transcripts)
+                                  Transcript, _finish, _gather,
+                                  _per_query_rng, _random_composition,
+                                  allocate, client_retrieve,
+                                  distributed_infer, load_transcripts,
+                                  replay_transcript, save_transcripts)
 from icebudget.retrieval import top_k
 
 from conftest import make_world
@@ -31,12 +34,12 @@ def make_server(k=6, **kwargs):
 class TestAllocate:
     def test_uniform_is_ceil_k_over_c(self):
         d, store, clients = make_clients(num_clients=4)
-        server = make_server(k=6, policy=BudgetPolicy.uniform())
+        server = make_server(k=6, policy=BudgetPolicy("uniform"))
         assert allocate(server.policy, np.zeros(4), server, clients) == [2] * 4
 
     def test_random_sums_to_k(self):
         d, store, clients = make_clients(num_clients=3)
-        policy = BudgetPolicy.random(seed=99)
+        policy = BudgetPolicy("random", seed=99)
         server = make_server(k=7, policy=policy)
         for qid in range(200):
             budgets = allocate(policy, np.zeros(4), server, clients,
@@ -44,9 +47,19 @@ class TestAllocate:
             assert sum(budgets) == 7
             assert all(b >= 0 for b in budgets)
 
+    def test_random_draw_for_text_queries(self):
+        # ad-hoc text queries carry query id -1: still a seeded draw
+        d, store, clients = make_clients(num_clients=3)
+        policy = BudgetPolicy("random", seed=5)
+        server = make_server(k=9, policy=policy)
+        a = allocate(policy, np.zeros(4), server, clients, query_id=-1)
+        assert sum(a) == 9
+        assert a == allocate(policy, np.zeros(4), server, clients,
+                             query_id=-1)
+
     def test_random_deterministic_per_query(self):
         d, store, clients = make_clients(num_clients=3)
-        policy = BudgetPolicy.random(seed=5)
+        policy = BudgetPolicy("random", seed=5)
         server = make_server(k=9, policy=policy)
         a = allocate(policy, np.zeros(4), server, clients, query_id=42)
         b = allocate(policy, np.zeros(4), server, clients, query_id=42)
@@ -54,13 +67,13 @@ class TestAllocate:
 
     def test_singleton(self):
         d, store, clients = make_clients(num_clients=3)
-        policy = BudgetPolicy.singleton(client=1)
+        policy = BudgetPolicy("singleton", client=1)
         server = make_server(k=5, policy=policy)
         assert allocate(policy, np.zeros(4), server, clients) == [0, 5, 0]
 
     def test_infinite_requests_whole_shards(self):
         d, store, clients = make_clients(num_clients=3)
-        policy = BudgetPolicy.infinite()
+        policy = BudgetPolicy("infinite")
         server = make_server(k=5, policy=policy)
         budgets = allocate(policy, np.zeros(4), server, clients)
         assert budgets == [len(c.shard) for c in clients]
@@ -74,13 +87,13 @@ class TestAllocate:
 
     def test_learned_requires_allocators(self):
         d, store, clients = make_clients()
-        server = make_server(policy=BudgetPolicy.learned())
+        server = make_server(policy=BudgetPolicy("learned"))
         with pytest.raises(ValidationError):
             allocate(server.policy, np.zeros(4), server, clients)
 
     def test_singleton_client_bound(self):
         d, store, clients = make_clients(num_clients=2)
-        policy = BudgetPolicy.singleton(client=5)
+        policy = BudgetPolicy("singleton", client=5)
         server = make_server(policy=policy)
         with pytest.raises(ValidationError):
             allocate(policy, np.zeros(4), server, clients)
@@ -132,7 +145,7 @@ class TestDistributedInfer:
         for trial in range(20):
             e_q = rng.standard_normal(4)
             k = int(rng.integers(1, 12))
-            server = make_server(k=k, policy=BudgetPolicy.uniform(),
+            server = make_server(k=k, policy=BudgetPolicy("uniform"),
                                  labels=d.labels)
             # force per-client budget = k via a singleton-free direct path
             budgets = [k] * len(clients)
@@ -144,7 +157,7 @@ class TestDistributedInfer:
 
     def test_transcript_accounting(self):
         d, store, clients = make_clients(seed=31)
-        server = make_server(k=4, policy=BudgetPolicy.uniform(),
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
                              labels=d.labels)
         query = d.examples[0]
         e_q = store.get(query.id)
@@ -162,7 +175,7 @@ class TestDistributedInfer:
         d, store, clients = make_clients(seed=31)
         query = d.examples[0]
         e_q = store.get(query.id)
-        server = make_server(k=4, policy=BudgetPolicy.uniform(),
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
                              labels=d.labels, ice_order="descending")
         _, t = distributed_infer(server, clients, query, e_q)
         ranked = top_k(e_q, 4, d.subset(t.aggregated_ids),
@@ -173,7 +186,7 @@ class TestDistributedInfer:
         d, store, clients = make_clients(seed=31)
         query = d.examples[0]
         e_q = store.get(query.id)
-        server = make_server(k=4, policy=BudgetPolicy.uniform(),
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
                              labels=d.labels, ice_order="ascending")
         _, t = distributed_infer(server, clients, query, e_q)
         ranked = top_k(e_q, 4, d.subset(t.aggregated_ids),
@@ -182,7 +195,7 @@ class TestDistributedInfer:
 
     def test_zero_shot_no_traffic(self):
         d, store, clients = make_clients()
-        server = make_server(policy=BudgetPolicy.zero_shot(), labels=d.labels)
+        server = make_server(policy=BudgetPolicy("zero_shot"), labels=d.labels)
         answer, t = distributed_infer(server, clients, d.examples[0],
                                       store.get(d.examples[0].id))
         assert t.total_samples_communicated == 0
@@ -192,7 +205,7 @@ class TestDistributedInfer:
     def test_proxy_only_uses_server_proxy(self):
         d, store, clients = make_clients(seed=41)
         proxy = d.subset(d.ids[:10])
-        server = make_server(k=3, policy=BudgetPolicy.proxy_only(),
+        server = make_server(k=3, policy=BudgetPolicy("proxy_only"),
                              labels=d.labels, proxy=proxy,
                              proxy_store=store.subset(proxy.ids))
         e_q = store.get(d.examples[15].id)
@@ -201,9 +214,47 @@ class TestDistributedInfer:
         assert set(t.final_ice_ids) <= set(proxy.ids)
         assert t.final_ice_ids != []
 
+    def test_backend_answers_for_itself(self):
+        class FakeBackend:
+            def __init__(self):
+                self.calls = []
+
+            def answer(self, prompt, votes, labels):
+                self.calls.append((prompt, votes, labels))
+                return len(votes) % labels.count
+
+        d, store, clients = make_clients(seed=31)
+        backend = FakeBackend()
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
+                             labels=d.labels, backend=backend,
+                             ice_order="ascending")
+        query = d.examples[0]
+        e_q = store.get(query.id)
+        answer, t = distributed_infer(server, clients, query, e_q)
+        [(prompt, votes, labels)] = backend.calls
+        assert prompt == t.prompt_text
+        assert labels is d.labels
+        assert answer == t.answer_label == 4 % d.labels.count
+        ranked = top_k(e_q, 4, d.subset(t.aggregated_ids),
+                       store.subset(t.aggregated_ids))
+        assert votes == [(d.by_id(i).label, dist) for i, dist in ranked]
+
+    def test_backend_error_carries_transcript(self):
+        class FailingBackend:
+            def answer(self, prompt, votes, labels):
+                raise BackendError("down")
+
+        d, store, clients = make_clients(seed=31)
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
+                             labels=d.labels, backend=FailingBackend())
+        with pytest.raises(BackendError) as info:
+            distributed_infer(server, clients, d.examples[0],
+                              store.get(d.examples[0].id))
+        assert info.value.transcript.prompt_text
+
     def test_prompt_cap_enforced(self):
         d, store, clients = make_clients()
-        server = make_server(k=4, policy=BudgetPolicy.uniform(),
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
                              labels=d.labels, max_prompt_chars=5)
         with pytest.raises(ValidationError):
             distributed_infer(server, clients, d.examples[0],
@@ -213,7 +264,8 @@ class TestDistributedInfer:
 class TestSocialLearning:
     def test_budgets_and_selection_size(self):
         d, store, clients = make_clients(n=30, num_clients=3, seed=51)
-        server = make_server(k=5, policy=BudgetPolicy.social_learning(seed=2),
+        server = make_server(k=5,
+                             policy=BudgetPolicy("social_learning", seed=2),
                              labels=d.labels)
         query = d.examples[0]
         _, t = distributed_infer(server, clients, query, store.get(query.id))
@@ -228,7 +280,7 @@ class TestSocialLearning:
         outs = []
         for _ in range(2):
             server = make_server(
-                k=4, policy=BudgetPolicy.social_learning(seed=9),
+                k=4, policy=BudgetPolicy("social_learning", seed=9),
                 labels=d.labels)
             _, t = distributed_infer(server, clients, query, e_q)
             outs.append(t.final_ice_ids)
@@ -236,17 +288,86 @@ class TestSocialLearning:
 
     def test_selection_subset_of_union(self):
         d, store, clients = make_clients(n=30, num_clients=3, seed=51)
-        server = make_server(k=4, policy=BudgetPolicy.social_learning(seed=1),
+        server = make_server(k=4,
+                             policy=BudgetPolicy("social_learning", seed=1),
                              labels=d.labels)
         query = d.examples[7]
         _, t = distributed_infer(server, clients, query, store.get(query.id))
         assert set(t.final_ice_ids) <= set(t.aggregated_ids)
 
 
+def _reference_social_learning_infer(server, clients, e_q, seed, query=None):
+    """The separate social-learning entry point distributed_infer replaced:
+    ceil(k/C) per client, then a seeded pick of k from the union."""
+    c = len(clients)
+    per_client = math.ceil(server.k / c)
+    query_id = query.id if isinstance(query, Example) else -1
+    transcript = Transcript(
+        query_id=query_id, policy="social_learning",
+        budgets_sent=[per_client] * c, samples_returned=[],
+        aggregated_ids=[], final_ice_ids=[], prompt_text="", prompt_chars=0,
+        answer_label=None, total_samples_communicated=0)
+    final, examples = _gather(clients, e_q, transcript.budgets_sent, server.k,
+                              transcript, rng=_per_query_rng(seed, query_id))
+    return _finish(server, query, final, examples, transcript)
+
+
+class TestSocialLearningMatchesReference:
+    def test_random_worlds(self):
+        rng = np.random.default_rng(88)
+        for trial in range(40):
+            n = int(rng.integers(5, 60))
+            num_clients = int(rng.integers(1, 5))
+            d, store, clients = make_clients(n=n, dim=3,
+                                             num_clients=num_clients,
+                                             seed=500 + trial)
+            k = int(rng.integers(1, 12))
+            seed = int(rng.integers(0, 2**63))
+            server = make_server(
+                k=k, policy=BudgetPolicy("social_learning", seed=seed),
+                labels=d.labels,
+                ice_order=("ascending", "descending")[trial % 2])
+            for query in d.examples[:5]:
+                e_q = store.get(query.id)
+                want_answer, want = _reference_social_learning_infer(
+                    server, clients, e_q, seed, query=query)
+                answer, got = distributed_infer(server, clients, query, e_q)
+                assert got.to_dict() == want.to_dict()
+                assert answer == want_answer
+            # an ad-hoc text query (query id -1)
+            e_q = rng.standard_normal(3)
+            _, want = _reference_social_learning_infer(
+                server, clients, e_q, seed, query="free text")
+            _, got = distributed_infer(server, clients, "free text", e_q)
+            assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("variant", POLICY_VARIANTS)
+def test_every_policy_name_runs_and_configures(variant):
+    d, store, clients = make_clients(n=40, num_clients=4, seed=23)
+    proxy = d.subset(d.ids[:10])
+    server = make_server(
+        k=5, policy=BudgetPolicy(variant, seed=4, client=2), labels=d.labels,
+        allocators=[init_model(4, 8, 3, seed=c, client_id=c)
+                    for c in range(len(clients))],
+        proxy=proxy, proxy_store=store.subset(proxy.ids))
+    query = d.examples[20]
+    answer, t = distributed_infer(server, clients, query, store.get(query.id))
+    assert t.policy == variant
+    assert t.answer_label == answer
+    assert len(t.budgets_sent) == len(clients)
+
+    synthetic = {"synthetic": {"num_classes": 2}}
+    cfg = config_from_dict({**synthetic, "policies": [variant]})
+    assert cfg.policies == [variant]
+    with pytest.raises(ValidationError, match="unknown policy"):
+        config_from_dict({**synthetic, "policies": [variant + "_x"]})
+
+
 class TestTranscriptIo:
     def _one(self):
         d, store, clients = make_clients(seed=61)
-        server = make_server(k=4, policy=BudgetPolicy.uniform(),
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
                              labels=d.labels)
         query = d.examples[2]
         e_q = store.get(query.id)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,23 +81,23 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, tiny_config):
         run_experiment(tiny_config)
         report_path = os.path.join(tiny_config.output_dir, "report.json")
-        first = open(report_path, "rb").read()
+        first = Path(report_path).read_bytes()
         shutil.rmtree(tiny_config.output_dir)
         run_experiment(tiny_config)
-        assert open(report_path, "rb").read() == first
+        assert Path(report_path).read_bytes() == first
 
     def test_model_cache_reproduces_models(self, tiny_config):
         tiny_config.policies = ["learned"]
         run_experiment(tiny_config)
         model_dir = os.path.join(tiny_config.output_dir, "seed0", "models")
         blob_path = os.path.join(model_dir, "client0.bin")
-        first = open(blob_path, "rb").read()
+        first = Path(blob_path).read_bytes()
         shutil.rmtree(model_dir)  # drop only the model cache
         run_seed = derive_seed(tiny_config.seed, "run0")
         ctx = _SeedContext(tiny_config, run_seed,
                            os.path.join(tiny_config.output_dir, "seed0"))
         ctx.allocators()
-        assert open(blob_path, "rb").read() == first
+        assert Path(blob_path).read_bytes() == first
 
     def test_communicated_totals_match_transcripts(self, tiny_config):
         report = run_experiment(tiny_config)
@@ -192,6 +193,11 @@ class TestEfficiencyCurve:
 
 
 class TestSeedContext:
+    def test_for_seed_is_the_indexed_run(self, tiny_config):
+        ctx = _SeedContext.for_seed(tiny_config, 0)
+        assert ctx.run_seed == derive_seed(tiny_config.seed, "run0")
+        assert ctx.out_dir == os.path.join(tiny_config.output_dir, "seed0")
+
     def test_shards_cached_in_manifest(self, tiny_config):
         run_seed = derive_seed(tiny_config.seed, "run0")
         seed_dir = os.path.join(tiny_config.output_dir, "seed0")

@@ -7,9 +7,10 @@ import pytest
 
 from icebudget.corpus import LabelSpace
 from icebudget.errors import (BackendError, DecodeError, ValidationError)
+from icebudget.config import BackendSpec
 from icebudget.inference import (MOCK_VOTE_EPSILON, HttpBackend,
-                                 MockVoteBackend, PromptTemplate, answer_http,
-                                 answer_mock, build_prompt, decode_label,
+                                 MockVoteBackend, PromptTemplate, answer_mock,
+                                 build_prompt, decode_label, make_backend,
                                  paraphrase)
 
 
@@ -47,6 +48,9 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestMockVote:
@@ -121,6 +125,23 @@ class TestPromptTemplate:
             build_prompt([("t", 5)], "q", PromptTemplate(), labels)
 
 
+class TestBackends:
+    def test_mock_answer_is_the_vote(self):
+        votes = [(0, 0.5), (0, 0.5), (1, 0.3)]
+        labels = LabelSpace(2, ("a", "b"))
+        assert MockVoteBackend().answer("ignored", votes, labels) == 0
+        assert MockVoteBackend().answer("ignored", [], labels) == 0
+
+    def test_make_backend_from_spec(self):
+        assert make_backend(BackendSpec()) == MockVoteBackend()
+        spec = BackendSpec(type="http", endpoint="http://host:1/v1",
+                           model="m", auth_env="KEY", timeout=2.5,
+                           max_retries=1, max_tokens=5)
+        assert make_backend(spec) == HttpBackend(
+            endpoint="http://host:1/v1", model="m", auth_env="KEY",
+            timeout=2.5, max_retries=1, max_tokens=5)
+
+
 class TestHttpBackend:
     def test_malformed_endpoint_rejected(self):
         with pytest.raises(ValidationError):
@@ -131,7 +152,7 @@ class TestHttpBackend:
         backend = HttpBackend(endpoint=url, model="test-model", timeout=5,
                               max_retries=0)
         labels = LabelSpace(2, ("negative", "positive"))
-        assert answer_http("a prompt", backend, labels) == 1
+        assert backend.answer("a prompt", [], labels) == 1
         path, body = handler.requests[0]
         assert path == "/completions"
         assert body["model"] == "test-model"
@@ -143,7 +164,7 @@ class TestHttpBackend:
         handler.responses = [(500, {}), (200, {"choices": [{"text": "negative"}]})]
         backend = HttpBackend(endpoint=url, model="m", timeout=5, max_retries=2)
         labels = LabelSpace(2, ("negative", "positive"))
-        assert answer_http("p", backend, labels) == 0
+        assert backend.answer("p", [], labels) == 0
         assert len(handler.requests) == 2
 
     def test_exhausted_retries_raise(self, stub_server):
@@ -151,14 +172,14 @@ class TestHttpBackend:
         handler.responses = [(503, {}), (503, {}), (503, {})]
         backend = HttpBackend(endpoint=url, model="m", timeout=5, max_retries=2)
         with pytest.raises(BackendError):
-            answer_http("p", backend, LabelSpace(1, ("x",)))
+            backend.answer("p", [], LabelSpace(1, ("x",)))
 
     def test_bad_response_shape(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"unexpected": True})]
         backend = HttpBackend(endpoint=url, model="m", timeout=5, max_retries=0)
         with pytest.raises(BackendError):
-            answer_http("p", backend, LabelSpace(1, ("x",)))
+            backend.answer("p", [], LabelSpace(1, ("x",)))
 
 
 class TestParaphrase:
