@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .config import derive_seed, load_config
+from .config import POLICY_VARIANTS, derive_seed, load_config
 from .corpus import load_dataset
 from .embedder import HashEncoder, encode_dataset, save_embeddings
 from .errors import IceBudgetError, ValidationError
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     infer = sub.add_parser("infer", help="answer one query with the pipeline")
     infer.add_argument("--text", required=True)
-    infer.add_argument("--policy", default=None,
+    infer.add_argument("--policy", default=None, choices=POLICY_VARIANTS,
                        help="override the first configured policy")
     infer.add_argument("--seed-index", type=int, default=0)
 

@@ -1,8 +1,10 @@
 """Embedding stores and the deterministic fallback text encoder.
 
 Real encoder output (e.g. from a sentence-transformer run offline) is
-ingested from a binary or JSONL file; `hash_encode` provides a dependency-free
-deterministic stand-in based on signed character n-gram feature hashing.
+ingested from a binary or JSONL file; `hash_encode_many` provides a
+dependency-free deterministic stand-in based on signed character n-gram
+feature hashing. It encodes a batch of texts and hashes each distinct n-gram
+once per call.
 """
 
 from __future__ import annotations
@@ -224,32 +226,50 @@ def _stable_bucket(token: str, seed: int, dim: int) -> tuple[int, float]:
     return (value >> 1) % dim, sign
 
 
-def hash_encode(text: str, dim: int, seed: int = 0) -> np.ndarray:
-    """Signed feature hashing of character 2- and 3-grams, L2-normalized.
+def hash_encode_many(texts, dim: int, seed: int = 0) -> np.ndarray:
+    """Signed feature hashing of character 2- and 3-grams, L2-normalized:
+    one row per text, as an (N, dim) float64 array.
 
-    Pure function of (text, dim, seed); uses a keyed blake2b hash so results
-    are stable across processes.
+    Pure function of (text, dim, seed) per row; uses a keyed blake2b hash so
+    results are stable across processes. Each distinct n-gram is hashed once
+    per call: a table per n maps it to its slot code 2*bucket + (sign > 0),
+    and a text's row is its positive minus its negative slot counts (exact
+    in float64, so equal to summing the signs one n-gram at a time).
     """
     if dim < 2:
         raise ValidationError("hash encoder needs dim >= 2")
-    if not text:
-        raise ValidationError("cannot encode empty text")
-    vec = np.zeros(dim, dtype=np.float64)
-    for n in (2, 3):
-        for i in range(max(len(text) - n + 1, 1)):
-            bucket, sign = _stable_bucket(f"{n}:{text[i:i + n]}", seed, dim)
-            vec[bucket] += sign
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        # all n-gram signs cancelled; fall back to a text-level bucket
-        bucket, sign = _stable_bucket(f"t:{text}", seed, dim)
-        vec[bucket] = sign
-        norm = 1.0
-    return vec / norm
+    texts = list(texts)
+    out = np.empty((len(texts), dim), dtype=np.float64)
+    tables = {2: {}, 3: {}}  # n -> {n-gram: slot code}
+    for row, text in enumerate(texts):
+        if not text:
+            raise ValidationError("cannot encode empty text")
+        codes = []
+        for n, table in tables.items():
+            grams = [text[i:i + n] for i in range(max(len(text) - n + 1, 1))]
+            for gram in set(grams).difference(table):
+                bucket, sign = _stable_bucket(f"{n}:{gram}", seed, dim)
+                table[gram] = 2 * bucket + (sign > 0)
+            codes += map(table.__getitem__, grams)
+        counts = np.bincount(codes, minlength=2 * dim)
+        vec = (counts[1::2] - counts[0::2]).astype(np.float64)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            # all n-gram signs cancelled; fall back to a text-level bucket
+            bucket, sign = _stable_bucket(f"t:{text}", seed, dim)
+            vec[bucket] = sign
+            norm = 1.0
+        out[row] = vec / norm
+    return out
+
+
+def hash_encode(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """`hash_encode_many` of one text."""
+    return hash_encode_many([text], dim, seed)[0]
 
 
 class HashEncoder:
-    """Configured wrapper around hash_encode with a fixed (dim, seed)."""
+    """Configured wrapper around hash_encode_many with a fixed (dim, seed)."""
 
     def __init__(self, dim: int, seed: int = 0):
         if dim < 2:
@@ -260,8 +280,11 @@ class HashEncoder:
     def __call__(self, text: str) -> np.ndarray:
         return hash_encode(text, self.dim, self.seed)
 
+    def encode_many(self, texts) -> np.ndarray:
+        return hash_encode_many(texts, self.dim, self.seed)
+
 
 def encode_dataset(d: Dataset, encoder) -> EmbeddingStore:
-    """One embedding per example id, computed with the given encoder."""
-    vectors = {ex.id: encoder(ex.text) for ex in d.examples}
-    return EmbeddingStore.from_dict(encoder.dim, vectors)
+    """One embedding per example id, computed with the encoder's batch
+    routine `encode_many`."""
+    return EmbeddingStore(d.ids, encoder.encode_many(ex.text for ex in d.examples))

@@ -66,6 +66,9 @@ class _SeedContext:
     @classmethod
     def for_seed(cls, cfg: ExperimentConfig, seed_index: int) -> "_SeedContext":
         """The context of the config's `seed_index`-th seeded run."""
+        if not 0 <= seed_index < cfg.num_seeds:
+            raise ValidationError(f"seed index {seed_index} outside "
+                                  f"[0, {cfg.num_seeds})")
         return cls(cfg, derive_seed(cfg.seed, f"run{seed_index}"),
                    os.path.join(cfg.output_dir, f"seed{seed_index}"))
 

@@ -3,8 +3,9 @@
 Two backends: a deterministic similarity-weighted vote for self-contained
 runs, and an OpenAI-style completions endpoint for real LLM answering. Each
 answers for itself through `answer(prompt, votes, labels) -> label index`,
-where `votes` are the prompt's ICEs as (label, distance) pairs. Labels are
-decoded from generated text by case-insensitive verbalizer match.
+where `votes` are the prompt's ICEs as (label, distance) pairs, and
+paraphrases through `paraphrase(text, template)`. Labels are decoded from
+generated text by case-insensitive verbalizer match.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class MockVoteBackend:
     def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
         return answer_mock(votes)
 
+    def paraphrase(self, text: str, template: str) -> str:
+        return text
+
 
 @dataclass(frozen=True)
 class HttpBackend:
@@ -89,6 +93,10 @@ class HttpBackend:
 
     def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
         return decode_label(_post_completion(prompt, self), labels)
+
+    def paraphrase(self, text: str, template: str) -> str:
+        completion = _post_completion(template.replace("{text}", text), self)
+        return completion.strip().split("\n", 1)[0].strip()
 
 
 def make_backend(spec):
@@ -178,12 +186,9 @@ def _post_completion(prompt: str, backend: HttpBackend) -> str:
 
 
 def paraphrase(text: str, backend, template: str = PARAPHRASE_FEW_SHOT) -> str:
-    """Few-shot paraphrase through the HTTP backend; the mock backend is the
-    identity. The reply is trimmed at the first newline."""
+    """Few-shot paraphrase through the backend's `paraphrase(text, template)`:
+    the mock backend is the identity, the HTTP backend trims its reply at the
+    first newline."""
     if not text:
         raise ValidationError("cannot paraphrase empty text")
-    if isinstance(backend, MockVoteBackend):
-        return text
-    prompt = template.replace("{text}", text)
-    completion = _post_completion(prompt, backend)
-    return completion.strip().split("\n", 1)[0].strip()
+    return backend.paraphrase(text, template)

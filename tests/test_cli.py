@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -101,6 +102,26 @@ class TestEncode:
         assert store.dim == 16
         assert len(store) == 10
 
+    def test_binary_output_is_pinned(self, tmp_path):
+        # repeated n-grams, 1- and 2-character texts ("ab" takes the zero-norm
+        # fallback at dim 8, seed 0), astral and combining code points; the
+        # digest was taken from the one-n-gram-at-a-time encoder
+        data_path = tmp_path / "golden.jsonl"
+        data_path.write_text(
+            '{"text": "ab", "label": 0}\n'
+            '{"text": "a", "label": 1}\n'
+            '{"text": "the movie was great", "label": 1}\n'
+            '{"text": "the movie was awful", "label": 0}\n'
+            '{"text": "aaaaaaaa", "label": 0}\n'
+            '{"text": "\\ud83d\\ude00 grin \\ud83d\\ude00", "label": 1}\n'
+            '{"text": "e\\u0301te\\u0301 na\\u00efve", "label": 1}\n',
+            encoding="utf-8")
+        out_path = tmp_path / "golden.bin"
+        assert main(["encode", "--dataset", str(data_path), "--output",
+                     str(out_path), "--dim", "8", "--format", "binary"]) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "f5d7b819fe07b570f6b6ef2dcdd15016f945fdc039c9cb3a57ce3167b35af26d")
+
 
 class TestStages:
     def test_build_budget_dataset(self, config_path, tmp_path, capsys):
@@ -200,6 +221,25 @@ class TestInfer:
         assert main(["--config", str(path), "infer", "--text", "q"]) == 1
         assert "hash" in capsys.readouterr().err
         assert not (tmp_path / "out" / "seed0" / "shards.json").exists()
+
+
+    def test_unknown_policy_rejected(self, text_config_path, tmp_path):
+        assert main(["--config", text_config_path, "infer", "--text", "q",
+                     "--policy", "bogus"]) == 1
+        assert not (tmp_path / "out" / "seed0" / "shards.json").exists()
+
+
+class TestSeedIndex:
+    @pytest.mark.parametrize("command", [["infer", "--text", "q"], ["report"]])
+    @pytest.mark.parametrize("index", ["-1", "1"])
+    def test_seed_index_outside_the_run_rejected(self, text_config_path,
+                                                 tmp_path, capsys, command,
+                                                 index):
+        argv = ["--config", text_config_path, *command, "--seed-index", index]
+        assert main(argv) == 1  # the config has num_seeds: 1
+        assert "seed index" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "seed-1").exists()
+        assert not (tmp_path / "out" / "seed1").exists()
 
 
 class TestParaphrase:

@@ -1,3 +1,4 @@
+import collections
 import json
 import struct
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icebudget.corpus import Dataset, Example, LabelSpace
-from icebudget.embedder import (EmbeddingStore, HashEncoder, encode_dataset,
-                                hash_encode, load_embeddings, save_embeddings)
+import icebudget.embedder as embedder
+from icebudget.embedder import (EmbeddingStore, HashEncoder, _stable_bucket,
+                                encode_dataset, hash_encode, hash_encode_many,
+                                load_embeddings, save_embeddings)
 from icebudget.errors import ParseError, ValidationError
 
 
@@ -147,6 +150,94 @@ class TestLoaderErrors:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ParseError, match="record 1 of 2"):
             load_embeddings(path)
+
+
+def _reference_hash_encode(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """The one-n-gram-at-a-time encoder `hash_encode_many` replaced."""
+    if dim < 2:
+        raise ValidationError("hash encoder needs dim >= 2")
+    if not text:
+        raise ValidationError("cannot encode empty text")
+    vec = np.zeros(dim, dtype=np.float64)
+    for n in (2, 3):
+        for i in range(max(len(text) - n + 1, 1)):
+            bucket, sign = _stable_bucket(f"{n}:{text[i:i + n]}", seed, dim)
+            vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        bucket, sign = _stable_bucket(f"t:{text}", seed, dim)
+        vec[bucket] = sign
+        norm = 1.0
+    return vec / norm
+
+
+# few letters, so that n-grams repeat within and across texts; astral and
+# combining code points, so that a character is not a UTF-8 byte or a glyph
+_repetitive_text = st.text(
+    alphabet=st.sampled_from(["a", "b", " ", "\u00e9", "\u0301",
+                              "\U0001F600", "\U00010348"]),
+    min_size=1, max_size=12)
+
+
+class TestHashEncodeMany:
+    @settings(deadline=None, max_examples=150)
+    @given(texts=st.lists(st.one_of(_repetitive_text,
+                                    st.text(min_size=1, max_size=40)),
+                          min_size=1, max_size=8),
+           dim=st.integers(2, 70), seed=st.integers(0, 2**32))
+    def test_equals_the_reference_loop(self, texts, dim, seed):
+        batch = hash_encode_many(texts, dim, seed)
+        reference = np.stack([_reference_hash_encode(t, dim, seed)
+                              for t in texts])
+        assert batch.dtype == np.float64 and batch.shape == (len(texts), dim)
+        assert batch.tobytes() == reference.tobytes()
+        one_by_one = np.stack([hash_encode(t, dim, seed) for t in texts])
+        assert batch.tobytes() == one_by_one.tobytes()
+
+    def test_zero_norm_fallback(self):
+        # "2:ab" and "3:ab" land in one bucket with opposite signs at
+        # (dim 8, seed 0), so the text-level bucket decides the vector
+        (b2, s2), (b3, s3) = (_stable_bucket(t, 0, 8) for t in ("2:ab", "3:ab"))
+        assert b2 == b3 and s2 == -s3
+        bucket, sign = _stable_bucket("t:ab", 0, 8)
+        expected = np.zeros(8)
+        expected[bucket] = sign
+        batch = hash_encode_many(["abc", "ab", "ab"], 8, 0)
+        for row in batch[1:]:
+            assert row.tobytes() == expected.tobytes()
+            assert row.tobytes() == _reference_hash_encode("ab", 8, 0).tobytes()
+
+    def test_empty_text_in_batch_rejected(self):
+        with pytest.raises(ValidationError, match="empty text"):
+            hash_encode_many(["fine", "", "also fine"], 8)
+
+    def test_min_dim(self):
+        with pytest.raises(ValidationError):
+            hash_encode_many(["x"], 1)
+        with pytest.raises(ValidationError):
+            HashEncoder(1)
+
+    def test_no_texts(self):
+        assert hash_encode_many([], 8).shape == (0, 8)
+
+    def test_each_distinct_ngram_hashed_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting_bucket(token, seed, dim):
+            calls[token] += 1
+            return _stable_bucket(token, seed, dim)
+
+        monkeypatch.setattr(embedder, "_stable_bucket", counting_bucket)
+        texts = ["banana", "bandana", "banana", "an", "a", "nab"]
+        d = Dataset(tuple(Example(i, t, 0) for i, t in enumerate(texts)),
+                    LabelSpace.default(1))
+        store = encode_dataset(d, HashEncoder(64, seed=2))
+        distinct = {f"{n}:{t[i:i + n]}" for t in texts for n in (2, 3)
+                    for i in range(max(len(t) - n + 1, 1))}
+        assert set(calls) == distinct  # no text hit the zero-norm fallback
+        assert set(calls.values()) == {1}
+        expected = np.stack([_reference_hash_encode(t, 64, 2) for t in texts])
+        assert store.matrix()[1].tobytes() == expected.tobytes()
 
 
 class TestHashEncode:
