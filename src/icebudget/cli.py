@@ -85,10 +85,12 @@ def _cmd_run(args):
 
 def _per_seed(describe, args):
     """Run one stage for every seed of the config, one stdout line each."""
-    from .harness import _SeedContext
+    from .harness import _SeedContext, _stage
     cfg = _load_cfg(args)
     for i in range(cfg.num_seeds):
-        print(f"seed {i}: {describe(_SeedContext.for_seed(cfg, i))}")
+        with _stage(args.command, i):
+            line = describe(_SeedContext.for_seed(cfg, i))
+        print(f"seed {i}: {line}")
     return 0
 
 
@@ -120,7 +122,7 @@ def _cmd_encode(args):
 
 def _cmd_infer(args):
     from .federation import distributed_infer
-    from .harness import _SeedContext, _policy_for
+    from .harness import _SeedContext, _policy_for, _stage
     cfg = _load_cfg(args)
     # the query is hash-encoded, so the stores must be hash-encoded text too
     if cfg.dataset is None or cfg.embeddings.source != "hash":
@@ -129,11 +131,14 @@ def _cmd_infer(args):
             "'embeddings.source: hash'")
     if args.policy:
         cfg.policies = [args.policy]
-    ctx = _SeedContext.for_seed(cfg, args.seed_index)
-    encoder = HashEncoder(cfg.embeddings.dim, derive_seed(cfg.seed, "hash-encoder"))
-    e_q = encoder(args.text)
-    server = ctx.make_server(_policy_for(cfg.policies[0], ctx.run_seed))
-    answer, transcript = distributed_infer(server, ctx.clients, args.text, e_q)
+    with _stage("infer", args.seed_index):
+        ctx = _SeedContext.for_seed(cfg, args.seed_index)
+        encoder = HashEncoder(cfg.embeddings.dim,
+                              derive_seed(cfg.seed, "hash-encoder"))
+        e_q = encoder(args.text)
+        server = ctx.make_server(_policy_for(cfg.policies[0], ctx.run_seed))
+        answer, transcript = distributed_infer(server, ctx.clients, args.text,
+                                               e_q)
     print(json.dumps(transcript.to_dict(), sort_keys=True))
     print(f"answer: {ctx.train_ds.labels.verbalizers[answer]} ({answer})")
     return 0
@@ -141,12 +146,14 @@ def _cmd_infer(args):
 
 def _cmd_report(args):
     from .federation import load_transcripts
-    from .harness import efficiency_curve_from_run
+    from .harness import _stage, efficiency_curve_from_run
     cfg = _load_cfg(args)
-    multipliers = [float(x) for x in args.curve.split(",") if x]
-    transcripts = load_transcripts(args.transcripts) if args.transcripts else None
-    rows = efficiency_curve_from_run(cfg, args.seed_index, multipliers,
-                                     transcripts=transcripts)
+    with _stage("report", args.seed_index):
+        multipliers = [float(x) for x in args.curve.split(",") if x]
+        transcripts = (load_transcripts(args.transcripts)
+                       if args.transcripts else None)
+        rows = efficiency_curve_from_run(cfg, args.seed_index, multipliers,
+                                         transcripts=transcripts)
     print("multiplier\tmean_recall")
     for row in rows:
         print(f"{row['multiplier']:.2f}\t{row['mean_recall']:.4f}")

@@ -111,14 +111,12 @@ class PartitionSpec:
             raise ValidationError("labels_per_client must be >= 1")
 
 
-def load_dataset(path, format="jsonl") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a JSONL dataset: one {"text", "label"} record per line.
 
     An optional first line {"label_space": [...]} supplies verbalizers;
     otherwise the label space is inferred as 0..max(label).
     """
-    if format != "jsonl":
-        raise ValidationError(f"unsupported dataset format: {format}")
     records = []
     verbalizers = None
     with open(path, encoding="utf-8") as fh:
@@ -130,19 +128,30 @@ def load_dataset(path, format="jsonl") -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            if not isinstance(obj, dict):
+                raise ParseError("record must be a JSON object", line=lineno)
             if lineno == 1 and "label_space" in obj:
-                verbalizers = tuple(obj["label_space"])
+                verbalizers = obj["label_space"]
+                if not (isinstance(verbalizers, list)
+                        and all(isinstance(v, str) for v in verbalizers)):
+                    raise ParseError("label_space must be a list of strings",
+                                     line=lineno)
                 continue
             if "text" not in obj or "label" not in obj:
                 raise ParseError("record needs 'text' and 'label' fields", line=lineno)
-            if not isinstance(obj["label"], int):
+            text, label = obj["text"], obj["label"]
+            # JSON admits a lone surrogate ("\ud83d"); UTF-8 replaces it
+            if (not isinstance(text, str)
+                    or text.encode(errors="replace").decode() != text):
+                raise ParseError("text must be a UTF-8 string", line=lineno)
+            if not isinstance(label, int) or isinstance(label, bool):
                 raise ParseError("label must be an integer", line=lineno)
-            records.append((lineno, obj["text"], obj["label"]))
+            records.append((lineno, text, label))
     if not records:
         raise ValidationError(f"empty dataset: {path}")
 
     if verbalizers is not None:
-        labels = LabelSpace(len(verbalizers), verbalizers)
+        labels = LabelSpace(len(verbalizers), tuple(verbalizers))
     else:
         labels = LabelSpace.default(max(r[2] for r in records) + 1)
     examples = []

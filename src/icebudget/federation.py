@@ -22,7 +22,7 @@ from .corpus import Dataset, Example, LabelSpace
 from .embedder import EmbeddingStore
 from .errors import BackendError, ValidationError
 from .inference import MockVoteBackend, PromptTemplate, build_prompt
-from .retrieval import RankedSet, rank, top_k
+from .retrieval import RankedSet, rerank_union, top_k
 
 
 @dataclass(frozen=True)
@@ -174,32 +174,8 @@ def client_retrieve(client: ClientNode, e_q, budget: int) -> RankedSet:
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
     if budget == 0:
-        return RankedSet(())
+        return RankedSet()
     return top_k(e_q, budget, client.shard, client.store)
-
-
-def _aggregate(returned: list[RankedSet], k: int, rng=None):
-    """Server side of one round, shared by every policy that gathers from
-    clients: deduplicate the concatenated client returns by id, then order
-    the picked entries by (distance, id) and keep the first k.
-
-    The distances are the ones the clients computed, so nothing is looked up
-    again. Without `rng` every union entry is a candidate (the reorder
-    step); with it, min(k, |union|) entries are drawn uniformly first.
-    Returns (union positions into the concatenation, sorted by id; the
-    final RankedSet; the index of the client each final entry came from).
-    """
-    ids = np.concatenate([r.id_array for r in returned])
-    distances = np.concatenate([r.distances for r in returned])
-    owners = np.repeat(np.arange(len(returned)), [len(r) for r in returned])
-    ids, first = np.unique(ids, return_index=True)
-    distances, owners = distances[first], owners[first]
-    pool = np.arange(len(ids))
-    if rng is not None and len(ids):
-        pool = rng.choice(len(ids), size=min(k, len(ids)), replace=False)
-    final = rank(ids[pool], distances[pool], k)
-    order = np.searchsorted(ids, final.id_array)
-    return first, final, owners[order]
 
 
 def _gather(clients, e_q, budgets, k: int, transcript, rng=None):
@@ -209,7 +185,7 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None):
                 for client, budget in zip(clients, budgets)]
     transcript.samples_returned = [r.ids for r in returned]
     transcript.total_samples_communicated = sum(len(r) for r in returned)
-    union, final, owners = _aggregate(returned, k, rng)
+    union, final, owners = rerank_union(returned, k, rng)
     # share the int objects of samples_returned: transcripts stay in memory
     flat = [i for ids in transcript.samples_returned for i in ids]
     transcript.aggregated_ids = [flat[i] for i in union.tolist()]
@@ -304,5 +280,5 @@ def replay_transcript(t: Transcript, clients, e_q, k: int) -> bool:
         return False
     if t.policy == "social_learning":
         return True  # final set depends on the recorded seeded draw
-    _, final, _ = _aggregate(returned, k)
+    _, final, _ = rerank_union(returned, k)
     return sorted(t.final_ice_ids) == sorted(final.ids)

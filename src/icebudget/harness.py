@@ -149,7 +149,7 @@ class _SeedContext:
             return load_budget_dataset(path)
         bproxy = construct_budget_dataset(
             self.proxy, self.proxy_store, self.shards, self.shard_stores,
-            self.cfg.k, self.cfg.delta, union_store=self.train_store)
+            self.cfg.k, self.cfg.delta)
         save_budget_dataset(bproxy, path)
         return bproxy
 

@@ -1,13 +1,18 @@
 """Oracle per-client budgets and the allocator supervision dataset.
 
-The oracle budget of client c for a query is the number of ids shared
-between the client's local top-k and the top-k over the whole corpus.
+The oracle budget of client c for a query is the number of ids of the
+client's local top-k that sit inside the server's rerank of the union of
+every client's local top-k (`retrieval.rerank_union`, the routine the server
+uses at query time). When the shards partition the corpus, as both
+partitioners guarantee, that rerank is the global top-k, so the budget is
+|local top-k ∩ global top-k| and the budgets sum to min(k, corpus size).
 Budgets are quantized by floor division with `delta` to form class labels.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +20,7 @@ import numpy as np
 from .corpus import Dataset
 from .embedder import EmbeddingStore
 from .errors import ParseError, ValidationError
-from .retrieval import merge_rerank, top_k
+from .retrieval import rerank_union, top_k
 
 
 @dataclass(frozen=True)
@@ -64,49 +69,29 @@ def dequantize(cls: int, delta: int) -> int:
     return cls * delta
 
 
-def oracle_budget(e_q, k, shards, shard_stores, global_dataset, global_store):
-    """Per-client count of ids shared between the client's local top-k and
-    the global top-k."""
-    global_ids = set(global_dataset.ids)
-    for shard in shards:
-        if not set(shard.ids) <= global_ids:
-            raise ValidationError("shard ids are not a subset of the global dataset")
-    global_top = top_k(e_q, k, global_dataset, global_store).id_set()
-    counts = []
-    for shard, store in zip(shards, shard_stores):
-        local_top = top_k(e_q, k, shard, store).id_set()
-        counts.append(len(local_top & global_top))
-    return counts
+def oracle_budget(e_q, k, shards, shard_stores) -> list[int]:
+    """Per-client count of the client's local top-k ids inside the rerank of
+    the union of every client's local top-k."""
+    locals_ = [top_k(e_q, k, shard, store)
+               for shard, store in zip(shards, shard_stores)]
+    final = rerank_union(locals_, k)[1].id_set()
+    return [len(local.id_set() & final) for local in locals_]
 
 
 def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
-                             shards, shard_stores, k: int, delta: int,
-                             union_store: EmbeddingStore | None = None,
+                             shards, shard_stores, k: int, delta: int
                              ) -> BudgetDataset:
-    """One BudgetRecord per proxy example: each client returns its local
-    top-k, the server reorders the union down to k, and per-client membership
-    counts in that reordered set are quantized with `delta`.
-
-    When the shards partition the retrieval corpus, the reordered set equals
-    the global top-k and raw counts equal the oracle budgets.
-    """
+    """One BudgetRecord per proxy example: its oracle budgets, and those
+    budgets quantized with `delta`."""
     if not shards:
         raise ValidationError("need at least one shard")
     if delta < 1:
         raise ValidationError("delta must be >= 1")
     proxy_store.check_bound(proxy)
-    if union_store is None:
-        ids, matrices = zip(*(store.matrix() for store in shard_stores))
-        ids, first = np.unique(np.concatenate(ids), return_index=True)
-        union_store = EmbeddingStore(ids, np.concatenate(matrices)[first])
-
     records = []
     for ex in proxy.examples:
         e_q = proxy_store.get(ex.id)
-        locals_ = [top_k(e_q, k, shard, store)
-                   for shard, store in zip(shards, shard_stores)]
-        s_top = merge_rerank(e_q, k, locals_, union_store).id_set()
-        raw = tuple(len(local.id_set() & s_top) for local in locals_)
+        raw = tuple(oracle_budget(e_q, k, shards, shard_stores))
         classes = tuple(quantize(c, delta) for c in raw)
         records.append(BudgetRecord(query_id=ex.id, embedding=e_q,
                                     raw_counts=raw, classes=classes))
@@ -124,25 +109,47 @@ def save_budget_dataset(b: BudgetDataset, path):
                                  "classes": list(r.classes)}) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_budget_dataset(path) -> BudgetDataset:
+    """Read a file written by `save_budget_dataset`. C, k and delta must be
+    positive integers; every record must hold a vector of finite numbers as
+    long as the first one, C raw counts in [0, k] and classes equal to
+    raw_counts // delta. A fault raises ParseError with its line number."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in (l.strip() for l in fh) if line]
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ValidationError(f"empty budget dataset: {path}")
+    head_line = lines[0][0]
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
         num_clients, k, delta = header["C"], header["k"], header["delta"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise ParseError(f"bad budget dataset header: {exc}", line=1) from exc
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad budget dataset header: {exc}", line=head_line) from exc
+    if not all(_is_int(v) and v > 0 for v in (num_clients, k, delta)):
+        raise ParseError("C, k and delta must be positive integers", line=head_line)
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             obj = json.loads(line)
-            records.append(BudgetRecord(
-                query_id=obj["query_id"],
-                embedding=np.array(obj["vector"], dtype=np.float64),
-                raw_counts=tuple(obj["raw_counts"]),
-                classes=tuple(obj["classes"])))
-        except (json.JSONDecodeError, KeyError) as exc:
+            query_id, vector = obj["query_id"], obj["vector"]
+            raw, classes = obj["raw_counts"], obj["classes"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad budget record: {exc}", line=lineno) from exc
+        dim = len(records[0].embedding) if records else None
+        if not (isinstance(vector, list) and len(vector) == (dim or len(vector)) > 0
+                and all(_is_int(x) or isinstance(x, float) and math.isfinite(x)
+                        for x in vector)):
+            raise ParseError(f"vector must be {dim or 'a nonempty list of'} "
+                             "finite numbers", line=lineno)
+        if not (isinstance(raw, list) and len(raw) == num_clients
+                and all(_is_int(c) and 0 <= c <= k for c in raw)):
+            raise ParseError(f"raw_counts must be {num_clients} integers in "
+                             f"[0, {k}]", line=lineno)
+        if classes != [c // delta for c in raw]:
+            raise ParseError(f"classes must be raw_counts // {delta}", line=lineno)
+        records.append(BudgetRecord(query_id, np.array(vector, dtype=np.float64),
+                                    tuple(raw), tuple(classes)))
     return BudgetDataset(tuple(records), num_clients=num_clients, k=k, delta=delta)

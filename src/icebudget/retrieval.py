@@ -1,4 +1,9 @@
-"""Exact top-k nearest-neighbor selection under L2 distance.
+"""Exact nearest-neighbor ranking under L2 distance.
+
+This is the one module that ranks. `top_k` ranks one store: a client's
+shard, the proxy set, or the whole corpus. `rerank_union` ranks what the
+clients sent back: the server uses it for the final ICEs of every query, and
+`oracle` uses it for the supervision set, so both see the same global top-k.
 
 Ties are broken by ascending example id so transcripts are reproducible on
 any platform. All distance comparisons happen in float64.
@@ -14,31 +19,17 @@ from .errors import ValidationError
 
 
 class RankedSet:
-    """Ordered (example id, distance) pairs, ascending by (distance, id),
-    held as aligned int64 id and float64 distance arrays."""
+    """Example ids ascending by (distance, id), held as aligned int64 id and
+    float64 distance arrays."""
 
     __slots__ = ("id_array", "distances")
 
-    def __init__(self, entries=()):
-        entries = tuple(entries)
-        self.id_array = np.array([i for i, _ in entries], dtype=np.int64)
-        self.distances = np.array([d for _, d in entries], dtype=np.float64)
-
-    @classmethod
-    def from_arrays(cls, ids: np.ndarray, distances: np.ndarray) -> "RankedSet":
-        ranked = cls.__new__(cls)
-        ranked.id_array, ranked.distances = ids, distances
-        return ranked
-
-    @property
-    def entries(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.ids, self.distances.tolist()))
+    def __init__(self, ids=(), distances=()):
+        self.id_array = np.asarray(ids, dtype=np.int64)
+        self.distances = np.asarray(distances, dtype=np.float64)
 
     def __len__(self):
         return len(self.id_array)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     @property
     def ids(self) -> list[int]:
@@ -52,21 +43,7 @@ def rank(ids: np.ndarray, distances: np.ndarray, k: int) -> RankedSet:
     """The k entries minimizing (distance, id)."""
     # lexsort's last key is primary: sort by distance, then id
     order = np.lexsort((ids, distances))[:k]
-    return RankedSet.from_arrays(ids[order], distances[order])
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two equal-dimension vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def _rank(query: np.ndarray, ids: np.ndarray, matrix: np.ndarray, k: int) -> RankedSet:
-    diffs = matrix - query
-    return rank(ids, np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), k)
+    return RankedSet(ids[order], distances[order])
 
 
 def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
@@ -80,13 +57,29 @@ def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
             f"query has shape {query.shape}, store dim is {store.dim}"
         )
     ids, matrix = store.matrix()
-    return _rank(query, ids, matrix, k)
+    diffs = matrix - query
+    return rank(ids, np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), k)
 
 
-def merge_rerank(e_q, k: int, candidates, store: EmbeddingStore) -> RankedSet:
-    """Top-k over the deduplicated union of candidate id collections, with
-    distances recomputed from the store."""
-    union = [c.id_array if isinstance(c, RankedSet)
-             else np.asarray(list(c), dtype=np.int64) for c in candidates]
-    sub = store.subset(np.concatenate(union) if union else [])
-    return _rank(np.asarray(e_q, dtype=np.float64), *sub.matrix(), k)
+def rerank_union(returned: list[RankedSet], k: int, rng=None):
+    """Server side of one round: deduplicate the concatenated client returns
+    by id, then order the picked entries by (distance, id) and keep the
+    first k.
+
+    The distances are the ones the clients computed, so nothing is looked up
+    again. Without `rng` every union entry is a candidate (the reorder
+    step); with it, min(k, |union|) entries are drawn uniformly first.
+    Returns (union positions into the concatenation, sorted by id; the
+    final RankedSet; the index of the client each final entry came from).
+    """
+    ids = np.concatenate([r.id_array for r in returned])
+    distances = np.concatenate([r.distances for r in returned])
+    owners = np.repeat(np.arange(len(returned)), [len(r) for r in returned])
+    ids, first = np.unique(ids, return_index=True)
+    distances, owners = distances[first], owners[first]
+    pool = np.arange(len(ids))
+    if rng is not None and len(ids):
+        pool = rng.choice(len(ids), size=min(k, len(ids)), replace=False)
+    final = rank(ids[pool], distances[pool], k)
+    order = np.searchsorted(ids, final.id_array)
+    return first, final, owners[order]

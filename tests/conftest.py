@@ -32,6 +32,11 @@ def brute_force_topk(e_q, k, dataset, store):
     return [i for _, i in scored[:k]]
 
 
+def ranked_entries(ranked):
+    """A RankedSet as a tuple of (id, distance) pairs."""
+    return tuple(zip(ranked.ids, ranked.distances.tolist()))
+
+
 @pytest.fixture
 def small_world():
     return make_world(40, 4, seed=11)

@@ -28,7 +28,7 @@ from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
 from icebudget.harness import efficiency_curve_from_run, run_experiment
 from icebudget.inference import HttpBackend
 from icebudget.oracle import oracle_budget
-from icebudget.retrieval import merge_rerank, top_k
+from icebudget.retrieval import rerank_union, top_k
 
 from conftest import make_world
 
@@ -84,7 +84,7 @@ def test_criterion_2_oracle_budget_conservation():
         shards = partition_iid(d, num_clients, seed=trial)
         shard_stores = [store.subset(s.ids) for s in shards]
         e_q = rng.standard_normal(6)
-        counts = oracle_budget(e_q, k, shards, shard_stores, d, store)
+        counts = oracle_budget(e_q, k, shards, shard_stores)
         if sum(counts) != k:
             violations += 1
     elapsed = time.monotonic() - start
@@ -106,8 +106,7 @@ def test_criterion_3_reorder_recovery():
                    for i, shard in enumerate(shards)]
         e_q = rng.standard_normal(5)
         returned = [client_retrieve(c, e_q, k) for c in clients]
-        union = sorted({i for r in returned for i in r.ids})
-        final = merge_rerank(e_q, k, [union], store.subset(union))
+        final = rerank_union(returned, k)[1]
         if final.ids != top_k(e_q, k, d, store).ids:
             failures += 1
     check(3, failures == 0, f"{failures} failures over 200 instances")

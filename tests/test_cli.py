@@ -74,6 +74,50 @@ class TestStageErrors:
         assert "Traceback" not in err
 
 
+    def test_partition_on_truncated_manifest(self, config_path, tmp_path,
+                                             capsys):
+        seed_dir = tmp_path / "out" / "seed0"
+        seed_dir.mkdir(parents=True)
+        (seed_dir / "shards.json").write_text('{"shards": [[0, 1')
+        assert main(["--config", config_path, "partition"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: stage 'partition' (seed 0): ")
+        assert "Traceback" not in err
+
+    def test_report_on_malformed_transcripts(self, config_path, tmp_path,
+                                             capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"query_id": 1}\n')
+        assert main(["--config", config_path, "report",
+                     "--transcripts", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: stage 'report' (seed 0): ")
+        assert "Traceback" not in err
+
+    def test_corrupt_cached_budget_dataset(self, config_path, tmp_path,
+                                           capsys):
+        assert main(["--config", config_path, "build-budget-dataset"]) == 0
+        path = tmp_path / "out" / "seed0" / "bproxy.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["vector"] = record["vector"][:-1]
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["--config", config_path, "train-allocator"]) == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "seed0" / "models" /
+                    "client0.bin").exists()
+
+    def test_bad_curve_without_traceback(self, config_path, capsys):
+        assert main(["--config", config_path, "report", "--curve", "a,b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: stage 'report' (seed 0): ")
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 1
@@ -121,6 +165,34 @@ class TestEncode:
                      str(out_path), "--dim", "8", "--format", "binary"]) == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "f5d7b819fe07b570f6b6ef2dcdd15016f945fdc039c9cb3a57ce3167b35af26d")
+
+
+    @pytest.mark.parametrize("second_line", [
+        "5",                                    # not an object
+        '{"text": 5, "label": 0}',              # text not a string
+        '{"text": "a \\ud83d b", "label": 0}',  # lone surrogate
+        '{"text": "b", "label": true}',         # bool label
+    ])
+    def test_malformed_record_rejected(self, tmp_path, capsys, second_line):
+        data_path = tmp_path / "bad.jsonl"
+        data_path.write_text('{"text": "a", "label": 0}\n'
+                             + second_line + "\n")
+        out_path = tmp_path / "emb.bin"
+        assert main(["encode", "--dataset", str(data_path),
+                     "--output", str(out_path)]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("header", ["5", '"ab"', '["a", 1]', '{"a": "b"}'])
+    def test_malformed_label_space_rejected(self, tmp_path, capsys, header):
+        data_path = tmp_path / "bad.jsonl"
+        data_path.write_text('{"label_space": %s}\n{"text": "a", "label": 0}\n'
+                             % header)
+        out_path = tmp_path / "emb.bin"
+        assert main(["encode", "--dataset", str(data_path),
+                     "--output", str(out_path)]) == 1
+        assert "line 1" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestStages:

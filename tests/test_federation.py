@@ -14,9 +14,9 @@ from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   allocate, client_retrieve,
                                   distributed_infer, load_transcripts,
                                   replay_transcript, save_transcripts)
-from icebudget.retrieval import top_k
+from icebudget.retrieval import rerank_union, top_k
 
-from conftest import make_world
+from conftest import make_world, ranked_entries
 
 
 def make_clients(n=30, dim=4, num_clients=3, seed=17, num_classes=3):
@@ -151,8 +151,7 @@ class TestDistributedInfer:
             budgets = [k] * len(clients)
             returned = [client_retrieve(c, e_q, b)
                         for c, b in zip(clients, budgets)]
-            from icebudget.federation import _aggregate
-            _, final, _ = _aggregate(returned, k)
+            _, final, _ = rerank_union(returned, k)
             assert final.ids == top_k(e_q, k, d, store).ids
 
     def test_transcript_accounting(self):
@@ -237,7 +236,8 @@ class TestDistributedInfer:
         assert answer == t.answer_label == 4 % d.labels.count
         ranked = top_k(e_q, 4, d.subset(t.aggregated_ids),
                        store.subset(t.aggregated_ids))
-        assert votes == [(d.by_id(i).label, dist) for i, dist in ranked]
+        assert votes == [(d.by_id(i).label, dist)
+                         for i, dist in ranked_entries(ranked)]
 
     def test_backend_error_carries_transcript(self):
         class FailingBackend:
@@ -412,7 +412,7 @@ def _reference_candidate_rerank(clients, returned, e_q, k):
     top-k by (distance, id). Returns (sorted union ids, [(id, distance)])."""
     vectors = {}
     for client, ranked in zip(clients, returned):
-        for example_id, _ in ranked:
+        for example_id in ranked.ids:
             vectors[example_id] = client.store.get(example_id)
     union = sorted(vectors)
     if not union:
@@ -427,14 +427,13 @@ def _reference_candidate_rerank(clients, returned, e_q, k):
 
 class TestAggregateMatchesCandidateStore:
     def check(self, clients, budgets, e_q, k):
-        from icebudget.federation import _aggregate
         returned = [client_retrieve(c, e_q, b) for c, b in zip(clients, budgets)]
-        union, final, owners = _aggregate(returned, k)
+        union, final, owners = rerank_union(returned, k)
         flat = [i for r in returned for i in r.ids]
         want_union, want_final = _reference_candidate_rerank(
             clients, returned, e_q, k)
         assert [flat[i] for i in union.tolist()] == want_union
-        assert final.entries == tuple(want_final)
+        assert ranked_entries(final) == tuple(want_final)
         for example_id, owner in zip(final.ids, owners.tolist()):
             assert example_id in returned[owner].ids
 

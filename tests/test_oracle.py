@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icebudget.corpus import PartitionSpec, partition_iid, partition_noniid
-from icebudget.errors import ValidationError
+from icebudget.embedder import EmbeddingStore
+from icebudget.errors import ParseError, ValidationError
 from icebudget.oracle import (BudgetDataset, construct_budget_dataset,
                               dequantize, load_budget_dataset, oracle_budget,
                               quantize, save_budget_dataset)
+from icebudget.retrieval import top_k
 
 from conftest import brute_force_topk, make_world
 
@@ -26,6 +28,29 @@ def brute_force_budgets(e_q, k, shards, shard_stores, dataset, store):
         local = set(brute_force_topk(e_q, k, shard, sub))
         out.append(len(local & global_top))
     return out
+
+
+def _reference_construct(proxy, proxy_store, shards, shard_stores, k, delta):
+    """The supervision set as it was built before the oracle shared the
+    server's rerank: a union store rebuilt from every shard, and the union of
+    the local top-k ranked again on distances recomputed from that store.
+    Returns [(query id, raw counts, classes)]."""
+    ids, matrices = zip(*(store.matrix() for store in shard_stores))
+    ids, first = np.unique(np.concatenate(ids), return_index=True)
+    union_store = EmbeddingStore(ids, np.concatenate(matrices)[first])
+    records = []
+    for ex in proxy.examples:
+        e_q = proxy_store.get(ex.id)
+        locals_ = [top_k(e_q, k, shard, store)
+                   for shard, store in zip(shards, shard_stores)]
+        sub = union_store.subset(np.concatenate([r.id_array for r in locals_]))
+        sub_ids, matrix = sub.matrix()
+        diffs = matrix - e_q
+        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        s_top = set(sub_ids[np.lexsort((sub_ids, dists))[:k]].tolist())
+        raw = tuple(len(local.id_set() & s_top) for local in locals_)
+        records.append((ex.id, raw, tuple(quantize(c, delta) for c in raw)))
+    return records
 
 
 class TestQuantization:
@@ -62,7 +87,7 @@ class TestOracleBudget:
         for _ in range(30):
             e_q = rng.standard_normal(5)
             k = int(rng.integers(1, 20))
-            got = oracle_budget(e_q, k, shards, shard_stores, d, store)
+            got = oracle_budget(e_q, k, shards, shard_stores)
             assert got == brute_force_budgets(e_q, k, shards, shard_stores,
                                               d, store)
 
@@ -75,19 +100,13 @@ class TestOracleBudget:
         d, store = make_world(50, 4, seed)
         shards, shard_stores = random_partition(d, store, num_clients, seed)
         e_q = np.random.default_rng(seed + 7).standard_normal(4)
-        counts = oracle_budget(e_q, k, shards, shard_stores, d, store)
+        counts = oracle_budget(e_q, k, shards, shard_stores)
         assert sum(counts) == min(k, len(d))
 
     def test_single_client_gets_everything(self):
         d, store = make_world(20, 3, seed=1)
-        counts = oracle_budget(np.zeros(3), 5, [d], [store], d, store)
+        counts = oracle_budget(np.zeros(3), 5, [d], [store])
         assert counts == [5]
-
-    def test_foreign_shard_rejected(self):
-        d, store = make_world(20, 3, seed=1)
-        other, other_store = make_world(25, 3, seed=2)
-        with pytest.raises(ValidationError):
-            oracle_budget(np.zeros(3), 5, [other], [other_store], d, store)
 
 
 class TestConstructBudgetDataset:
@@ -109,7 +128,8 @@ class TestConstructBudgetDataset:
         assert bproxy.num_clients == 3
         for record in bproxy.records:
             e_q = proxy_store.get(record.query_id)
-            expected = oracle_budget(e_q, k, shards, shard_stores, d, store)
+            expected = brute_force_budgets(e_q, k, shards, shard_stores,
+                                           d, store)
             assert list(record.raw_counts) == expected
             assert list(record.classes) == [c // delta for c in expected]
 
@@ -132,6 +152,48 @@ class TestConstructBudgetDataset:
             assert sum(record.raw_counts) == 5
 
 
+def _shards(d, scheme, rng):
+    """Client shards of `d`: an IID or non-IID partition, overlapping random
+    subsets, or the whole corpus as one shard."""
+    seed = int(rng.integers(1 << 30))
+    num_clients = int(rng.integers(2, 6))
+    if scheme == "iid":
+        return partition_iid(d, num_clients, seed)
+    if scheme == "noniid":
+        return partition_noniid(d, PartitionSpec(num_clients, 2, seed))
+    if scheme == "overlapping":
+        return [d.subset(rng.choice(d.ids, size=int(rng.integers(5, len(d))),
+                                    replace=False).tolist())
+                for _ in range(num_clients)]
+    return [d]
+
+
+class TestMatchesReferenceConstruction:
+    @pytest.mark.parametrize("scheme", ["iid", "noniid", "overlapping",
+                                        "single", "k_past_shard"])
+    def test_random_worlds(self, scheme):
+        rng = np.random.default_rng(["iid", "noniid", "overlapping", "single",
+                                     "k_past_shard"].index(scheme))
+        for trial in range(12):
+            n = int(rng.integers(12, 70))
+            d, store = make_world(n, 3, seed=int(rng.integers(1 << 30)),
+                                  num_classes=3)
+            shards = _shards(d, "iid" if scheme == "k_past_shard" else scheme,
+                             rng)
+            stores = [store.subset(s.ids) for s in shards]
+            largest = max(len(s) for s in shards)
+            k = (int(rng.integers(largest + 1, largest + 10))
+                 if scheme == "k_past_shard" else int(rng.integers(1, 12)))
+            proxy = d.subset(rng.choice(d.ids, size=8, replace=False).tolist())
+            delta = int(rng.integers(1, 4))
+            bproxy = construct_budget_dataset(
+                proxy, store.subset(proxy.ids), shards, stores, k, delta)
+            got = [(r.query_id, r.raw_counts, r.classes)
+                   for r in bproxy.records]
+            assert got == _reference_construct(
+                proxy, store.subset(proxy.ids), shards, stores, k, delta)
+
+
 class TestBudgetDatasetIo:
     def test_roundtrip(self, tmp_path):
         d, store = make_world(30, 3, seed=12)
@@ -150,6 +212,51 @@ class TestBudgetDatasetIo:
             assert a.raw_counts == b.raw_counts
             assert a.classes == b.classes
             assert np.array_equal(a.embedding, b.embedding)
+
+    @pytest.mark.parametrize("line, text", [
+        (1, '{"C": 0, "k": 4, "delta": 2}'),
+        (1, '{"C": 2, "k": true, "delta": 2}'),
+        (1, '{"C": 2, "k": 4, "delta": 1.5}'),
+        (1, '[2, 4, 2]'),
+        (3, '7'),
+        (3, '{"query_id": 5, "raw_counts": [1, 3], "classes": [0, 1]}'),
+        (3, '{"query_id": 5, "vector": [], "raw_counts": [1, 3], '
+            '"classes": [0, 1]}'),
+        (3, '{"query_id": 5, "vector": [1.0, "x", 0.0], '
+            '"raw_counts": [1, 3], "classes": [0, 1]}'),
+        (3, '{"query_id": 5, "vector": [1.0, true, 0.0], '
+            '"raw_counts": [1, 3], "classes": [0, 1]}'),
+        (3, '{"query_id": 5, "vector": [1.0, NaN, 0.0], '
+            '"raw_counts": [1, 3], "classes": [0, 1]}'),
+        (3, '{"query_id": 5, "vector": [1.0, 0.0], "raw_counts": [1, 3], '
+            '"classes": [0, 1]}'),
+        (3, '{"query_id": 5, "vector": [1.0, 0.0, 2.0], '
+            '"raw_counts": [1, 3, 0], "classes": [0, 1, 0]}'),
+        (3, '{"query_id": 5, "vector": [1.0, 0.0, 2.0], '
+            '"raw_counts": [1, 5], "classes": [0, 2]}'),
+        (3, '{"query_id": 5, "vector": [1.0, 0.0, 2.0], '
+            '"raw_counts": [-1, 3], "classes": [-1, 1]}'),
+        (3, '{"query_id": 5, "vector": [1.0, 0.0, 2.0], '
+            '"raw_counts": [false, 3], "classes": [0, 1]}'),
+        (3, '{"query_id": 5, "vector": [1.0, 0.0, 2.0], '
+            '"raw_counts": [1, 3], "classes": [1, 1]}'),
+    ])
+    def test_malformed_record_rejected(self, tmp_path, line, text):
+        lines = ['{"C": 2, "k": 4, "delta": 2}',
+                 '{"query_id": 4, "vector": [0.5, 1.0, -2.0], '
+                 '"raw_counts": [4, 0], "classes": [2, 0]}',
+                 '{"query_id": 5, "vector": [1.0, 0.0, 2.0], '
+                 '"raw_counts": [1, 3], "classes": [0, 1]}']
+        path = tmp_path / "b.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert len(load_budget_dataset(path)) == 2
+        lines[line - 1] = text
+        # a blank line before the fault must not shift its line number
+        path.write_text("\n".join(lines[:line - 1] + ["", lines[line - 1]]
+                                  + lines[line:]) + "\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_budget_dataset(path)
+        assert exc_info.value.line == line + 1
 
     def test_client_labels_and_embeddings(self):
         d, store = make_world(30, 3, seed=12)

@@ -6,21 +6,9 @@ from hypothesis import strategies as st
 from icebudget.corpus import Dataset, Example, LabelSpace
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ValidationError
-from icebudget.retrieval import RankedSet, distance, merge_rerank, top_k
+from icebudget.retrieval import RankedSet, rerank_union, top_k
 
-from conftest import brute_force_topk, make_world
-
-
-class TestDistance:
-    def test_known_value(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_zero(self):
-        assert distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            distance([1.0], [1.0, 2.0])
+from conftest import brute_force_topk, make_world, ranked_entries
 
 
 class TestTopK:
@@ -55,7 +43,7 @@ class TestTopK:
     def test_entries_sorted(self, small_world):
         d, store = small_world
         ranked = top_k(np.zeros(store.dim), 10, d, store)
-        dists = [dist for _, dist in ranked]
+        dists = ranked.distances.tolist()
         assert dists == sorted(dists)
 
     def test_negative_k_rejected(self, small_world):
@@ -69,44 +57,46 @@ class TestTopK:
             top_k(np.zeros(store.dim), 1, d, store.subset([0, 1]))
 
 
+def _returns(e_q, groups, d, store):
+    """Each id group as one client's return: its local top-|group|."""
+    return [top_k(e_q, len(g), d.subset(g), store.subset(g)) for g in groups]
+
+
 class TestMergeRerank:
+    """`rerank_union`: the server merges the clients' returns and reranks."""
+
     def test_equals_topk_over_union(self, small_world):
         d, store = small_world
         rng = np.random.default_rng(2)
         e_q = rng.standard_normal(store.dim)
         groups = [[0, 1, 2, 3], [2, 3, 4, 5], [10, 11]]
         union = sorted({i for g in groups for i in g})
-        got = merge_rerank(e_q, 4, groups, store)
+        got = rerank_union(_returns(e_q, groups, d, store), 4)[1]
         expected = top_k(e_q, 4, d.subset(union), store.subset(union))
         assert got.ids == expected.ids
 
     def test_duplicates_collapse(self, small_world):
-        _, store = small_world
+        d, store = small_world
         e_q = np.zeros(store.dim)
-        once = merge_rerank(e_q, 5, [[0, 1, 2]], store)
-        twice = merge_rerank(e_q, 5, [[0, 1, 2], [2, 1, 0]], store)
-        assert once.entries == twice.entries
+        once = rerank_union(_returns(e_q, [[0, 1, 2]], d, store), 5)[1]
+        twice = rerank_union(_returns(e_q, [[0, 1, 2], [2, 1, 0]], d, store),
+                             5)[1]
+        assert ranked_entries(once) == ranked_entries(twice)
 
     def test_accepts_ranked_sets(self, small_world):
         d, store = small_world
         e_q = np.ones(store.dim)
         ranked = top_k(e_q, 3, d, store)
-        merged = merge_rerank(e_q, 3, [ranked], store)
+        merged = rerank_union([ranked], 3)[1]
         assert merged.ids == ranked.ids
 
-    def test_empty_candidates(self, small_world):
-        _, store = small_world
-        assert len(merge_rerank(np.zeros(store.dim), 3, [], store)) == 0
-
-    def test_missing_candidate_rejected(self, small_world):
-        _, store = small_world
-        with pytest.raises(ValidationError):
-            merge_rerank(np.zeros(store.dim), 3, [[9999]], store)
+    def test_empty_candidates(self):
+        assert len(rerank_union([RankedSet(), RankedSet()], 3)[1]) == 0
 
 
 class TestRankedSet:
     def test_ids_and_id_set(self):
-        r = RankedSet(((3, 0.1), (1, 0.2)))
+        r = RankedSet([3, 1], [0.1, 0.2])
         assert r.ids == [3, 1]
         assert r.id_set() == {1, 3}
         assert len(r) == 2
