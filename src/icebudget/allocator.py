@@ -22,35 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import ValidationError
 from .oracle import BudgetDataset, dequantize
 
-DEFAULT_WIDTH = 300
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 800
-    learning_rate: float = 0.01
-    batch_size: int = 8
-    seed: int = 0
-    validation_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.epochs <= 0:
-            raise ValidationError("epochs must be positive")
-        if self.learning_rate < 0:
-            raise ValidationError("learning rate must be nonnegative")
-        if self.batch_size < 1:
-            raise ValidationError("batch size must be >= 1")
-        if not 0 <= self.validation_fraction < 1:
-            raise ValidationError("validation_fraction must be in [0, 1)")
-
-    def to_dict(self):
-        return {"epochs": self.epochs, "learning_rate": self.learning_rate,
-                "batch_size": self.batch_size, "seed": self.seed,
-                "validation_fraction": self.validation_fraction}
 
 
 @dataclass
@@ -74,14 +50,6 @@ class AllocatorModel:
 
     def params(self):
         return [getattr(self, name) for name in PARAM_NAMES]
-
-    def clone(self) -> "AllocatorModel":
-        return AllocatorModel(self.client_id, self.dim, self.width,
-                              self.num_classes,
-                              *(p.copy() for p in self.params()),
-                              loss_history=list(self.loss_history),
-                              train_config=self.train_config,
-                              input_scale=self.input_scale)
 
 
 def init_model(dim, width, num_classes, seed, client_id=0,
@@ -172,12 +140,12 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
 
 
-def _split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(train, validation) record indices for one client's seed."""
-    if cfg.validation_fraction > 0 and n > 1:
-        n_val = max(1, int(round(cfg.validation_fraction * n)))
+def _split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, validation) record indices for one client's shuffle seed."""
+    if fraction > 0 and n > 1:
+        n_val = max(1, int(round(fraction * n)))
         # epoch indices stay below 2**32, so this stream never collides
-        order = _epoch_rng(cfg.seed, 2**32).permutation(n)
+        order = _epoch_rng(seed, 2**32).permutation(n)
         val_idx, train_idx = order[:n_val], order[n_val:]
         if len(train_idx) == 0:
             train_idx, val_idx = val_idx, train_idx
@@ -185,34 +153,24 @@ def _split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), np.array([], dtype=np.int64)
 
 
-def train(records: BudgetDataset, client, cfg, width: int = DEFAULT_WIDTH,
-          init_seed=None, input_scale: float = 1.0):
-    """Minibatch SGD on the records of one client, or of several at once.
+def train(records: BudgetDataset, clients, cfg: TrainConfig, seeds,
+          init_seeds, input_scale: float = 1.0) -> list[AllocatorModel]:
+    """Minibatch SGD on the records of C clients at once; one model each.
 
-    `client` is one client index, with one TrainConfig and init seed, and
-    one model is returned. Or it is a sequence of C client indices, with
-    `cfg` and `init_seed` sequences aligned to it, and C models are
-    returned. Either way the clients' weights are stacked along a leading
-    axis of length C and updated in one loop; each client keeps its own
-    shuffle stream and validation split (both from its cfg.seed), init
-    seed, labels and best-validation snapshot, so every model is
-    bit-identical to training that client alone. The configs may differ
-    only in their seed.
+    `seeds` (shuffle) and `init_seeds` are aligned with `clients`. The
+    clients' weights are stacked along a leading axis of length C and
+    updated in one loop; each client keeps its own shuffle stream and
+    validation split (both from its shuffle seed), init seed, labels and
+    best-validation snapshot, so every model is bit-identical to training
+    that client alone.
 
-    Shuffling is reseeded per epoch from cfg.seed. With a nonzero
+    Shuffling is reseeded per epoch from the shuffle seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,
     otherwise the final-epoch ones.
     """
-    if np.ndim(client) == 0:
-        return train(records, [client], [cfg], width, [init_seed],
-                     input_scale)[0]
-    clients, cfgs = list(client), list(cfg)
-    init_seeds = list(init_seed) if init_seed is not None else [None] * len(clients)
-    if not clients or len(cfgs) != len(clients) or len(init_seeds) != len(clients):
-        raise ValidationError("need one config and one init seed per client")
-    shared = cfgs[0]
-    if any(dataclasses.replace(c, seed=shared.seed) != shared for c in cfgs):
-        raise ValidationError("clients trained together may differ only in seed")
+    clients, seeds, init_seeds = list(clients), list(seeds), list(init_seeds)
+    if not clients or len(seeds) != len(clients) or len(init_seeds) != len(clients):
+        raise ValidationError("need one shuffle seed and one init seed per client")
     if len(records) == 0:
         raise ValidationError("cannot train on an empty budget dataset")
     x = records.embeddings().astype(np.float64)
@@ -222,7 +180,8 @@ def train(records: BudgetDataset, client, cfg, width: int = DEFAULT_WIDTH,
         raise ValidationError("class label out of range for num_classes")
     dim = x.shape[1]
 
-    splits = [_split(len(records), c) for c in cfgs]
+    splits = [_split(len(records), cfg.validation_fraction, seed)
+              for seed in seeds]
     train_idx = np.stack([t for t, _ in splits])
     val_idx = np.stack([v for _, v in splits])
     x_train = x[train_idx]
@@ -231,33 +190,32 @@ def train(records: BudgetDataset, client, cfg, width: int = DEFAULT_WIDTH,
     y_val = np.take_along_axis(y, val_idx, axis=1)
     rows = np.arange(len(clients))[:, None]
 
-    models = [init_model(dim, width, num_classes,
-                         c.seed if seed is None else seed, client_id=client_id,
+    models = [init_model(dim, cfg.width, num_classes, seed, client_id=client_id,
                          input_scale=input_scale)
-              for client_id, c, seed in zip(clients, cfgs, init_seeds)]
+              for client_id, seed in zip(clients, init_seeds)]
     stack = dataclasses.replace(
         models[0], **{name: np.stack([getattr(m, name) for m in models])
                       for name in PARAM_NAMES})
     best = [p.copy() for p in stack.params()]
     best_val = np.full(len(clients), np.inf)
     history = []
-    for epoch in range(shared.epochs):
-        order = np.stack([_epoch_rng(c.seed, epoch).permutation(train_idx.shape[1])
-                          for c in cfgs])
+    for epoch in range(cfg.epochs):
+        order = np.stack([_epoch_rng(seed, epoch).permutation(train_idx.shape[1])
+                          for seed in seeds])
         x_epoch, y_epoch = x_train[rows, order], y_train[rows, order]
         epoch_loss = np.zeros(len(clients))
         n_batches = 0
-        for start in range(0, order.shape[1], shared.batch_size):
-            stop = start + shared.batch_size
+        for start in range(0, order.shape[1], cfg.batch_size):
+            stop = start + cfg.batch_size
             loss, grads = batch_loss_and_grads(stack, x_epoch[:, start:stop],
                                                y_epoch[:, start:stop])
             if not np.all(np.isfinite(loss)):
                 bad = clients[int(np.argmin(np.isfinite(loss)))]
                 raise ValidationError(
                     f"client {bad}: non-finite training loss at epoch {epoch}, "
-                    f"batch starting {start} (lr={shared.learning_rate})")
+                    f"batch starting {start} (lr={cfg.learning_rate})")
             for param, grad in zip(stack.params(), grads):
-                param -= shared.learning_rate * grad
+                param -= cfg.learning_rate * grad
             epoch_loss += loss
             n_batches += 1
         history.append(epoch_loss / max(n_batches, 1))
@@ -272,11 +230,14 @@ def train(records: BudgetDataset, client, cfg, width: int = DEFAULT_WIDTH,
         seen = np.isfinite(best_val)
         for kept, param in zip(best, stack.params()):
             param[seen] = kept[seen]
-    for i, (model, c) in enumerate(zip(models, cfgs)):
+    for i, (model, seed) in enumerate(zip(models, seeds)):
         for name, param in zip(PARAM_NAMES, stack.params()):
             setattr(model, name, param[i].copy())
         model.loss_history = [float(h[i]) for h in history]
-        model.train_config = c.to_dict()
+        model.train_config = {
+            "epochs": cfg.epochs, "learning_rate": cfg.learning_rate,
+            "batch_size": cfg.batch_size, "seed": seed,
+            "validation_fraction": cfg.validation_fraction}
     return models
 
 

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -135,7 +136,7 @@ def _cmd_infer(args):
         ctx = _SeedContext.for_seed(cfg, args.seed_index)
         encoder = HashEncoder(cfg.embeddings.dim,
                               derive_seed(cfg.seed, "hash-encoder"))
-        e_q = encoder(args.text)
+        e_q = encoder.encode_many([args.text])[0]
         server = ctx.make_server(_policy_for(cfg.policies[0], ctx.run_seed))
         answer, transcript = distributed_infer(server, ctx.clients, args.text,
                                                e_q)
@@ -147,9 +148,14 @@ def _cmd_infer(args):
 def _cmd_report(args):
     from .federation import load_transcripts
     from .harness import _stage, efficiency_curve_from_run
+    try:
+        multipliers = [float(x) for x in args.curve.split(",") if x]
+    except ValueError as exc:
+        raise ValidationError(f"--curve: {exc}") from exc
+    if not all(map(math.isfinite, multipliers)):
+        raise ValidationError(f"--curve: multipliers must be finite: {args.curve}")
     cfg = _load_cfg(args)
     with _stage("report", args.seed_index):
-        multipliers = [float(x) for x in args.curve.split(",") if x]
         transcripts = (load_transcripts(args.transcripts)
                        if args.transcripts else None)
         rows = efficiency_curve_from_run(cfg, args.seed_index, multipliers,

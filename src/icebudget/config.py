@@ -8,7 +8,7 @@ hashing, so changing one stage never perturbs another.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -86,15 +86,31 @@ class PartitionConfig:
             raise ValidationError(f"unknown partition scheme: {self.scheme}")
         if self.num_clients < 1:
             raise ValidationError("num_clients must be >= 1")
+        if self.labels_per_client < 1:
+            raise ValidationError("labels_per_client must be >= 1")
 
 
 @dataclass
-class TrainSpec:
+class TrainConfig:
+    """Allocator training settings, shared by every client of a run; each
+    client's shuffle and init seeds are derived per run."""
     epochs: int = 800
     learning_rate: float = 0.01
     batch_size: int = 8
     width: int = 300
     validation_fraction: float = 0.0
+
+    def __post_init__(self):
+        if self.epochs <= 0:
+            raise ValidationError("epochs must be positive")
+        if self.learning_rate < 0:
+            raise ValidationError("learning rate must be nonnegative")
+        if self.batch_size < 1:
+            raise ValidationError("batch size must be >= 1")
+        if self.width < 1:
+            raise ValidationError("width must be >= 1")
+        if not 0 <= self.validation_fraction < 1:
+            raise ValidationError("validation_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -110,8 +126,12 @@ class BackendSpec:
     def __post_init__(self):
         if self.type not in ("mock", "http"):
             raise ValidationError(f"unknown backend type: {self.type}")
-        if self.type == "http" and not self.endpoint:
+        if self.type != "http":
+            return
+        if not self.endpoint:
             raise ValidationError("http backend needs an endpoint")
+        if not self.endpoint.startswith(("http://", "https://")):
+            raise ValidationError(f"malformed endpoint URL: {self.endpoint}")
 
 
 @dataclass
@@ -128,7 +148,7 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None = None
     dataset: DatasetSpec | None = None
     embeddings: EmbeddingSpec = field(default_factory=EmbeddingSpec)
-    train: TrainSpec = field(default_factory=TrainSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
     backend: BackendSpec = field(default_factory=BackendSpec)
     output_dir: str = "out"
     ice_order: str = "descending"
@@ -156,6 +176,10 @@ class ExperimentConfig:
         if self.dataset is not None and self.embeddings.source == "synthetic":
             raise ValidationError(
                 "file datasets need 'hash' or 'file' embeddings")
+        if self.ice_order not in ("descending", "ascending"):
+            raise ValidationError("ice_order must be descending or ascending")
+        if self.max_prompt_chars < 1:
+            raise ValidationError("max_prompt_chars must be >= 1")
 
     def to_dict(self) -> dict:
         def plain(obj):
@@ -203,7 +227,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         "synthetic": (SyntheticSpec, False),
         "dataset": (DatasetSpec, False),
         "embeddings": (EmbeddingSpec, True),
-        "train": (TrainSpec, True),
+        "train": (TrainConfig, True),
         "backend": (BackendSpec, True),
     }
     kwargs = {}
@@ -213,8 +237,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             kwargs[key] = value
         elif not has_default:
             kwargs[key] = None
-    known = {"name", "seed", "num_seeds", "k", "delta", "alpha", "proxy_size",
-             "policies", "output_dir", "ice_order", "max_prompt_chars"}
+    known = {f.name for f in fields(ExperimentConfig)} - sections.keys()
     for key in data:
         if key not in known:
             raise ValidationError(f"unknown config key: {key}")

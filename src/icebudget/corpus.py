@@ -94,31 +94,16 @@ class Dataset:
             raise ValidationError(f"unknown example ids: {sorted(missing)[:5]}")
         return Dataset(kept, self.labels)
 
-    def label_set(self) -> set[int]:
-        return {ex.label for ex in self.examples}
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    num_clients: int
-    labels_per_client: int
-    seed: int
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValidationError("num_clients must be >= 1")
-        if self.labels_per_client < 1:
-            raise ValidationError("labels_per_client must be >= 1")
-
 
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset: one {"text", "label"} record per line.
 
-    An optional first line {"label_space": [...]} supplies verbalizers;
-    otherwise the label space is inferred as 0..max(label).
+    An optional header {"label_space": [...]} on the first non-blank line
+    supplies verbalizers; otherwise the label space is inferred as
+    0..max(label).
     """
     records = []
-    verbalizers = None
+    labels = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -130,12 +115,16 @@ def load_dataset(path) -> Dataset:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(obj, dict):
                 raise ParseError("record must be a JSON object", line=lineno)
-            if lineno == 1 and "label_space" in obj:
+            if not records and labels is None and "label_space" in obj:
                 verbalizers = obj["label_space"]
                 if not (isinstance(verbalizers, list)
                         and all(isinstance(v, str) for v in verbalizers)):
                     raise ParseError("label_space must be a list of strings",
                                      line=lineno)
+                try:
+                    labels = LabelSpace(len(verbalizers), tuple(verbalizers))
+                except ValidationError as exc:
+                    raise ParseError(str(exc), line=lineno) from exc
                 continue
             if "text" not in obj or "label" not in obj:
                 raise ParseError("record needs 'text' and 'label' fields", line=lineno)
@@ -144,15 +133,15 @@ def load_dataset(path) -> Dataset:
             if (not isinstance(text, str)
                     or text.encode(errors="replace").decode() != text):
                 raise ParseError("text must be a UTF-8 string", line=lineno)
+            if not text:
+                raise ParseError("empty text", line=lineno)
             if not isinstance(label, int) or isinstance(label, bool):
                 raise ParseError("label must be an integer", line=lineno)
             records.append((lineno, text, label))
     if not records:
         raise ValidationError(f"empty dataset: {path}")
 
-    if verbalizers is not None:
-        labels = LabelSpace(len(verbalizers), tuple(verbalizers))
-    else:
+    if labels is None:
         labels = LabelSpace.default(max(r[2] for r in records) + 1)
     examples = []
     for i, (lineno, text, label) in enumerate(records):
@@ -164,14 +153,8 @@ def load_dataset(path) -> Dataset:
     return Dataset(tuple(examples), labels)
 
 
-def save_dataset(d: Dataset, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"label_space": list(d.labels.verbalizers)}) + "\n")
-        for ex in d.examples:
-            fh.write(json.dumps({"text": ex.text, "label": ex.label}) + "\n")
-
-
-def partition_noniid(d: Dataset, spec: PartitionSpec) -> list[Dataset]:
+def partition_noniid(d: Dataset, num_clients: int, labels_per_client: int,
+                     seed: int) -> list[Dataset]:
     """Class-based non-IID split: each client gets samples from exactly
     `labels_per_client` randomly assigned classes; a class held by several
     clients is split into near-equal contiguous parts.
@@ -179,23 +162,23 @@ def partition_noniid(d: Dataset, spec: PartitionSpec) -> list[Dataset]:
     The class assignment is redrawn until every class is covered, up to
     MAX_ASSIGNMENT_RETRIES attempts.
     """
-    gamma = spec.labels_per_client
+    gamma = labels_per_client
     num_classes = d.labels.count
     if gamma > num_classes:
         raise ValidationError(
             f"labels_per_client={gamma} exceeds number of classes {num_classes}"
         )
-    if spec.num_clients * gamma < num_classes:
+    if num_clients * gamma < num_classes:
         raise ValidationError(
             "assignment cannot cover all classes: "
-            f"{spec.num_clients} clients x {gamma} labels < {num_classes} classes"
+            f"{num_clients} clients x {gamma} labels < {num_classes} classes"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     assignment = None
     for _ in range(MAX_ASSIGNMENT_RETRIES):
         candidate = [
             sorted(rng.choice(num_classes, size=gamma, replace=False).tolist())
-            for _ in range(spec.num_clients)
+            for _ in range(num_clients)
         ]
         covered = set()
         for classes in candidate:
@@ -213,9 +196,9 @@ def partition_noniid(d: Dataset, spec: PartitionSpec) -> list[Dataset]:
     for ex in d.examples:
         by_class[ex.label].append(ex)
 
-    shard_members: list[list[Example]] = [[] for _ in range(spec.num_clients)]
+    shard_members: list[list[Example]] = [[] for _ in range(num_clients)]
     for cls in range(num_classes):
-        holders = [c for c in range(spec.num_clients) if cls in assignment[c]]
+        holders = [c for c in range(num_clients) if cls in assignment[c]]
         parts = _split_near_equal(by_class[cls], len(holders))
         for client, part in zip(holders, parts):
             shard_members[client].extend(part)

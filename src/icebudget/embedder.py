@@ -263,11 +263,6 @@ def hash_encode_many(texts, dim: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def hash_encode(text: str, dim: int, seed: int = 0) -> np.ndarray:
-    """`hash_encode_many` of one text."""
-    return hash_encode_many([text], dim, seed)[0]
-
-
 class HashEncoder:
     """Configured wrapper around hash_encode_many with a fixed (dim, seed)."""
 
@@ -276,9 +271,6 @@ class HashEncoder:
             raise ValidationError("hash encoder needs dim >= 2")
         self.dim = dim
         self.seed = seed
-
-    def __call__(self, text: str) -> np.ndarray:
-        return hash_encode(text, self.dim, self.seed)
 
     def encode_many(self, texts) -> np.ndarray:
         return hash_encode_many(texts, self.dim, self.seed)

@@ -269,16 +269,3 @@ def load_transcripts(path) -> list[Transcript]:
             if line:
                 out.append(Transcript.from_dict(json.loads(line)))
     return out
-
-
-def replay_transcript(t: Transcript, clients, e_q, k: int) -> bool:
-    """Re-run the recorded budgets against the same shards and confirm the
-    returned samples and final ICE set reproduce exactly."""
-    returned = [client_retrieve(client, e_q, budget)
-                for client, budget in zip(clients, t.budgets_sent)]
-    if [r.ids for r in returned] != t.samples_returned:
-        return False
-    if t.policy == "social_learning":
-        return True  # final set depends on the recorded seeded draw
-    _, final, _ = rerank_union(returned, k)
-    return sorted(t.final_ice_ids) == sorted(final.ids)

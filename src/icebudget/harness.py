@@ -17,11 +17,11 @@ import os
 import numpy as np
 
 from . import __version__
-from .allocator import TrainConfig, load_model, save_model, train
+from .allocator import load_model, save_model, train
 from .config import ExperimentConfig, derive_seed
 from .corpus import (Dataset, load_dataset, load_shard_manifest, partition_iid,
-                     partition_noniid, PartitionSpec, sample_proxy,
-                     synth_clusters, write_shard_manifest)
+                     partition_noniid, sample_proxy, synth_clusters,
+                     write_shard_manifest)
 from .embedder import (EmbeddingStore, HashEncoder, encode_dataset,
                        load_embeddings)
 from .errors import IceBudgetError, StageError, ValidationError
@@ -120,9 +120,9 @@ class _SeedContext:
             self.shards = load_shard_manifest(self.train_ds, manifest_path)
         else:
             if cfg.partition.scheme == "noniid":
-                spec = PartitionSpec(cfg.partition.num_clients,
-                                     cfg.partition.labels_per_client, seed)
-                self.shards = partition_noniid(self.train_ds, spec)
+                self.shards = partition_noniid(
+                    self.train_ds, cfg.partition.num_clients,
+                    cfg.partition.labels_per_client, seed)
             else:
                 self.shards = partition_iid(self.train_ds,
                                             cfg.partition.num_clients, seed)
@@ -166,19 +166,12 @@ class _SeedContext:
                   for p in paths]
         missing = [c for c, model in enumerate(models) if model is None]
         if missing:
-            train_cfgs = [TrainConfig(
-                epochs=cfg.train.epochs,
-                learning_rate=cfg.train.learning_rate,
-                batch_size=cfg.train.batch_size,
-                seed=derive_seed(self.run_seed, f"shuffle-{c}"),
-                validation_fraction=cfg.train.validation_fraction)
-                for c in missing]
             scale = cfg.synthetic.scale if cfg.synthetic is not None else 1.0
-            trained = train(self.budget_dataset(), missing, train_cfgs,
-                            width=cfg.train.width,
-                            init_seed=[derive_seed(self.run_seed, f"init-{c}")
-                                       for c in missing],
-                            input_scale=1.0 / scale)
+            trained = train(
+                self.budget_dataset(), missing, cfg.train,
+                [derive_seed(self.run_seed, f"shuffle-{c}") for c in missing],
+                [derive_seed(self.run_seed, f"init-{c}") for c in missing],
+                input_scale=1.0 / scale)
             for c, model in zip(missing, trained):
                 save_model(model, *paths[c])
                 models[c] = model

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 
+from .config import BackendSpec
 from .corpus import LabelSpace
 from .errors import BackendError, DecodeError, ValidationError
 
@@ -79,34 +80,22 @@ class MockVoteBackend:
 
 @dataclass(frozen=True)
 class HttpBackend:
-    endpoint: str
-    model: str
-    auth_env: str = "ICEBUDGET_API_KEY"
-    timeout: float = 30.0
-    max_retries: int = 3
-    max_tokens: int = 8
+    """Completions endpoint described by a validated `type: http` spec."""
 
-    def __post_init__(self):
-        if not (self.endpoint.startswith("http://")
-                or self.endpoint.startswith("https://")):
-            raise ValidationError(f"malformed endpoint URL: {self.endpoint}")
+    spec: BackendSpec
 
     def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
-        return decode_label(_post_completion(prompt, self), labels)
+        return decode_label(_post_completion(prompt, self.spec), labels)
 
     def paraphrase(self, text: str, template: str) -> str:
-        completion = _post_completion(template.replace("{text}", text), self)
+        completion = _post_completion(template.replace("{text}", text),
+                                      self.spec)
         return completion.strip().split("\n", 1)[0].strip()
 
 
-def make_backend(spec):
+def make_backend(spec: BackendSpec):
     """The backend a config's `backend` section describes."""
-    if spec.type == "http":
-        return HttpBackend(endpoint=spec.endpoint, model=spec.model,
-                           auth_env=spec.auth_env, timeout=spec.timeout,
-                           max_retries=spec.max_retries,
-                           max_tokens=spec.max_tokens)
-    return MockVoteBackend()
+    return HttpBackend(spec) if spec.type == "http" else MockVoteBackend()
 
 
 def build_prompt(ices, query_text: str, template: PromptTemplate,
@@ -156,19 +145,19 @@ def decode_label(completion: str, labels: LabelSpace) -> int:
     return best_label
 
 
-def _post_completion(prompt: str, backend: HttpBackend) -> str:
+def _post_completion(prompt: str, spec: BackendSpec) -> str:
     headers = {"Content-Type": "application/json"}
-    token = os.environ.get(backend.auth_env, "")
+    token = os.environ.get(spec.auth_env, "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    body = {"model": backend.model, "prompt": prompt,
-            "max_tokens": backend.max_tokens, "temperature": 0}
-    url = backend.endpoint.rstrip("/") + "/completions"
+    body = {"model": spec.model, "prompt": prompt,
+            "max_tokens": spec.max_tokens, "temperature": 0}
+    url = spec.endpoint.rstrip("/") + "/completions"
     last_error = None
-    for attempt in range(backend.max_retries + 1):
+    for attempt in range(spec.max_retries + 1):
         try:
             resp = requests.post(url, json=body, headers=headers,
-                                 timeout=backend.timeout)
+                                 timeout=spec.timeout)
             if resp.status_code == 200:
                 payload = resp.json()
                 try:
@@ -180,7 +169,7 @@ def _post_completion(prompt: str, backend: HttpBackend) -> str:
                 f"completion request failed with HTTP {resp.status_code}")
         except requests.RequestException as exc:
             last_error = BackendError(f"transport failure: {exc}")
-        if attempt < backend.max_retries:
+        if attempt < spec.max_retries:
             time.sleep(min(2.0 ** attempt * 0.5, 8.0))
     raise last_error
 

@@ -1,5 +1,7 @@
-"""Shared fixtures: small random retrieval worlds and a tiny experiment
-config used across the module tests."""
+"""Shared fixtures: small random retrieval worlds, a JSONL dataset writer
+and a tiny experiment config used across the module tests."""
+
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +21,14 @@ def make_world(n, dim, seed, num_classes=2):
     dataset = Dataset(examples, LabelSpace.default(num_classes))
     store = EmbeddingStore.from_dict(dim, vectors)
     return dataset, store
+
+
+def save_dataset(d, path):
+    """Write `d` in the JSONL format `corpus.load_dataset` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"label_space": list(d.labels.verbalizers)}) + "\n")
+        for ex in d.examples:
+            fh.write(json.dumps({"text": ex.text, "label": ex.label}) + "\n")
 
 
 def brute_force_topk(e_q, k, dataset, store):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from icebudget.allocator import batch_loss_and_grads, init_model
-from icebudget.config import config_from_dict
+from icebudget.config import BackendSpec, config_from_dict
 from icebudget.corpus import Dataset, Example, LabelSpace, partition_iid
 from icebudget.errors import DecodeError
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
@@ -361,14 +361,16 @@ def test_criterion_10_http_smoke(tmp_path):
     shards = partition_iid(d, 2, seed=0)
     clients = [ClientNode(i, s, store.subset(s.ids))
                for i, s in enumerate(shards)]
-    backend = HttpBackend(endpoint=endpoint, model=model_name, timeout=30,
-                          max_retries=2)
+    backend = HttpBackend(BackendSpec(type="http", endpoint=endpoint,
+                                      model=model_name, timeout=30,
+                                      max_retries=2))
     server = ServerNode(k=4, policy=BudgetPolicy("uniform"), backend=backend,
                         labels=labels)
     decoded = 0
     for i, text in enumerate(queries):
         try:
-            distributed_infer(server, clients, text, encoder(text))
+            distributed_infer(server, clients, text,
+                              encoder.encode_many([text])[0])
             decoded += 1
         except DecodeError:
             pass

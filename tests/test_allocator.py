@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from icebudget.allocator import (AllocatorModel, TrainConfig,
-                                 batch_loss_and_grads, forward, init_model,
-                                 load_model, predict_budget, save_model, train)
+from icebudget.allocator import (PARAM_NAMES, batch_loss_and_grads, forward,
+                                 init_model, load_model, predict_budget,
+                                 save_model, train)
+from icebudget.config import TrainConfig
 from icebudget.errors import ValidationError
 from icebudget.oracle import BudgetDataset, BudgetRecord
 
@@ -16,6 +19,13 @@ def make_records(x, raw_counts_per_client, k, delta, num_clients):
                                     raw_counts=tuple(raw), classes=classes))
     return BudgetDataset(tuple(records), num_clients=num_clients, k=k,
                          delta=delta)
+
+
+def clone(m):
+    """A copy of the model that owns its parameters and loss history."""
+    return dataclasses.replace(
+        m, loss_history=list(m.loss_history),
+        **{name: getattr(m, name).copy() for name in PARAM_NAMES})
 
 
 def separable_records(n, dim, num_classes, seed, margin=3.0):
@@ -93,7 +103,7 @@ class TestForward:
 
     def test_input_scale_is_w1_reparameterization(self):
         base = init_model(dim=3, width=4, num_classes=2, seed=9)
-        scaled = base.clone()
+        scaled = clone(base)
         scaled.input_scale = 10.0
         scaled.w1 = base.w1 / 10.0
         e = np.random.default_rng(1).standard_normal(3)
@@ -122,8 +132,8 @@ class TestInit:
 class TestTraining:
     def test_learns_separable_problem(self):
         records = separable_records(120, dim=6, num_classes=3, seed=13)
-        cfg = TrainConfig(epochs=60, learning_rate=0.05, batch_size=8, seed=1)
-        model = train(records, client=0, cfg=cfg, width=16)
+        cfg = TrainConfig(epochs=60, learning_rate=0.05, batch_size=8, width=16)
+        [model] = train(records, [0], cfg, seeds=[1], init_seeds=[1])
         x = records.embeddings()
         y = records.client_labels(0)
         predicted = np.array([int(np.argmax(forward(model, row))) for row in x])
@@ -132,27 +142,24 @@ class TestTraining:
 
     def test_deterministic_given_seeds(self):
         records = separable_records(40, dim=4, num_classes=2, seed=3)
-        cfg = TrainConfig(epochs=10, learning_rate=0.05, batch_size=4, seed=5)
-        a = train(records, 0, cfg, width=8, init_seed=2)
-        b = train(records, 0, cfg, width=8, init_seed=2)
+        cfg = TrainConfig(epochs=10, learning_rate=0.05, batch_size=4, width=8)
+        [a] = train(records, [0], cfg, [5], [2])
+        [b] = train(records, [0], cfg, [5], [2])
         for pa, pb in zip(a.params(), b.params()):
             assert np.array_equal(pa, pb)
         assert a.loss_history == b.loss_history
 
     def test_shuffle_seed_changes_trajectory(self):
         records = separable_records(40, dim=4, num_classes=2, seed=3)
-        a = train(records, 0,
-                  TrainConfig(epochs=5, learning_rate=0.05, batch_size=4,
-                              seed=5), width=8, init_seed=2)
-        b = train(records, 0,
-                  TrainConfig(epochs=5, learning_rate=0.05, batch_size=4,
-                              seed=6), width=8, init_seed=2)
+        cfg = TrainConfig(epochs=5, learning_rate=0.05, batch_size=4, width=8)
+        [a] = train(records, [0], cfg, [5], [2])
+        [b] = train(records, [0], cfg, [6], [2])
         assert a.loss_history != b.loss_history
 
     def test_zero_learning_rate_is_noop(self):
         records = separable_records(20, dim=4, num_classes=2, seed=3)
-        cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, seed=1)
-        model = train(records, 0, cfg, width=8, init_seed=7)
+        cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, width=8)
+        [model] = train(records, [0], cfg, [1], [7])
         fresh = init_model(4, 8, records.num_classes, seed=7, client_id=0)
         for trained, initial in zip(model.params(), fresh.params()):
             assert np.array_equal(trained, initial)
@@ -160,14 +167,14 @@ class TestTraining:
     def test_validation_split_returns_best(self):
         records = separable_records(60, dim=4, num_classes=2, seed=8)
         cfg = TrainConfig(epochs=20, learning_rate=0.05, batch_size=8,
-                          seed=2, validation_fraction=0.25)
-        model = train(records, 0, cfg, width=8)
+                          width=8, validation_fraction=0.25)
+        [model] = train(records, [0], cfg, [2], [2])
         assert len(model.loss_history) == 20
 
     def test_empty_records_rejected(self):
         empty = BudgetDataset((), num_clients=1, k=2, delta=1)
         with pytest.raises(ValidationError):
-            train(empty, 0, TrainConfig())
+            train(empty, [0], TrainConfig(), [0], [0])
 
 
 class TestPredictBudget:
@@ -181,8 +188,8 @@ class TestPredictBudget:
 class TestModelIo:
     def test_roundtrip_bit_exact(self, tmp_path):
         records = separable_records(30, dim=4, num_classes=2, seed=3)
-        cfg = TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, seed=5)
-        model = train(records, 0, cfg, width=8, init_seed=2, input_scale=2.5)
+        cfg = TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, width=8)
+        [model] = train(records, [0], cfg, [5], [2], input_scale=2.5)
         json_path, blob_path = tmp_path / "m.json", tmp_path / "m.bin"
         save_model(model, json_path, blob_path)
         loaded = load_model(json_path, blob_path)
@@ -200,18 +207,6 @@ class TestModelIo:
         (tmp_path / "m.bin").write_bytes(blob[:-8])
         with pytest.raises(ValidationError):
             load_model(tmp_path / "m.json", tmp_path / "m.bin")
-
-
-class TestTrainConfig:
-    def test_invalid_values(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValidationError):
-            TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ValidationError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(ValidationError):
-            TrainConfig(validation_fraction=1.0)
 
 
 # The single-client loop the stacked trainer replaced, kept verbatim as the
@@ -249,7 +244,7 @@ def _reference_batch_loss_and_grads(m, x, y):
     return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
 
 
-def _reference_train(records, client, cfg, width, init_seed, input_scale):
+def _reference_train(records, client, cfg, seed, init_seed, input_scale):
     def epoch_rng(seed, epoch):
         return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
 
@@ -257,19 +252,19 @@ def _reference_train(records, client, cfg, width, init_seed, input_scale):
     y = records.client_labels(client)
     if cfg.validation_fraction > 0 and len(records) > 1:
         n_val = max(1, int(round(cfg.validation_fraction * len(records))))
-        order = epoch_rng(cfg.seed, 2**32).permutation(len(records))
+        order = epoch_rng(seed, 2**32).permutation(len(records))
         val_idx, train_idx = order[:n_val], order[n_val:]
         if len(train_idx) == 0:
             train_idx, val_idx = val_idx, train_idx
     else:
         train_idx = np.arange(len(records))
         val_idx = np.array([], dtype=np.int64)
-    model = init_model(x.shape[1], width, records.num_classes, init_seed,
+    model = init_model(x.shape[1], cfg.width, records.num_classes, init_seed,
                        client_id=client, input_scale=input_scale)
     x_train, y_train = x[train_idx], y[train_idx]
     best, best_val = None, np.inf
     for epoch in range(cfg.epochs):
-        order = epoch_rng(cfg.seed, epoch).permutation(len(x_train))
+        order = epoch_rng(seed, epoch).permutation(len(x_train))
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
@@ -284,7 +279,7 @@ def _reference_train(records, client, cfg, width, init_seed, input_scale):
             val_loss, _ = _reference_batch_loss_and_grads(model, x[val_idx],
                                                           y[val_idx])
             if val_loss < best_val:
-                best_val, best = val_loss, model.clone()
+                best_val, best = val_loss, clone(model)
     if best is not None:
         best.loss_history = model.loss_history
         return best
@@ -305,27 +300,29 @@ class TestStackedTraining:
         records = three_client_records(37, dim=5, seed=4)  # ragged last batch
         clients = [2, 0, 1]
         # a large step makes the loss wander, so snapshots are not the last epoch
-        cfgs = [TrainConfig(epochs=12, learning_rate=0.3, batch_size=8,
-                            seed=100 + c, validation_fraction=validation_fraction)
-                for c in clients]
+        cfg = TrainConfig(epochs=12, learning_rate=0.3, batch_size=8, width=6,
+                          validation_fraction=validation_fraction)
+        seeds = [100 + c for c in clients]
         init_seeds = [7, 8, 9]
-        stacked = train(records, clients, cfgs, width=6, init_seed=init_seeds,
+        stacked = train(records, clients, cfg, seeds, init_seeds,
                         input_scale=3.0)
         assert [m.client_id for m in stacked] == clients
-        for model, c, cfg, seed in zip(stacked, clients, cfgs, init_seeds):
-            expected = _reference_train(records, c, cfg, 6, seed, 3.0)
-            alone = train(records, c, cfg, width=6, init_seed=seed,
-                          input_scale=3.0)
+        for model, c, shuffle, seed in zip(stacked, clients, seeds, init_seeds):
+            expected = _reference_train(records, c, cfg, shuffle, seed, 3.0)
+            [alone] = train(records, [c], cfg, [shuffle], [seed],
+                            input_scale=3.0)
             for other in (expected, alone):
                 for got, want in zip(model.params(), other.params()):
                     assert np.array_equal(got, want)
                 assert model.loss_history == other.loss_history
-            assert model.train_config == cfg.to_dict()
+            assert model.train_config == {
+                "epochs": 12, "learning_rate": 0.3, "batch_size": 8,
+                "seed": shuffle, "validation_fraction": validation_fraction}
 
     def test_stacked_loss_is_per_client(self):
         rng = np.random.default_rng(3)
         models = [init_model(4, 5, 3, seed=s) for s in (1, 2)]
-        stack = models[0].clone()
+        stack = clone(models[0])
         for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
             setattr(stack, name, np.stack([getattr(m, name) for m in models]))
         x = rng.standard_normal((2, 6, 4))
@@ -339,8 +336,7 @@ class TestStackedTraining:
             for got, want in zip(grads, want_grads):
                 assert np.array_equal(got[c], want)
 
-    def test_configs_may_differ_only_in_seed(self):
+    def test_one_shuffle_and_init_seed_per_client(self):
         records = three_client_records(10, dim=3, seed=1)
-        cfgs = [TrainConfig(epochs=2, seed=1), TrainConfig(epochs=3, seed=2)]
         with pytest.raises(ValidationError):
-            train(records, [0, 1], cfgs, width=4, init_seed=[1, 2])
+            train(records, [0, 1], TrainConfig(epochs=2, width=4), [1], [1, 2])

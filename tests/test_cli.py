@@ -3,14 +3,16 @@ import json
 import os
 
 import pytest
+import yaml
 
 from icebudget.cli import main
-from icebudget.corpus import save_dataset, synth_clusters
+from icebudget.corpus import synth_clusters
 from icebudget.embedder import load_embeddings
 
+from conftest import save_dataset
 
-@pytest.fixture
-def config_path(tmp_path):
+
+def write_config(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(
         "name: cli-test\n"
@@ -37,6 +39,11 @@ def config_path(tmp_path):
         "  width: 8\n"
         f"output_dir: {tmp_path / 'out'}\n")
     return str(path)
+
+
+@pytest.fixture
+def config_path(tmp_path):
+    return write_config(tmp_path)
 
 
 class TestRun:
@@ -111,11 +118,14 @@ class TestStageErrors:
         assert not (tmp_path / "out" / "seed0" / "models" /
                     "client0.bin").exists()
 
-    def test_bad_curve_without_traceback(self, config_path, capsys):
-        assert main(["--config", config_path, "report", "--curve", "a,b"]) == 2
+    @pytest.mark.parametrize("curve", ["a,b", "nan,1", "inf"])
+    def test_bad_curve_without_traceback(self, config_path, tmp_path, capsys,
+                                         curve):
+        assert main(["--config", config_path, "report", "--curve", curve]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: stage 'report' (seed 0): ")
+        assert err.startswith("error: --curve: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected before the stage
 
 
 class TestUsage:
@@ -183,6 +193,37 @@ class TestEncode:
         assert "line 2" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_header_after_blank_lines(self, tmp_path):
+        data_path = tmp_path / "d.jsonl"
+        data_path.write_text('\n\n{"label_space": ["x", "y", "z"]}\n'
+                             '{"text": "a", "label": 2}\n')
+        out_path = tmp_path / "emb.bin"
+        assert main(["encode", "--dataset", str(data_path),
+                     "--output", str(out_path)]) == 0
+        assert len(load_embeddings(out_path)) == 1
+
+    def test_empty_text_names_its_line(self, tmp_path, capsys):
+        data_path = tmp_path / "bad.jsonl"
+        data_path.write_text('{"text": "a", "label": 0}\n'
+                             '{"text": "", "label": 0}\n')
+        out_path = tmp_path / "emb.bin"
+        assert main(["encode", "--dataset", str(data_path),
+                     "--output", str(out_path)]) == 1
+        assert "line 2: empty text" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("header", ["[]", '["a", "a"]'])
+    def test_invalid_label_space_names_its_line(self, tmp_path, capsys,
+                                                header):
+        data_path = tmp_path / "bad.jsonl"
+        data_path.write_text('\n{"label_space": %s}\n{"text": "a", "label": 0}\n'
+                             % header)
+        out_path = tmp_path / "emb.bin"
+        assert main(["encode", "--dataset", str(data_path),
+                     "--output", str(out_path)]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("header", ["5", '"ab"', '["a", 1]', '{"a": "b"}'])
     def test_malformed_label_space_rejected(self, tmp_path, capsys, header):
         data_path = tmp_path / "bad.jsonl"
@@ -193,6 +234,49 @@ class TestEncode:
                      "--output", str(out_path)]) == 1
         assert "line 1" in capsys.readouterr().err
         assert not out_path.exists()
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A good config as a dict, the directory of its finished run and that
+    run's report.json bytes."""
+    tmp = tmp_path_factory.mktemp("finished")
+    with open(write_config(tmp), encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["policies"] = ["uniform", "learned"]  # trains and caches allocators
+    path = tmp / "good.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["--config", str(path), "run"]) == 0
+    out = tmp / "out"
+    return data, out, (out / "report.json").read_bytes()
+
+
+class TestSettingsCheckedAtLoad:
+    @pytest.mark.parametrize("override", [
+        {"train": {"epochs": 0}},
+        {"train": {"batch_size": 0}},
+        {"train": {"width": 0}},
+        {"train": {"learning_rate": -1}},
+        {"train": {"validation_fraction": 1}},
+        {"partition": {"labels_per_client": 0}},
+        {"backend": {"type": "http", "endpoint": "ftp://x", "model": "m"}},
+        {"ice_order": "sideways"},
+        {"max_prompt_chars": 0},
+    ])
+    def test_bad_setting_exits_before_any_output(self, finished_run, tmp_path,
+                                                 capsys, override):
+        data, finished, report = finished_run
+        data = {**data, "output_dir": str(tmp_path / "fresh")}
+        for key, value in override.items():
+            data[key] = ({**data.get(key, {}), **value}
+                         if isinstance(value, dict) else value)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["--config", str(path), "run"]) == 1
+        assert not (tmp_path / "fresh").exists()
+        assert main(["--config", str(path), "--out", str(finished), "run"]) == 1
+        assert (finished / "report.json").read_bytes() == report
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestStages:

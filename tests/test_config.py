@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from icebudget.config import (PRESETS, ExperimentConfig, config_from_dict,
+import icebudget
+from icebudget.config import (PRESETS, TrainConfig, config_from_dict,
                               derive_seed, load_config)
 from icebudget.errors import ValidationError
+
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "synthetic.yaml")
 
 MINIMAL = {
     "synthetic": {"num_classes": 2, "per_class_train": 10,
@@ -120,11 +128,63 @@ class TestValidation:
         with pytest.raises(ValidationError):
             config_from_dict({**MINIMAL, "backend": {"type": "http"}})
 
+    @pytest.mark.parametrize("override", [
+        {"partition": {"labels_per_client": 0}},
+        {"backend": {"type": "http", "endpoint": "ftp://x", "model": "m"}},
+        {"ice_order": "sideways"},
+        {"max_prompt_chars": 0},
+    ])
+    def test_stage_settings_checked_at_load(self, override):
+        with pytest.raises(ValidationError):
+            config_from_dict({**MINIMAL, **override})
+
+    def test_mock_backend_endpoint_unchecked(self):
+        cfg = config_from_dict({**MINIMAL, "backend": {"endpoint": "ftp://x"}})
+        assert cfg.backend.type == "mock"
+
     def test_to_dict_is_plain(self):
         cfg = config_from_dict(dict(MINIMAL))
         d = cfg.to_dict()
         assert d["synthetic"]["num_classes"] == 2
         assert isinstance(d["policies"], list)
+
+
+class TestTrainConfig:
+    def test_invalid_values(self):
+        with pytest.raises(ValidationError):
+            TrainConfig(epochs=0)
+        with pytest.raises(ValidationError):
+            TrainConfig(learning_rate=-1.0)
+        with pytest.raises(ValidationError):
+            TrainConfig(batch_size=0)
+        with pytest.raises(ValidationError):
+            TrainConfig(validation_fraction=1.0)
+        with pytest.raises(ValidationError):
+            TrainConfig(width=0)
+
+
+class TestRoundTrip:
+    # report.json records cfg.to_dict(); it must load back to the same config
+    def test_demo_config(self):
+        cfg = load_config(DEMO_CONFIG)
+        assert config_from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets(self, preset):
+        cfg = config_from_dict({"preset": preset, **MINIMAL})
+        assert config_from_dict(cfg.to_dict()) == cfg
+
+
+def test_import_loads_neither_numpy_nor_requests():
+    # the config module is what a process imports to read a config; numpy
+    # and requests are loaded only by the stages that use them
+    src = os.path.dirname(os.path.dirname(icebudget.__file__))
+    code = ("import sys, icebudget.config; "
+            "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 class TestLoadConfig:

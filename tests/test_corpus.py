@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icebudget.corpus import (Dataset, Example, LabelSpace, PartitionSpec,
-                              _split_near_equal, load_dataset, partition_iid,
-                              partition_noniid, sample_proxy, save_dataset,
-                              synth_clusters)
+from icebudget.corpus import (Dataset, Example, LabelSpace, _split_near_equal,
+                              load_dataset, partition_iid, partition_noniid,
+                              sample_proxy, synth_clusters)
 from icebudget.errors import ParseError, ValidationError
+
+from conftest import save_dataset
+
+
+def label_set(d):
+    return {ex.label for ex in d}
 
 
 def make_dataset(n, num_classes, seed=0):
@@ -92,7 +97,7 @@ class TestNoniidPartition:
         if gamma > num_classes or num_clients * gamma < num_classes:
             return
         d = balanced_dataset(12, num_classes)
-        shards = partition_noniid(d, PartitionSpec(num_clients, gamma, seed))
+        shards = partition_noniid(d, num_clients, gamma, seed)
         all_ids = [i for shard in shards for i in shard.ids]
         assert sorted(all_ids) == d.ids  # every example exactly once
 
@@ -104,28 +109,28 @@ class TestNoniidPartition:
         if gamma > num_classes or num_clients * gamma < num_classes:
             return
         d = balanced_dataset(12, num_classes)
-        shards = partition_noniid(d, PartitionSpec(num_clients, gamma, seed))
+        shards = partition_noniid(d, num_clients, gamma, seed)
         for shard in shards:
-            assert len(shard.label_set()) <= gamma
+            assert len(label_set(shard)) <= gamma
 
     def test_every_class_covered(self):
         d = balanced_dataset(10, 4)
-        shards = partition_noniid(d, PartitionSpec(4, 1, 123))
+        shards = partition_noniid(d, 4, 1, 123)
         covered = set()
         for shard in shards:
-            covered |= shard.label_set()
+            covered |= label_set(shard)
         assert covered == {0, 1, 2, 3}
 
     def test_deterministic(self):
         d = balanced_dataset(10, 4)
-        a = partition_noniid(d, PartitionSpec(3, 2, 7))
-        b = partition_noniid(d, PartitionSpec(3, 2, 7))
+        a = partition_noniid(d, 3, 2, 7)
+        b = partition_noniid(d, 3, 2, 7)
         assert [s.ids for s in a] == [s.ids for s in b]
 
     def test_shared_class_split_near_equal(self):
         # 2 clients, both holding both classes: each class of 11 splits 6/5
         d = balanced_dataset(11, 2)
-        shards = partition_noniid(d, PartitionSpec(2, 2, 0))
+        shards = partition_noniid(d, 2, 2, 0)
         sizes = sorted(len(s) for s in shards)
         assert sum(sizes) == 22
         assert max(sizes) - min(sizes) <= 2  # at most one per shared class
@@ -133,12 +138,12 @@ class TestNoniidPartition:
     def test_impossible_coverage_rejected(self):
         d = balanced_dataset(4, 4)
         with pytest.raises(ValidationError):
-            partition_noniid(d, PartitionSpec(2, 1, 0))  # 2*1 < 4 classes
+            partition_noniid(d, 2, 1, 0)  # 2*1 < 4 classes
 
     def test_gamma_above_num_classes_rejected(self):
         d = balanced_dataset(4, 2)
         with pytest.raises(ValidationError):
-            partition_noniid(d, PartitionSpec(2, 3, 0))
+            partition_noniid(d, 2, 3, 0)
 
 
 class TestSplitNearEqual:
@@ -192,7 +197,7 @@ class TestSynthClusters:
         assert len(d) == 15
         assert len(store) == 15
         assert store.dim == 6
-        assert d.label_set() == {0, 1, 2}
+        assert label_set(d) == {0, 1, 2}
 
     def test_deterministic(self):
         d1, s1 = synth_clusters(2, 4, 3, 0.2, seed=9)

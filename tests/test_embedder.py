@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from icebudget.corpus import Dataset, Example, LabelSpace
 import icebudget.embedder as embedder
 from icebudget.embedder import (EmbeddingStore, HashEncoder, _stable_bucket,
-                                encode_dataset, hash_encode, hash_encode_many,
+                                encode_dataset, hash_encode_many,
                                 load_embeddings, save_embeddings)
 from icebudget.errors import ParseError, ValidationError
 
@@ -191,7 +191,8 @@ class TestHashEncodeMany:
                               for t in texts])
         assert batch.dtype == np.float64 and batch.shape == (len(texts), dim)
         assert batch.tobytes() == reference.tobytes()
-        one_by_one = np.stack([hash_encode(t, dim, seed) for t in texts])
+        one_by_one = np.stack([hash_encode_many([t], dim, seed)[0]
+                               for t in texts])
         assert batch.tobytes() == one_by_one.tobytes()
 
     def test_zero_norm_fallback(self):
@@ -242,40 +243,40 @@ class TestHashEncodeMany:
 
 class TestHashEncode:
     def test_unit_norm(self):
-        vec = hash_encode("hello world", 16)
+        vec = hash_encode_many(["hello world"], 16)[0]
         assert np.isclose(np.linalg.norm(vec), 1.0)
 
     @settings(deadline=None, max_examples=50)
     @given(text=st.text(min_size=1, max_size=40), dim=st.integers(2, 64),
            seed=st.integers(0, 1000))
     def test_pure_function(self, text, dim, seed):
-        a = hash_encode(text, dim, seed)
-        b = hash_encode(text, dim, seed)
+        a = hash_encode_many([text], dim, seed)[0]
+        b = hash_encode_many([text], dim, seed)[0]
         assert np.array_equal(a, b)
         assert np.isclose(np.linalg.norm(a), 1.0)
 
     def test_seed_changes_encoding(self):
-        a = hash_encode("some sentence", 32, seed=0)
-        b = hash_encode("some sentence", 32, seed=1)
+        a = hash_encode_many(["some sentence"], 32, seed=0)[0]
+        b = hash_encode_many(["some sentence"], 32, seed=1)[0]
         assert not np.array_equal(a, b)
 
     def test_similar_texts_closer_than_dissimilar(self):
-        base = hash_encode("the quick brown fox jumps", 64)
-        near = hash_encode("the quick brown fox jumped", 64)
-        far = hash_encode("zzzz qqqq xxxx wwww", 64)
+        base = hash_encode_many(["the quick brown fox jumps"], 64)[0]
+        near = hash_encode_many(["the quick brown fox jumped"], 64)[0]
+        far = hash_encode_many(["zzzz qqqq xxxx wwww"], 64)[0]
         assert np.linalg.norm(base - near) < np.linalg.norm(base - far)
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValidationError):
-            hash_encode("", 8)
+            hash_encode_many([""], 8)
 
     def test_min_dim(self):
         with pytest.raises(ValidationError):
-            hash_encode("x", 1)
+            hash_encode_many(["x"], 1)
 
     def test_single_char(self):
         # shorter than any n-gram window; must still produce a unit vector
-        vec = hash_encode("a", 8)
+        vec = hash_encode_many(["a"], 8)[0]
         assert np.isclose(np.linalg.norm(vec), 1.0)
 
 
@@ -285,4 +286,5 @@ class TestEncodeDataset:
                     LabelSpace.default(2))
         store = encode_dataset(d, HashEncoder(16, seed=3))
         assert sorted(store.ids) == [0, 1]
-        assert np.array_equal(store.get(0), hash_encode("alpha", 16, 3))
+        assert np.array_equal(store.get(0),
+                              hash_encode_many(["alpha"], 16, 3)[0])

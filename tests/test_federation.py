@@ -13,10 +13,23 @@ from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   _per_query_rng, _random_composition,
                                   allocate, client_retrieve,
                                   distributed_infer, load_transcripts,
-                                  replay_transcript, save_transcripts)
+                                  save_transcripts)
 from icebudget.retrieval import rerank_union, top_k
 
 from conftest import make_world, ranked_entries
+
+
+def replay_transcript(t: Transcript, clients, e_q, k: int) -> bool:
+    """Re-run the recorded budgets against the same shards and confirm the
+    returned samples and final ICE set reproduce exactly."""
+    returned = [client_retrieve(client, e_q, budget)
+                for client, budget in zip(clients, t.budgets_sent)]
+    if [r.ids for r in returned] != t.samples_returned:
+        return False
+    if t.policy == "social_learning":
+        return True  # final set depends on the recorded seeded draw
+    _, final, _ = rerank_union(returned, k)
+    return sorted(t.final_ice_ids) == sorted(final.ids)
 
 
 def make_clients(n=30, dim=4, num_clients=3, seed=17, num_classes=3):

@@ -125,6 +125,10 @@ class TestPromptTemplate:
             build_prompt([("t", 5)], "q", PromptTemplate(), labels)
 
 
+def _http_backend(url, **fields):
+    return HttpBackend(BackendSpec(type="http", endpoint=url, **fields))
+
+
 class TestBackends:
     def test_mock_answer_is_the_vote(self):
         votes = [(0, 0.5), (0, 0.5), (1, 0.3)]
@@ -137,20 +141,18 @@ class TestBackends:
         spec = BackendSpec(type="http", endpoint="http://host:1/v1",
                            model="m", auth_env="KEY", timeout=2.5,
                            max_retries=1, max_tokens=5)
-        assert make_backend(spec) == HttpBackend(
-            endpoint="http://host:1/v1", model="m", auth_env="KEY",
-            timeout=2.5, max_retries=1, max_tokens=5)
+        assert make_backend(spec) == HttpBackend(spec)
 
 
 class TestHttpBackend:
     def test_malformed_endpoint_rejected(self):
         with pytest.raises(ValidationError):
-            HttpBackend(endpoint="ftp://nope", model="m")
+            BackendSpec(type="http", endpoint="ftp://nope", model="m")
 
     def test_answer_roundtrip(self, stub_server):
         url, handler = stub_server
-        backend = HttpBackend(endpoint=url, model="test-model", timeout=5,
-                              max_retries=0)
+        backend = _http_backend(url, model="test-model", timeout=5,
+                                max_retries=0)
         labels = LabelSpace(2, ("negative", "positive"))
         assert backend.answer("a prompt", [], labels) == 1
         path, body = handler.requests[0]
@@ -162,7 +164,7 @@ class TestHttpBackend:
     def test_retry_then_success(self, stub_server):
         url, handler = stub_server
         handler.responses = [(500, {}), (200, {"choices": [{"text": "negative"}]})]
-        backend = HttpBackend(endpoint=url, model="m", timeout=5, max_retries=2)
+        backend = _http_backend(url, model="m", timeout=5, max_retries=2)
         labels = LabelSpace(2, ("negative", "positive"))
         assert backend.answer("p", [], labels) == 0
         assert len(handler.requests) == 2
@@ -170,14 +172,14 @@ class TestHttpBackend:
     def test_exhausted_retries_raise(self, stub_server):
         url, handler = stub_server
         handler.responses = [(503, {}), (503, {}), (503, {})]
-        backend = HttpBackend(endpoint=url, model="m", timeout=5, max_retries=2)
+        backend = _http_backend(url, model="m", timeout=5, max_retries=2)
         with pytest.raises(BackendError):
             backend.answer("p", [], LabelSpace(1, ("x",)))
 
     def test_bad_response_shape(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"unexpected": True})]
-        backend = HttpBackend(endpoint=url, model="m", timeout=5, max_retries=0)
+        backend = _http_backend(url, model="m", timeout=5, max_retries=0)
         with pytest.raises(BackendError):
             backend.answer("p", [], LabelSpace(1, ("x",)))
 
@@ -194,7 +196,7 @@ class TestParaphrase:
         url, handler = stub_server
         handler.responses = [
             (200, {"choices": [{"text": "  A rewording. \nPlease paraphrase"}]})]
-        backend = HttpBackend(endpoint=url, model="m", timeout=5, max_retries=0)
+        backend = _http_backend(url, model="m", timeout=5, max_retries=0)
         assert paraphrase("original", backend) == "A rewording."
         _, body = handler.requests[0]
         assert 'original' in body["prompt"]

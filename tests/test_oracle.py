@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icebudget.corpus import PartitionSpec, partition_iid, partition_noniid
+from icebudget.corpus import partition_iid, partition_noniid
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ParseError, ValidationError
 from icebudget.oracle import (BudgetDataset, construct_budget_dataset,
@@ -143,7 +143,7 @@ class TestConstructBudgetDataset:
 
     def test_noniid_shards_work_too(self):
         d, store = make_world(40, 4, seed=30, num_classes=4)
-        shards = partition_noniid(d, PartitionSpec(4, 2, 11))
+        shards = partition_noniid(d, 4, 2, 11)
         stores = [store.subset(s.ids) for s in shards]
         proxy = d.subset(d.ids[:6])
         bproxy = construct_budget_dataset(proxy, store.subset(proxy.ids),
@@ -160,7 +160,7 @@ def _shards(d, scheme, rng):
     if scheme == "iid":
         return partition_iid(d, num_clients, seed)
     if scheme == "noniid":
-        return partition_noniid(d, PartitionSpec(num_clients, 2, seed))
+        return partition_noniid(d, num_clients, 2, seed)
     if scheme == "overlapping":
         return [d.subset(rng.choice(d.ids, size=int(rng.integers(5, len(d))),
                                     replace=False).tolist())
