@@ -1,22 +1,21 @@
-"""Per-client budget allocator: a 3-layer MLP over frozen query embeddings.
+"""Per-client budget allocators: 3-layer MLPs over frozen query embeddings.
 
 linear -> ReLU -> linear -> ReLU -> linear -> softmax, trained with plain
 minibatch SGD on cross-entropy. Gradients are hand-derived for this fixed
 architecture; the loss is computed from logits via log-sum-exp for
 numerical stability.
 
-All clients of a run train together: their weights are stacked along a
-leading client axis, (C, fan_in, fan_out), and one SGD loop updates the
-stack, so the Python-level step count does not grow with C. The stacked
-products use `@` (np.matmul), which multiplies each client's matrices
-exactly as a 2-D product for that client alone would; `einsum` sums the
-same terms in another order and differs in the last bits, which would
-change the trained models and every report built on them.
+The C clients' allocators of a run are one model: every weight is stacked
+along a leading client axis, (C, fan_in, fan_out), one SGD loop updates the
+stack and one forward pass gives all C budgets of a query, so no Python loop
+grows with C. The stacked products use `@` (np.matmul), which multiplies
+each client's matrices exactly as a 2-D product for that client alone would;
+`einsum` sums the same terms in another order and differs in the last bits,
+which would change the trained models and every report built on them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 @dataclass
 class AllocatorModel:
-    client_id: int
+    """C allocators stacked: w1 is (C, dim, width), b1 (C, width), and so on."""
     dim: int
     width: int
     num_classes: int
@@ -41,34 +40,41 @@ class AllocatorModel:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    loss_history: list = field(default_factory=list)
+    loss_history: list = field(default_factory=list)  # per epoch, C losses
     train_config: dict | None = None
     # Fixed multiplier applied to inputs before the first layer. Because the
     # first layer is linear this is a pure reparameterization of w1; it only
     # conditions training when embeddings have a tiny absolute magnitude.
     input_scale: float = 1.0
 
+    @property
+    def num_clients(self) -> int:
+        return len(self.w1)
+
     def params(self):
         return [getattr(self, name) for name in PARAM_NAMES]
 
 
-def init_model(dim, width, num_classes, seed, client_id=0,
-               input_scale=1.0) -> AllocatorModel:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+def init_model(dim, width, num_classes, seeds, input_scale=1.0) -> AllocatorModel:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases; client
+    c's weights are drawn from `seeds[c]`."""
     if dim < 1 or width < 1 or num_classes < 1:
         raise ValidationError("dim, width, and num_classes must be positive")
-    rng = np.random.default_rng(seed)
 
-    def layer(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    def layers(seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for fan_in, fan_out in ((dim, width), (width, width), (width, num_classes)):
+            bound = 1.0 / np.sqrt(fan_in)
+            out.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        return out
 
+    w1, w2, w3 = (np.stack(w) for w in zip(*map(layers, seeds)))
+    c = len(seeds)
     return AllocatorModel(
-        client_id=client_id, dim=dim, width=width, num_classes=num_classes,
-        w1=layer(dim, width), b1=np.zeros(width),
-        w2=layer(width, width), b2=np.zeros(width),
-        w3=layer(width, num_classes), b3=np.zeros(num_classes),
-        input_scale=float(input_scale))
+        dim=dim, width=width, num_classes=num_classes,
+        w1=w1, b1=np.zeros((c, width)), w2=w2, b2=np.zeros((c, width)),
+        w3=w3, b3=np.zeros((c, num_classes)), input_scale=float(input_scale))
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -94,24 +100,21 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(m: AllocatorModel, e) -> np.ndarray:
-    """Class probability vector for one embedding."""
+    """(C, num_classes): each client's class probabilities for one embedding."""
     x = np.asarray(e, dtype=np.float64)
     if x.shape != (m.dim,):
         raise ValidationError(f"input has shape {x.shape}, model dim is {m.dim}")
     *_, z3 = _logits(m, x[None, :])
-    return _softmax(z3)[0]
+    return _softmax(z3)[:, 0]
 
 
 def batch_loss_and_grads(m: AllocatorModel, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and gradients for every parameter.
+    """Mean cross-entropy over each client's batch and gradients for every
+    parameter.
 
-    `x` is (batch, dim) and `y` (batch,) for one model. When the model's
-    parameters are stacked along a leading client axis, `x` is
-    (clients, batch, dim), `y` (clients, batch), the loss is one value per
-    client and each gradient is stacked like its parameter.
-
-    The loss uses log-sum-exp on logits directly rather than log of the
-    softmax output.
+    `x` is (C, batch, dim) and `y` (C, batch); the loss is one value per
+    client and each gradient is stacked like its parameter. The loss uses
+    log-sum-exp on logits directly rather than log of the softmax output.
     """
     n = x.shape[-2]
     z1, a1, z2, a2, z3 = _logits(m, x)
@@ -153,32 +156,30 @@ def _split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), np.array([], dtype=np.int64)
 
 
-def train(records: BudgetDataset, clients, cfg: TrainConfig, seeds,
-          init_seeds, input_scale: float = 1.0) -> list[AllocatorModel]:
-    """Minibatch SGD on the records of C clients at once; one model each.
+def train(records: BudgetDataset, cfg: TrainConfig, seeds, init_seeds,
+          input_scale: float = 1.0) -> AllocatorModel:
+    """Minibatch SGD on the records' C clients at once; returns the stack.
 
-    `seeds` (shuffle) and `init_seeds` are aligned with `clients`. The
-    clients' weights are stacked along a leading axis of length C and
-    updated in one loop; each client keeps its own shuffle stream and
-    validation split (both from its shuffle seed), init seed, labels and
-    best-validation snapshot, so every model is bit-identical to training
-    that client alone.
+    `seeds` (shuffle) and `init_seeds` hold one seed per client. Each client
+    keeps its own shuffle stream and validation split (both from its shuffle
+    seed), init seed, labels and best-validation snapshot, so every client's
+    weights are bit-identical to training that client alone.
 
     Shuffling is reseeded per epoch from the shuffle seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,
     otherwise the final-epoch ones.
     """
-    clients, seeds, init_seeds = list(clients), list(seeds), list(init_seeds)
-    if not clients or len(seeds) != len(clients) or len(init_seeds) != len(clients):
+    seeds, init_seeds = list(seeds), list(init_seeds)
+    num_clients = records.num_clients
+    if len(seeds) != num_clients or len(init_seeds) != num_clients:
         raise ValidationError("need one shuffle seed and one init seed per client")
     if len(records) == 0:
         raise ValidationError("cannot train on an empty budget dataset")
-    x = records.embeddings().astype(np.float64)
-    y = np.stack([records.client_labels(c) for c in clients])
+    x = records.embeddings.astype(np.float64)
+    y = records.classes.T
     num_classes = records.num_classes
     if np.any(y >= num_classes):
         raise ValidationError("class label out of range for num_classes")
-    dim = x.shape[1]
 
     splits = [_split(len(records), cfg.validation_fraction, seed)
               for seed in seeds]
@@ -188,29 +189,24 @@ def train(records: BudgetDataset, clients, cfg: TrainConfig, seeds,
     y_train = np.take_along_axis(y, train_idx, axis=1)
     x_val = x[val_idx]
     y_val = np.take_along_axis(y, val_idx, axis=1)
-    rows = np.arange(len(clients))[:, None]
+    rows = np.arange(num_clients)[:, None]
 
-    models = [init_model(dim, cfg.width, num_classes, seed, client_id=client_id,
-                         input_scale=input_scale)
-              for client_id, seed in zip(clients, init_seeds)]
-    stack = dataclasses.replace(
-        models[0], **{name: np.stack([getattr(m, name) for m in models])
-                      for name in PARAM_NAMES})
+    stack = init_model(x.shape[1], cfg.width, num_classes, init_seeds,
+                       input_scale=input_scale)
     best = [p.copy() for p in stack.params()]
-    best_val = np.full(len(clients), np.inf)
-    history = []
+    best_val = np.full(num_clients, np.inf)
     for epoch in range(cfg.epochs):
         order = np.stack([_epoch_rng(seed, epoch).permutation(train_idx.shape[1])
                           for seed in seeds])
         x_epoch, y_epoch = x_train[rows, order], y_train[rows, order]
-        epoch_loss = np.zeros(len(clients))
+        epoch_loss = np.zeros(num_clients)
         n_batches = 0
         for start in range(0, order.shape[1], cfg.batch_size):
             stop = start + cfg.batch_size
             loss, grads = batch_loss_and_grads(stack, x_epoch[:, start:stop],
                                                y_epoch[:, start:stop])
             if not np.all(np.isfinite(loss)):
-                bad = clients[int(np.argmin(np.isfinite(loss)))]
+                bad = int(np.argmin(np.isfinite(loss)))
                 raise ValidationError(
                     f"client {bad}: non-finite training loss at epoch {epoch}, "
                     f"batch starting {start} (lr={cfg.learning_rate})")
@@ -218,7 +214,7 @@ def train(records: BudgetDataset, clients, cfg: TrainConfig, seeds,
                 param -= cfg.learning_rate * grad
             epoch_loss += loss
             n_batches += 1
-        history.append(epoch_loss / max(n_batches, 1))
+        stack.loss_history.append((epoch_loss / max(n_batches, 1)).tolist())
         if val_idx.shape[1]:
             val_loss, _ = batch_loss_and_grads(stack, x_val, y_val)
             better = val_loss < best_val
@@ -230,27 +226,23 @@ def train(records: BudgetDataset, clients, cfg: TrainConfig, seeds,
         seen = np.isfinite(best_val)
         for kept, param in zip(best, stack.params()):
             param[seen] = kept[seen]
-    for i, (model, seed) in enumerate(zip(models, seeds)):
-        for name, param in zip(PARAM_NAMES, stack.params()):
-            setattr(model, name, param[i].copy())
-        model.loss_history = [float(h[i]) for h in history]
-        model.train_config = {
-            "epochs": cfg.epochs, "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size, "seed": seed,
-            "validation_fraction": cfg.validation_fraction}
-    return models
+    stack.train_config = {
+        "epochs": cfg.epochs, "learning_rate": cfg.learning_rate,
+        "batch_size": cfg.batch_size, "seeds": seeds,
+        "validation_fraction": cfg.validation_fraction}
+    return stack
 
 
-def predict_budget(m: AllocatorModel, e_q, delta: int) -> int:
-    """Dequantized argmax class; ties go to the lowest class index."""
-    probs = forward(m, e_q)
-    return dequantize(int(np.argmax(probs)), delta)
+def predict_budget(m: AllocatorModel, e_q, delta: int) -> list[int]:
+    """Each client's dequantized argmax class; ties go to the lowest class."""
+    return [dequantize(int(cls), delta)
+            for cls in np.argmax(forward(m, e_q), axis=1)]
 
 
 def save_model(m: AllocatorModel, json_path, blob_path):
-    """JSON metadata plus a little-endian f64 blob in layer order
-    w1, b1, w2, b2, w3, b3 (weights stored row-major)."""
-    meta = {"client_id": m.client_id, "dim": m.dim, "width": m.width,
+    """JSON metadata plus a little-endian f64 blob of the stacked parameters
+    in layer order w1, b1, w2, b2, w3, b3 (each row-major, client first)."""
+    meta = {"num_clients": m.num_clients, "dim": m.dim, "width": m.width,
             "num_classes": m.num_classes, "train_config": m.train_config,
             "loss_history": m.loss_history, "input_scale": m.input_scale}
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -263,23 +255,18 @@ def save_model(m: AllocatorModel, json_path, blob_path):
 def load_model(json_path, blob_path) -> AllocatorModel:
     with open(json_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    dim, width, classes = meta["dim"], meta["width"], meta["num_classes"]
-    shapes = [(dim, width), (width,), (width, width), (width,),
-              (width, classes), (classes,)]
+    c, dim, width = meta["num_clients"], meta["dim"], meta["width"]
+    classes = meta["num_classes"]
+    shapes = [(c, dim, width), (c, width), (c, width, width), (c, width),
+              (c, width, classes), (c, classes)]
+    sizes = [int(np.prod(shape)) for shape in shapes]
     flat = np.fromfile(blob_path, dtype="<f8")
-    expected = sum(int(np.prod(s)) for s in shapes)
-    if flat.size != expected:
+    if flat.size != sum(sizes):
         raise ValidationError(
-            f"parameter blob has {flat.size} values, expected {expected}")
-    params = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        params.append(flat[offset:offset + size].reshape(shape).copy())
-        offset += size
-    return AllocatorModel(client_id=meta["client_id"], dim=dim, width=width,
-                          num_classes=classes, w1=params[0], b1=params[1],
-                          w2=params[2], b2=params[3], w3=params[4], b3=params[5],
-                          loss_history=meta.get("loss_history", []),
-                          train_config=meta.get("train_config"),
-                          input_scale=meta.get("input_scale", 1.0))
+            f"parameter blob has {flat.size} values, expected {sum(sizes)}")
+    params = {name: part.reshape(shape) for name, part, shape in zip(
+        PARAM_NAMES, np.split(flat, np.cumsum(sizes)[:-1]), shapes)}
+    return AllocatorModel(dim=dim, width=width, num_classes=classes,
+                          loss_history=meta["loss_history"],
+                          train_config=meta["train_config"],
+                          input_scale=meta["input_scale"], **params)

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .config import POLICY_VARIANTS, derive_seed, load_config
+from .config import POLICY_VARIANTS, load_config
 from .corpus import load_dataset
 from .embedder import HashEncoder, encode_dataset, save_embeddings
 from .errors import IceBudgetError, ValidationError
@@ -105,11 +105,9 @@ def _describe_budget_dataset(ctx):
 
 
 def _describe_allocators(ctx):
-    models = ctx.allocators()
-    losses = [m.loss_history[-1] if m.loss_history else float("nan")
-              for m in models]
-    return (f"trained {len(models)} allocators, "
-            f"final losses {[f'{l:.4f}' for l in losses]}")
+    model = ctx.allocators()
+    return (f"trained {model.num_clients} allocators, final losses "
+            f"{[f'{l:.4f}' for l in model.loss_history[-1]]}")
 
 
 def _cmd_encode(args):
@@ -134,9 +132,7 @@ def _cmd_infer(args):
         cfg.policies = [args.policy]
     with _stage("infer", args.seed_index):
         ctx = _SeedContext.for_seed(cfg, args.seed_index)
-        encoder = HashEncoder(cfg.embeddings.dim,
-                              derive_seed(cfg.seed, "hash-encoder"))
-        e_q = encoder.encode_many([args.text])[0]
+        e_q = ctx.encoder.encode_many([args.text])[0]
         server = ctx.make_server(_policy_for(cfg.policies[0], ctx.run_seed))
         answer, transcript = distributed_infer(server, ctx.clients, args.text,
                                                e_q)

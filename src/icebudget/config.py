@@ -192,16 +192,37 @@ class ExperimentConfig:
         return plain(self)
 
 
+# The scalar field types a config value is checked against: an int field
+# takes only ints, a float field ints or floats, a str field strings, and
+# none of them a bool.
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _build(cls, values: dict, where: str = ""):
+    """`cls(**values)`, each value first checked against its field's type
+    (an optional field also takes None), so a misread setting fails at load
+    rather than deep inside a stage."""
+    for f in fields(cls):
+        name = f.type.removesuffix(" | None")
+        value = values.get(f.name)
+        if (f.name not in values or name not in _SCALAR_TYPES
+                or value is None and name != f.type):
+            continue
+        if isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[name]):
+            raise ValidationError(f"{where}{f.name} must be {name}, got {value!r}")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValidationError(f"{where}{exc}") from exc
+
+
 def _pop_section(data: dict, key: str, cls):
     section = data.pop(key, None)
     if section is None:
         return None
     if not isinstance(section, dict):
         raise ValidationError(f"config section '{key}' must be a mapping")
-    try:
-        return cls(**section)
-    except TypeError as exc:
-        raise ValidationError(f"config section '{key}': {exc}") from exc
+    return _build(cls, section, f"config section '{key}': ")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -242,10 +263,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key not in known:
             raise ValidationError(f"unknown config key: {key}")
     kwargs.update(data)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from exc
+    return _build(ExperimentConfig, kwargs)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -70,10 +70,6 @@ class EmbeddingStore:
     def __len__(self):
         return len(self._ids)
 
-    def __contains__(self, example_id):
-        pos = np.searchsorted(self._ids, example_id)
-        return pos < len(self._ids) and self._ids[pos] == example_id
-
     @property
     def ids(self) -> list[int]:
         return self._ids.tolist()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class ServerNode:
     k: int
     alpha: int = 0
     policy: BudgetPolicy = BudgetPolicy("uniform")
-    allocators: list[AllocatorModel] | None = None
+    allocator: AllocatorModel | None = None  # the C clients' stacked model
     delta: int = 1
     proxy: Dataset | None = None
     proxy_store: EmbeddingStore | None = None
@@ -76,7 +76,7 @@ class ServerNode:
 
     def require_ready(self, num_clients: int):
         if self.policy.variant == "learned":
-            if not self.allocators or len(self.allocators) != num_clients:
+            if self.allocator is None or self.allocator.num_clients != num_clients:
                 raise ValidationError(
                     "learned policy needs one allocator per client")
         if self.policy.variant == "proxy_only":
@@ -102,31 +102,15 @@ class Transcript:
     raw_completion: str | None = None
 
     def to_dict(self):
-        return {"schema_version": 1, "query_id": self.query_id,
-                "policy": self.policy, "budgets_sent": self.budgets_sent,
-                "samples_returned": self.samples_returned,
-                "aggregated_ids": self.aggregated_ids,
-                "final_ice_ids": self.final_ice_ids,
-                "prompt_text": self.prompt_text,
-                "prompt_chars": self.prompt_chars,
-                "answer_label": self.answer_label,
-                "total_samples_communicated": self.total_samples_communicated,
-                "fallback_zero_shot": self.fallback_zero_shot,
-                "raw_completion": self.raw_completion}
+        # not dataclasses.asdict: that deep-copies every id list
+        return {"schema_version": 1,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @staticmethod
     def from_dict(obj) -> "Transcript":
-        return Transcript(
-            query_id=obj["query_id"], policy=obj["policy"],
-            budgets_sent=list(obj["budgets_sent"]),
-            samples_returned=[list(s) for s in obj["samples_returned"]],
-            aggregated_ids=list(obj["aggregated_ids"]),
-            final_ice_ids=list(obj["final_ice_ids"]),
-            prompt_text=obj["prompt_text"], prompt_chars=obj["prompt_chars"],
-            answer_label=obj["answer_label"],
-            total_samples_communicated=obj["total_samples_communicated"],
-            fallback_zero_shot=obj.get("fallback_zero_shot", False),
-            raw_completion=obj.get("raw_completion"))
+        """A missing optional field takes its default."""
+        return Transcript(**{f.name: obj[f.name] for f in fields(Transcript)
+                             if f.name in obj})
 
 
 def _per_query_rng(seed: int, query_id: int) -> np.random.Generator:
@@ -158,8 +142,8 @@ def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
         rng = _per_query_rng(policy.seed, query_id)
         return _random_composition(server.k, c, rng)
     if variant == "learned":
-        return [predict_budget(server.allocators[i], e_q, server.delta)
-                + server.alpha for i in range(c)]
+        return [budget + server.alpha
+                for budget in predict_budget(server.allocator, e_q, server.delta)]
     if variant == "singleton":
         return [server.k if i == policy.client else 0 for i in range(c)]
     if variant == "infinite":

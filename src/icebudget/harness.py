@@ -74,6 +74,7 @@ class _SeedContext:
 
     def _load_data(self):
         cfg = self.cfg
+        self.encoder = None  # the query encoder of hash-encoded text
         if cfg.synthetic is not None:
             spec = cfg.synthetic
             means_seed = derive_seed(self.run_seed, "synth-means")
@@ -98,10 +99,10 @@ class _SeedContext:
                       for ex in self.eval_ds.examples),
                 self.eval_ds.labels)
             if cfg.embeddings.source == "hash":
-                encoder = HashEncoder(cfg.embeddings.dim,
-                                      derive_seed(cfg.seed, "hash-encoder"))
-                self.train_store = encode_dataset(self.train_ds, encoder)
-                self.eval_store = encode_dataset(self.eval_ds, encoder)
+                self.encoder = HashEncoder(cfg.embeddings.dim,
+                                           derive_seed(cfg.seed, "hash-encoder"))
+                self.train_store = encode_dataset(self.train_ds, self.encoder)
+                self.eval_store = encode_dataset(self.eval_ds, self.encoder)
             else:
                 self.train_store = load_embeddings(cfg.embeddings.train_path)
                 eval_ids, eval_matrix = load_embeddings(
@@ -154,28 +155,23 @@ class _SeedContext:
         return bproxy
 
     def allocators(self):
-        """One model per client: cached ones are loaded, the missing ones
-        are trained together in one stacked SGD loop."""
+        """The clients' stacked allocator model: loaded if cached, otherwise
+        trained in one SGD loop and saved."""
         cfg = self.cfg
         model_dir = os.path.join(self.out_dir, "models")
+        paths = (os.path.join(model_dir, "allocators.json"),
+                 os.path.join(model_dir, "allocators.bin"))
+        if all(map(os.path.exists, paths)):
+            return load_model(*paths)
+        clients = range(cfg.partition.num_clients)
+        scale = cfg.synthetic.scale if cfg.synthetic is not None else 1.0
+        model = train(self.budget_dataset(), cfg.train,
+                      [derive_seed(self.run_seed, f"shuffle-{c}") for c in clients],
+                      [derive_seed(self.run_seed, f"init-{c}") for c in clients],
+                      input_scale=1.0 / scale)
         os.makedirs(model_dir, exist_ok=True)
-        paths = [(os.path.join(model_dir, f"client{c}.json"),
-                  os.path.join(model_dir, f"client{c}.bin"))
-                 for c in range(cfg.partition.num_clients)]
-        models = [load_model(*p) if all(map(os.path.exists, p)) else None
-                  for p in paths]
-        missing = [c for c, model in enumerate(models) if model is None]
-        if missing:
-            scale = cfg.synthetic.scale if cfg.synthetic is not None else 1.0
-            trained = train(
-                self.budget_dataset(), missing, cfg.train,
-                [derive_seed(self.run_seed, f"shuffle-{c}") for c in missing],
-                [derive_seed(self.run_seed, f"init-{c}") for c in missing],
-                input_scale=1.0 / scale)
-            for c, model in zip(missing, trained):
-                save_model(model, *paths[c])
-                models[c] = model
-        return models
+        save_model(model, *paths)
+        return model
 
     def make_server(self, policy: BudgetPolicy) -> ServerNode:
         cfg = self.cfg
@@ -184,7 +180,7 @@ class _SeedContext:
             backend=make_backend(cfg.backend), labels=self.train_ds.labels,
             ice_order=cfg.ice_order, max_prompt_chars=cfg.max_prompt_chars)
         if policy.variant == "learned":
-            server.allocators = self.allocators()
+            server.allocator = self.allocators()
         if policy.variant == "proxy_only":
             server.proxy = self.proxy
             server.proxy_store = self.proxy_store

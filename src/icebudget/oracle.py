@@ -24,40 +24,34 @@ from .retrieval import rerank_union, top_k
 
 
 @dataclass(frozen=True)
-class BudgetRecord:
-    query_id: int
-    embedding: np.ndarray
-    raw_counts: tuple[int, ...]
-    classes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BudgetDataset:
-    records: tuple[BudgetRecord, ...]
-    num_clients: int
+    """The allocator supervision set as one table: row i is proxy query
+    `query_ids[i]`, its embedding and its oracle budget on each client."""
+    query_ids: np.ndarray   # (N,)
+    embeddings: np.ndarray  # (N, dim)
+    raw_counts: np.ndarray  # (N, C)
     k: int
     delta: int
+
+    @property
+    def num_clients(self) -> int:
+        return self.raw_counts.shape[1]
 
     @property
     def num_classes(self) -> int:
         return self.k // self.delta + 1
 
+    @property
+    def classes(self) -> np.ndarray:
+        """(N, C) class labels: the budgets floor-divided by delta."""
+        if self.delta < 1:
+            raise ValidationError("delta must be >= 1")
+        if np.any(self.raw_counts < 0):
+            raise ValidationError("counts must be nonnegative")
+        return self.raw_counts // self.delta
+
     def __len__(self):
-        return len(self.records)
-
-    def client_labels(self, client: int) -> np.ndarray:
-        return np.array([r.classes[client] for r in self.records], dtype=np.int64)
-
-    def embeddings(self) -> np.ndarray:
-        return np.stack([r.embedding for r in self.records])
-
-
-def quantize(count: int, delta: int) -> int:
-    if delta < 1:
-        raise ValidationError("delta must be >= 1")
-    if count < 0:
-        raise ValidationError("count must be nonnegative")
-    return count // delta
+        return len(self.query_ids)
 
 
 def dequantize(cls: int, delta: int) -> int:
@@ -81,32 +75,27 @@ def oracle_budget(e_q, k, shards, shard_stores) -> list[int]:
 def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
                              shards, shard_stores, k: int, delta: int
                              ) -> BudgetDataset:
-    """One BudgetRecord per proxy example: its oracle budgets, and those
-    budgets quantized with `delta`."""
+    """The oracle budgets of every proxy example, in id order."""
     if not shards:
         raise ValidationError("need at least one shard")
     if delta < 1:
         raise ValidationError("delta must be >= 1")
     proxy_store.check_bound(proxy)
-    records = []
-    for ex in proxy.examples:
-        e_q = proxy_store.get(ex.id)
-        raw = tuple(oracle_budget(e_q, k, shards, shard_stores))
-        classes = tuple(quantize(c, delta) for c in raw)
-        records.append(BudgetRecord(query_id=ex.id, embedding=e_q,
-                                    raw_counts=raw, classes=classes))
-    return BudgetDataset(tuple(records), num_clients=len(shards), k=k, delta=delta)
+    ids, x = proxy_store.matrix()
+    raw = [oracle_budget(e_q, k, shards, shard_stores) for e_q in x]
+    return BudgetDataset(ids, x, np.array(raw, dtype=np.int64).reshape(
+        len(ids), len(shards)), k=k, delta=delta)
 
 
 def save_budget_dataset(b: BudgetDataset, path):
     """JSONL: a header line with (C, k, delta), then one record per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"C": b.num_clients, "k": b.k, "delta": b.delta}) + "\n")
-        for r in b.records:
-            fh.write(json.dumps({"query_id": r.query_id,
-                                 "vector": r.embedding.tolist(),
-                                 "raw_counts": list(r.raw_counts),
-                                 "classes": list(r.classes)}) + "\n")
+        for query_id, vector, raw, classes in zip(
+                b.query_ids.tolist(), b.embeddings.tolist(),
+                b.raw_counts.tolist(), b.classes.tolist()):
+            fh.write(json.dumps({"query_id": query_id, "vector": vector,
+                                 "raw_counts": raw, "classes": classes}) + "\n")
 
 
 def _is_int(value) -> bool:
@@ -115,9 +104,9 @@ def _is_int(value) -> bool:
 
 def load_budget_dataset(path) -> BudgetDataset:
     """Read a file written by `save_budget_dataset`. C, k and delta must be
-    positive integers; every record must hold a vector of finite numbers as
-    long as the first one, C raw counts in [0, k] and classes equal to
-    raw_counts // delta. A fault raises ParseError with its line number."""
+    positive integers; each record needs an integer query id, a vector of
+    finite numbers as long as the first, C raw counts in [0, k] and classes
+    equal to raw_counts // delta. A fault raises ParseError with its line."""
     with open(path, encoding="utf-8") as fh:
         lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
@@ -130,7 +119,7 @@ def load_budget_dataset(path) -> BudgetDataset:
         raise ParseError(f"bad budget dataset header: {exc}", line=head_line) from exc
     if not all(_is_int(v) and v > 0 for v in (num_clients, k, delta)):
         raise ParseError("C, k and delta must be positive integers", line=head_line)
-    records = []
+    query_ids, vectors, raws = [], [], []
     for lineno, line in lines[1:]:
         try:
             obj = json.loads(line)
@@ -138,7 +127,9 @@ def load_budget_dataset(path) -> BudgetDataset:
             raw, classes = obj["raw_counts"], obj["classes"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad budget record: {exc}", line=lineno) from exc
-        dim = len(records[0].embedding) if records else None
+        if not _is_int(query_id):
+            raise ParseError("query_id must be an integer", line=lineno)
+        dim = len(vectors[0]) if vectors else None
         if not (isinstance(vector, list) and len(vector) == (dim or len(vector)) > 0
                 and all(_is_int(x) or isinstance(x, float) and math.isfinite(x)
                         for x in vector)):
@@ -150,6 +141,11 @@ def load_budget_dataset(path) -> BudgetDataset:
                              f"[0, {k}]", line=lineno)
         if classes != [c // delta for c in raw]:
             raise ParseError(f"classes must be raw_counts // {delta}", line=lineno)
-        records.append(BudgetRecord(query_id, np.array(vector, dtype=np.float64),
-                                    tuple(raw), tuple(classes)))
-    return BudgetDataset(tuple(records), num_clients=num_clients, k=k, delta=delta)
+        query_ids.append(query_id)
+        vectors.append(vector)
+        raws.append(raw)
+    n = len(query_ids)
+    return BudgetDataset(
+        np.array(query_ids, dtype=np.int64),
+        np.array(vectors, dtype=np.float64).reshape(n, len(vectors[0]) if n else 0),
+        np.array(raws, dtype=np.int64).reshape(n, num_clients), k=k, delta=delta)

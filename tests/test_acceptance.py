@@ -118,11 +118,11 @@ def test_criterion_4_gradient_check():
     rng = np.random.default_rng(99)
     start = time.monotonic()
     worst = 0.0
-    x = rng.standard_normal((10, 8))
-    y = rng.integers(0, 3, size=10)
+    x = rng.standard_normal((1, 10, 8))  # one client's batch
+    y = rng.integers(0, 3, size=(1, 10))
     eps = 1e-6
     for point in range(20):
-        model = init_model(dim=8, width=6, num_classes=3, seed=point)
+        model = init_model(dim=8, width=6, num_classes=3, seeds=[point])
         # perturb away from the ReLU-kink-free init so points are generic
         for p in model.params():
             p += 0.1 * rng.standard_normal(p.shape)
@@ -133,9 +133,9 @@ def test_criterion_4_gradient_check():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                plus, _ = batch_loss_and_grads(model, x, y)
+                [plus], _ = batch_loss_and_grads(model, x, y)
                 flat[i] = orig - eps
-                minus, _ = batch_loss_and_grads(model, x, y)
+                [minus], _ = batch_loss_and_grads(model, x, y)
                 flat[i] = orig
                 numeric[i] = (plus - minus) / (2 * eps)
             denom = np.maximum(np.abs(numeric), 1e-6)

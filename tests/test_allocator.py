@@ -8,17 +8,13 @@ from icebudget.allocator import (PARAM_NAMES, batch_loss_and_grads, forward,
                                  save_model, train)
 from icebudget.config import TrainConfig
 from icebudget.errors import ValidationError
-from icebudget.oracle import BudgetDataset, BudgetRecord
+from icebudget.oracle import BudgetDataset
 
 
 def make_records(x, raw_counts_per_client, k, delta, num_clients):
-    records = []
-    for i, (vec, raw) in enumerate(zip(x, raw_counts_per_client)):
-        classes = tuple(c // delta for c in raw)
-        records.append(BudgetRecord(query_id=i, embedding=np.asarray(vec),
-                                    raw_counts=tuple(raw), classes=classes))
-    return BudgetDataset(tuple(records), num_clients=num_clients, k=k,
-                         delta=delta)
+    raw = np.asarray(raw_counts_per_client, dtype=np.int64)
+    return BudgetDataset(np.arange(len(raw)), np.asarray(x, dtype=np.float64),
+                         raw.reshape(len(raw), num_clients), k=k, delta=delta)
 
 
 def clone(m):
@@ -26,6 +22,34 @@ def clone(m):
     return dataclasses.replace(
         m, loss_history=list(m.loss_history),
         **{name: getattr(m, name).copy() for name in PARAM_NAMES})
+
+
+@dataclasses.dataclass
+class ClientModel:
+    """One client's allocator alone, as the per-client code held it: 2-D
+    weights, 1-D biases."""
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    w3: np.ndarray
+    b3: np.ndarray
+    input_scale: float
+    loss_history: list = dataclasses.field(default_factory=list)
+
+    def params(self):
+        return [getattr(self, name) for name in PARAM_NAMES]
+
+
+def client_model(stack, c):
+    """Client c's row of a stacked model, as a model of its own."""
+    return ClientModel(*(p[c].copy() for p in stack.params()),
+                       input_scale=stack.input_scale)
+
+
+def one_client(records, c):
+    """The records with only client c's budgets."""
+    return dataclasses.replace(records, raw_counts=records.raw_counts[:, [c]])
 
 
 def separable_records(n, dim, num_classes, seed, margin=3.0):
@@ -48,23 +72,23 @@ class TestGradients:
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            plus, _ = batch_loss_and_grads(model, x, y)
+            [plus], _ = batch_loss_and_grads(model, x, y)
             flat[idx] = orig - eps
-            minus, _ = batch_loss_and_grads(model, x, y)
+            [minus], _ = batch_loss_and_grads(model, x, y)
             flat[idx] = orig
             grad.ravel()[idx] = (plus - minus) / (2 * eps)
         return grad
 
     def test_analytic_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        model = init_model(dim=5, width=4, num_classes=3, seed=1)
+        model = init_model(dim=5, width=4, num_classes=3, seeds=[1])
         # nudge parameters off the zero-bias init: an all-negative hidden row
         # would put the next preactivation exactly on the ReLU kink, where
         # central differences and the subgradient legitimately disagree
         for param in model.params():
             param += 0.1 * rng.standard_normal(param.shape)
-        x = rng.standard_normal((6, 5))
-        y = rng.integers(0, 3, size=6)
+        x = rng.standard_normal((1, 6, 5))
+        y = rng.integers(0, 3, size=(1, 6))
         _, grads = batch_loss_and_grads(model, x, y)
         for param, analytic in zip(model.params(), grads):
             numeric = self.numeric_grad(model, x, y, param)
@@ -73,10 +97,10 @@ class TestGradients:
 
     def test_gradients_respect_input_scale(self):
         rng = np.random.default_rng(5)
-        model = init_model(dim=4, width=3, num_classes=2, seed=2,
+        model = init_model(dim=4, width=3, num_classes=2, seeds=[2],
                            input_scale=250.0)
-        x = 0.004 * rng.standard_normal((5, 4))
-        y = rng.integers(0, 2, size=5)
+        x = 0.004 * rng.standard_normal((1, 5, 4))
+        y = rng.integers(0, 2, size=(1, 5))
         _, grads = batch_loss_and_grads(model, x, y)
         for param, analytic in zip(model.params(), grads):
             numeric = self.numeric_grad(model, x, y, param)
@@ -84,25 +108,25 @@ class TestGradients:
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
     def test_loss_is_cross_entropy(self):
-        model = init_model(dim=3, width=4, num_classes=2, seed=3)
+        model = init_model(dim=3, width=4, num_classes=2, seeds=[3])
         x = np.random.default_rng(4).standard_normal((7, 3))
         y = np.array([0, 1, 0, 1, 1, 0, 1])
-        loss, _ = batch_loss_and_grads(model, x, y)
-        probs = np.stack([forward(model, row) for row in x])
+        [loss], _ = batch_loss_and_grads(model, x[None], y[None])
+        probs = np.stack([forward(model, row)[0] for row in x])
         expected = -np.mean(np.log(probs[np.arange(7), y]))
         assert np.isclose(loss, expected)
 
 
 class TestForward:
     def test_probabilities_sum_to_one(self):
-        model = init_model(dim=4, width=5, num_classes=3, seed=7)
+        model = init_model(dim=4, width=5, num_classes=3, seeds=[7, 8])
         probs = forward(model, np.ones(4))
-        assert probs.shape == (3,)
-        assert np.isclose(probs.sum(), 1.0)
+        assert probs.shape == (2, 3)
+        assert np.allclose(probs.sum(axis=1), 1.0)
         assert np.all(probs > 0)
 
     def test_input_scale_is_w1_reparameterization(self):
-        base = init_model(dim=3, width=4, num_classes=2, seed=9)
+        base = init_model(dim=3, width=4, num_classes=2, seeds=[9])
         scaled = clone(base)
         scaled.input_scale = 10.0
         scaled.w1 = base.w1 / 10.0
@@ -110,21 +134,21 @@ class TestForward:
         assert np.allclose(forward(base, e), forward(scaled, e))
 
     def test_wrong_shape_rejected(self):
-        model = init_model(dim=4, width=5, num_classes=3, seed=7)
+        model = init_model(dim=4, width=5, num_classes=3, seeds=[7])
         with pytest.raises(ValidationError):
             forward(model, np.ones(5))
 
 
 class TestInit:
     def test_bounds_and_zero_biases(self):
-        model = init_model(dim=16, width=300, num_classes=5, seed=0)
+        model = init_model(dim=16, width=300, num_classes=5, seeds=[0])
         assert np.all(np.abs(model.w1) <= 1 / np.sqrt(16))
         assert np.all(np.abs(model.w2) <= 1 / np.sqrt(300))
         assert np.all(model.b1 == 0) and np.all(model.b3 == 0)
 
     def test_deterministic(self):
-        a = init_model(4, 5, 3, seed=42)
-        b = init_model(4, 5, 3, seed=42)
+        a = init_model(4, 5, 3, seeds=[42])
+        b = init_model(4, 5, 3, seeds=[42])
         for pa, pb in zip(a.params(), b.params()):
             assert np.array_equal(pa, pb)
 
@@ -133,18 +157,18 @@ class TestTraining:
     def test_learns_separable_problem(self):
         records = separable_records(120, dim=6, num_classes=3, seed=13)
         cfg = TrainConfig(epochs=60, learning_rate=0.05, batch_size=8, width=16)
-        [model] = train(records, [0], cfg, seeds=[1], init_seeds=[1])
-        x = records.embeddings()
-        y = records.client_labels(0)
-        predicted = np.array([int(np.argmax(forward(model, row))) for row in x])
+        model = train(records, cfg, seeds=[1], init_seeds=[1])
+        x = records.embeddings
+        y = records.classes[:, 0]
+        predicted = np.array([int(np.argmax(forward(model, row)[0])) for row in x])
         assert np.mean(predicted == y) > 0.95
         assert model.loss_history[-1] < model.loss_history[0]
 
     def test_deterministic_given_seeds(self):
         records = separable_records(40, dim=4, num_classes=2, seed=3)
         cfg = TrainConfig(epochs=10, learning_rate=0.05, batch_size=4, width=8)
-        [a] = train(records, [0], cfg, [5], [2])
-        [b] = train(records, [0], cfg, [5], [2])
+        a = train(records, cfg, [5], [2])
+        b = train(records, cfg, [5], [2])
         for pa, pb in zip(a.params(), b.params()):
             assert np.array_equal(pa, pb)
         assert a.loss_history == b.loss_history
@@ -152,15 +176,15 @@ class TestTraining:
     def test_shuffle_seed_changes_trajectory(self):
         records = separable_records(40, dim=4, num_classes=2, seed=3)
         cfg = TrainConfig(epochs=5, learning_rate=0.05, batch_size=4, width=8)
-        [a] = train(records, [0], cfg, [5], [2])
-        [b] = train(records, [0], cfg, [6], [2])
+        a = train(records, cfg, [5], [2])
+        b = train(records, cfg, [6], [2])
         assert a.loss_history != b.loss_history
 
     def test_zero_learning_rate_is_noop(self):
         records = separable_records(20, dim=4, num_classes=2, seed=3)
         cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, width=8)
-        [model] = train(records, [0], cfg, [1], [7])
-        fresh = init_model(4, 8, records.num_classes, seed=7, client_id=0)
+        model = train(records, cfg, [1], [7])
+        fresh = init_model(4, 8, records.num_classes, seeds=[7])
         for trained, initial in zip(model.params(), fresh.params()):
             assert np.array_equal(trained, initial)
 
@@ -168,32 +192,33 @@ class TestTraining:
         records = separable_records(60, dim=4, num_classes=2, seed=8)
         cfg = TrainConfig(epochs=20, learning_rate=0.05, batch_size=8,
                           width=8, validation_fraction=0.25)
-        [model] = train(records, [0], cfg, [2], [2])
+        model = train(records, cfg, [2], [2])
         assert len(model.loss_history) == 20
 
     def test_empty_records_rejected(self):
-        empty = BudgetDataset((), num_clients=1, k=2, delta=1)
+        empty = BudgetDataset(np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
+                              np.zeros((0, 1), dtype=np.int64), k=2, delta=1)
         with pytest.raises(ValidationError):
-            train(empty, [0], TrainConfig(), [0], [0])
+            train(empty, TrainConfig(), [0], [0])
 
 
 class TestPredictBudget:
     def test_dequantizes_argmax(self):
-        model = init_model(dim=2, width=3, num_classes=4, seed=1)
+        model = init_model(dim=2, width=3, num_classes=4, seeds=[1])
         e = np.ones(2)
-        cls = int(np.argmax(forward(model, e)))
-        assert predict_budget(model, e, delta=3) == cls * 3
+        cls = int(np.argmax(forward(model, e)[0]))
+        assert predict_budget(model, e, delta=3) == [cls * 3]
 
 
 class TestModelIo:
     def test_roundtrip_bit_exact(self, tmp_path):
-        records = separable_records(30, dim=4, num_classes=2, seed=3)
         cfg = TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, width=8)
-        [model] = train(records, [0], cfg, [5], [2], input_scale=2.5)
+        model = train(three_client_records(30, dim=4, seed=3), cfg, [5, 6, 7],
+                      [2, 3, 4], input_scale=2.5)
         json_path, blob_path = tmp_path / "m.json", tmp_path / "m.bin"
         save_model(model, json_path, blob_path)
         loaded = load_model(json_path, blob_path)
-        assert loaded.client_id == 0
+        assert loaded.num_clients == 3
         assert loaded.input_scale == 2.5
         assert loaded.train_config == model.train_config
         assert loaded.loss_history == model.loss_history
@@ -201,7 +226,7 @@ class TestModelIo:
             assert np.array_equal(pa, pb)
 
     def test_truncated_blob_rejected(self, tmp_path):
-        model = init_model(3, 4, 2, seed=1)
+        model = init_model(3, 4, 2, seeds=[1, 2])
         save_model(model, tmp_path / "m.json", tmp_path / "m.bin")
         blob = (tmp_path / "m.bin").read_bytes()
         (tmp_path / "m.bin").write_bytes(blob[:-8])
@@ -209,7 +234,7 @@ class TestModelIo:
             load_model(tmp_path / "m.json", tmp_path / "m.bin")
 
 
-# The single-client loop the stacked trainer replaced, kept verbatim as the
+# The single-client code the stacked model replaced, kept verbatim as the
 # reference: per-client 2-D products and a Python-float loss.
 def _reference_logits(m, x):
     x = m.input_scale * x
@@ -219,6 +244,27 @@ def _reference_logits(m, x):
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ m.w3 + m.b3
     return z1, a1, z2, a2, z3
+
+
+def _reference_init(dim, width, num_classes, seed, input_scale):
+    rng = np.random.default_rng(seed)
+
+    def layer(fan_in, fan_out):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    return ClientModel(w1=layer(dim, width), b1=np.zeros(width),
+                       w2=layer(width, width), b2=np.zeros(width),
+                       w3=layer(width, num_classes), b3=np.zeros(num_classes),
+                       input_scale=float(input_scale))
+
+
+def _reference_predict_budget(m, e_q, delta):
+    *_, z3 = _reference_logits(m, np.asarray(e_q, dtype=np.float64)[None, :])
+    shifted = z3 - z3.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    probs = (expz / expz.sum(axis=-1, keepdims=True))[0]
+    return int(np.argmax(probs)) * delta, probs
 
 
 def _reference_batch_loss_and_grads(m, x, y):
@@ -248,8 +294,8 @@ def _reference_train(records, client, cfg, seed, init_seed, input_scale):
     def epoch_rng(seed, epoch):
         return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
 
-    x = records.embeddings().astype(np.float64)
-    y = records.client_labels(client)
+    x = records.embeddings.astype(np.float64)
+    y = records.classes[:, client]
     if cfg.validation_fraction > 0 and len(records) > 1:
         n_val = max(1, int(round(cfg.validation_fraction * len(records))))
         order = epoch_rng(seed, 2**32).permutation(len(records))
@@ -259,8 +305,8 @@ def _reference_train(records, client, cfg, seed, init_seed, input_scale):
     else:
         train_idx = np.arange(len(records))
         val_idx = np.array([], dtype=np.int64)
-    model = init_model(x.shape[1], cfg.width, records.num_classes, init_seed,
-                       client_id=client, input_scale=input_scale)
+    model = _reference_init(x.shape[1], cfg.width, records.num_classes,
+                            init_seed, input_scale)
     x_train, y_train = x[train_idx], y[train_idx]
     best, best_val = None, np.inf
     for epoch in range(cfg.epochs):
@@ -298,40 +344,44 @@ class TestStackedTraining:
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
     def test_equals_single_client_loop_bit_for_bit(self, validation_fraction):
         records = three_client_records(37, dim=5, seed=4)  # ragged last batch
-        clients = [2, 0, 1]
         # a large step makes the loss wander, so snapshots are not the last epoch
         cfg = TrainConfig(epochs=12, learning_rate=0.3, batch_size=8, width=6,
                           validation_fraction=validation_fraction)
-        seeds = [100 + c for c in clients]
+        seeds = [102, 100, 101]
         init_seeds = [7, 8, 9]
-        stacked = train(records, clients, cfg, seeds, init_seeds,
-                        input_scale=3.0)
-        assert [m.client_id for m in stacked] == clients
-        for model, c, shuffle, seed in zip(stacked, clients, seeds, init_seeds):
+        stacked = train(records, cfg, seeds, init_seeds, input_scale=3.0)
+        assert stacked.num_clients == 3
+        for c, (shuffle, seed) in enumerate(zip(seeds, init_seeds)):
             expected = _reference_train(records, c, cfg, shuffle, seed, 3.0)
-            [alone] = train(records, [c], cfg, [shuffle], [seed],
-                            input_scale=3.0)
-            for other in (expected, alone):
-                for got, want in zip(model.params(), other.params()):
-                    assert np.array_equal(got, want)
-                assert model.loss_history == other.loss_history
-            assert model.train_config == {
-                "epochs": 12, "learning_rate": 0.3, "batch_size": 8,
-                "seed": shuffle, "validation_fraction": validation_fraction}
+            alone = train(one_client(records, c), cfg, [shuffle], [seed],
+                          input_scale=3.0)
+            for got, want, solo in zip(stacked.params(), expected.params(),
+                                       alone.params()):
+                assert np.array_equal(got[c], want)
+                assert np.array_equal(solo[0], want)
+            assert [h[c] for h in stacked.loss_history] == expected.loss_history
+            assert [h[0] for h in alone.loss_history] == expected.loss_history
+        assert stacked.train_config == {
+            "epochs": 12, "learning_rate": 0.3, "batch_size": 8,
+            "seeds": seeds, "validation_fraction": validation_fraction}
+
+    def test_init_rows_equal_single_client_init(self):
+        stack = init_model(5, 6, 3, seeds=[11, 12, 13], input_scale=2.0)
+        for c, seed in enumerate([11, 12, 13]):
+            want = _reference_init(5, 6, 3, seed, 2.0)
+            for got, ref in zip(stack.params(), want.params()):
+                assert np.array_equal(got[c], ref)
 
     def test_stacked_loss_is_per_client(self):
         rng = np.random.default_rng(3)
-        models = [init_model(4, 5, 3, seed=s) for s in (1, 2)]
-        stack = clone(models[0])
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            setattr(stack, name, np.stack([getattr(m, name) for m in models]))
+        stack = init_model(4, 5, 3, seeds=[1, 2])
         x = rng.standard_normal((2, 6, 4))
         y = rng.integers(0, 3, size=(2, 6))
         loss, grads = batch_loss_and_grads(stack, x, y)
         assert loss.shape == (2,)
-        for c, model in enumerate(models):
+        for c in range(2):
             want_loss, want_grads = _reference_batch_loss_and_grads(
-                model, x[c], y[c])
+                client_model(stack, c), x[c], y[c])
             assert loss[c] == want_loss
             for got, want in zip(grads, want_grads):
                 assert np.array_equal(got[c], want)
@@ -339,4 +389,28 @@ class TestStackedTraining:
     def test_one_shuffle_and_init_seed_per_client(self):
         records = three_client_records(10, dim=3, seed=1)
         with pytest.raises(ValidationError):
-            train(records, [0, 1], TrainConfig(epochs=2, width=4), [1], [1, 2])
+            train(records, TrainConfig(epochs=2, width=4), [1], [1, 2])
+
+
+class TestStackedPrediction:
+    @pytest.mark.parametrize("dim, width, num_classes, seeds, input_scale", [
+        (5, 6, 4, [1, 2, 3], 1.0),
+        (32, 64, 5, [4, 5, 6, 7], 1e7),  # the demo's tiny-magnitude inputs
+    ])
+    def test_equals_per_client_reference(self, dim, width, num_classes, seeds,
+                                         input_scale):
+        rng = np.random.default_rng(dim)
+        stack = init_model(dim, width, num_classes, seeds,
+                           input_scale=input_scale)
+        # off the zero-bias init, so every layer's bias matters
+        for param in stack.params():
+            param += 0.5 * rng.standard_normal(param.shape) / np.sqrt(width)
+        clients = [client_model(stack, c) for c in range(len(seeds))]
+        for _ in range(100):
+            e_q = rng.standard_normal(dim) / input_scale
+            got = predict_budget(stack, e_q, delta=2)
+            probs = forward(stack, e_q)
+            for c, client in enumerate(clients):
+                budget, want = _reference_predict_budget(client, e_q, delta=2)
+                assert got[c] == budget
+                assert np.array_equal(probs[c], want)

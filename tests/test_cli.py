@@ -116,7 +116,7 @@ class TestStageErrors:
         assert "line 4" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "seed0" / "models" /
-                    "client0.bin").exists()
+                    "allocators.bin").exists()
 
     @pytest.mark.parametrize("curve", ["a,b", "nan,1", "inf"])
     def test_bad_curve_without_traceback(self, config_path, tmp_path, capsys,
@@ -262,6 +262,17 @@ class TestSettingsCheckedAtLoad:
         {"backend": {"type": "http", "endpoint": "ftp://x", "model": "m"}},
         {"ice_order": "sideways"},
         {"max_prompt_chars": 0},
+        # a value of the wrong type, even one inside the allowed range
+        {"train": {"epochs": 2.5}},
+        {"train": {"width": 8.5}},
+        {"train": {"batch_size": 2.5}},
+        {"k": 8.5},
+        {"proxy_size": 40.5},
+        {"partition": {"num_clients": 4.0}},
+        {"synthetic": {"spread": "x"}},
+        {"num_seeds": 1.5},
+        {"delta": True},
+        {"seed": "abc"},
     ])
     def test_bad_setting_exits_before_any_output(self, finished_run, tmp_path,
                                                  capsys, override):
@@ -287,7 +298,7 @@ class TestStages:
 
     def test_train_allocator(self, config_path, tmp_path, capsys):
         assert main(["--config", config_path, "train-allocator"]) == 0
-        assert (tmp_path / "out" / "seed0" / "models" / "client0.bin").exists()
+        assert (tmp_path / "out" / "seed0" / "models" / "allocators.bin").exists()
 
 
 class TestReport:

@@ -133,10 +133,21 @@ class TestValidation:
         {"backend": {"type": "http", "endpoint": "ftp://x", "model": "m"}},
         {"ice_order": "sideways"},
         {"max_prompt_chars": 0},
+        {"name": 3},
+        {"k": None},
+        {"train": {"learning_rate": "0.1"}},
+        {"train": {"learning_rate": False}},
+        {"backend": {"timeout": "30"}},
+        {"embeddings": {"train_path": 1}},
     ])
     def test_stage_settings_checked_at_load(self, override):
         with pytest.raises(ValidationError):
             config_from_dict({**MINIMAL, **override})
+
+    def test_int_is_a_float_and_optional_takes_none(self):
+        cfg = config_from_dict({**MINIMAL, "train": {"learning_rate": 1},
+                                "embeddings": {"train_path": None}})
+        assert cfg.train.learning_rate == 1
 
     def test_mock_backend_endpoint_unchecked(self):
         cfg = config_from_dict({**MINIMAL, "backend": {"endpoint": "ftp://x"}})

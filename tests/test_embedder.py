@@ -25,7 +25,7 @@ class TestEmbeddingStore:
     def test_basic_access(self):
         store = EmbeddingStore.from_dict(2, {3: [1.0, 2.0], 1: [0.0, 0.5]})
         assert len(store) == 2
-        assert 3 in store and 7 not in store
+        assert store.ids == [1, 3]
         assert np.array_equal(store.get(3), [1.0, 2.0])
 
     def test_wrong_dimension_rejected(self):

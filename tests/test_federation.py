@@ -361,8 +361,7 @@ def test_every_policy_name_runs_and_configures(variant):
     proxy = d.subset(d.ids[:10])
     server = make_server(
         k=5, policy=BudgetPolicy(variant, seed=4, client=2), labels=d.labels,
-        allocators=[init_model(4, 8, 3, seed=c, client_id=c)
-                    for c in range(len(clients))],
+        allocator=init_model(4, 8, 3, seeds=range(len(clients))),
         proxy=proxy, proxy_store=store.subset(proxy.ids))
     query = d.examples[20]
     answer, t = distributed_infer(server, clients, query, store.get(query.id))
@@ -394,6 +393,17 @@ class TestTranscriptIo:
         loaded = load_transcripts(path)
         assert len(loaded) == 1
         assert loaded[0].to_dict() == t.to_dict()
+
+    def test_dict_has_every_field_and_optional_ones_default(self):
+        t, _, _ = self._one()
+        record = t.to_dict()
+        assert record["schema_version"] == 1
+        assert set(record) - {"schema_version"} == set(vars(t))
+        del record["fallback_zero_shot"], record["raw_completion"]
+        loaded = Transcript.from_dict(record)
+        assert loaded.fallback_zero_shot is False
+        assert loaded.raw_completion is None
+        assert loaded.budgets_sent == t.budgets_sent
 
     def test_replay_confirms_recorded_round(self):
         t, clients, e_q = self._one()

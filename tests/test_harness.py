@@ -8,13 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from icebudget import harness
 from icebudget.config import config_from_dict, derive_seed
+from icebudget.corpus import synth_clusters
 from icebudget.errors import ValidationError
 from icebudget.federation import load_transcripts
 from icebudget.harness import (_SeedContext, budget_efficiency_curve,
                                efficiency_curve_from_run, evaluate_accuracy,
                                mean_std, run_experiment)
 from icebudget.retrieval import top_k
+
+from conftest import save_dataset
 
 
 class TestEvaluateAccuracy:
@@ -90,7 +94,7 @@ class TestRunExperiment:
         tiny_config.policies = ["learned"]
         run_experiment(tiny_config)
         model_dir = os.path.join(tiny_config.output_dir, "seed0", "models")
-        blob_path = os.path.join(model_dir, "client0.bin")
+        blob_path = os.path.join(model_dir, "allocators.bin")
         first = Path(blob_path).read_bytes()
         shutil.rmtree(model_dir)  # drop only the model cache
         run_seed = derive_seed(tiny_config.seed, "run0")
@@ -98,6 +102,25 @@ class TestRunExperiment:
                            os.path.join(tiny_config.output_dir, "seed0"))
         ctx.allocators()
         assert Path(blob_path).read_bytes() == first
+
+    def test_models_are_one_artifact_pair(self, tiny_config):
+        tiny_config.policies = ["learned"]
+        run_experiment(tiny_config)
+        model_dir = os.path.join(tiny_config.output_dir, "seed0", "models")
+        assert sorted(os.listdir(model_dir)) == ["allocators.bin",
+                                                 "allocators.json"]
+
+    def test_warm_rerun_trains_nothing(self, tiny_config, monkeypatch):
+        tiny_config.policies = ["learned"]
+        run_experiment(tiny_config)
+        report_path = os.path.join(tiny_config.output_dir, "report.json")
+        first = Path(report_path).read_bytes()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a warm rerun must load the cached models")
+        monkeypatch.setattr(harness, "train", no_training)
+        run_experiment(tiny_config)
+        assert Path(report_path).read_bytes() == first
 
     def test_communicated_totals_match_transcripts(self, tiny_config):
         report = run_experiment(tiny_config)
@@ -213,6 +236,23 @@ class TestSeedContext:
         assert len(ctx.proxy) == tiny_config.proxy_size
         assert set(ctx.proxy.ids).isdisjoint(ctx.test.ids)
         assert len(ctx.proxy) + len(ctx.test) == len(ctx.eval_ds)
+
+    def test_hash_encoder_encodes_like_the_stores(self, tiny_config, tmp_path):
+        assert _SeedContext.for_seed(tiny_config, 0).encoder is None
+        train, _ = synth_clusters(3, 20, 4, 0.3, seed=1)
+        evals, _ = synth_clusters(3, 15, 4, 0.3, seed=2)
+        save_dataset(train, tmp_path / "train.jsonl")
+        save_dataset(evals, tmp_path / "eval.jsonl")
+        cfg = config_from_dict({
+            "num_seeds": 1, "proxy_size": 20,
+            "dataset": {"train_path": str(tmp_path / "train.jsonl"),
+                        "eval_path": str(tmp_path / "eval.jsonl")},
+            "embeddings": {"source": "hash", "dim": 16},
+            "output_dir": str(tmp_path / "text")})
+        ctx = _SeedContext.for_seed(cfg, 0)
+        example = ctx.train_ds.examples[7]
+        assert np.array_equal(ctx.encoder.encode_many([example.text])[0],
+                              ctx.train_store.get(example.id))
 
     def test_train_eval_ids_disjoint(self, tiny_config):
         run_seed = derive_seed(tiny_config.seed, "run0")

@@ -8,10 +8,24 @@ from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ParseError, ValidationError
 from icebudget.oracle import (BudgetDataset, construct_budget_dataset,
                               dequantize, load_budget_dataset, oracle_budget,
-                              quantize, save_budget_dataset)
+                              save_budget_dataset)
 from icebudget.retrieval import top_k
 
 from conftest import brute_force_topk, make_world
+
+
+def quantize(count, delta):
+    """One budget's class, through BudgetDataset.classes."""
+    table = BudgetDataset(np.zeros(1, dtype=np.int64), np.zeros((1, 1)),
+                          np.array([[count]]), k=max(count, 1), delta=delta)
+    return int(table.classes[0, 0])
+
+
+def records(bproxy):
+    """[(query id, raw counts, classes)] of a budget dataset, as tuples."""
+    return [(q, tuple(raw), tuple(cls)) for q, raw, cls in zip(
+        bproxy.query_ids.tolist(), bproxy.raw_counts.tolist(),
+        bproxy.classes.tolist())]
 
 
 def random_partition(dataset, store, num_clients, seed):
@@ -49,7 +63,7 @@ def _reference_construct(proxy, proxy_store, shards, shard_stores, k, delta):
         dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
         s_top = set(sub_ids[np.lexsort((sub_ids, dists))[:k]].tolist())
         raw = tuple(len(local.id_set() & s_top) for local in locals_)
-        records.append((ex.id, raw, tuple(quantize(c, delta) for c in raw)))
+        records.append((ex.id, raw, tuple(c // delta for c in raw)))
     return records
 
 
@@ -126,12 +140,12 @@ class TestConstructBudgetDataset:
                                           shard_stores, k, delta)
         assert len(bproxy) == 15
         assert bproxy.num_clients == 3
-        for record in bproxy.records:
-            e_q = proxy_store.get(record.query_id)
+        for query_id, raw_counts, classes in records(bproxy):
+            e_q = proxy_store.get(query_id)
             expected = brute_force_budgets(e_q, k, shards, shard_stores,
                                            d, store)
-            assert list(record.raw_counts) == expected
-            assert list(record.classes) == [c // delta for c in expected]
+            assert list(raw_counts) == expected
+            assert list(classes) == [c // delta for c in expected]
 
     def test_num_classes_formula(self):
         d, store = make_world(30, 3, seed=4)
@@ -148,8 +162,8 @@ class TestConstructBudgetDataset:
         proxy = d.subset(d.ids[:6])
         bproxy = construct_budget_dataset(proxy, store.subset(proxy.ids),
                                           shards, stores, k=5, delta=1)
-        for record in bproxy.records:
-            assert sum(record.raw_counts) == 5
+        for _, raw_counts, _ in records(bproxy):
+            assert sum(raw_counts) == 5
 
 
 def _shards(d, scheme, rng):
@@ -188,9 +202,7 @@ class TestMatchesReferenceConstruction:
             delta = int(rng.integers(1, 4))
             bproxy = construct_budget_dataset(
                 proxy, store.subset(proxy.ids), shards, stores, k, delta)
-            got = [(r.query_id, r.raw_counts, r.classes)
-                   for r in bproxy.records]
-            assert got == _reference_construct(
+            assert records(bproxy) == _reference_construct(
                 proxy, store.subset(proxy.ids), shards, stores, k, delta)
 
 
@@ -207,11 +219,8 @@ class TestBudgetDatasetIo:
         assert loaded.num_clients == bproxy.num_clients
         assert loaded.k == bproxy.k and loaded.delta == bproxy.delta
         assert len(loaded) == len(bproxy)
-        for a, b in zip(loaded.records, bproxy.records):
-            assert a.query_id == b.query_id
-            assert a.raw_counts == b.raw_counts
-            assert a.classes == b.classes
-            assert np.array_equal(a.embedding, b.embedding)
+        assert records(loaded) == records(bproxy)
+        assert np.array_equal(loaded.embeddings, bproxy.embeddings)
 
     @pytest.mark.parametrize("line, text", [
         (1, '{"C": 0, "k": 4, "delta": 2}'),
@@ -220,6 +229,8 @@ class TestBudgetDatasetIo:
         (1, '[2, 4, 2]'),
         (3, '7'),
         (3, '{"query_id": 5, "raw_counts": [1, 3], "classes": [0, 1]}'),
+        (3, '{"query_id": "5", "vector": [1.0, 0.0, 2.0], '
+            '"raw_counts": [1, 3], "classes": [0, 1]}'),
         (3, '{"query_id": 5, "vector": [], "raw_counts": [1, 3], '
             '"classes": [0, 1]}'),
         (3, '{"query_id": 5, "vector": [1.0, "x", 0.0], '
@@ -258,13 +269,22 @@ class TestBudgetDatasetIo:
             load_budget_dataset(path)
         assert exc_info.value.line == line + 1
 
-    def test_client_labels_and_embeddings(self):
+    def test_classes_and_embeddings(self):
         d, store = make_world(30, 3, seed=12)
         shards, shard_stores = random_partition(d, store, 2, seed=3)
         proxy = d.subset(d.ids[:8])
         bproxy = construct_budget_dataset(proxy, store.subset(proxy.ids),
                                           shards, shard_stores, k=4, delta=2)
-        labels = bproxy.client_labels(1)
-        assert labels.shape == (8,)
-        assert bproxy.embeddings().shape == (8, 3)
-        assert np.all(labels == [r.classes[1] for r in bproxy.records])
+        assert bproxy.classes.shape == (8, 2)
+        assert bproxy.embeddings.shape == (8, 3)
+        assert np.all(bproxy.classes == bproxy.raw_counts // 2)
+        assert bproxy.query_ids.tolist() == proxy.ids
+        for query_id, row in zip(proxy.ids, bproxy.embeddings):
+            assert np.array_equal(row, store.get(query_id))
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "b.jsonl"
+        path.write_text('{"C": 3, "k": 4, "delta": 2}\n')
+        bproxy = load_budget_dataset(path)
+        assert len(bproxy) == 0
+        assert bproxy.num_clients == 3 and bproxy.classes.shape == (0, 3)
