@@ -6,18 +6,21 @@ architecture; the loss is computed from logits via log-sum-exp for
 numerical stability.
 
 The C clients' allocators of a run are one model: every weight is stacked
-along a leading client axis, (C, fan_in, fan_out), one SGD loop updates the
-stack and one forward pass gives all C budgets of a query, so no Python loop
-grows with C. The stacked products use `@` (np.matmul), which multiplies
-each client's matrices exactly as a 2-D product for that client alone would;
-`einsum` sums the same terms in another order and differs in the last bits,
-which would change the trained models and every report built on them.
+along a leading row axis, (C, fan_in, fan_out), and one forward pass gives
+all C budgets of a query, so no Python loop grows with C. Training stacks
+further: `train` takes one budget dataset per seed of a run and updates all
+S·C rows (seed-major: row s·C + c is seed s, client c) in one SGD loop,
+returning one stack that `split` cuts back into one C-row model per seed.
+The stacked products use `@` (np.matmul), which multiplies each row's
+matrices exactly as a 2-D product for that client alone would; `einsum`
+sums the same terms in another order and differs in the last bits, which
+would change the trained models and every report built on them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,14 +86,18 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def _logits(m: AllocatorModel, x: np.ndarray):
-    """Forward pass on a batch; returns intermediates needed for backprop."""
+    """Forward pass on a batch: the scaled input, both ReLU activations and
+    the logits, which backprop needs. The bias adds and ReLUs run in place."""
     x = m.input_scale * x
-    z1 = x @ m.w1 + m.b1[..., None, :]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ m.w2 + m.b2[..., None, :]
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ m.w3 + m.b3[..., None, :]
-    return z1, a1, z2, a2, z3
+    a1 = x @ m.w1
+    a1 += m.b1[..., None, :]
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ m.w2
+    a2 += m.b2[..., None, :]
+    np.maximum(a2, 0.0, out=a2)
+    z3 = a2 @ m.w3
+    z3 += m.b3[..., None, :]
+    return x, a1, a2, z3
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -109,32 +116,40 @@ def forward(m: AllocatorModel, e) -> np.ndarray:
 
 
 def batch_loss_and_grads(m: AllocatorModel, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over each client's batch and gradients for every
+    """Mean cross-entropy over each row's batch and gradients for every
     parameter.
 
-    `x` is (C, batch, dim) and `y` (C, batch); the loss is one value per
-    client and each gradient is stacked like its parameter. The loss uses
-    log-sum-exp on logits directly rather than log of the softmax output.
+    `x` is (rows, batch, dim) and `y` (rows, batch); the loss is one value
+    per row and each gradient is stacked like its parameter. The loss uses
+    log-sum-exp on logits directly rather than log of the softmax output,
+    and the one `exp` of the shifted logits serves both it and the softmax.
+    A unit's ReLU mask is `a > 0`, which holds exactly where its
+    preactivation is positive.
     """
     n = x.shape[-2]
-    z1, a1, z2, a2, z3 = _logits(m, x)
-    onehot = np.eye(z3.shape[-1])[y]
+    x, a1, a2, z3 = _logits(m, x)
+    onehot = y[..., None] == np.arange(z3.shape[-1])
     top = z3.max(axis=-1)
-    logsumexp = np.log(np.exp(z3 - top[..., None]).sum(axis=-1)) + top
-    picked = z3[onehot.astype(bool)].reshape(y.shape)
-    loss = (logsumexp - picked).sum(axis=-1) / n  # the batch mean
+    dz3 = z3 - top[..., None]
+    np.exp(dz3, out=dz3)
+    total = dz3.sum(axis=-1)
+    loss = np.log(total)
+    loss += top
+    loss -= z3[onehot].reshape(y.shape)
+    loss = loss.sum(axis=-1) / n  # the batch mean
 
-    dz3 = _softmax(z3) - onehot
+    dz3 /= total[..., None]  # the softmax
+    dz3 -= onehot
     dz3 /= n
     gw3 = _t(a2) @ dz3
     gb3 = dz3.sum(axis=-2)
-    da2 = dz3 @ _t(m.w3)
-    dz2 = da2 * (z2 > 0)
+    dz2 = dz3 @ _t(m.w3)
+    dz2 *= a2 > 0
     gw2 = _t(a1) @ dz2
     gb2 = dz2.sum(axis=-2)
-    da1 = dz2 @ _t(m.w2)
-    dz1 = da1 * (z1 > 0)
-    gw1 = _t(m.input_scale * x) @ dz1
+    dz1 = dz2 @ _t(m.w2)
+    dz1 *= a1 > 0
+    gw1 = _t(x) @ dz1
     gb1 = dz1.sum(axis=-2)
     return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
 
@@ -144,7 +159,7 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 
 
 def _split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(train, validation) record indices for one client's shuffle seed."""
+    """(train, validation) record indices for one row's shuffle seed."""
     if fraction > 0 and n > 1:
         n_val = max(1, int(round(fraction * n)))
         # epoch indices stay below 2**32, so this stream never collides
@@ -156,62 +171,92 @@ def _split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), np.array([], dtype=np.int64)
 
 
-def train(records: BudgetDataset, cfg: TrainConfig, seeds, init_seeds,
-          input_scale: float = 1.0) -> AllocatorModel:
-    """Minibatch SGD on the records' C clients at once; returns the stack.
+def training_record(cfg: TrainConfig, seeds) -> dict:
+    """The `train_config` a model trained with `cfg` and shuffle `seeds`
+    carries."""
+    return {"epochs": cfg.epochs, "learning_rate": cfg.learning_rate,
+            "batch_size": cfg.batch_size, "seeds": list(seeds),
+            "validation_fraction": cfg.validation_fraction}
 
-    `seeds` (shuffle) and `init_seeds` hold one seed per client. Each client
-    keeps its own shuffle stream and validation split (both from its shuffle
-    seed), init seed, labels and best-validation snapshot, so every client's
-    weights are bit-identical to training that client alone.
+
+def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
+          init_seeds, input_scale: float = 1.0,
+          seed_indices=None) -> AllocatorModel:
+    """Minibatch SGD on every client of every dataset at once; returns the
+    stack of S·C rows, seed-major.
+
+    `datasets` holds one budget dataset per seed, all with the same number
+    of records, dimension, clients and classes. `seeds` (shuffle) and
+    `init_seeds` hold one seed per row. Each row keeps its own shuffle
+    stream and validation split (both from its shuffle seed), init seed,
+    labels and best-validation snapshot, so every row's weights are
+    bit-identical to training that client alone. `seed_indices` names the
+    datasets' seeds in errors (default 0, 1, ...).
 
     Shuffling is reseeded per epoch from the shuffle seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,
     otherwise the final-epoch ones.
     """
-    seeds, init_seeds = list(seeds), list(init_seeds)
-    num_clients = records.num_clients
-    if len(seeds) != num_clients or len(init_seeds) != num_clients:
-        raise ValidationError("need one shuffle seed and one init seed per client")
-    if len(records) == 0:
+    datasets, seeds, init_seeds = list(datasets), list(seeds), list(init_seeds)
+    if not datasets:
+        raise ValidationError("need at least one budget dataset")
+    first = datasets[0]
+    shape = (len(first), first.embeddings.shape[1:], first.num_clients,
+             first.num_classes)
+    if any((len(d), d.embeddings.shape[1:], d.num_clients, d.num_classes)
+           != shape for d in datasets):
+        raise ValidationError("budget datasets trained together need equal "
+                              "record counts, dimensions, clients and classes")
+    num_clients, num_classes = first.num_clients, first.num_classes
+    num_rows = len(datasets) * num_clients
+    if len(seeds) != num_rows or len(init_seeds) != num_rows:
+        raise ValidationError("need one shuffle seed and one init seed per "
+                              "client of every dataset")
+    if len(first) == 0:
         raise ValidationError("cannot train on an empty budget dataset")
-    x = records.embeddings.astype(np.float64)
-    y = records.classes.T
-    num_classes = records.num_classes
+    if seed_indices is None:
+        seed_indices = range(len(datasets))
+    x = np.stack([d.embeddings for d in datasets]).astype(np.float64)
+    y = np.concatenate([d.classes.T for d in datasets])
     if np.any(y >= num_classes):
         raise ValidationError("class label out of range for num_classes")
 
-    splits = [_split(len(records), cfg.validation_fraction, seed)
+    splits = [_split(len(first), cfg.validation_fraction, seed)
               for seed in seeds]
     train_idx = np.stack([t for t, _ in splits])
     val_idx = np.stack([v for _, v in splits])
-    x_train = x[train_idx]
+    owner = np.repeat(np.arange(len(datasets)), num_clients)[:, None]
+    x_train = x[owner, train_idx]
     y_train = np.take_along_axis(y, train_idx, axis=1)
-    x_val = x[val_idx]
+    x_val = x[owner, val_idx]
     y_val = np.take_along_axis(y, val_idx, axis=1)
-    rows = np.arange(num_clients)[:, None]
+    rows = np.arange(num_rows)[:, None]
 
-    stack = init_model(x.shape[1], cfg.width, num_classes, init_seeds,
+    stack = init_model(x.shape[2], cfg.width, num_classes, init_seeds,
                        input_scale=input_scale)
-    best = [p.copy() for p in stack.params()]
-    best_val = np.full(num_clients, np.inf)
+    params = stack.params()
+    best = [p.copy() for p in params]
+    best_val = np.full(num_rows, np.inf)
     for epoch in range(cfg.epochs):
         order = np.stack([_epoch_rng(seed, epoch).permutation(train_idx.shape[1])
                           for seed in seeds])
         x_epoch, y_epoch = x_train[rows, order], y_train[rows, order]
-        epoch_loss = np.zeros(num_clients)
+        epoch_loss = np.zeros(num_rows)
         n_batches = 0
         for start in range(0, order.shape[1], cfg.batch_size):
             stop = start + cfg.batch_size
             loss, grads = batch_loss_and_grads(stack, x_epoch[:, start:stop],
                                                y_epoch[:, start:stop])
-            if not np.all(np.isfinite(loss)):
-                bad = int(np.argmin(np.isfinite(loss)))
+            finite = np.isfinite(loss)
+            if not finite.all():
+                seed, client = divmod(int(np.argmin(finite)), num_clients)
                 raise ValidationError(
-                    f"client {bad}: non-finite training loss at epoch {epoch}, "
-                    f"batch starting {start} (lr={cfg.learning_rate})")
-            for param, grad in zip(stack.params(), grads):
-                param -= cfg.learning_rate * grad
+                    f"seed {seed_indices[seed]}, client {client}: non-finite "
+                    f"training loss at epoch {epoch}, batch starting {start} "
+                    f"(lr={cfg.learning_rate})")
+            for param, grad in zip(params, grads):
+                grad *= cfg.learning_rate
+                param -= grad
             epoch_loss += loss
             n_batches += 1
         stack.loss_history.append((epoch_loss / max(n_batches, 1)).tolist())
@@ -219,18 +264,31 @@ def train(records: BudgetDataset, cfg: TrainConfig, seeds, init_seeds,
             val_loss, _ = batch_loss_and_grads(stack, x_val, y_val)
             better = val_loss < best_val
             best_val[better] = val_loss[better]
-            for kept, param in zip(best, stack.params()):
+            for kept, param in zip(best, params):
                 kept[better] = param[better]
     if val_idx.shape[1]:
-        # a client whose validation loss never improved keeps its final epoch
+        # a row whose validation loss never improved keeps its final epoch
         seen = np.isfinite(best_val)
-        for kept, param in zip(best, stack.params()):
+        for kept, param in zip(best, params):
             param[seen] = kept[seen]
-    stack.train_config = {
-        "epochs": cfg.epochs, "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size, "seeds": seeds,
-        "validation_fraction": cfg.validation_fraction}
+    stack.train_config = training_record(cfg, seeds)
     return stack
+
+
+def split(stack: AllocatorModel, parts: int) -> list[AllocatorModel]:
+    """The stack cut into `parts` models of equal row count, in row order:
+    one C-row model per seed of a seed-major `train`, each with its rows'
+    loss history and shuffle seeds."""
+    size = stack.num_clients // parts
+    models = []
+    for first in range(0, parts * size, size):
+        rows = slice(first, first + size)
+        models.append(replace(
+            stack, loss_history=[h[rows] for h in stack.loss_history],
+            train_config=dict(stack.train_config,
+                              seeds=stack.train_config["seeds"][rows]),
+            **{name: getattr(stack, name)[rows] for name in PARAM_NAMES}))
+    return models
 
 
 def predict_budget(m: AllocatorModel, e_q, delta: int) -> list[int]:

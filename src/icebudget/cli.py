@@ -86,28 +86,28 @@ def _cmd_run(args):
 
 def _per_seed(describe, args):
     """Run one stage for every seed of the config, one stdout line each."""
-    from .harness import _SeedContext, _stage
+    from .harness import seed_contexts
     cfg = _load_cfg(args)
-    for i in range(cfg.num_seeds):
-        with _stage(args.command, i):
-            line = describe(_SeedContext.for_seed(cfg, i))
+    contexts = seed_contexts(cfg, range(cfg.num_seeds), args.command)
+    for i, line in enumerate(describe(contexts)):
         print(f"seed {i}: {line}")
     return 0
 
 
-def _describe_partition(ctx):
-    return f"shard sizes {[len(s) for s in ctx.shards]}"
+def _describe_partition(contexts):
+    return [f"shard sizes {[len(s) for s in ctx.shards]}" for ctx in contexts]
 
 
-def _describe_budget_dataset(ctx):
-    bproxy = ctx.budget_dataset()
-    return f"{len(bproxy)} budget records ({bproxy.num_classes} classes)"
+def _describe_budget_dataset(contexts):
+    return [f"{len(b)} budget records ({b.num_classes} classes)"
+            for b in (ctx.budget_dataset() for ctx in contexts)]
 
 
-def _describe_allocators(ctx):
-    model = ctx.allocators()
-    return (f"trained {model.num_clients} allocators, final losses "
-            f"{[f'{l:.4f}' for l in model.loss_history[-1]]}")
+def _describe_allocators(contexts):
+    from .harness import allocators
+    return [f"trained {model.num_clients} allocators, final losses "
+            f"{[f'{l:.4f}' for l in model.loss_history[-1]]}"
+            for model in allocators(contexts)]
 
 
 def _cmd_encode(args):
@@ -121,7 +121,7 @@ def _cmd_encode(args):
 
 def _cmd_infer(args):
     from .federation import distributed_infer
-    from .harness import _SeedContext, _policy_for, _stage
+    from .harness import _policy_for, _stage, seed_contexts
     cfg = _load_cfg(args)
     # the query is hash-encoded, so the stores must be hash-encoded text too
     if cfg.dataset is None or cfg.embeddings.source != "hash":
@@ -131,7 +131,7 @@ def _cmd_infer(args):
     if args.policy:
         cfg.policies = [args.policy]
     with _stage("infer", args.seed_index):
-        ctx = _SeedContext.for_seed(cfg, args.seed_index)
+        [ctx] = seed_contexts(cfg, [args.seed_index], "infer")
         e_q = ctx.encoder.encode_many([args.text])[0]
         server = ctx.make_server(_policy_for(cfg.policies[0], ctx.run_seed))
         answer, transcript = distributed_infer(server, ctx.clients, args.text,

@@ -1,9 +1,11 @@
 """End-to-end experiment orchestration.
 
-run_experiment executes partition -> embed -> budget dataset -> allocator
-training -> per-policy evaluation, caching every artifact under the output
-directory, and writes a deterministic JSON report plus transcript JSONL and
-a budget-histogram CSV.
+run_experiment sets up every seed's data, shards and proxy split, then
+builds the budget datasets and trains every seed's allocators in one SGD
+loop, then evaluates each policy per seed. Every artifact is cached under
+the output directory, and a cached one is served only if it matches the
+config. It writes a deterministic JSON report plus transcript JSONL and a
+budget-histogram CSV.
 """
 
 from __future__ import annotations
@@ -13,15 +15,17 @@ import csv
 import json
 import math
 import os
+import reprlib
 
 import numpy as np
 
 from . import __version__
-from .allocator import load_model, save_model, train
+from .allocator import (AllocatorModel, load_model, save_model, split, train,
+                        training_record)
 from .config import ExperimentConfig, derive_seed
-from .corpus import (Dataset, load_dataset, load_shard_manifest, partition_iid,
-                     partition_noniid, sample_proxy, synth_clusters,
-                     write_shard_manifest)
+from .corpus import (Dataset, Example, load_dataset, load_shard_manifest,
+                     partition_iid, partition_noniid, sample_proxy,
+                     synth_clusters, write_shard_manifest)
 from .embedder import (EmbeddingStore, HashEncoder, encode_dataset,
                        load_embeddings)
 from .errors import IceBudgetError, StageError, ValidationError
@@ -51,30 +55,71 @@ def mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-class _SeedContext:
-    """All artifacts of one seeded run: data, shards, stores, proxy/test."""
+def _check_cached(path, cached: dict, expected: dict):
+    """Refuse a cached artifact unless each field equals this run's value."""
+    for name, want in expected.items():
+        if cached.get(name) != want:
+            raise ValidationError(
+                f"{path}: cached {name} is {reprlib.repr(cached.get(name))}, "
+                f"this run's is {reprlib.repr(want)}")
 
-    def __init__(self, cfg: ExperimentConfig, run_seed: int, out_dir: str):
+
+def _load_files(cfg: ExperimentConfig):
+    """(train_ds, train_store, eval_ds, eval_store, encoder) of a file-backed
+    config. No part depends on the run seed, so every seed shares them."""
+    train_ds = load_dataset(cfg.dataset.train_path)
+    eval_ds = load_dataset(cfg.dataset.eval_path)
+    # file eval sets get ids offset so train/eval ids never collide
+    offset = max(train_ds.ids) + 1
+    eval_ds = Dataset(tuple(Example(ex.id + offset, ex.text, ex.label)
+                            for ex in eval_ds.examples), eval_ds.labels)
+    encoder = None  # the query encoder of hash-encoded text
+    if cfg.embeddings.source == "hash":
+        encoder = HashEncoder(cfg.embeddings.dim,
+                              derive_seed(cfg.seed, "hash-encoder"))
+        train_store = encode_dataset(train_ds, encoder)
+        eval_store = encode_dataset(eval_ds, encoder)
+    else:
+        train_store = load_embeddings(cfg.embeddings.train_path)
+        eval_ids, eval_matrix = load_embeddings(
+            cfg.embeddings.eval_path).matrix()
+        eval_store = EmbeddingStore(eval_ids + offset, eval_matrix)
+    return train_ds, train_store, eval_ds, eval_store, encoder
+
+
+class _SeedContext:
+    """All artifacts of one seeded run: data, shards, stores, proxy/test.
+
+    `files`, if given, is the `_load_files` result of another seed of the
+    same config; `seed_index` names the run in errors."""
+
+    def __init__(self, cfg: ExperimentConfig, run_seed: int, out_dir: str,
+                 seed_index: int | None = None, files=None):
         self.cfg = cfg
         self.run_seed = run_seed
         self.out_dir = out_dir
+        self.seed_index = seed_index
+        self.model: AllocatorModel | None = None  # set by `allocators`
         os.makedirs(out_dir, exist_ok=True)
-        self._load_data()
+        self._load_data(files)
         self._partition()
         self._split_proxy()
 
     @classmethod
-    def for_seed(cls, cfg: ExperimentConfig, seed_index: int) -> "_SeedContext":
+    def for_seed(cls, cfg: ExperimentConfig, seed_index: int,
+                 files=None) -> "_SeedContext":
         """The context of the config's `seed_index`-th seeded run."""
         if not 0 <= seed_index < cfg.num_seeds:
             raise ValidationError(f"seed index {seed_index} outside "
                                   f"[0, {cfg.num_seeds})")
         return cls(cfg, derive_seed(cfg.seed, f"run{seed_index}"),
-                   os.path.join(cfg.output_dir, f"seed{seed_index}"))
+                   os.path.join(cfg.output_dir, f"seed{seed_index}"),
+                   seed_index, files)
 
-    def _load_data(self):
+    def _load_data(self, files):
         cfg = self.cfg
-        self.encoder = None  # the query encoder of hash-encoded text
+        self.files = None
+        self.encoder = None
         if cfg.synthetic is not None:
             spec = cfg.synthetic
             means_seed = derive_seed(self.run_seed, "synth-means")
@@ -89,25 +134,9 @@ class _SeedContext:
                 id_offset=len(self.train_ds), means_seed=means_seed,
                 scale=spec.scale)
         else:
-            self.train_ds = load_dataset(cfg.dataset.train_path)
-            self.eval_ds = load_dataset(cfg.dataset.eval_path)
-            # file eval sets get ids offset so train/eval ids never collide
-            offset = max(self.train_ds.ids) + 1
-            from .corpus import Example
-            self.eval_ds = Dataset(
-                tuple(Example(ex.id + offset, ex.text, ex.label)
-                      for ex in self.eval_ds.examples),
-                self.eval_ds.labels)
-            if cfg.embeddings.source == "hash":
-                self.encoder = HashEncoder(cfg.embeddings.dim,
-                                           derive_seed(cfg.seed, "hash-encoder"))
-                self.train_store = encode_dataset(self.train_ds, self.encoder)
-                self.eval_store = encode_dataset(self.eval_ds, self.encoder)
-            else:
-                self.train_store = load_embeddings(cfg.embeddings.train_path)
-                eval_ids, eval_matrix = load_embeddings(
-                    cfg.embeddings.eval_path).matrix()
-                self.eval_store = EmbeddingStore(eval_ids + offset, eval_matrix)
+            self.files = files or _load_files(cfg)
+            (self.train_ds, self.train_store, self.eval_ds, self.eval_store,
+             self.encoder) = self.files
         if self.train_store.dim != self.eval_store.dim:
             raise ValidationError("train/eval embedding dimensions differ")
         self.train_store.check_bound(self.train_ds)
@@ -145,32 +174,56 @@ class _SeedContext:
         self.test_store = self.eval_store.subset(self.test.ids)
 
     def budget_dataset(self):
-        path = os.path.join(self.out_dir, "bproxy.jsonl")
-        if os.path.exists(path):
-            return load_budget_dataset(path)
-        bproxy = construct_budget_dataset(
-            self.proxy, self.proxy_store, self.shards, self.shard_stores,
-            self.cfg.k, self.cfg.delta)
-        save_budget_dataset(bproxy, path)
-        return bproxy
-
-    def allocators(self):
-        """The clients' stacked allocator model: loaded if cached, otherwise
-        trained in one SGD loop and saved."""
+        """The proxy's oracle budgets: loaded if cached for this config and
+        proxy, otherwise constructed and saved."""
         cfg = self.cfg
+        path = os.path.join(self.out_dir, "bproxy.jsonl")
+        proxy_ids = self.proxy_store.matrix()[0]
+        with _stage("budget-dataset", self.seed_index):
+            if os.path.exists(path):
+                bproxy = load_budget_dataset(path)
+                _check_cached(
+                    path, {"k": bproxy.k, "delta": bproxy.delta,
+                           "C": bproxy.num_clients,
+                           "query_ids": bproxy.query_ids.tolist()},
+                    {"k": cfg.k, "delta": cfg.delta,
+                     "C": cfg.partition.num_clients,
+                     "query_ids": proxy_ids.tolist()})
+                return bproxy
+            bproxy = construct_budget_dataset(
+                self.proxy, self.proxy_store, self.shards, self.shard_stores,
+                cfg.k, cfg.delta)
+            save_budget_dataset(bproxy, path)
+            return bproxy
+
+    def _model_paths(self):
         model_dir = os.path.join(self.out_dir, "models")
-        paths = (os.path.join(model_dir, "allocators.json"),
-                 os.path.join(model_dir, "allocators.bin"))
-        if all(map(os.path.exists, paths)):
-            return load_model(*paths)
-        clients = range(cfg.partition.num_clients)
-        scale = cfg.synthetic.scale if cfg.synthetic is not None else 1.0
-        model = train(self.budget_dataset(), cfg.train,
-                      [derive_seed(self.run_seed, f"shuffle-{c}") for c in clients],
-                      [derive_seed(self.run_seed, f"init-{c}") for c in clients],
-                      input_scale=1.0 / scale)
-        os.makedirs(model_dir, exist_ok=True)
-        save_model(model, *paths)
+        return (os.path.join(model_dir, "allocators.json"),
+                os.path.join(model_dir, "allocators.bin"))
+
+    def _client_seeds(self, kind: str) -> list[int]:
+        """One `kind` ("shuffle" or "init") seed per client."""
+        return [derive_seed(self.run_seed, f"{kind}-{c}")
+                for c in range(self.cfg.partition.num_clients)]
+
+    def _cached_model(self, records) -> AllocatorModel | None:
+        """The cached allocators if there are any, refused unless they are
+        what this run would train from `records`."""
+        paths = self._model_paths()
+        if not all(map(os.path.exists, paths)):
+            return None
+        cfg = self.cfg
+        model = load_model(*paths)
+        expected = {"num_clients": records.num_clients,
+                    "num_classes": records.num_classes,
+                    "dim": records.embeddings.shape[1],
+                    "width": cfg.train.width, "input_scale": _input_scale(cfg)}
+        cached = {name: getattr(model, name) for name in expected}
+        record = training_record(cfg.train, self._client_seeds("shuffle"))
+        for key, value in record.items():
+            expected[f"train_config.{key}"] = value
+            cached[f"train_config.{key}"] = (model.train_config or {}).get(key)
+        _check_cached(paths[0], cached, expected)
         return model
 
     def make_server(self, policy: BudgetPolicy) -> ServerNode:
@@ -180,11 +233,57 @@ class _SeedContext:
             backend=make_backend(cfg.backend), labels=self.train_ds.labels,
             ice_order=cfg.ice_order, max_prompt_chars=cfg.max_prompt_chars)
         if policy.variant == "learned":
-            server.allocator = self.allocators()
+            server.allocator = allocators([self])[0]
         if policy.variant == "proxy_only":
             server.proxy = self.proxy
             server.proxy_store = self.proxy_store
         return server
+
+
+def _input_scale(cfg: ExperimentConfig) -> float:
+    return 1.0 / cfg.synthetic.scale if cfg.synthetic is not None else 1.0
+
+
+def seed_contexts(cfg: ExperimentConfig, seed_indices,
+                  stage: str = "setup") -> list[_SeedContext]:
+    """The contexts of the given seeded runs, each set up in `stage`. The
+    seeds of a file-backed config share one load and encoding of its files."""
+    contexts, files = [], None
+    for i in seed_indices:
+        with _stage(stage, i):
+            contexts.append(_SeedContext.for_seed(cfg, i, files))
+        files = contexts[-1].files
+    return contexts
+
+
+def allocators(contexts) -> list[AllocatorModel]:
+    """Each context's stacked allocator model. A context keeps its model once
+    it has one. Otherwise it is loaded if cached for this config, and the
+    seeds without one are trained together in one SGD loop of S·C rows,
+    then saved one artifact pair per seed."""
+    todo = []
+    for ctx in contexts:
+        if ctx.model is None:
+            records = ctx.budget_dataset()
+            with _stage("train-allocator", ctx.seed_index):
+                ctx.model = ctx._cached_model(records)
+            if ctx.model is None:
+                todo.append((ctx, records))
+    if todo:
+        cfg = todo[0][0].cfg
+        shuffle, init = ([s for ctx, _ in todo for s in ctx._client_seeds(kind)]
+                         for kind in ("shuffle", "init"))
+        with _stage("train-allocator", None):
+            stack = train([records for _, records in todo], cfg.train, shuffle,
+                          init, input_scale=_input_scale(cfg),
+                          seed_indices=[ctx.seed_index for ctx, _ in todo])
+        for (ctx, _), model in zip(todo, split(stack, len(todo))):
+            paths = ctx._model_paths()
+            with _stage("train-allocator", ctx.seed_index):
+                os.makedirs(os.path.dirname(paths[0]), exist_ok=True)
+                save_model(model, *paths)
+            ctx.model = model
+    return [ctx.model for ctx in contexts]
 
 
 def _policy_for(name: str, run_seed: int, client: int = 0) -> BudgetPolicy:
@@ -236,11 +335,14 @@ def _budget_histogram(transcripts, num_clients: int):
 
 
 @contextlib.contextmanager
-def _stage(name: str, seed_index: int):
-    """Prefix any error raised in the block with the stage and seed. Package
-    errors keep their type (and so their CLI exit code); any other error
-    becomes a StageError chained to the original."""
-    where = f"stage '{name}' (seed {seed_index})"
+def _stage(name: str, seed_index: int | None):
+    """Prefix any error raised in the block with the stage and seed (none for
+    a stage over several seeds). Package errors keep their type (and so
+    their CLI exit code); any other error becomes a StageError chained to
+    the original."""
+    where = f"stage '{name}'"
+    if seed_index is not None:
+        where += f" (seed {seed_index})"
     try:
         yield
     except IceBudgetError as exc:
@@ -256,11 +358,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                              "per_seed_samples_communicated": []}
                       for name in cfg.policies}
     histograms = []
-    contexts = []
-    for i in range(cfg.num_seeds):
-        with _stage("setup", i):
-            ctx = _SeedContext.for_seed(cfg, i)
-        contexts.append(ctx)
+    contexts = seed_contexts(cfg, range(cfg.num_seeds))
+    if "learned" in cfg.policies:
+        allocators(contexts)
+    for i, ctx in enumerate(contexts):
         for name in cfg.policies:
             transcript_path = os.path.join(ctx.out_dir,
                                            f"transcripts_{name}.jsonl")

@@ -5,7 +5,7 @@ import pytest
 
 from icebudget.allocator import (PARAM_NAMES, batch_loss_and_grads, forward,
                                  init_model, load_model, predict_budget,
-                                 save_model, train)
+                                 save_model, split, train)
 from icebudget.config import TrainConfig
 from icebudget.errors import ValidationError
 from icebudget.oracle import BudgetDataset
@@ -157,7 +157,7 @@ class TestTraining:
     def test_learns_separable_problem(self):
         records = separable_records(120, dim=6, num_classes=3, seed=13)
         cfg = TrainConfig(epochs=60, learning_rate=0.05, batch_size=8, width=16)
-        model = train(records, cfg, seeds=[1], init_seeds=[1])
+        model = train([records], cfg, seeds=[1], init_seeds=[1])
         x = records.embeddings
         y = records.classes[:, 0]
         predicted = np.array([int(np.argmax(forward(model, row)[0])) for row in x])
@@ -167,8 +167,8 @@ class TestTraining:
     def test_deterministic_given_seeds(self):
         records = separable_records(40, dim=4, num_classes=2, seed=3)
         cfg = TrainConfig(epochs=10, learning_rate=0.05, batch_size=4, width=8)
-        a = train(records, cfg, [5], [2])
-        b = train(records, cfg, [5], [2])
+        a = train([records], cfg, [5], [2])
+        b = train([records], cfg, [5], [2])
         for pa, pb in zip(a.params(), b.params()):
             assert np.array_equal(pa, pb)
         assert a.loss_history == b.loss_history
@@ -176,14 +176,14 @@ class TestTraining:
     def test_shuffle_seed_changes_trajectory(self):
         records = separable_records(40, dim=4, num_classes=2, seed=3)
         cfg = TrainConfig(epochs=5, learning_rate=0.05, batch_size=4, width=8)
-        a = train(records, cfg, [5], [2])
-        b = train(records, cfg, [6], [2])
+        a = train([records], cfg, [5], [2])
+        b = train([records], cfg, [6], [2])
         assert a.loss_history != b.loss_history
 
     def test_zero_learning_rate_is_noop(self):
         records = separable_records(20, dim=4, num_classes=2, seed=3)
         cfg = TrainConfig(epochs=3, learning_rate=0.0, batch_size=4, width=8)
-        model = train(records, cfg, [1], [7])
+        model = train([records], cfg, [1], [7])
         fresh = init_model(4, 8, records.num_classes, seeds=[7])
         for trained, initial in zip(model.params(), fresh.params()):
             assert np.array_equal(trained, initial)
@@ -192,14 +192,14 @@ class TestTraining:
         records = separable_records(60, dim=4, num_classes=2, seed=8)
         cfg = TrainConfig(epochs=20, learning_rate=0.05, batch_size=8,
                           width=8, validation_fraction=0.25)
-        model = train(records, cfg, [2], [2])
+        model = train([records], cfg, [2], [2])
         assert len(model.loss_history) == 20
 
     def test_empty_records_rejected(self):
         empty = BudgetDataset(np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
                               np.zeros((0, 1), dtype=np.int64), k=2, delta=1)
         with pytest.raises(ValidationError):
-            train(empty, TrainConfig(), [0], [0])
+            train([empty], TrainConfig(), [0], [0])
 
 
 class TestPredictBudget:
@@ -213,7 +213,7 @@ class TestPredictBudget:
 class TestModelIo:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, width=8)
-        model = train(three_client_records(30, dim=4, seed=3), cfg, [5, 6, 7],
+        model = train([three_client_records(30, dim=4, seed=3)], cfg, [5, 6, 7],
                       [2, 3, 4], input_scale=2.5)
         json_path, blob_path = tmp_path / "m.json", tmp_path / "m.bin"
         save_model(model, json_path, blob_path)
@@ -349,11 +349,11 @@ class TestStackedTraining:
                           validation_fraction=validation_fraction)
         seeds = [102, 100, 101]
         init_seeds = [7, 8, 9]
-        stacked = train(records, cfg, seeds, init_seeds, input_scale=3.0)
+        stacked = train([records], cfg, seeds, init_seeds, input_scale=3.0)
         assert stacked.num_clients == 3
         for c, (shuffle, seed) in enumerate(zip(seeds, init_seeds)):
             expected = _reference_train(records, c, cfg, shuffle, seed, 3.0)
-            alone = train(one_client(records, c), cfg, [shuffle], [seed],
+            alone = train([one_client(records, c)], cfg, [shuffle], [seed],
                           input_scale=3.0)
             for got, want, solo in zip(stacked.params(), expected.params(),
                                        alone.params()):
@@ -389,7 +389,62 @@ class TestStackedTraining:
     def test_one_shuffle_and_init_seed_per_client(self):
         records = three_client_records(10, dim=3, seed=1)
         with pytest.raises(ValidationError):
-            train(records, TrainConfig(epochs=2, width=4), [1], [1, 2])
+            train([records], TrainConfig(epochs=2, width=4), [1], [1, 2])
+
+
+class TestSeedMajorTraining:
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
+    def test_equals_per_seed_training_bit_for_bit(self, validation_fraction):
+        seeds_data = [three_client_records(37, dim=5, seed=s) for s in (4, 5)]
+        cfg = TrainConfig(epochs=12, learning_rate=0.3, batch_size=8, width=6,
+                          validation_fraction=validation_fraction)
+        shuffle = [[102, 100, 101], [7, 3, 5]]
+        init = [[7, 8, 9], [1, 2, 6]]
+        stacked = train(seeds_data, cfg, shuffle[0] + shuffle[1],
+                        init[0] + init[1], input_scale=3.0)
+        assert stacked.num_clients == 6
+        assert stacked.train_config["seeds"] == shuffle[0] + shuffle[1]
+        for s, part in enumerate(split(stacked, 2)):
+            alone = train([seeds_data[s]], cfg, shuffle[s], init[s],
+                          input_scale=3.0)
+            for got, want in zip(part.params(), alone.params()):
+                assert np.array_equal(got, want)
+            assert part.loss_history == alone.loss_history
+            assert part.train_config == alone.train_config
+            assert part.input_scale == alone.input_scale
+
+    def test_split_model_saves_like_the_seed_alone(self, tmp_path):
+        seeds_data = [three_client_records(20, dim=4, seed=s) for s in (1, 2)]
+        cfg = TrainConfig(epochs=3, learning_rate=0.05, batch_size=4, width=5)
+        stacked = train(seeds_data, cfg, [1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1])
+        alone = train([seeds_data[1]], cfg, [4, 5, 6], [3, 2, 1])
+        save_model(split(stacked, 2)[1], tmp_path / "a.json", tmp_path / "a.bin")
+        save_model(alone, tmp_path / "b.json", tmp_path / "b.bin")
+        for suffix in ("json", "bin"):
+            assert ((tmp_path / f"a.{suffix}").read_bytes()
+                    == (tmp_path / f"b.{suffix}").read_bytes())
+
+    def test_unequal_datasets_rejected(self):
+        a = three_client_records(10, dim=3, seed=1)
+        b = three_client_records(11, dim=3, seed=2)
+        with pytest.raises(ValidationError, match="equal record counts"):
+            train([a, b], TrainConfig(epochs=2, width=4), range(6), range(6))
+
+    def test_one_seed_pair_per_row_of_every_dataset(self):
+        data = [three_client_records(10, dim=3, seed=s) for s in (1, 2)]
+        with pytest.raises(ValidationError, match="every dataset"):
+            train(data, TrainConfig(epochs=2, width=4), range(3), range(3))
+
+    def test_non_finite_loss_names_seed_and_client(self):
+        data = [three_client_records(10, dim=3, seed=s) for s in (1, 2)]
+        data[1].embeddings[:, :] = np.nan  # only seed 1's rows go bad
+        cfg = TrainConfig(epochs=2, width=4)
+        with pytest.raises(ValidationError,
+                           match=r"^seed 7, client 0: non-finite training "
+                                 r"loss at epoch 0, batch starting 0"):
+            train(data, cfg, range(6), range(6), seed_indices=[3, 7])
+        with pytest.raises(ValidationError, match=r"^seed 1, client 0: "):
+            train(data, cfg, range(6), range(6))
 
 
 class TestStackedPrediction:

@@ -118,6 +118,25 @@ class TestStageErrors:
         assert not (tmp_path / "out" / "seed0" / "models" /
                     "allocators.bin").exists()
 
+    def test_rerun_with_another_budget_refused(self, config_path, tmp_path,
+                                               capsys):
+        # k 4, delta 1 and k 8, delta 2 both give 5 budget classes, so only
+        # the budget dataset's header tells the cached models apart
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
+        path = tmp_path / "learned.yaml"
+        path.write_text(text)
+        assert main(["--config", str(path), "run"]) == 0
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        path.write_text(text.replace("k: 4\n", "k: 8\ndelta: 2\n"))
+        capsys.readouterr()
+        assert main(["--config", str(path), "run"]) == 1
+        err = capsys.readouterr().err
+        assert "bproxy.jsonl: cached k is 4, this run's is 8" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "out" / "report.json").read_bytes() == report
+
     @pytest.mark.parametrize("curve", ["a,b", "nan,1", "inf"])
     def test_bad_curve_without_traceback(self, config_path, tmp_path, capsys,
                                          curve):

@@ -8,14 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icebudget import harness
+from icebudget import allocator, harness
 from icebudget.config import config_from_dict, derive_seed
 from icebudget.corpus import synth_clusters
+from icebudget.embedder import encode_dataset
 from icebudget.errors import ValidationError
 from icebudget.federation import load_transcripts
-from icebudget.harness import (_SeedContext, budget_efficiency_curve,
+from icebudget.harness import (_SeedContext, allocators,
+                               budget_efficiency_curve,
                                efficiency_curve_from_run, evaluate_accuracy,
-                               mean_std, run_experiment)
+                               mean_std, run_experiment, seed_contexts)
 from icebudget.retrieval import top_k
 
 from conftest import save_dataset
@@ -97,10 +99,7 @@ class TestRunExperiment:
         blob_path = os.path.join(model_dir, "allocators.bin")
         first = Path(blob_path).read_bytes()
         shutil.rmtree(model_dir)  # drop only the model cache
-        run_seed = derive_seed(tiny_config.seed, "run0")
-        ctx = _SeedContext(tiny_config, run_seed,
-                           os.path.join(tiny_config.output_dir, "seed0"))
-        ctx.allocators()
+        allocators(seed_contexts(tiny_config, [0]))
         assert Path(blob_path).read_bytes() == first
 
     def test_models_are_one_artifact_pair(self, tiny_config):
@@ -112,6 +111,7 @@ class TestRunExperiment:
 
     def test_warm_rerun_trains_nothing(self, tiny_config, monkeypatch):
         tiny_config.policies = ["learned"]
+        tiny_config.num_seeds = 2
         run_experiment(tiny_config)
         report_path = os.path.join(tiny_config.output_dir, "report.json")
         first = Path(report_path).read_bytes()
@@ -121,6 +121,85 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "train", no_training)
         run_experiment(tiny_config)
         assert Path(report_path).read_bytes() == first
+        contexts = seed_contexts(tiny_config, range(2))
+        first_call = allocators(contexts)
+        # loaded once, then kept on each context
+        assert all(a is b for a, b in zip(allocators(contexts), first_call))
+
+    def test_partly_cached_run_writes_the_files_of_a_fresh_run(
+            self, tiny_config, monkeypatch):
+        tiny_config.policies = ["learned"]
+        tiny_config.num_seeds = 3
+        run_experiment(tiny_config)
+        fresh = _tree_bytes(tiny_config.output_dir)
+        for i in (0, 2):
+            shutil.rmtree(os.path.join(tiny_config.output_dir, f"seed{i}",
+                                       "models"))
+        trained = []
+
+        def counting_train(datasets, *args, **kwargs):
+            trained.append(kwargs["seed_indices"])
+            return allocator.train(datasets, *args, **kwargs)
+        monkeypatch.setattr(harness, "train", counting_train)
+        run_experiment(tiny_config)
+        assert trained == [[0, 2]]  # one loop for both uncached seeds
+        assert _tree_bytes(tiny_config.output_dir) == fresh
+
+    def test_one_sgd_loop_per_run(self, tiny_config, monkeypatch):
+        tiny_config.policies = ["learned"]
+        tiny_config.num_seeds = 3
+        steps = []
+        step = allocator.batch_loss_and_grads
+
+        def counting_step(m, x, y):
+            steps.append(x.shape[0])
+            return step(m, x, y)
+        monkeypatch.setattr(allocator, "batch_loss_and_grads", counting_step)
+        run_experiment(tiny_config)
+        batches = math.ceil(tiny_config.proxy_size / tiny_config.train.batch_size)
+        assert len(steps) == tiny_config.train.epochs * batches
+        rows = tiny_config.num_seeds * tiny_config.partition.num_clients
+        assert set(steps) == {rows}
+
+    @pytest.mark.parametrize("change, field", [
+        ({"k": 6}, "k"),
+        ({"delta": 2}, "delta"),
+        ({"proxy_size": 29}, "query_ids"),
+    ])
+    def test_budget_dataset_of_another_config_refused(self, tiny_config,
+                                                      change, field):
+        tiny_config.policies = ["learned"]
+        run_experiment(tiny_config)
+        for key, value in change.items():
+            setattr(tiny_config, key, value)
+        path = os.path.join(tiny_config.output_dir, "seed0", "bproxy.jsonl")
+        with pytest.raises(ValidationError,
+                           match=f"{path}: cached {field} is"):
+            run_experiment(tiny_config)
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("train", "epochs", 6, "train_config.epochs"),
+        ("train", "learning_rate", 0.02, "train_config.learning_rate"),
+        ("train", "validation_fraction", 0.25,
+         "train_config.validation_fraction"),
+        ("train", "width", 9, "width"),
+        ("synthetic", "scale", 2.0, "input_scale"),
+        (None, "seed", 4, "train_config.seeds"),
+    ])
+    def test_models_of_another_config_refused(self, tiny_config, section,
+                                              key, value, field):
+        tiny_config.policies = ["learned"]
+        run_experiment(tiny_config)
+        seed_dir = os.path.join(tiny_config.output_dir, "seed0")
+        if key in ("seed", "scale"):
+            # the data moves with these; keep the cached budget dataset valid
+            os.remove(os.path.join(seed_dir, "bproxy.jsonl"))
+            os.remove(os.path.join(seed_dir, "shards.json"))
+        setattr(getattr(tiny_config, section) if section else tiny_config,
+                key, value)
+        path = os.path.join(seed_dir, "models", "allocators.json")
+        with pytest.raises(ValidationError, match=f"{path}: cached {field} is"):
+            run_experiment(tiny_config)
 
     def test_communicated_totals_match_transcripts(self, tiny_config):
         report = run_experiment(tiny_config)
@@ -135,6 +214,13 @@ class TestRunExperiment:
         tiny_config.proxy_size = 10_000  # larger than the eval pool
         with pytest.raises(ValidationError, match="stage 'setup'"):
             run_experiment(tiny_config)
+
+
+def _tree_bytes(root):
+    """{relative path: bytes} of every file under `root`."""
+    return {os.path.relpath(os.path.join(d, name), root):
+            Path(d, name).read_bytes()
+            for d, _, names in os.walk(root) for name in names}
 
 
 def report_query_count(cfg):
@@ -253,6 +339,34 @@ class TestSeedContext:
         example = ctx.train_ds.examples[7]
         assert np.array_equal(ctx.encoder.encode_many([example.text])[0],
                               ctx.train_store.get(example.id))
+
+    def test_file_data_loaded_and_encoded_once_per_run(self, tmp_path,
+                                                       monkeypatch):
+        train, _ = synth_clusters(3, 20, 4, 0.3, seed=1)
+        evals, _ = synth_clusters(3, 15, 4, 0.3, seed=2)
+        save_dataset(train, tmp_path / "train.jsonl")
+        save_dataset(evals, tmp_path / "eval.jsonl")
+        cfg = config_from_dict({
+            "num_seeds": 3, "proxy_size": 20, "k": 4,
+            "partition": {"num_clients": 3, "labels_per_client": 1},
+            "dataset": {"train_path": str(tmp_path / "train.jsonl"),
+                        "eval_path": str(tmp_path / "eval.jsonl")},
+            "embeddings": {"source": "hash", "dim": 16},
+            "output_dir": str(tmp_path / "text")})
+        encoded = []
+
+        def counting_encode(dataset, encoder):
+            encoded.append(len(dataset))
+            return encode_dataset(dataset, encoder)
+        monkeypatch.setattr(harness, "encode_dataset", counting_encode)
+        contexts = seed_contexts(cfg, range(3))
+        assert encoded == [len(train), len(evals)]
+        alone = _SeedContext.for_seed(cfg, 2)
+        for name in ("train_ds", "eval_ds", "proxy", "test"):
+            assert getattr(contexts[2], name) == getattr(alone, name)
+        for name in ("train_store", "test_store"):
+            assert (getattr(contexts[2], name).matrix()[1].tobytes()
+                    == getattr(alone, name).matrix()[1].tobytes())
 
     def test_train_eval_ids_disjoint(self, tiny_config):
         run_seed = derive_seed(tiny_config.seed, "run0")
