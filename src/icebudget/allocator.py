@@ -49,6 +49,8 @@ class AllocatorModel:
     # first layer is linear this is a pure reparameterization of w1; it only
     # conditions training when embeddings have a tiny absolute magnitude.
     input_scale: float = 1.0
+    # A digest of everything the model was trained from; None if unrecorded.
+    key: str | None = None
 
     @property
     def num_clients(self) -> int:
@@ -302,7 +304,8 @@ def save_model(m: AllocatorModel, json_path, blob_path):
     in layer order w1, b1, w2, b2, w3, b3 (each row-major, client first)."""
     meta = {"num_clients": m.num_clients, "dim": m.dim, "width": m.width,
             "num_classes": m.num_classes, "train_config": m.train_config,
-            "loss_history": m.loss_history, "input_scale": m.input_scale}
+            "loss_history": m.loss_history, "input_scale": m.input_scale,
+            "key": m.key}
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
@@ -327,4 +330,5 @@ def load_model(json_path, blob_path) -> AllocatorModel:
     return AllocatorModel(dim=dim, width=width, num_classes=classes,
                           loss_history=meta["loss_history"],
                           train_config=meta["train_config"],
-                          input_scale=meta["input_scale"], **params)
+                          input_scale=meta["input_scale"], key=meta.get("key"),
+                          **params)

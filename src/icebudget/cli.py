@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages; `run` executes everything end to
-end with artifact caching, the others run or inspect individual stages.
+end, reusing saved allocators trained from the same inputs, the others run
+or inspect individual stages.
 Exit codes: 0 success, 1 validation error, 2 runtime error.
 """
 
@@ -105,9 +106,10 @@ def _describe_budget_dataset(contexts):
 
 def _describe_allocators(contexts):
     from .harness import allocators
-    return [f"trained {model.num_clients} allocators, final losses "
+    return [f"{'trained' if ctx.trained else 'loaded'} {model.num_clients} "
+            f"allocators, final losses "
             f"{[f'{l:.4f}' for l in model.loss_history[-1]]}"
-            for model in allocators(contexts)]
+            for ctx, model in zip(contexts, allocators(contexts))]
 
 
 def _cmd_encode(args):

@@ -2,20 +2,22 @@
 
 run_experiment sets up every seed's data, shards and proxy split, then
 builds the budget datasets and trains every seed's allocators in one SGD
-loop, then evaluates each policy per seed. Every artifact is cached under
-the output directory, and a cached one is served only if it matches the
-config. It writes a deterministic JSON report plus transcript JSONL and a
-budget-histogram CSV.
+loop, then evaluates each policy per seed. Shards and budget datasets are
+rebuilt by every run (and written as `shards.json` and `bproxy.jsonl`).
+Only the trained allocators are a cache: a saved pair is served only if
+its key, a digest of everything its training read, equals the key this
+run would write; any other pair is retrained and overwritten. It writes a
+deterministic JSON report plus transcript JSONL and a budget-histogram CSV.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
 import math
 import os
-import reprlib
 
 import numpy as np
 
@@ -23,6 +25,8 @@ from . import __version__
 from .allocator import (AllocatorModel, load_model, save_model, split, train,
                         training_record)
 from .config import ExperimentConfig, derive_seed
+# `load_shard_manifest` and `load_budget_dataset` are no longer called here;
+# they stay imported because `bench/spans.py` traces them in this module
 from .corpus import (Dataset, Example, load_dataset, load_shard_manifest,
                      partition_iid, partition_noniid, sample_proxy,
                      synth_clusters, write_shard_manifest)
@@ -53,15 +57,6 @@ def mean_std(values) -> tuple[float, float]:
     if arr.size == 0:
         raise ValidationError("cannot summarize an empty value list")
     return float(arr.mean()), float(arr.std())
-
-
-def _check_cached(path, cached: dict, expected: dict):
-    """Refuse a cached artifact unless each field equals this run's value."""
-    for name, want in expected.items():
-        if cached.get(name) != want:
-            raise ValidationError(
-                f"{path}: cached {name} is {reprlib.repr(cached.get(name))}, "
-                f"this run's is {reprlib.repr(want)}")
 
 
 def _load_files(cfg: ExperimentConfig):
@@ -100,6 +95,7 @@ class _SeedContext:
         self.out_dir = out_dir
         self.seed_index = seed_index
         self.model: AllocatorModel | None = None  # set by `allocators`
+        self.trained = False  # whether `allocators` trained `model`
         os.makedirs(out_dir, exist_ok=True)
         self._load_data(files)
         self._partition()
@@ -145,18 +141,15 @@ class _SeedContext:
     def _partition(self):
         cfg = self.cfg
         seed = derive_seed(self.run_seed, "partition")
-        manifest_path = os.path.join(self.out_dir, "shards.json")
-        if os.path.exists(manifest_path):
-            self.shards = load_shard_manifest(self.train_ds, manifest_path)
+        if cfg.partition.scheme == "noniid":
+            self.shards = partition_noniid(
+                self.train_ds, cfg.partition.num_clients,
+                cfg.partition.labels_per_client, seed)
         else:
-            if cfg.partition.scheme == "noniid":
-                self.shards = partition_noniid(
-                    self.train_ds, cfg.partition.num_clients,
-                    cfg.partition.labels_per_client, seed)
-            else:
-                self.shards = partition_iid(self.train_ds,
-                                            cfg.partition.num_clients, seed)
-            write_shard_manifest(self.shards, manifest_path)
+            self.shards = partition_iid(self.train_ds,
+                                        cfg.partition.num_clients, seed)
+        write_shard_manifest(self.shards,
+                             os.path.join(self.out_dir, "shards.json"))
         self.shard_stores = [self.train_store.subset(s.ids) for s in self.shards]
         self.clients = [ClientNode(i, shard, store)
                         for i, (shard, store)
@@ -174,26 +167,14 @@ class _SeedContext:
         self.test_store = self.eval_store.subset(self.test.ids)
 
     def budget_dataset(self):
-        """The proxy's oracle budgets: loaded if cached for this config and
-        proxy, otherwise constructed and saved."""
+        """The proxy's oracle budgets, constructed and saved."""
         cfg = self.cfg
-        path = os.path.join(self.out_dir, "bproxy.jsonl")
-        proxy_ids = self.proxy_store.matrix()[0]
         with _stage("budget-dataset", self.seed_index):
-            if os.path.exists(path):
-                bproxy = load_budget_dataset(path)
-                _check_cached(
-                    path, {"k": bproxy.k, "delta": bproxy.delta,
-                           "C": bproxy.num_clients,
-                           "query_ids": bproxy.query_ids.tolist()},
-                    {"k": cfg.k, "delta": cfg.delta,
-                     "C": cfg.partition.num_clients,
-                     "query_ids": proxy_ids.tolist()})
-                return bproxy
             bproxy = construct_budget_dataset(
                 self.proxy, self.proxy_store, self.shards, self.shard_stores,
                 cfg.k, cfg.delta)
-            save_budget_dataset(bproxy, path)
+            save_budget_dataset(bproxy,
+                                os.path.join(self.out_dir, "bproxy.jsonl"))
             return bproxy
 
     def _model_paths(self):
@@ -206,25 +187,29 @@ class _SeedContext:
         return [derive_seed(self.run_seed, f"{kind}-{c}")
                 for c in range(self.cfg.partition.num_clients)]
 
-    def _cached_model(self, records) -> AllocatorModel | None:
-        """The cached allocators if there are any, refused unless they are
-        what this run would train from `records`."""
+    def _model_key(self, records) -> str:
+        """The key of the allocators this run would train from `records`: a
+        digest of their training record, width, input scale and table."""
+        cfg = self.cfg
+        key = hashlib.blake2b(digest_size=16)
+        key.update(json.dumps(
+            [training_record(cfg.train, self._client_seeds("shuffle")),
+             cfg.train.width, _input_scale(cfg), records.k, records.delta,
+             records.embeddings.shape, records.num_clients],
+            sort_keys=True).encode())
+        for part, dtype in ((records.query_ids, "<i8"),
+                            (records.embeddings, "<f8"),
+                            (records.raw_counts, "<i8")):
+            key.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
+        return key.hexdigest()
+
+    def _cached_model(self, key: str) -> AllocatorModel | None:
+        """The saved allocators if there are any and they carry `key`."""
         paths = self._model_paths()
         if not all(map(os.path.exists, paths)):
             return None
-        cfg = self.cfg
         model = load_model(*paths)
-        expected = {"num_clients": records.num_clients,
-                    "num_classes": records.num_classes,
-                    "dim": records.embeddings.shape[1],
-                    "width": cfg.train.width, "input_scale": _input_scale(cfg)}
-        cached = {name: getattr(model, name) for name in expected}
-        record = training_record(cfg.train, self._client_seeds("shuffle"))
-        for key, value in record.items():
-            expected[f"train_config.{key}"] = value
-            cached[f"train_config.{key}"] = (model.train_config or {}).get(key)
-        _check_cached(paths[0], cached, expected)
-        return model
+        return model if model.key == key else None
 
     def make_server(self, policy: BudgetPolicy) -> ServerNode:
         cfg = self.cfg
@@ -258,31 +243,35 @@ def seed_contexts(cfg: ExperimentConfig, seed_indices,
 
 def allocators(contexts) -> list[AllocatorModel]:
     """Each context's stacked allocator model. A context keeps its model once
-    it has one. Otherwise it is loaded if cached for this config, and the
-    seeds without one are trained together in one SGD loop of S·C rows,
-    then saved one artifact pair per seed."""
+    it has one. Otherwise its budget dataset is rebuilt and its saved model
+    loaded if it carries this run's key; the seeds without one are trained
+    together in one SGD loop of S·C rows (and marked `trained`), then saved
+    one artifact pair per seed."""
     todo = []
     for ctx in contexts:
         if ctx.model is None:
             records = ctx.budget_dataset()
+            key = ctx._model_key(records)
             with _stage("train-allocator", ctx.seed_index):
-                ctx.model = ctx._cached_model(records)
+                ctx.model = ctx._cached_model(key)
             if ctx.model is None:
-                todo.append((ctx, records))
+                todo.append((ctx, records, key))
     if todo:
-        cfg = todo[0][0].cfg
-        shuffle, init = ([s for ctx, _ in todo for s in ctx._client_seeds(kind)]
+        untrained, tables, keys = zip(*todo)
+        cfg = untrained[0].cfg
+        shuffle, init = ([s for ctx in untrained for s in ctx._client_seeds(kind)]
                          for kind in ("shuffle", "init"))
         with _stage("train-allocator", None):
-            stack = train([records for _, records in todo], cfg.train, shuffle,
-                          init, input_scale=_input_scale(cfg),
-                          seed_indices=[ctx.seed_index for ctx, _ in todo])
-        for (ctx, _), model in zip(todo, split(stack, len(todo))):
+            stack = train(tables, cfg.train, shuffle, init,
+                          input_scale=_input_scale(cfg),
+                          seed_indices=[ctx.seed_index for ctx in untrained])
+        for ctx, key, model in zip(untrained, keys, split(stack, len(todo))):
+            model.key = key
             paths = ctx._model_paths()
             with _stage("train-allocator", ctx.seed_index):
                 os.makedirs(os.path.dirname(paths[0]), exist_ok=True)
                 save_model(model, *paths)
-            ctx.model = model
+            ctx.model, ctx.trained = model, True
     return [ctx.model for ctx in contexts]
 
 

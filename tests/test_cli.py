@@ -70,22 +70,19 @@ class TestRun:
 
 
 class TestStageErrors:
-    def test_corrupt_manifest_is_a_runtime_error(self, config_path, tmp_path,
+    def test_unwritable_manifest_is_a_runtime_error(self, config_path, tmp_path,
                                                  capsys):
-        seed_dir = tmp_path / "out" / "seed0"
-        seed_dir.mkdir(parents=True)
-        (seed_dir / "shards.json").write_text("{not json")
+        # the manifest is written by every run; a directory there fails it
+        (tmp_path / "out" / "seed0" / "shards.json").mkdir(parents=True)
         assert main(["--config", config_path, "run"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: stage 'setup' (seed 0): ")
         assert "Traceback" not in err
 
 
-    def test_partition_on_truncated_manifest(self, config_path, tmp_path,
+    def test_partition_on_unwritable_manifest(self, config_path, tmp_path,
                                              capsys):
-        seed_dir = tmp_path / "out" / "seed0"
-        seed_dir.mkdir(parents=True)
-        (seed_dir / "shards.json").write_text('{"shards": [[0, 1')
+        (tmp_path / "out" / "seed0" / "shards.json").mkdir(parents=True)
         assert main(["--config", config_path, "partition"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: stage 'partition' (seed 0): ")
@@ -101,42 +98,6 @@ class TestStageErrors:
         assert err.startswith("runtime error: stage 'report' (seed 0): ")
         assert "Traceback" not in err
 
-    def test_corrupt_cached_budget_dataset(self, config_path, tmp_path,
-                                           capsys):
-        assert main(["--config", config_path, "build-budget-dataset"]) == 0
-        path = tmp_path / "out" / "seed0" / "bproxy.jsonl"
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[3])
-        record["vector"] = record["vector"][:-1]
-        lines[3] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(["--config", config_path, "train-allocator"]) == 1
-        err = capsys.readouterr().err
-        assert "line 4" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out" / "seed0" / "models" /
-                    "allocators.bin").exists()
-
-    def test_rerun_with_another_budget_refused(self, config_path, tmp_path,
-                                               capsys):
-        # k 4, delta 1 and k 8, delta 2 both give 5 budget classes, so only
-        # the budget dataset's header tells the cached models apart
-        with open(config_path) as fh:
-            text = fh.read().replace("policies: [uniform]",
-                                     "policies: [learned]")
-        path = tmp_path / "learned.yaml"
-        path.write_text(text)
-        assert main(["--config", str(path), "run"]) == 0
-        report = (tmp_path / "out" / "report.json").read_bytes()
-        path.write_text(text.replace("k: 4\n", "k: 8\ndelta: 2\n"))
-        capsys.readouterr()
-        assert main(["--config", str(path), "run"]) == 1
-        err = capsys.readouterr().err
-        assert "bproxy.jsonl: cached k is 4, this run's is 8" in err
-        assert "Traceback" not in err
-        assert (tmp_path / "out" / "report.json").read_bytes() == report
-
     @pytest.mark.parametrize("curve", ["a,b", "nan,1", "inf"])
     def test_bad_curve_without_traceback(self, config_path, tmp_path, capsys,
                                          curve):
@@ -145,6 +106,49 @@ class TestStageErrors:
         assert err.startswith("error: --curve: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()  # rejected before the stage
+
+
+class TestRebuild:
+    def test_corrupt_budget_dataset_rebuilt(self, config_path, tmp_path,
+                                            capsys):
+        assert main(["--config", config_path, "build-budget-dataset"]) == 0
+        path = tmp_path / "out" / "seed0" / "bproxy.jsonl"
+        fresh = path.read_bytes()
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["vector"] = record["vector"][:-1]
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["--config", config_path, "train-allocator"]) == 0
+        assert capsys.readouterr().out.startswith("seed 0: trained 2 ")
+        assert path.read_bytes() == fresh
+        assert (tmp_path / "out" / "seed0" / "models" /
+                "allocators.bin").exists()
+
+    def test_rerun_with_another_budget_rebuilt(self, config_path, tmp_path):
+        # k 4, delta 1 and k 8, delta 2 both give 5 budget classes, so only
+        # the budget table tells the saved models apart
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
+        path = tmp_path / "learned.yaml"
+        path.write_text(text.replace("k: 4\n", "k: 8\ndelta: 2\n"))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "run"]) == 0
+        fresh = _tree_digests(out)
+        out.rename(tmp_path / "fresh")
+        path.write_text(text)
+        assert main(["--config", str(path), "run"]) == 0
+        path.write_text(text.replace("k: 4\n", "k: 8\ndelta: 2\n"))
+        assert main(["--config", str(path), "run"]) == 0
+        assert _tree_digests(out) == fresh
+
+
+def _tree_digests(root):
+    """{relative path: sha256} of every file under `root`."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestUsage:
@@ -318,6 +322,10 @@ class TestStages:
     def test_train_allocator(self, config_path, tmp_path, capsys):
         assert main(["--config", config_path, "train-allocator"]) == 0
         assert (tmp_path / "out" / "seed0" / "models" / "allocators.bin").exists()
+        cold = capsys.readouterr().out
+        assert cold.startswith("seed 0: trained 2 allocators, final losses ")
+        assert main(["--config", config_path, "train-allocator"]) == 0
+        assert capsys.readouterr().out == cold.replace("trained", "loaded")
 
 
 class TestReport:

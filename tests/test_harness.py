@@ -135,12 +135,7 @@ class TestRunExperiment:
         for i in (0, 2):
             shutil.rmtree(os.path.join(tiny_config.output_dir, f"seed{i}",
                                        "models"))
-        trained = []
-
-        def counting_train(datasets, *args, **kwargs):
-            trained.append(kwargs["seed_indices"])
-            return allocator.train(datasets, *args, **kwargs)
-        monkeypatch.setattr(harness, "train", counting_train)
+        trained = _count_training(monkeypatch)
         run_experiment(tiny_config)
         assert trained == [[0, 2]]  # one loop for both uncached seeds
         assert _tree_bytes(tiny_config.output_dir) == fresh
@@ -161,45 +156,66 @@ class TestRunExperiment:
         rows = tiny_config.num_seeds * tiny_config.partition.num_clients
         assert set(steps) == {rows}
 
-    @pytest.mark.parametrize("change, field", [
-        ({"k": 6}, "k"),
-        ({"delta": 2}, "delta"),
-        ({"proxy_size": 29}, "query_ids"),
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "k", 6),
+        (None, "delta", 2),
+        (None, "proxy_size", 29),
+        ("train", "epochs", 6),
+        ("train", "learning_rate", 0.02),
+        ("train", "validation_fraction", 0.25),
+        ("train", "width", 9),
+        ("synthetic", "scale", 2.0),
+        (None, "seed", 4),
+        ("partition", "labels_per_client", 2),
+        ("partition", "scheme", "iid"),
+        ("partition", "num_clients", 3),
     ])
-    def test_budget_dataset_of_another_config_refused(self, tiny_config,
-                                                      change, field):
+    def test_rerun_of_another_config_writes_the_files_of_a_fresh_run(
+            self, tiny_config, monkeypatch, section, key, value):
         tiny_config.policies = ["learned"]
+        tiny_config.num_seeds = 2
+        changed = copy.deepcopy(tiny_config)
+        setattr(getattr(changed, section) if section else changed, key, value)
+        run_experiment(changed)
+        fresh = _tree_bytes(changed.output_dir)
+        shutil.rmtree(changed.output_dir)
         run_experiment(tiny_config)
-        for key, value in change.items():
-            setattr(tiny_config, key, value)
-        path = os.path.join(tiny_config.output_dir, "seed0", "bproxy.jsonl")
-        with pytest.raises(ValidationError,
-                           match=f"{path}: cached {field} is"):
-            run_experiment(tiny_config)
+        trained = _count_training(monkeypatch)
+        run_experiment(changed)  # into the used directory
+        assert trained == [[0, 1]]  # every seed retrained, in one loop
+        assert _tree_bytes(changed.output_dir) == fresh
 
-    @pytest.mark.parametrize("section, key, value, field", [
-        ("train", "epochs", 6, "train_config.epochs"),
-        ("train", "learning_rate", 0.02, "train_config.learning_rate"),
-        ("train", "validation_fraction", 0.25,
-         "train_config.validation_fraction"),
-        ("train", "width", 9, "width"),
-        ("synthetic", "scale", 2.0, "input_scale"),
-        (None, "seed", 4, "train_config.seeds"),
-    ])
-    def test_models_of_another_config_refused(self, tiny_config, section,
-                                              key, value, field):
+    def test_keyless_models_retrained_to_the_same_bytes(self, tiny_config):
         tiny_config.policies = ["learned"]
         run_experiment(tiny_config)
-        seed_dir = os.path.join(tiny_config.output_dir, "seed0")
-        if key in ("seed", "scale"):
-            # the data moves with these; keep the cached budget dataset valid
-            os.remove(os.path.join(seed_dir, "bproxy.jsonl"))
-            os.remove(os.path.join(seed_dir, "shards.json"))
-        setattr(getattr(tiny_config, section) if section else tiny_config,
-                key, value)
-        path = os.path.join(seed_dir, "models", "allocators.json")
-        with pytest.raises(ValidationError, match=f"{path}: cached {field} is"):
-            run_experiment(tiny_config)
+        fresh = _tree_bytes(tiny_config.output_dir)
+        path = os.path.join(tiny_config.output_dir, "seed0", "models",
+                            "allocators.json")
+        meta = json.loads(Path(path).read_text())
+        del meta["key"]  # as saved before models recorded their key
+        Path(path).write_text(json.dumps(meta, sort_keys=True) + "\n")
+        [ctx] = seed_contexts(tiny_config, [0])
+        allocators([ctx])
+        assert ctx.trained
+        assert _tree_bytes(tiny_config.output_dir) == fresh
+
+    def test_edited_shards_and_budget_dataset_rebuilt(self, tiny_config,
+                                                      monkeypatch):
+        tiny_config.policies = ["learned"]
+        run_experiment(tiny_config)
+        fresh = _tree_bytes(tiny_config.output_dir)
+        seed_dir = Path(tiny_config.output_dir, "seed0")
+        manifest = (seed_dir / "shards.json").read_bytes()
+        (seed_dir / "shards.json").write_bytes(manifest[:len(manifest) // 2])
+        lines = (seed_dir / "bproxy.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["raw_counts"] = record["classes"] = [0, 0]
+        lines[1] = json.dumps(record)  # well formed, but not the oracle's
+        (seed_dir / "bproxy.jsonl").write_text("\n".join(lines) + "\n")
+        trained = _count_training(monkeypatch)
+        run_experiment(tiny_config)
+        assert trained == []  # the rebuilt table keys the saved models
+        assert _tree_bytes(tiny_config.output_dir) == fresh
 
     def test_communicated_totals_match_transcripts(self, tiny_config):
         report = run_experiment(tiny_config)
@@ -214,6 +230,17 @@ class TestRunExperiment:
         tiny_config.proxy_size = 10_000  # larger than the eval pool
         with pytest.raises(ValidationError, match="stage 'setup'"):
             run_experiment(tiny_config)
+
+
+def _count_training(monkeypatch):
+    """A list that gets the seed indices of each later `train` call."""
+    trained = []
+
+    def counting_train(datasets, *args, **kwargs):
+        trained.append(kwargs["seed_indices"])
+        return allocator.train(datasets, *args, **kwargs)
+    monkeypatch.setattr(harness, "train", counting_train)
+    return trained
 
 
 def _tree_bytes(root):
@@ -307,7 +334,7 @@ class TestSeedContext:
         assert ctx.run_seed == derive_seed(tiny_config.seed, "run0")
         assert ctx.out_dir == os.path.join(tiny_config.output_dir, "seed0")
 
-    def test_shards_cached_in_manifest(self, tiny_config):
+    def test_shards_written_to_manifest(self, tiny_config):
         run_seed = derive_seed(tiny_config.seed, "run0")
         seed_dir = os.path.join(tiny_config.output_dir, "seed0")
         a = _SeedContext(tiny_config, run_seed, seed_dir)
