@@ -11,7 +11,8 @@ class ValidationError(IceBudgetError):
 
 class StageError(IceBudgetError):
     """A pipeline stage failed on an error from outside the package, such as
-    a corrupt cached artifact; the original is chained (CLI exit code 2)."""
+    a corrupt cached artifact (the original is chained), or on a file that
+    another run left behind (CLI exit code 2)."""
 
 
 class ParseError(ValidationError):

@@ -6,10 +6,19 @@ uniform, random, singleton, social-learning, infinite, proxy-only, and
 zero-shot baselines) are implemented here, and every one of them answers a
 query through `distributed_infer`: a policy only decides how `allocate`
 splits the budget and how the server selects the final ICEs.
+
+A budget only truncates a client's ranking of its shard for the query, so a
+client ranks each query once. It keeps, per query vector, the shard
+positions of that vector's top-(k + alpha) entries by (distance, id), keyed
+on a digest of the vector's bytes; k + alpha is the deepest budget any
+policy but `infinite` sends. Every later budget inside that prefix is
+served from it. `run_experiment` releases a seed's rankings before it
+evaluates the next seed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -22,7 +31,8 @@ from .corpus import Dataset, Example, LabelSpace
 from .embedder import EmbeddingStore
 from .errors import BackendError, ValidationError
 from .inference import MockVoteBackend, PromptTemplate, build_prompt
-from .retrieval import RankedSet, rerank_union, top_k
+from .retrieval import (RankedSet, l2_distances, query_vector, rerank_union,
+                        top_k)
 
 
 @dataclass(frozen=True)
@@ -42,9 +52,14 @@ class BudgetPolicy:
 
 @dataclass
 class ClientNode:
+    """A client: its shard, the shard's store, and the rankings it keeps
+    (see `client_retrieve`)."""
+
     id: int
     shard: Dataset
     store: EmbeddingStore
+    # query digest -> shard positions of the query's top entries, in order
+    rankings: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.store.check_bound(self.shard)
@@ -153,19 +168,41 @@ def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
     raise ValidationError(f"unknown policy variant: {variant}")
 
 
-def client_retrieve(client: ClientNode, e_q, budget: int) -> RankedSet:
-    """Local top-min(budget, |shard|); a zero budget returns nothing."""
+def client_retrieve(client: ClientNode, e_q, budget: int,
+                    depth: int = 0) -> RankedSet:
+    """Local top-min(budget, |shard|); a zero budget returns nothing.
+
+    The client keeps the shard positions of the query's top-`depth`
+    entries, keyed on a digest of the query vector's bytes, and serves any
+    budget inside that prefix by gathering its rows and recomputing their
+    distances with `retrieval.l2_distances`, which gives what `top_k` would.
+    A query without a kept ranking, or a deeper budget, goes to `top_k`."""
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
     if budget == 0:
         return RankedSet()
-    return top_k(e_q, budget, client.shard, client.store)
+    store = client.store
+    query = query_vector(e_q, store)
+    key = hashlib.blake2b(query.tobytes(), digest_size=16).digest()
+    kept = client.rankings.get(key)
+    ids, matrix = store.matrix()
+    if kept is not None and budget <= len(kept):
+        rows = kept[:budget]
+        return RankedSet(ids[rows], l2_distances(query, matrix[rows]))
+    ranked = top_k(query, max(budget, depth), client.shard, store)
+    if depth:
+        client.rankings[key] = np.searchsorted(
+            ids, ranked.id_array[:depth]).astype(
+                np.min_scalar_type(len(client.shard)))
+    return RankedSet(ranked.id_array[:budget], ranked.distances[:budget])
 
 
-def _gather(clients, e_q, budgets, k: int, transcript, rng=None):
-    """Ask every client for its local top-budget, record the round in the
-    transcript and return the final ICEs with the examples behind them."""
-    returned = [client_retrieve(client, e_q, budget)
+def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
+            depth: int = 0):
+    """Ask every client for its local top-budget (each keeping its top-depth
+    ranking), record the round in the transcript and return the final ICEs
+    with the examples behind them."""
+    returned = [client_retrieve(client, e_q, budget, depth)
                 for client, budget in zip(clients, budgets)]
     transcript.samples_returned = [r.ids for r in returned]
     transcript.total_samples_communicated = sum(len(r) for r in returned)
@@ -235,7 +272,7 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
         rng = (_per_query_rng(policy.seed, query_id)
                if policy.variant == "social_learning" else None)
         final, examples = _gather(clients, e_q, budgets, server.k, transcript,
-                                  rng)
+                                  rng, depth=server.k + server.alpha)
     return _finish(server, query, final, examples, transcript)
 
 

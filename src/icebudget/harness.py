@@ -105,11 +105,8 @@ class _SeedContext:
     def for_seed(cls, cfg: ExperimentConfig, seed_index: int,
                  files=None) -> "_SeedContext":
         """The context of the config's `seed_index`-th seeded run."""
-        if not 0 <= seed_index < cfg.num_seeds:
-            raise ValidationError(f"seed index {seed_index} outside "
-                                  f"[0, {cfg.num_seeds})")
-        return cls(cfg, derive_seed(cfg.seed, f"run{seed_index}"),
-                   os.path.join(cfg.output_dir, f"seed{seed_index}"),
+        out_dir = _seed_dir(cfg, seed_index)
+        return cls(cfg, derive_seed(cfg.seed, f"run{seed_index}"), out_dir,
                    seed_index, files)
 
     def _load_data(self, files):
@@ -223,6 +220,14 @@ class _SeedContext:
             server.proxy = self.proxy
             server.proxy_store = self.proxy_store
         return server
+
+
+def _seed_dir(cfg: ExperimentConfig, seed_index: int) -> str:
+    """The output directory of the config's `seed_index`-th seeded run."""
+    if not 0 <= seed_index < cfg.num_seeds:
+        raise ValidationError(f"seed index {seed_index} outside "
+                              f"[0, {cfg.num_seeds})")
+    return os.path.join(cfg.output_dir, f"seed{seed_index}")
 
 
 def _input_scale(cfg: ExperimentConfig) -> float:
@@ -341,8 +346,15 @@ def _stage(name: str, seed_index: int | None):
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Execute every stage for every seed and write report + artifacts."""
+    """Execute every stage for every seed and write report + artifacts.
+
+    An old `report.json` is removed first, so that the transcripts in the
+    directory are those of the config in `report.json`, or of no finished
+    run at all."""
     os.makedirs(cfg.output_dir, exist_ok=True)
+    report_path = os.path.join(cfg.output_dir, "report.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(report_path)
     policy_results = {name: {"per_seed_accuracy": [],
                              "per_seed_samples_communicated": []}
                       for name in cfg.policies}
@@ -364,6 +376,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     {"seed_index": i,
                      "per_client": _budget_histogram(
                          transcripts, cfg.partition.num_clients)})
+        for client in ctx.clients:
+            client.rankings.clear()  # no later seed asks these clients
 
     for name, result in policy_results.items():
         mean, std = mean_std(result["per_seed_accuracy"])
@@ -374,7 +388,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
               "name": cfg.name, "config": cfg.to_dict(),
               "policies": policy_results, "budget_histograms": histograms,
               "num_test_queries": len(contexts[0].test)}
-    report_path = os.path.join(cfg.output_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -423,16 +436,34 @@ def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,
             for m, row in zip(multipliers, recalls)]
 
 
+def _learned_transcripts(cfg: ExperimentConfig, seed_index: int):
+    """The seeded run's learned-policy transcripts, read only if the run's
+    `report.json` shows a finished run of this config with that policy."""
+    path = os.path.join(_seed_dir(cfg, seed_index), "transcripts_learned.jsonl")
+    if not os.path.exists(path):
+        raise ValidationError(f"no learned transcripts at {path}")
+    try:
+        with open(os.path.join(cfg.output_dir, "report.json"),
+                  encoding="utf-8") as fh:
+            report = json.load(fh)
+    except FileNotFoundError:
+        report = {}
+    if (report.get("config") != cfg.to_dict()
+            or "learned" not in report.get("policies", {})):
+        raise StageError(
+            f"{path} is not from a finished run of this config with the "
+            f"learned policy: the run's report.json is missing, of another "
+            f"config, or lists no learned policy")
+    return load_transcripts(path)
+
+
 def efficiency_curve_from_run(cfg: ExperimentConfig, seed_index: int,
                               multipliers, transcripts=None):
     """Rebuild the seeded run's shards and compute the efficiency curve from
     its learned-policy transcripts."""
-    ctx = _SeedContext.for_seed(cfg, seed_index)
     if transcripts is None:
-        path = os.path.join(ctx.out_dir, "transcripts_learned.jsonl")
-        if not os.path.exists(path):
-            raise ValidationError(f"no learned transcripts at {path}")
-        transcripts = load_transcripts(path)
+        transcripts = _learned_transcripts(cfg, seed_index)
+    ctx = _SeedContext.for_seed(cfg, seed_index)
     return budget_efficiency_curve(
         transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
         ctx.train_store, ctx.test_store, cfg.k, multipliers)

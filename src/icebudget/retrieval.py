@@ -46,19 +46,32 @@ def rank(ids: np.ndarray, distances: np.ndarray, k: int) -> RankedSet:
     return RankedSet(ids[order], distances[order])
 
 
-def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
-    """The k entries of `d` minimizing (distance to e_q, id)."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    store.check_bound(d)
+def query_vector(e_q, store: EmbeddingStore) -> np.ndarray:
+    """`e_q` as a float64 vector of the store's dimension."""
     query = np.asarray(e_q, dtype=np.float64)
     if query.shape != (store.dim,):
         raise ValidationError(
             f"query has shape {query.shape}, store dim is {store.dim}"
         )
+    return query
+
+
+def l2_distances(query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """L2 distance of each row to `query`. `top_k` ranks with it, and a
+    client recomputes the distances of a kept ranking's rows with it, so
+    both give a row the same float64 distance."""
+    diffs = rows - query
+    return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+
+
+def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
+    """The k entries of `d` minimizing (distance to e_q, id)."""
+    if k < 0:
+        raise ValidationError("k must be nonnegative")
+    store.check_bound(d)
+    query = query_vector(e_q, store)
     ids, matrix = store.matrix()
-    diffs = matrix - query
-    return rank(ids, np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), k)
+    return rank(ids, l2_distances(query, matrix), k)
 
 
 def rerank_union(returned: list[RankedSet], k: int, rng=None):

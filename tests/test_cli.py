@@ -346,6 +346,46 @@ class TestReport:
     def test_report_without_transcripts_fails(self, config_path, capsys):
         assert main(["--config", config_path, "report"]) == 1
 
+    def test_curve_refuses_transcripts_another_run_left(self, config_path,
+                                                        tmp_path, capsys):
+        # a learned run, then a uniform-only run of another k into the same
+        # dir: the learned transcripts left behind are not this config's
+        with open(config_path) as fh:
+            text = fh.read()
+        learned = tmp_path / "learned.yaml"
+        learned.write_text(text.replace("policies: [uniform]",
+                                        "policies: [uniform, learned]"))
+        other = tmp_path / "other.yaml"
+        other.write_text(text.replace("k: 4\n", "k: 8\ndelta: 2\n"))
+        assert main(["--config", str(learned), "run"]) == 0
+        assert main(["--config", str(other), "run"]) == 0
+        stale = tmp_path / "out" / "seed0" / "transcripts_learned.jsonl"
+        assert stale.exists()
+        for path in (other, learned):
+            capsys.readouterr()
+            assert main(["--config", str(path), "report", "--curve", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("runtime error: stage 'report' (seed 0): ")
+            assert "seed0/transcripts_learned.jsonl" in err
+            assert "Traceback" not in err
+
+    def test_curve_needs_the_report_of_a_finished_run(self, config_path,
+                                                       tmp_path, capsys):
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
+        path = tmp_path / "learned.yaml"
+        path.write_text(text)
+        assert main(["--config", str(path), "run"]) == 0
+        # a rerun that fails after it started leaves no report.json
+        path.write_text(text.replace("proxy_size: 30", "proxy_size: 50"))
+        assert main(["--config", str(path), "run"]) == 1
+        assert not (tmp_path / "out" / "report.json").exists()
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["--config", str(path), "report", "--curve", "1"]) == 2
+        assert "seed0/transcripts_learned.jsonl" in capsys.readouterr().err
+
 
 @pytest.fixture
 def text_config_path(tmp_path):

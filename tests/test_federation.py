@@ -6,7 +6,8 @@ from scipy.stats import chisquare
 
 from icebudget.allocator import init_model
 from icebudget.config import POLICY_VARIANTS, config_from_dict
-from icebudget.corpus import Example, partition_iid
+from icebudget.corpus import Dataset, Example, LabelSpace, partition_iid
+from icebudget.embedder import EmbeddingStore
 from icebudget.errors import BackendError, ValidationError
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   Transcript, _finish, _gather,
@@ -499,3 +500,89 @@ class TestAggregateMatchesCandidateStore:
                                                            e_q, 5)
                 assert t.aggregated_ids == union
                 assert t.final_ice_ids == [i for i, _ in final]
+
+
+def _tied_clients(seed, num_clients=3):
+    """Clients over vectors drawn from a small grid, so that many entries
+    share a distance (duplicate vectors included) and ties fall at the
+    budget; returns (clients, the grid a query is drawn from)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(num_clients, 60))
+    dim = int(rng.integers(1, 4))
+    grid = rng.integers(-2, 3, size=(6, dim)) * 0.5
+    matrix = grid[rng.integers(len(grid), size=n)]
+    d = Dataset(tuple(Example(i, f"point {i}", int(rng.integers(2)))
+                      for i in range(n)), LabelSpace.default(2))
+    store = EmbeddingStore(np.arange(n), matrix)
+    shards = partition_iid(d, num_clients, seed)
+    return ([ClientNode(i, shard, store.subset(shard.ids))
+             for i, shard in enumerate(shards)], grid)
+
+
+def _same_bytes(got, want):
+    return (got.id_array.tobytes() == want.id_array.tobytes()
+            and got.distances.tobytes() == want.distances.tobytes())
+
+
+class TestKeptRankings:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_budget_served_as_top_k(self, seed):
+        clients, grid = _tied_clients(seed)
+        rng = np.random.default_rng(1000 + seed)
+        k, alpha = int(rng.integers(1, 8)), int(rng.integers(0, 3))
+        depth = k + alpha
+        for client in clients:
+            size = len(client.shard)
+            budgets = [0, 1, depth, depth + 1, size, size + 1]
+            # a grid point (ties certain) and an off-grid point
+            for e_q in (grid[int(rng.integers(len(grid)))],
+                        rng.standard_normal(grid.shape[1])):
+                for warm in budgets:  # each budget as the first request
+                    client.rankings.clear()
+                    for budget in [warm, *budgets]:
+                        got = client_retrieve(client, e_q, budget, depth)
+                        want = top_k(e_q, budget, client.shard, client.store)
+                        assert _same_bytes(got, want), (warm, budget)
+
+    def test_ranking_kept_to_depth_as_positions(self):
+        clients, grid = _tied_clients(3)
+        client = clients[0]
+        e_q = grid[0]
+        client_retrieve(client, e_q, 1, 4)
+        [kept] = client.rankings.values()
+        assert kept.dtype == np.min_scalar_type(len(client.shard))
+        ids, _ = client.store.matrix()
+        assert ids[kept].tolist() == top_k(e_q, 4, client.shard,
+                                            client.store).ids
+        client_retrieve(client, e_q, 2, 4)
+        assert len(client.rankings) == 1
+        client_retrieve(client, e_q + 1.0, 1)  # no depth: nothing kept
+        assert len(client.rankings) == 1
+
+    def test_mutated_query_array_ranked_anew(self):
+        d, store, clients = make_clients(n=40, num_clients=2, seed=29)
+        rng = np.random.default_rng(8)
+        e_q = rng.standard_normal(4)
+        client_retrieve(clients[0], e_q, 3, 5)
+        e_q[:] = rng.standard_normal(4)  # same array object, new query
+        got = client_retrieve(clients[0], e_q, 3, 5)
+        assert _same_bytes(got, top_k(e_q, 3, clients[0].shard,
+                                      clients[0].store))
+
+    @pytest.mark.parametrize("query", ["free text", "example"])
+    def test_one_query_id_with_other_vectors(self, query):
+        # text queries all carry id -1, and a caller may reuse an example
+        # with a changed vector: the kept rankings follow the vector
+        d, store, clients = make_clients(n=40, num_clients=3, seed=31)
+        if query == "example":
+            query = d.examples[0]
+        server = make_server(k=4, alpha=1, policy=BudgetPolicy("uniform"),
+                             labels=d.labels)
+        rng = np.random.default_rng(9)
+        e_q = rng.standard_normal(4)
+        for _ in range(5):
+            _, t = distributed_infer(server, clients, query, e_q)
+            assert t.samples_returned == [
+                top_k(e_q, b, c.shard, c.store).ids
+                for c, b in zip(clients, t.budgets_sent)]
+            e_q[:] = rng.standard_normal(4)

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icebudget import allocator, harness
-from icebudget.config import config_from_dict, derive_seed
+from icebudget import allocator, federation, harness
+from icebudget.config import POLICY_VARIANTS, config_from_dict, derive_seed
 from icebudget.corpus import synth_clusters
 from icebudget.embedder import encode_dataset
 from icebudget.errors import ValidationError
@@ -18,7 +18,7 @@ from icebudget.harness import (_SeedContext, allocators,
                                budget_efficiency_curve,
                                efficiency_curve_from_run, evaluate_accuracy,
                                mean_std, run_experiment, seed_contexts)
-from icebudget.retrieval import top_k
+from icebudget.retrieval import RankedSet, top_k
 
 from conftest import save_dataset
 
@@ -230,6 +230,51 @@ class TestRunExperiment:
         tiny_config.proxy_size = 10_000  # larger than the eval pool
         with pytest.raises(ValidationError, match="stage 'setup'"):
             run_experiment(tiny_config)
+
+
+class TestKeptRankings:
+    def test_run_writes_the_bytes_of_a_run_that_keeps_none(self, tiny_config,
+                                                            monkeypatch):
+        tiny_config.policies = list(POLICY_VARIANTS)
+        tiny_config.num_seeds = 2
+        tiny_config.alpha = 1
+        run_experiment(tiny_config)
+        kept = _tree_bytes(tiny_config.output_dir)
+        shutil.rmtree(tiny_config.output_dir)
+
+        def fresh_ranking(client, e_q, budget, depth=0):
+            if budget == 0:
+                return RankedSet()
+            return top_k(e_q, budget, client.shard, client.store)
+        monkeypatch.setattr(federation, "client_retrieve", fresh_ranking)
+        run_experiment(tiny_config)
+        assert _tree_bytes(tiny_config.output_dir) == kept
+
+    def test_each_query_ranked_once_per_client(self, tiny_config, monkeypatch):
+        tiny_config.policies = ["learned", "uniform", "random",
+                                "social_learning", "singleton"]
+        tiny_config.num_seeds = 2
+        tiny_config.alpha = 1
+        contexts, calls, holding = [], [], []
+
+        def recorded_contexts(*args):
+            contexts.extend(seed_contexts(*args))
+            return contexts
+
+        def counting_top_k(e_q, k, d, store):
+            calls.append((id(d), np.asarray(e_q).tobytes()))
+            holding.append(sum(any(c.rankings for c in ctx.clients)
+                               for ctx in contexts))
+            return top_k(e_q, k, d, store)
+        monkeypatch.setattr(harness, "seed_contexts", recorded_contexts)
+        monkeypatch.setattr(federation, "top_k", counting_top_k)
+        run_experiment(tiny_config)
+        assert len(calls) == len(set(calls))  # one per (shard, query)
+        assert len(calls) == sum(len(ctx.test) * len(ctx.clients)
+                                 for ctx in contexts)
+        # a seed's rankings are released before the next seed is evaluated
+        assert max(holding) == 1
+        assert not any(c.rankings for ctx in contexts for c in ctx.clients)
 
 
 def _count_training(monkeypatch):
