@@ -87,9 +87,10 @@ def _cmd_run(args):
 
 def _per_seed(describe, args):
     """Run one stage for every seed of the config, one stdout line each."""
-    from .harness import seed_contexts
+    from .harness import save_shards, seed_contexts
     cfg = _load_cfg(args)
     contexts = seed_contexts(cfg, range(cfg.num_seeds), args.command)
+    save_shards(contexts, args.command)
     for i, line in enumerate(describe(contexts)):
         print(f"seed {i}: {line}")
     return 0

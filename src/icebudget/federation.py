@@ -14,6 +14,16 @@ on a digest of the vector's bytes; k + alpha is the deepest budget any
 policy but `infinite` sends. Every later budget inside that prefix is
 served from it. `run_experiment` releases a seed's rankings before it
 evaluates the next seed.
+
+Only the global top-k reaches a prompt, and it is the rerank of every
+client's local top-k. So a client sent a budget deeper than k + alpha
+(only `infinite` sends one) gives the server just its top-k, and its
+transcript records how many samples it sent in place of their ids.
+
+A transcript (schema 2) holds only what a run cannot rebuild: the union
+the server reranked is derived from `samples_returned`, and the prompt is
+recorded only for a backend that reads it (not `MockVoteBackend`). Schema 1
+lines still load.
 """
 
 from __future__ import annotations
@@ -106,24 +116,40 @@ class Transcript:
     query_id: int
     policy: str
     budgets_sent: list[int]
-    samples_returned: list[list[int]]
-    aggregated_ids: list[int]
+    # per client: the ids it returned, or how many samples it sent when its
+    # budget was deeper than the server's k + alpha (see `_gather`)
+    samples_returned: list[list[int] | int]
     final_ice_ids: list[int]
-    prompt_text: str
     prompt_chars: int
     answer_label: int | None
     total_samples_communicated: int
     fallback_zero_shot: bool = False
     raw_completion: str | None = None
+    prompt_text: str | None = None  # None when the backend never reads it
+
+    @property
+    def aggregated_ids(self) -> list[int] | None:
+        """The sorted distinct ids the clients returned: the union the
+        server reranked. None when a client is recorded by its count."""
+        if any(isinstance(ids, int) for ids in self.samples_returned):
+            return None
+        return sorted({i for ids in self.samples_returned for i in ids})
 
     def to_dict(self):
         # not dataclasses.asdict: that deep-copies every id list
-        return {"schema_version": 1,
-                **{f.name: getattr(self, f.name) for f in fields(self)}}
+        record = {"schema_version": 2,
+                  **{f.name: getattr(self, f.name) for f in fields(self)}}
+        if self.prompt_text is None:
+            del record["prompt_text"]
+        return record
 
     @staticmethod
     def from_dict(obj) -> "Transcript":
-        """A missing optional field takes its default."""
+        """A schema 1 or 2 record; a missing optional field takes its
+        default, and schema 1's stored union is dropped."""
+        version = obj.get("schema_version", 1)
+        if version not in (1, 2):
+            raise ValidationError(f"unknown transcript schema_version {version}")
         return Transcript(**{f.name: obj[f.name] for f in fields(Transcript)
                              if f.name in obj})
 
@@ -201,16 +227,26 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
             depth: int = 0):
     """Ask every client for its local top-budget (each keeping its top-depth
     ranking), record the round in the transcript and return the final ICEs
-    with the examples behind them."""
-    returned = [client_retrieve(client, e_q, budget, depth)
-                for client, budget in zip(clients, budgets)]
-    transcript.samples_returned = [r.ids for r in returned]
-    transcript.total_samples_communicated = sum(len(r) for r in returned)
-    union, final, owners = rerank_union(returned, k, rng)
-    # share the int objects of samples_returned: transcripts stay in memory
-    flat = [i for ids in transcript.samples_returned for i in ids]
-    transcript.aggregated_ids = [flat[i] for i in union.tolist()]
-    transcript.fallback_zero_shot = not transcript.aggregated_ids
+    with the examples behind them.
+
+    A client whose budget is deeper than `depth` sends min(budget, |shard|)
+    samples, but only its top-k can reach the final k, so the server takes
+    that prefix of its kept ranking and records the count alone."""
+    returned, recorded = [], []
+    for client, budget in zip(clients, budgets):
+        if depth and budget > depth:
+            ranked = client_retrieve(client, e_q, k, depth)
+            recorded.append(min(budget, len(client.shard)))
+        else:
+            ranked = client_retrieve(client, e_q, budget, depth)
+            recorded.append(ranked.ids)
+        returned.append(ranked)
+    transcript.samples_returned = recorded
+    transcript.total_samples_communicated = sum(
+        min(budget, len(client.shard))
+        for client, budget in zip(clients, budgets))
+    _, final, owners = rerank_union(returned, k, rng)
+    transcript.fallback_zero_shot = not len(final)
     examples = [clients[owner].shard.by_id(example_id)
                 for example_id, owner in zip(final.ids, owners.tolist())]
     return final, examples
@@ -234,7 +270,9 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
     if len(prompt) > server.max_prompt_chars:
         raise ValidationError(
             f"prompt of {len(prompt)} chars exceeds cap {server.max_prompt_chars}")
-    transcript.prompt_text = prompt
+    # the mock votes on the ICEs' labels and distances, never the prompt
+    transcript.prompt_text = (None if isinstance(server.backend, MockVoteBackend)
+                              else prompt)
     transcript.prompt_chars = len(prompt)
     transcript.final_ice_ids = [example_id for example_id, _, _ in entries]
 
@@ -259,9 +297,8 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
     budgets = allocate(policy, e_q, server, clients, query_id=query_id)
     transcript = Transcript(
         query_id=query_id, policy=policy.variant, budgets_sent=list(budgets),
-        samples_returned=[[] for _ in clients], aggregated_ids=[],
-        final_ice_ids=[], prompt_text="", prompt_chars=0, answer_label=None,
-        total_samples_communicated=0)
+        samples_returned=[[] for _ in clients], final_ice_ids=[],
+        prompt_chars=0, answer_label=None, total_samples_communicated=0)
 
     if policy.variant == "zero_shot":
         final, examples = RankedSet(), []

@@ -8,6 +8,11 @@ Only the trained allocators are a cache: a saved pair is served only if
 its key, a digest of everything its training read, equals the key this
 run would write; any other pair is retrained and overwritten. It writes a
 deterministic JSON report plus transcript JSONL and a budget-histogram CSV.
+
+Setting up a seed's context writes nothing. `run_experiment` and the
+`partition`, `build-budget-dataset` and `train-allocator` commands write
+its `shards.json` through `save_shards`, so `report` and `infer` against a
+finished run leave the bytes of its files as they are.
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ class _SeedContext:
         self.seed_index = seed_index
         self.model: AllocatorModel | None = None  # set by `allocators`
         self.trained = False  # whether `allocators` trained `model`
-        os.makedirs(out_dir, exist_ok=True)
         self._load_data(files)
         self._partition()
         self._split_proxy()
@@ -145,8 +149,6 @@ class _SeedContext:
         else:
             self.shards = partition_iid(self.train_ds,
                                         cfg.partition.num_clients, seed)
-        write_shard_manifest(self.shards,
-                             os.path.join(self.out_dir, "shards.json"))
         self.shard_stores = [self.train_store.subset(s.ids) for s in self.shards]
         self.clients = [ClientNode(i, shard, store)
                         for i, (shard, store)
@@ -170,6 +172,7 @@ class _SeedContext:
             bproxy = construct_budget_dataset(
                 self.proxy, self.proxy_store, self.shards, self.shard_stores,
                 cfg.k, cfg.delta)
+            os.makedirs(self.out_dir, exist_ok=True)
             save_budget_dataset(bproxy,
                                 os.path.join(self.out_dir, "bproxy.jsonl"))
             return bproxy
@@ -244,6 +247,15 @@ def seed_contexts(cfg: ExperimentConfig, seed_indices,
             contexts.append(_SeedContext.for_seed(cfg, i, files))
         files = contexts[-1].files
     return contexts
+
+
+def save_shards(contexts, stage: str = "setup"):
+    """Write each context's `shards.json`, in `stage`."""
+    for ctx in contexts:
+        with _stage(stage, ctx.seed_index):
+            os.makedirs(ctx.out_dir, exist_ok=True)
+            write_shard_manifest(ctx.shards,
+                                 os.path.join(ctx.out_dir, "shards.json"))
 
 
 def allocators(contexts) -> list[AllocatorModel]:
@@ -360,6 +372,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                       for name in cfg.policies}
     histograms = []
     contexts = seed_contexts(cfg, range(cfg.num_seeds))
+    save_shards(contexts)
     if "learned" in cfg.policies:
         allocators(contexts)
     for i, ctx in enumerate(contexts):

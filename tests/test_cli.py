@@ -463,6 +463,43 @@ class TestInfer:
         assert not (tmp_path / "out" / "seed0" / "shards.json").exists()
 
 
+class TestReadOnlyCommands:
+    def test_report_with_transcripts_writes_nothing(self, config_path,
+                                                    tmp_path, capsys):
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
+        path = tmp_path / "learned.yaml"
+        path.write_text(text)
+        assert main(["--config", str(path), "run"]) == 0
+        transcripts = tmp_path / "out" / "seed0" / "transcripts_learned.jsonl"
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert main(["--config", str(path), "--out", str(fresh), "report",
+                     "--curve", "1", "--transcripts", str(transcripts)]) == 0
+        assert "multiplier" in capsys.readouterr().out
+        assert list(fresh.iterdir()) == []
+
+    def test_report_and_infer_leave_a_finished_run_as_it_is(
+            self, text_config_path, tmp_path, capsys):
+        with open(text_config_path) as fh:
+            text = fh.read()
+        path = tmp_path / "both.yaml"
+        path.write_text(text + "policies: [uniform, learned]\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "run"]) == 0
+
+        def files():  # the bytes and the last write of each file
+            return {name: (digest, (out / name).stat().st_mtime_ns)
+                    for name, digest in _tree_digests(out).items()}
+        finished = files()
+        assert "seed0/shards.json" in finished
+        assert main(["--config", str(path), "report", "--curve", "1"]) == 0
+        assert main(["--config", str(path), "infer", "--text", "q",
+                     "--policy", "uniform"]) == 0
+        assert files() == finished
+
+
 class TestSeedIndex:
     @pytest.mark.parametrize("command", [["infer", "--text", "q"], ["report"]])
     @pytest.mark.parametrize("index", ["-1", "1"])

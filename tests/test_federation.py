@@ -1,14 +1,18 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from icebudget import federation
 from icebudget.allocator import init_model
 from icebudget.config import POLICY_VARIANTS, config_from_dict
 from icebudget.corpus import Dataset, Example, LabelSpace, partition_iid
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import BackendError, ValidationError
+from icebudget.inference import MockVoteBackend, build_prompt
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   Transcript, _finish, _gather,
                                   _per_query_rng, _random_composition,
@@ -181,7 +185,11 @@ class TestDistributedInfer:
                                                    for s in t.samples_returned)
         assert len(t.final_ice_ids) == 4
         assert t.answer_label == answer
-        assert t.prompt_chars == len(t.prompt_text)
+        # the mock never reads the prompt, so only its length is recorded
+        assert t.prompt_text is None
+        ices = [(d.by_id(i).text, d.by_id(i).label) for i in t.final_ice_ids]
+        assert t.prompt_chars == len(build_prompt(ices, query.text,
+                                                  server.template, d.labels))
         assert set(t.final_ice_ids) <= set(t.aggregated_ids)
 
     def test_ice_order_descending_puts_nearest_last(self):
@@ -319,7 +327,7 @@ def _reference_social_learning_infer(server, clients, e_q, seed, query=None):
     transcript = Transcript(
         query_id=query_id, policy="social_learning",
         budgets_sent=[per_client] * c, samples_returned=[],
-        aggregated_ids=[], final_ice_ids=[], prompt_text="", prompt_chars=0,
+        final_ice_ids=[], prompt_text="", prompt_chars=0,
         answer_label=None, total_samples_communicated=0)
     final, examples = _gather(clients, e_q, transcript.budgets_sent, server.k,
                               transcript, rng=_per_query_rng(seed, query_id))
@@ -398,13 +406,20 @@ class TestTranscriptIo:
     def test_dict_has_every_field_and_optional_ones_default(self):
         t, _, _ = self._one()
         record = t.to_dict()
-        assert record["schema_version"] == 1
-        assert set(record) - {"schema_version"} == set(vars(t))
+        assert record["schema_version"] == 2
+        # no stored union, and no prompt under the mock backend
+        assert set(record) - {"schema_version"} == (
+            {f.name for f in fields(Transcript)} - {"prompt_text"})
+        assert "aggregated_ids" not in record
+        t.prompt_text = "a prompt"
+        assert t.to_dict()["prompt_text"] == "a prompt"
         del record["fallback_zero_shot"], record["raw_completion"]
         loaded = Transcript.from_dict(record)
         assert loaded.fallback_zero_shot is False
         assert loaded.raw_completion is None
+        assert loaded.prompt_text is None
         assert loaded.budgets_sent == t.budgets_sent
+        assert loaded.aggregated_ids == t.aggregated_ids
 
     def test_replay_confirms_recorded_round(self):
         t, clients, e_q = self._one()
@@ -414,6 +429,36 @@ class TestTranscriptIo:
         t, clients, e_q = self._one()
         t.samples_returned[0] = [999]
         assert not replay_transcript(t, clients, e_q, k=4)
+
+    def test_v1_line_loads(self, tmp_path):
+        d, store, clients = make_clients(seed=61)
+        server = make_server(k=4, policy=BudgetPolicy("uniform"),
+                             labels=d.labels)
+        lines = []
+        for query in d.examples[:5]:
+            e_q = store.get(query.id)
+            _, t = distributed_infer(server, clients, query, e_q)
+            returned = [client_retrieve(c, e_q, b)
+                        for c, b in zip(clients, t.budgets_sent)]
+            union, _, _ = rerank_union(returned, 4)
+            flat = [i for r in returned for i in r.ids]
+            v1 = {**t.to_dict(), "schema_version": 1, "prompt_text": "p",
+                  "aggregated_ids": [flat[i] for i in union.tolist()]}
+            lines.append(v1)
+        path = tmp_path / "v1.jsonl"
+        path.write_text("".join(json.dumps(v1) + "\n" for v1 in lines))
+        for v1, loaded in zip(lines, load_transcripts(path)):
+            assert loaded.aggregated_ids == v1["aggregated_ids"]
+            assert loaded.prompt_text == "p"
+            assert loaded.final_ice_ids == v1["final_ice_ids"]
+            assert loaded.to_dict() == {
+                **{key: v for key, v in v1.items() if key != "aggregated_ids"},
+                "schema_version": 2}
+
+    def test_unknown_schema_rejected(self):
+        t, _, _ = self._one()
+        with pytest.raises(ValidationError, match="schema_version 3"):
+            Transcript.from_dict({**t.to_dict(), "schema_version": 3})
 
 
 class TestServerValidation:
@@ -498,7 +543,13 @@ class TestAggregateMatchesCandidateStore:
                             for c, b in zip(clients, t.budgets_sent)]
                 union, final = _reference_candidate_rerank(clients, returned,
                                                            e_q, 5)
-                assert t.aggregated_ids == union
+                if variant == "infinite":
+                    # whole shards sent, recorded by their sizes
+                    assert t.samples_returned == [len(c.shard) for c in clients]
+                    assert t.aggregated_ids is None
+                else:
+                    assert t.aggregated_ids == union
+                assert t.total_samples_communicated == len(union)
                 assert t.final_ice_ids == [i for i, _ in final]
 
 
@@ -586,3 +637,111 @@ class TestKeptRankings:
                 top_k(e_q, b, c.shard, c.store).ids
                 for c, b in zip(clients, t.budgets_sent)]
             e_q[:] = rng.standard_normal(4)
+
+
+class _RecordingMock(MockVoteBackend):
+    """The mock vote, keeping the votes of its last answer."""
+
+    def answer(self, prompt, votes, labels):
+        self.votes = votes
+        return super().answer(prompt, votes, labels)
+
+
+def _overlapping_clients(seed):
+    """The `test_overlapping_candidates` world: two shards sharing a third
+    of the corpus."""
+    d, store = make_world(30, 4, seed=seed)
+    halves = [d.subset(d.ids[:20]), d.subset(d.ids[10:])]
+    return [ClientNode(i, shard, store.subset(shard.ids))
+            for i, shard in enumerate(halves)]
+
+
+class TestInfinitePrefixes:
+    """`infinite` is served from each client's top-k prefix; its ICEs,
+    their distances and its answer must be those of the whole shards."""
+
+    def check(self, clients, e_q, k, alpha, labels, monkeypatch):
+        candidates = []
+
+        def counting_rerank(returned, k, rng=None):
+            candidates.append(sum(len(r) for r in returned))
+            return rerank_union(returned, k, rng)
+        monkeypatch.setattr(federation, "rerank_union", counting_rerank)
+        backend = _RecordingMock()
+        server = make_server(k=k, alpha=alpha, policy=BudgetPolicy("infinite"),
+                             labels=labels, backend=backend,
+                             ice_order="ascending")
+        answer, t = distributed_infer(server, clients, "free text", e_q)
+        whole = [top_k(e_q, len(c.shard), c.shard, c.store) for c in clients]
+        _, want = _reference_candidate_rerank(clients, whole, e_q, k)
+        assert t.final_ice_ids == [i for i, _ in want]
+        assert [dist for _, dist in backend.votes] == [dist for _, dist in want]
+        owner = {i: c for c in clients for i in c.shard.ids}
+        want_votes = [(owner[i].shard.by_id(i).label, dist) for i, dist in want]
+        assert answer == MockVoteBackend().answer(None, want_votes, labels)
+        # a client deeper than k + alpha is recorded by its count
+        depth = k + alpha
+        assert t.samples_returned == [
+            len(c.shard) if len(c.shard) > depth
+            else top_k(e_q, len(c.shard), c.shard, c.store).ids
+            for c in clients]
+        assert t.total_samples_communicated == sum(len(c.shard)
+                                                   for c in clients)
+        # only a top-k prefix of a deeper client reaches the server; a
+        # shard of k + 1 .. k + alpha entries is not deeper, so it is sent
+        # whole, and only without one do at most C·k candidates arrive
+        [got] = candidates
+        assert got == sum(k if len(c.shard) > depth else len(c.shard)
+                          for c in clients)
+        if all(len(c.shard) > depth or len(c.shard) <= k for c in clients):
+            assert got <= len(clients) * k
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tied_worlds(self, seed, monkeypatch):
+        clients, grid = _tied_clients(seed)
+        labels = clients[0].shard.labels
+        rng = np.random.default_rng(2000 + seed)
+        for alpha in (0, int(rng.integers(1, 4))):
+            k = int(rng.integers(1, 9))
+            for e_q in (grid[int(rng.integers(len(grid)))],
+                        rng.standard_normal(grid.shape[1])):
+                self.check(clients, e_q, k, alpha, labels, monkeypatch)
+
+    def test_overlapping_shards(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        for seed in range(5):
+            clients = _overlapping_clients(seed)
+            for k, alpha in ((7, 0), (7, 2), (19, 1)):
+                self.check(clients, rng.standard_normal(4), k, alpha,
+                           clients[0].shard.labels, monkeypatch)
+
+    def test_shards_smaller_than_k(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            n = int(rng.integers(3, 30))
+            d, store, clients = make_clients(
+                n=n, dim=3, num_clients=int(rng.integers(1, 4)),
+                seed=700 + trial)
+            k = int(rng.integers(1, n + 5))  # some shards below k, some not
+            for alpha in (0, 1, 3):
+                self.check(clients, rng.standard_normal(3), k, alpha,
+                           d.labels, monkeypatch)
+
+    def test_one_ranking_per_query_and_client(self, monkeypatch):
+        d, store, clients = make_clients(n=60, num_clients=3, seed=19)
+        calls = []
+
+        def counting_top_k(e_q, k, d, store):
+            calls.append((id(d), np.asarray(e_q).tobytes()))
+            return top_k(e_q, k, d, store)
+        monkeypatch.setattr(federation, "top_k", counting_top_k)
+        queries = d.examples[:8]
+        for variant in ("infinite", "uniform", "learned", "social_learning"):
+            server = make_server(
+                k=5, alpha=1, policy=BudgetPolicy(variant, seed=3),
+                labels=d.labels,
+                allocator=init_model(4, 8, 6, seeds=range(len(clients))))
+            for query in queries:
+                distributed_infer(server, clients, query, store.get(query.id))
+        assert len(calls) == len(set(calls)) == len(queries) * len(clients)
+

@@ -10,14 +10,15 @@ import pytest
 
 from icebudget import allocator, federation, harness
 from icebudget.config import POLICY_VARIANTS, config_from_dict, derive_seed
-from icebudget.corpus import synth_clusters
+from icebudget.corpus import load_shard_manifest, synth_clusters
 from icebudget.embedder import encode_dataset
 from icebudget.errors import ValidationError
 from icebudget.federation import load_transcripts
 from icebudget.harness import (_SeedContext, allocators,
                                budget_efficiency_curve,
                                efficiency_curve_from_run, evaluate_accuracy,
-                               mean_std, run_experiment, seed_contexts)
+                               mean_std, run_experiment, save_shards,
+                               seed_contexts)
 from icebudget.retrieval import RankedSet, top_k
 
 from conftest import save_dataset
@@ -380,12 +381,19 @@ class TestSeedContext:
         assert ctx.out_dir == os.path.join(tiny_config.output_dir, "seed0")
 
     def test_shards_written_to_manifest(self, tiny_config):
+        # setting up a context writes nothing; `save_shards` writes the
+        # manifest of the shards every set-up of the seed rebuilds
         run_seed = derive_seed(tiny_config.seed, "run0")
         seed_dir = os.path.join(tiny_config.output_dir, "seed0")
         a = _SeedContext(tiny_config, run_seed, seed_dir)
         b = _SeedContext(tiny_config, run_seed, seed_dir)
         assert [s.ids for s in a.shards] == [s.ids for s in b.shards]
-        assert os.path.exists(os.path.join(seed_dir, "shards.json"))
+        assert not os.path.exists(tiny_config.output_dir)
+        save_shards([a])
+        manifest = load_shard_manifest(a.train_ds,
+                                       os.path.join(seed_dir, "shards.json"))
+        assert [s.ids for s in manifest] == [s.ids for s in a.shards]
+        assert os.listdir(seed_dir) == ["shards.json"]
 
     def test_proxy_and_test_partition_eval_pool(self, tiny_config):
         run_seed = derive_seed(tiny_config.seed, "run0")
