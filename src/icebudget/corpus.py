@@ -72,13 +72,9 @@ class Dataset:
     def ids(self) -> list[int]:
         return [ex.id for ex in self.examples]
 
-    def by_id(self, example_id: int) -> Example:
-        ex = self._index().get(example_id)
-        if ex is None:
-            raise ValidationError(f"no example with id {example_id}")
-        return ex
-
-    def _index(self) -> dict[int, Example]:
+    def id_index(self) -> dict[int, Example]:
+        """id -> example, built on first use and kept with the dataset;
+        callers must not mutate it."""
         cached = getattr(self, "_id_index", None)
         if cached is None:
             cached = {ex.id: ex for ex in self.examples}

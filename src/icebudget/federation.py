@@ -8,12 +8,14 @@ query through `distributed_infer`: a policy only decides how `allocate`
 splits the budget and how the server selects the final ICEs.
 
 A budget only truncates a client's ranking of its shard for the query, so a
-client ranks each query once. It keeps, per query vector, the shard
-positions of that vector's top-(k + alpha) entries by (distance, id), keyed
-on a digest of the vector's bytes; k + alpha is the deepest budget any
-policy but `infinite` sends. Every later budget inside that prefix is
-served from it. `run_experiment` releases a seed's rankings before it
-evaluates the next seed.
+client ranks each query once. It keeps, per query vector, the ids and
+distances of that vector's top-(k + alpha) entries by (distance, id),
+exactly as `top_k` returned them, keyed on a digest of the vector's bytes;
+k + alpha is the deepest budget any policy but `infinite` sends. Every later
+budget inside that prefix is served as a slice of it, with nothing ranked or
+measured again. `run_experiment` releases a seed's rankings before it
+evaluates the next seed. The final ICEs are resolved to examples through
+each shard's id index, looked up once per query.
 
 Only the global top-k reaches a prompt, and it is the rerank of every
 client's local top-k. So a client sent a budget deeper than k + alpha
@@ -31,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -39,10 +41,9 @@ from .allocator import AllocatorModel, predict_budget
 from .config import POLICY_VARIANTS
 from .corpus import Dataset, Example, LabelSpace
 from .embedder import EmbeddingStore
-from .errors import BackendError, ValidationError
+from .errors import BackendError, ParseError, ValidationError
 from .inference import MockVoteBackend, PromptTemplate, build_prompt
-from .retrieval import (RankedSet, l2_distances, query_vector, rerank_union,
-                        top_k)
+from .retrieval import RankedSet, query_vector, rerank_union, top_k
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class ClientNode:
     id: int
     shard: Dataset
     store: EmbeddingStore
-    # query digest -> shard positions of the query's top entries, in order
+    # query digest -> the query's top entries as a read-only RankedSet
     rankings: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,12 +147,52 @@ class Transcript:
     @staticmethod
     def from_dict(obj) -> "Transcript":
         """A schema 1 or 2 record; a missing optional field takes its
-        default, and schema 1's stored union is dropped."""
+        default, and schema 1's stored union is dropped. A missing required
+        field, or a field of the wrong JSON type, is a ValidationError."""
         version = obj.get("schema_version", 1)
         if version not in (1, 2):
             raise ValidationError(f"unknown transcript schema_version {version}")
-        return Transcript(**{f.name: obj[f.name] for f in fields(Transcript)
-                             if f.name in obj})
+        values = {}
+        for f in fields(Transcript):
+            if f.name not in obj:
+                if f.default is MISSING:
+                    raise ValidationError(f"missing field '{f.name}'")
+                continue
+            kind, valid = _FIELD_CHECKS[f.name]
+            if not valid(obj[f.name]):
+                raise ValidationError(f"field '{f.name}' must be {kind}")
+            values[f.name] = obj[f.name]
+        return Transcript(**values)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_optional_str(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+# each Transcript field: (its JSON type in words, the check of a loaded value)
+_FIELD_CHECKS = {
+    "query_id": ("an integer", _is_int),
+    "policy": ("a string", lambda v: isinstance(v, str)),
+    "budgets_sent": ("a list of integers", _is_int_list),
+    "samples_returned": ("a list of id lists or counts",
+                         lambda v: isinstance(v, list) and all(
+                             _is_int(x) or _is_int_list(x) for x in v)),
+    "final_ice_ids": ("a list of integers", _is_int_list),
+    "prompt_chars": ("an integer", _is_int),
+    "answer_label": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "total_samples_communicated": ("an integer", _is_int),
+    "fallback_zero_shot": ("a boolean", lambda v: isinstance(v, bool)),
+    "raw_completion": ("a string or null", _is_optional_str),
+    "prompt_text": ("a string or null", _is_optional_str),
+}
 
 
 def _per_query_rng(seed: int, query_id: int) -> np.random.Generator:
@@ -198,29 +239,44 @@ def client_retrieve(client: ClientNode, e_q, budget: int,
                     depth: int = 0) -> RankedSet:
     """Local top-min(budget, |shard|); a zero budget returns nothing.
 
-    The client keeps the shard positions of the query's top-`depth`
-    entries, keyed on a digest of the query vector's bytes, and serves any
-    budget inside that prefix by gathering its rows and recomputing their
-    distances with `retrieval.l2_distances`, which gives what `top_k` would.
-    A query without a kept ranking, or a deeper budget, goes to `top_k`."""
+    The client keeps the ids and distances of the query's top-`depth`
+    entries as `top_k` returned them, keyed on a digest of the query
+    vector's bytes, and serves any budget inside that prefix as a slice of
+    them, which is what `top_k` would return; a kept ranking of the whole
+    shard serves every budget. A query without a kept ranking, or a budget
+    deeper than a kept prefix of the shard, goes to `top_k`. The kept
+    prefix is a copy, so a deeper ranking is not held alive by it, and it
+    is read-only, as is every slice served from it."""
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
     if budget == 0:
         return RankedSet()
-    store = client.store
-    query = query_vector(e_q, store)
+    query = query_vector(e_q, client.store)
     key = hashlib.blake2b(query.tobytes(), digest_size=16).digest()
     kept = client.rankings.get(key)
-    ids, matrix = store.matrix()
-    if kept is not None and budget <= len(kept):
-        rows = kept[:budget]
-        return RankedSet(ids[rows], l2_distances(query, matrix[rows]))
-    ranked = top_k(query, max(budget, depth), client.shard, store)
+    if kept is not None and (budget <= len(kept)
+                             or len(kept) == len(client.shard)):
+        return RankedSet(kept.id_array[:budget], kept.distances[:budget])
+    ranked = top_k(query, max(budget, depth), client.shard, client.store)
     if depth:
-        client.rankings[key] = np.searchsorted(
-            ids, ranked.id_array[:depth]).astype(
-                np.min_scalar_type(len(client.shard)))
+        kept = RankedSet(ranked.id_array[:depth].copy(),
+                         ranked.distances[:depth].copy())
+        kept.id_array.flags.writeable = False
+        kept.distances.flags.writeable = False
+        client.rankings[key] = kept
     return RankedSet(ranked.id_array[:budget], ranked.distances[:budget])
+
+
+def _examples(datasets, ids, owners) -> list[Example]:
+    """The example behind each final id, from the dataset of the client
+    (its index in `datasets`) that returned it. Each dataset's id index is
+    looked up once; an id missing from its dataset is a ValidationError."""
+    indexes = [d.id_index() for d in datasets]
+    try:
+        return [indexes[owner][example_id]
+                for example_id, owner in zip(ids, owners)]
+    except KeyError as exc:
+        raise ValidationError(f"no example with id {exc.args[0]}") from None
 
 
 def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
@@ -247,9 +303,8 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
         for client, budget in zip(clients, budgets))
     _, final, owners = rerank_union(returned, k, rng)
     transcript.fallback_zero_shot = not len(final)
-    examples = [clients[owner].shard.by_id(example_id)
-                for example_id, owner in zip(final.ids, owners.tolist())]
-    return final, examples
+    return final, _examples([client.shard for client in clients], final.ids,
+                            owners.tolist())
 
 
 def _finish(server: ServerNode, query, final: RankedSet, examples,
@@ -304,7 +359,7 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
         final, examples = RankedSet(), []
     elif policy.variant == "proxy_only":
         final = top_k(e_q, server.k, server.proxy, server.proxy_store)
-        examples = [server.proxy.by_id(example_id) for example_id in final.ids]
+        examples = _examples([server.proxy], final.ids, [0] * len(final))
     else:
         rng = (_per_query_rng(policy.seed, query_id)
                if policy.variant == "social_learning" else None)
@@ -320,10 +375,25 @@ def save_transcripts(transcripts, path):
 
 
 def load_transcripts(path) -> list[Transcript]:
+    """Read a file written by `save_transcripts`. A line that is not JSON,
+    not an object, or not a transcript (see `Transcript.from_dict`) raises
+    ParseError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                out.append(Transcript.from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: invalid JSON: {exc.msg}",
+                                 line=lineno) from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}: transcript must be a JSON object",
+                                 line=lineno)
+            try:
+                out.append(Transcript.from_dict(obj))
+            except ValidationError as exc:
+                raise ParseError(f"{path}: {exc}", line=lineno) from exc
     return out

@@ -323,8 +323,9 @@ def _evaluate_policy(ctx: _SeedContext, name: str):
 def _run_queries(ctx: _SeedContext, server: ServerNode):
     answers = []
     transcripts = []
-    for ex in ctx.test.examples:
-        e_q = ctx.test_store.get(ex.id)
+    ctx.test_store.check_bound(ctx.test)  # row i is the i-th test example
+    _, vectors = ctx.test_store.matrix()
+    for ex, e_q in zip(ctx.test.examples, vectors):
         predicted, transcript = distributed_infer(server, ctx.clients, ex, e_q)
         answers.append((predicted, ex.label))
         transcripts.append(transcript)

@@ -4,6 +4,9 @@ This is the one module that ranks. `top_k` ranks one store: a client's
 shard, the proxy set, or the whole corpus. `rerank_union` ranks what the
 clients sent back: the server uses it for the final ICEs of every query, and
 `oracle` uses it for the supervision set, so both see the same global top-k.
+Both go through `rank`, which selects before it sorts: a partial selection
+finds the k-th smallest distance, and only the entries not above it are
+sorted, so a top-k costs one linear pass plus a sort of about k entries.
 
 Ties are broken by ascending example id so transcripts are reproducible on
 any platform. All distance comparisons happen in float64.
@@ -40,7 +43,17 @@ class RankedSet:
 
 
 def rank(ids: np.ndarray, distances: np.ndarray, k: int) -> RankedSet:
-    """The k entries minimizing (distance, id)."""
+    """The k entries minimizing (distance, id).
+
+    With 0 < k < the entry count, `np.partition` finds the k-th smallest
+    distance and only the entries not above it are sorted. That keeps every
+    entry tied at the k-th distance, so the id tie-break sees all of them,
+    and it keeps every entry when the k-th distance is NaN (NaNs sort last).
+    The result equals a full sort's first k entries, byte for byte."""
+    if 0 < k < len(distances):
+        kth = np.partition(distances, k - 1)[k - 1]
+        candidates = np.flatnonzero(~(distances > kth))
+        ids, distances = ids[candidates], distances[candidates]
     # lexsort's last key is primary: sort by distance, then id
     order = np.lexsort((ids, distances))[:k]
     return RankedSet(ids[order], distances[order])
@@ -56,14 +69,6 @@ def query_vector(e_q, store: EmbeddingStore) -> np.ndarray:
     return query
 
 
-def l2_distances(query: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """L2 distance of each row to `query`. `top_k` ranks with it, and a
-    client recomputes the distances of a kept ranking's rows with it, so
-    both give a row the same float64 distance."""
-    diffs = rows - query
-    return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-
-
 def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
     """The k entries of `d` minimizing (distance to e_q, id)."""
     if k < 0:
@@ -71,7 +76,8 @@ def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
     store.check_bound(d)
     query = query_vector(e_q, store)
     ids, matrix = store.matrix()
-    return rank(ids, l2_distances(query, matrix), k)
+    diffs = matrix - query
+    return rank(ids, np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), k)
 
 
 def rerank_union(returned: list[RankedSet], k: int, rng=None):

@@ -93,9 +93,10 @@ class TestStageErrors:
         path = tmp_path / "t.jsonl"
         path.write_text('{"query_id": 1}\n')
         assert main(["--config", config_path, "report",
-                     "--transcripts", str(path)]) == 2
+                     "--transcripts", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: stage 'report' (seed 0): ")
+        assert err.startswith("error: stage 'report' (seed 0): line 1: ")
+        assert str(path) in err and "missing field 'policy'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("curve", ["a,b", "nan,1", "inf"])

@@ -11,7 +11,7 @@ from icebudget.allocator import init_model
 from icebudget.config import POLICY_VARIANTS, config_from_dict
 from icebudget.corpus import Dataset, Example, LabelSpace, partition_iid
 from icebudget.embedder import EmbeddingStore
-from icebudget.errors import BackendError, ValidationError
+from icebudget.errors import BackendError, ParseError, ValidationError
 from icebudget.inference import MockVoteBackend, build_prompt
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   Transcript, _finish, _gather,
@@ -187,7 +187,8 @@ class TestDistributedInfer:
         assert t.answer_label == answer
         # the mock never reads the prompt, so only its length is recorded
         assert t.prompt_text is None
-        ices = [(d.by_id(i).text, d.by_id(i).label) for i in t.final_ice_ids]
+        index = d.id_index()
+        ices = [(index[i].text, index[i].label) for i in t.final_ice_ids]
         assert t.prompt_chars == len(build_prompt(ices, query.text,
                                                   server.template, d.labels))
         assert set(t.final_ice_ids) <= set(t.aggregated_ids)
@@ -235,6 +236,15 @@ class TestDistributedInfer:
         assert set(t.final_ice_ids) <= set(proxy.ids)
         assert t.final_ice_ids != []
 
+    def test_final_ids_resolved_in_their_own_shard(self):
+        _, _, clients = make_clients(seed=41)
+        shards = [c.shard for c in clients]
+        mine = shards[1].examples[0]
+        assert federation._examples(shards, [mine.id], [1]) == [mine]
+        # an id the owning shard lacks is refused, even if another has it
+        with pytest.raises(ValidationError, match=f"no example with id {mine.id}"):
+            federation._examples(shards, [mine.id], [0])
+
     def test_backend_answers_for_itself(self):
         class FakeBackend:
             def __init__(self):
@@ -258,7 +268,7 @@ class TestDistributedInfer:
         assert answer == t.answer_label == 4 % d.labels.count
         ranked = top_k(e_q, 4, d.subset(t.aggregated_ids),
                        store.subset(t.aggregated_ids))
-        assert votes == [(d.by_id(i).label, dist)
+        assert votes == [(d.id_index()[i].label, dist)
                          for i, dist in ranked_entries(ranked)]
 
     def test_backend_error_carries_transcript(self):
@@ -460,6 +470,31 @@ class TestTranscriptIo:
         with pytest.raises(ValidationError, match="schema_version 3"):
             Transcript.from_dict({**t.to_dict(), "schema_version": 3})
 
+    @pytest.mark.parametrize("bad, message", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"query_id": 1}', "missing field 'policy'"),
+        ({"query_id": "7"}, "field 'query_id' must be an integer"),
+        ({"query_id": True}, "field 'query_id' must be an integer"),
+        ({"budgets_sent": [1, 2.5]}, "field 'budgets_sent' must be"),
+        ({"samples_returned": [[1], "x"]}, "field 'samples_returned' must be"),
+        ({"answer_label": "class0"}, "field 'answer_label' must be"),
+        ({"fallback_zero_shot": 0}, "field 'fallback_zero_shot' must be"),
+        ({"schema_version": 3}, "schema_version 3"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad, message):
+        t, _, _ = self._one()
+        good = json.dumps(t.to_dict())
+        if isinstance(bad, dict):
+            bad = json.dumps({**t.to_dict(), **bad})
+        path = tmp_path / "t.jsonl"
+        path.write_text(f"{good}\n\n{bad}\n{good}\n")
+        with pytest.raises(ParseError) as info:
+            load_transcripts(path)
+        assert info.value.line == 3
+        assert str(info.value).startswith(f"line 3: {path}: ")
+        assert message in str(info.value)
+
 
 class TestServerValidation:
     def test_bad_k(self):
@@ -595,20 +630,47 @@ class TestKeptRankings:
                         want = top_k(e_q, budget, client.shard, client.store)
                         assert _same_bytes(got, want), (warm, budget)
 
-    def test_ranking_kept_to_depth_as_positions(self):
+    @pytest.mark.parametrize("warm", ["shallow", "depth", "whole shard"])
+    def test_ranking_kept_to_depth_as_top_k(self, warm):
         clients, grid = _tied_clients(3)
         client = clients[0]
-        e_q = grid[0]
-        client_retrieve(client, e_q, 1, 4)
+        e_q, depth = grid[0], 4
+        assert len(client.shard) > depth
+        budget = {"shallow": 1, "depth": depth,
+                  "whole shard": len(client.shard)}[warm]
+        first = client_retrieve(client, e_q, budget, depth)
         [kept] = client.rankings.values()
-        assert kept.dtype == np.min_scalar_type(len(client.shard))
-        ids, _ = client.store.matrix()
-        assert ids[kept].tolist() == top_k(e_q, 4, client.shard,
-                                            client.store).ids
-        client_retrieve(client, e_q, 2, 4)
+        # the ids and distances a fresh top_k gives, not shard positions
+        assert _same_bytes(kept, top_k(e_q, depth, client.shard,
+                                       client.store))
+        # a copy: it pins no deeper ranking, and the caller's arrays are its own
+        for got in (first.id_array, first.distances):
+            for held in (kept.id_array, kept.distances):
+                assert not np.shares_memory(got, held)
+        assert not (kept.id_array.flags.writeable
+                    or kept.distances.flags.writeable)
+        served = client_retrieve(client, e_q, 2, depth)
+        assert _same_bytes(served, top_k(e_q, 2, client.shard, client.store))
+        assert not served.id_array.flags.writeable
         assert len(client.rankings) == 1
         client_retrieve(client, e_q + 1.0, 1)  # no depth: nothing kept
         assert len(client.rankings) == 1
+
+    def test_whole_shard_kept_serves_every_budget(self, monkeypatch):
+        clients, grid = _tied_clients(4)
+        client = min(clients, key=lambda c: len(c.shard))
+        depth = len(client.shard) + 2  # the kept ranking is the whole shard
+        calls = []
+
+        def counting_top_k(*args):
+            calls.append(args[1])
+            return top_k(*args)
+        monkeypatch.setattr(federation, "top_k", counting_top_k)
+        for budget in (1, depth - 1, depth, depth + 3):
+            got = client_retrieve(client, grid[1], budget, depth)
+            assert _same_bytes(got, top_k(grid[1], budget, client.shard,
+                                          client.store))
+        assert calls == [depth]
 
     def test_mutated_query_array_ranked_anew(self):
         d, store, clients = make_clients(n=40, num_clients=2, seed=29)
@@ -677,7 +739,8 @@ class TestInfinitePrefixes:
         assert t.final_ice_ids == [i for i, _ in want]
         assert [dist for _, dist in backend.votes] == [dist for _, dist in want]
         owner = {i: c for c in clients for i in c.shard.ids}
-        want_votes = [(owner[i].shard.by_id(i).label, dist) for i, dist in want]
+        want_votes = [(owner[i].shard.id_index()[i].label, dist)
+                      for i, dist in want]
         assert answer == MockVoteBackend().answer(None, want_votes, labels)
         # a client deeper than k + alpha is recorded by its count
         depth = k + alpha

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from icebudget.corpus import Dataset, Example, LabelSpace
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ValidationError
-from icebudget.retrieval import RankedSet, rerank_union, top_k
+from icebudget.retrieval import RankedSet, rank, rerank_union, top_k
 
 from conftest import brute_force_topk, make_world, ranked_entries
 
@@ -55,6 +55,63 @@ class TestTopK:
         d, store = small_world
         with pytest.raises(ValidationError):
             top_k(np.zeros(store.dim), 1, d, store.subset([0, 1]))
+
+
+def _full_sort(ids, distances, k):
+    """The reference: the first k entries of a full (distance, id) sort."""
+    order = np.lexsort((ids, distances))[:k]
+    return ids[order], distances[order]
+
+
+def _grid_world(seed):
+    """Points drawn with repeats from a coarse grid: many exact distance
+    ties, some of them at the k-th distance."""
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(2, 50)), int(rng.integers(1, 4))
+    grid = rng.integers(-2, 3, size=(5, dim)) * 0.5
+    ids = np.sort(rng.choice(10 * n, size=n, replace=False))
+    d = Dataset(tuple(Example(int(i), f"point {i}", 0) for i in ids),
+                LabelSpace.default(1))
+    return d, EmbeddingStore(ids, grid[rng.integers(len(grid), size=n)]), grid
+
+
+class TestPartialSelection:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_top_k_equals_full_sort_on_tied_grids(self, seed):
+        d, store, grid = _grid_world(seed)
+        ids, matrix = store.matrix()
+        n, dim = len(d), store.dim
+        rng = np.random.default_rng(seed)
+        queries = [grid[int(rng.integers(len(grid)))],
+                   rng.standard_normal(dim)]
+        for bad in (np.nan, np.inf, -np.inf):
+            query = rng.standard_normal(dim)
+            query[int(rng.integers(dim))] = bad
+            queries.append(query)
+        for e_q in queries:
+            diffs = matrix - e_q
+            distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+            for k in (0, 1, n - 1, n, n + 1):
+                got = top_k(e_q, k, d, store)
+                want_ids, want_distances = _full_sort(ids, distances, k)
+                assert got.id_array.tobytes() == want_ids.tobytes(), k
+                assert got.distances.tobytes() == want_distances.tobytes(), k
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.sampled_from(
+               [0.0, 0.5, 1.0, 1.0, 2.0, np.inf, np.nan]), max_size=30),
+           seed=st.integers(0, 10_000), extra=st.integers(0, 2))
+    def test_rank_equals_full_sort_with_nan_and_inf(self, values, seed, extra):
+        # NaN and inf distances cannot come from a valid store and a finite
+        # query, so `rank` is driven directly with them
+        distances = np.array(values, dtype=np.float64)
+        ids = np.random.default_rng(seed).permutation(len(values)).astype(
+            np.int64)
+        for k in range(len(values) + extra + 1):
+            got = rank(ids, distances, k)
+            want_ids, want_distances = _full_sort(ids, distances, k)
+            assert got.id_array.tobytes() == want_ids.tobytes()
+            assert got.distances.tobytes() == want_distances.tobytes()
 
 
 def _returns(e_q, groups, d, store):
