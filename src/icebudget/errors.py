@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+that the loaders of JSON inputs use."""
+
+
+def is_int(value) -> bool:
+    """A JSON integer as loaded: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class IceBudgetError(Exception):

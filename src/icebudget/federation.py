@@ -41,7 +41,7 @@ from .allocator import AllocatorModel, predict_budget
 from .config import POLICY_VARIANTS
 from .corpus import Dataset, Example, LabelSpace
 from .embedder import EmbeddingStore
-from .errors import BackendError, ParseError, ValidationError
+from .errors import BackendError, ParseError, ValidationError, is_int
 from .inference import MockVoteBackend, PromptTemplate, build_prompt
 from .retrieval import RankedSet, query_vector, rerank_union, top_k
 
@@ -165,12 +165,8 @@ class Transcript:
         return Transcript(**values)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
+    return isinstance(value, list) and all(map(is_int, value))
 
 
 def _is_optional_str(value) -> bool:
@@ -179,16 +175,16 @@ def _is_optional_str(value) -> bool:
 
 # each Transcript field: (its JSON type in words, the check of a loaded value)
 _FIELD_CHECKS = {
-    "query_id": ("an integer", _is_int),
+    "query_id": ("an integer", is_int),
     "policy": ("a string", lambda v: isinstance(v, str)),
     "budgets_sent": ("a list of integers", _is_int_list),
     "samples_returned": ("a list of id lists or counts",
                          lambda v: isinstance(v, list) and all(
-                             _is_int(x) or _is_int_list(x) for x in v)),
+                             is_int(x) or _is_int_list(x) for x in v)),
     "final_ice_ids": ("a list of integers", _is_int_list),
-    "prompt_chars": ("an integer", _is_int),
-    "answer_label": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "total_samples_communicated": ("an integer", _is_int),
+    "prompt_chars": ("an integer", is_int),
+    "answer_label": ("an integer or null", lambda v: v is None or is_int(v)),
+    "total_samples_communicated": ("an integer", is_int),
     "fallback_zero_shot": ("a boolean", lambda v: isinstance(v, bool)),
     "raw_completion": ("a string or null", _is_optional_str),
     "prompt_text": ("a string or null", _is_optional_str),
@@ -242,11 +238,10 @@ def client_retrieve(client: ClientNode, e_q, budget: int,
     The client keeps the ids and distances of the query's top-`depth`
     entries as `top_k` returned them, keyed on a digest of the query
     vector's bytes, and serves any budget inside that prefix as a slice of
-    them, which is what `top_k` would return; a kept ranking of the whole
-    shard serves every budget. A query without a kept ranking, or a budget
-    deeper than a kept prefix of the shard, goes to `top_k`. The kept
-    prefix is a copy, so a deeper ranking is not held alive by it, and it
-    is read-only, as is every slice served from it."""
+    them, which is what `top_k` would return. A query without a kept
+    ranking, or a budget deeper than its kept prefix, goes to `top_k`. The
+    kept prefix is a copy, so a deeper ranking is not held alive by it, and
+    it is read-only, as is every slice served from it."""
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
     if budget == 0:
@@ -254,8 +249,7 @@ def client_retrieve(client: ClientNode, e_q, budget: int,
     query = query_vector(e_q, client.store)
     key = hashlib.blake2b(query.tobytes(), digest_size=16).digest()
     kept = client.rankings.get(key)
-    if kept is not None and (budget <= len(kept)
-                             or len(kept) == len(client.shard)):
+    if kept is not None and budget <= len(kept):
         return RankedSet(kept.id_array[:budget], kept.distances[:budget])
     ranked = top_k(query, max(budget, depth), client.shard, client.store)
     if depth:

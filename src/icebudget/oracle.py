@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .embedder import EmbeddingStore
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, is_int
 from .retrieval import rerank_union, top_k
 
 
@@ -98,10 +98,6 @@ def save_budget_dataset(b: BudgetDataset, path):
                                  "raw_counts": raw, "classes": classes}) + "\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_budget_dataset(path) -> BudgetDataset:
     """Read a file written by `save_budget_dataset`. C, k and delta must be
     positive integers; each record needs an integer query id, a vector of
@@ -117,7 +113,7 @@ def load_budget_dataset(path) -> BudgetDataset:
         num_clients, k, delta = header["C"], header["k"], header["delta"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"bad budget dataset header: {exc}", line=head_line) from exc
-    if not all(_is_int(v) and v > 0 for v in (num_clients, k, delta)):
+    if not all(is_int(v) and v > 0 for v in (num_clients, k, delta)):
         raise ParseError("C, k and delta must be positive integers", line=head_line)
     query_ids, vectors, raws = [], [], []
     for lineno, line in lines[1:]:
@@ -127,16 +123,16 @@ def load_budget_dataset(path) -> BudgetDataset:
             raw, classes = obj["raw_counts"], obj["classes"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad budget record: {exc}", line=lineno) from exc
-        if not _is_int(query_id):
+        if not is_int(query_id):
             raise ParseError("query_id must be an integer", line=lineno)
         dim = len(vectors[0]) if vectors else None
         if not (isinstance(vector, list) and len(vector) == (dim or len(vector)) > 0
-                and all(_is_int(x) or isinstance(x, float) and math.isfinite(x)
+                and all(is_int(x) or isinstance(x, float) and math.isfinite(x)
                         for x in vector)):
             raise ParseError(f"vector must be {dim or 'a nonempty list of'} "
                              "finite numbers", line=lineno)
         if not (isinstance(raw, list) and len(raw) == num_clients
-                and all(_is_int(c) and 0 <= c <= k for c in raw)):
+                and all(is_int(c) and 0 <= c <= k for c in raw)):
             raise ParseError(f"raw_counts must be {num_clients} integers in "
                              f"[0, {k}]", line=lineno)
         if classes != [c // delta for c in raw]:

@@ -656,22 +656,6 @@ class TestKeptRankings:
         client_retrieve(client, e_q + 1.0, 1)  # no depth: nothing kept
         assert len(client.rankings) == 1
 
-    def test_whole_shard_kept_serves_every_budget(self, monkeypatch):
-        clients, grid = _tied_clients(4)
-        client = min(clients, key=lambda c: len(c.shard))
-        depth = len(client.shard) + 2  # the kept ranking is the whole shard
-        calls = []
-
-        def counting_top_k(*args):
-            calls.append(args[1])
-            return top_k(*args)
-        monkeypatch.setattr(federation, "top_k", counting_top_k)
-        for budget in (1, depth - 1, depth, depth + 3):
-            got = client_retrieve(client, grid[1], budget, depth)
-            assert _same_bytes(got, top_k(grid[1], budget, client.shard,
-                                          client.store))
-        assert calls == [depth]
-
     def test_mutated_query_array_ranked_anew(self):
         d, store, clients = make_clients(n=40, num_clients=2, seed=29)
         rng = np.random.default_rng(8)
