@@ -8,24 +8,35 @@ numerical stability.
 The C clients' allocators of a run are one model: every weight is stacked
 along a leading row axis, (C, fan_in, fan_out), and one forward pass gives
 all C budgets of a query, so no Python loop grows with C. Training stacks
-further: `train` takes one budget dataset per seed of a run and updates all
-S·C rows (seed-major: row s·C + c is seed s, client c) in one SGD loop,
-returning one stack that `split` cuts back into one C-row model per seed.
-The stacked products use `@` (np.matmul), which multiplies each row's
-matrices exactly as a 2-D product for that client alone would; `einsum`
-sums the same terms in another order and differs in the last bits, which
-would change the trained models and every report built on them.
+further: `train` takes one budget dataset per seed of a run and trains all
+S·C rows (seed-major: row s·C + c is seed s, client c), returning one stack
+that `split` cuts back into one C-row model per seed. The stacked products
+use `@` (np.matmul), which multiplies each row's matrices exactly as a 2-D
+product for that client alone would; `einsum` sums the same terms in
+another order and differs in the last bits, which would change the trained
+models and every report built on them.
+
+Because no row reads another, `train` cuts the rows into one contiguous
+range per usable CPU and runs the same SGD loop on each range at once:
+this process trains the first range in place, and a child made with the
+`fork` start method trains each other range and sends back its rows. Every
+row takes exactly the steps it would take in one loop over all rows, so
+the models, their loss histories and every report built on them are the
+same bytes whatever the CPU count. With one usable CPU, or no `fork`, the
+one range is trained in this process.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import TrainConfig
-from .errors import ValidationError
+from .errors import StageError, ValidationError
 from .oracle import BudgetDataset, dequantize
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -181,11 +192,85 @@ def training_record(cfg: TrainConfig, seeds) -> dict:
             "validation_fraction": cfg.validation_fraction}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _NonFinite(Exception):
+    """A batch loss that is not finite, as (epoch, batch start, row)."""
+
+
+def _train_rows(stack: AllocatorModel, x_train, y_train, x_val, y_val, seeds,
+                cfg: TrainConfig) -> np.ndarray:
+    """Minibatch SGD on every row of `stack`, in place; returns each row's
+    mean batch loss per epoch, (rows, epochs). Raises `_NonFinite` at the
+    first batch whose loss is not finite in some row (the lowest such row)."""
+    num_rows = stack.num_clients
+    rows = np.arange(num_rows)[:, None]
+    params = stack.params()
+    best = [p.copy() for p in params]
+    best_val = np.full(num_rows, np.inf)
+    history = np.empty((num_rows, cfg.epochs))
+    for epoch in range(cfg.epochs):
+        order = np.stack([_epoch_rng(seed, epoch).permutation(x_train.shape[1])
+                          for seed in seeds])
+        x_epoch, y_epoch = x_train[rows, order], y_train[rows, order]
+        epoch_loss = np.zeros(num_rows)
+        n_batches = 0
+        for start in range(0, order.shape[1], cfg.batch_size):
+            stop = start + cfg.batch_size
+            loss, grads = batch_loss_and_grads(stack, x_epoch[:, start:stop],
+                                               y_epoch[:, start:stop])
+            finite = np.isfinite(loss)
+            if not finite.all():
+                raise _NonFinite(epoch, start, int(np.argmin(finite)))
+            for param, grad in zip(params, grads):
+                grad *= cfg.learning_rate
+                param -= grad
+            epoch_loss += loss
+            n_batches += 1
+        history[:, epoch] = epoch_loss / max(n_batches, 1)
+        if x_val.shape[1]:
+            val_loss, _ = batch_loss_and_grads(stack, x_val, y_val)
+            better = val_loss < best_val
+            best_val[better] = val_loss[better]
+            for kept, param in zip(best, params):
+                kept[better] = param[better]
+    if x_val.shape[1]:
+        # a row whose validation loss never improved keeps its final epoch
+        seen = np.isfinite(best_val)
+        for kept, param in zip(best, params):
+            param[seen] = kept[seen]
+    return history
+
+
+def _train_child(send, stack: AllocatorModel, *args):
+    """A forked child's rows: sends None, then each trained parameter and the
+    loss history as raw bytes; or the `_NonFinite` location; or the text of
+    any other error, so that the child prints no traceback."""
+    try:
+        history = _train_rows(stack, *args)
+    except _NonFinite as exc:
+        send.send(exc.args)
+    except Exception as exc:
+        send.send(f"{type(exc).__name__}: {exc}")
+    else:
+        send.send(None)
+        for array in (*stack.params(), history):
+            send.send_bytes(memoryview(array).cast("B"))
+    finally:
+        send.close()
+
+
 def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
           init_seeds, input_scale: float = 1.0,
           seed_indices=None) -> AllocatorModel:
-    """Minibatch SGD on every client of every dataset at once; returns the
-    stack of S·C rows, seed-major.
+    """Minibatch SGD on every client of every dataset; returns the stack of
+    S·C rows, seed-major.
 
     `datasets` holds one budget dataset per seed, all with the same number
     of records, dimension, clients and classes. `seeds` (shuffle) and
@@ -194,6 +279,17 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
     labels and best-validation snapshot, so every row's weights are
     bit-identical to training that client alone. `seed_indices` names the
     datasets' seeds in errors (default 0, 1, ...).
+
+    The rows are cut into P = min(S·C, usable CPUs) contiguous ranges, each
+    trained by the same `_train_rows` loop: this process trains the first
+    in place, on views of the stack and of the training data, and a child
+    forked per other range trains its copy and sends back only its trained
+    rows and loss history, which are written into the stack. Since a row's
+    training never reads another row, the models are the same bytes for
+    every P. A non-finite loss raises the ValidationError a single loop
+    would (the earliest batch, then the lowest row); a child that ends
+    without a reply is a StageError naming its seeds. Every child is joined
+    before this returns or raises.
 
     Shuffling is reseeded per epoch from the shuffle seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,
@@ -232,47 +328,68 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
     y_train = np.take_along_axis(y, train_idx, axis=1)
     x_val = x[owner, val_idx]
     y_val = np.take_along_axis(y, val_idx, axis=1)
-    rows = np.arange(num_rows)[:, None]
 
     stack = init_model(x.shape[2], cfg.width, num_classes, init_seeds,
                        input_scale=input_scale)
-    params = stack.params()
-    best = [p.copy() for p in params]
-    best_val = np.full(num_rows, np.inf)
-    for epoch in range(cfg.epochs):
-        order = np.stack([_epoch_rng(seed, epoch).permutation(train_idx.shape[1])
-                          for seed in seeds])
-        x_epoch, y_epoch = x_train[rows, order], y_train[rows, order]
-        epoch_loss = np.zeros(num_rows)
-        n_batches = 0
-        for start in range(0, order.shape[1], cfg.batch_size):
-            stop = start + cfg.batch_size
-            loss, grads = batch_loss_and_grads(stack, x_epoch[:, start:stop],
-                                               y_epoch[:, start:stop])
-            finite = np.isfinite(loss)
-            if not finite.all():
-                seed, client = divmod(int(np.argmin(finite)), num_clients)
-                raise ValidationError(
-                    f"seed {seed_indices[seed]}, client {client}: non-finite "
-                    f"training loss at epoch {epoch}, batch starting {start} "
-                    f"(lr={cfg.learning_rate})")
-            for param, grad in zip(params, grads):
-                grad *= cfg.learning_rate
-                param -= grad
-            epoch_loss += loss
-            n_batches += 1
-        stack.loss_history.append((epoch_loss / max(n_batches, 1)).tolist())
-        if val_idx.shape[1]:
-            val_loss, _ = batch_loss_and_grads(stack, x_val, y_val)
-            better = val_loss < best_val
-            best_val[better] = val_loss[better]
-            for kept, param in zip(best, params):
-                kept[better] = param[better]
-    if val_idx.shape[1]:
-        # a row whose validation loss never improved keeps its final epoch
-        seen = np.isfinite(best_val)
-        for kept, param in zip(best, params):
-            param[seen] = kept[seen]
+
+    def part(lo, hi):  # rows lo..hi-1: views of the stack and of their data
+        rows = slice(lo, hi)
+        return (replace(stack, **{name: getattr(stack, name)[rows]
+                                  for name in PARAM_NAMES}),
+                x_train[rows], y_train[rows], x_val[rows], y_val[rows],
+                seeds[rows], cfg)
+
+    parts = min(num_rows, _usable_cpus())
+    bounds = [num_rows * i // parts for i in range(parts + 1)]
+    (_, mine), *forked = zip(bounds, bounds[1:])
+    history = np.empty((num_rows, cfg.epochs))
+    failures, children = [], []
+    try:
+        fork = multiprocessing.get_context("fork") if forked else None
+        for lo, hi in forked:
+            receive, send = fork.Pipe(duplex=False)
+            args = part(lo, hi)
+            child = fork.Process(target=_train_child, args=(send, *args))
+            child.start()
+            send.close()
+            children.append((lo, hi, args[0], receive, child))
+        try:
+            history[:mine] = _train_rows(*part(0, mine))
+        except _NonFinite as exc:
+            failures.append(exc.args)
+        for lo, hi, rows, receive, child in children:
+            try:
+                status = receive.recv()
+                if status is None:  # the child's rows, into the stack
+                    for array in (*rows.params(), history[lo:hi]):
+                        receive.recv_bytes_into(memoryview(array).cast("B"))
+            except EOFError:
+                child.join()
+                status = f"ended without a reply (exit code {child.exitcode})"
+            if isinstance(status, str):
+                names = sorted({seed_indices[row // num_clients]
+                                for row in range(lo, hi)})
+                raise StageError(f"training the allocators of seeds {names} "
+                                 f"in a child process: {status}")
+            if status is not None:
+                epoch, start, row = status
+                failures.append((epoch, start, lo + row))
+    except BaseException:
+        for *_, child in children:
+            child.kill()
+        raise
+    finally:
+        for *_, receive, child in children:
+            child.join()
+            receive.close()
+    if failures:
+        epoch, start, row = min(failures)
+        seed, client = divmod(row, num_clients)
+        raise ValidationError(
+            f"seed {seed_indices[seed]}, client {client}: non-finite "
+            f"training loss at epoch {epoch}, batch starting {start} "
+            f"(lr={cfg.learning_rate})")
+    stack.loss_history = history.T.tolist()
     stack.train_config = training_record(cfg, seeds)
     return stack
 

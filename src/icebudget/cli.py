@@ -102,7 +102,7 @@ def _describe_partition(contexts):
 
 def _describe_budget_dataset(contexts):
     return [f"{len(b)} budget records ({b.num_classes} classes)"
-            for b in (ctx.budget_dataset() for ctx in contexts)]
+            for b in (ctx.budget_dataset(save=True) for ctx in contexts)]
 
 
 def _describe_allocators(contexts):

@@ -1,9 +1,10 @@
 """End-to-end experiment orchestration.
 
 run_experiment sets up every seed's data, shards and proxy split, then
-builds the budget datasets and trains every seed's allocators in one SGD
-loop, then evaluates each policy per seed. Shards and budget datasets are
-rebuilt by every run (and written as `shards.json` and `bproxy.jsonl`).
+builds the budget datasets and trains every seed's allocators in one
+`train` call, then evaluates each policy per seed. Shards and budget
+datasets are rebuilt by every run (and written as `shards.json` and
+`bproxy.jsonl`).
 Only the trained allocators are a cache: a saved pair is served only if
 its key, a digest of everything its training read, equals the key this
 run would write; any other pair is retrained and overwritten. It writes a
@@ -11,8 +12,10 @@ deterministic JSON report plus transcript JSONL and a budget-histogram CSV.
 
 Setting up a seed's context writes nothing. `run_experiment` and the
 `partition`, `build-budget-dataset` and `train-allocator` commands write
-its `shards.json` through `save_shards`, so `report` and `infer` against a
-finished run leave the bytes of its files as they are.
+its `shards.json` through `save_shards`; `run_experiment` and the last two
+commands write its `bproxy.jsonl`. So `report` and `infer` against a
+finished run leave the bytes of its files as they are; `infer` writes only
+`models/`, and only when it had to train.
 """
 
 from __future__ import annotations
@@ -165,16 +168,18 @@ class _SeedContext:
         self.proxy_store = self.eval_store.subset(self.proxy.ids)
         self.test_store = self.eval_store.subset(self.test.ids)
 
-    def budget_dataset(self):
-        """The proxy's oracle budgets, constructed and saved."""
+    def budget_dataset(self, save: bool):
+        """The proxy's oracle budgets, constructed, and written to
+        `bproxy.jsonl` if `save`."""
         cfg = self.cfg
         with _stage("budget-dataset", self.seed_index):
             bproxy = construct_budget_dataset(
                 self.proxy, self.proxy_store, self.shards, self.shard_stores,
                 cfg.k, cfg.delta)
-            os.makedirs(self.out_dir, exist_ok=True)
-            save_budget_dataset(bproxy,
-                                os.path.join(self.out_dir, "bproxy.jsonl"))
+            if save:
+                os.makedirs(self.out_dir, exist_ok=True)
+                save_budget_dataset(bproxy,
+                                    os.path.join(self.out_dir, "bproxy.jsonl"))
             return bproxy
 
     def _model_paths(self):
@@ -218,7 +223,7 @@ class _SeedContext:
             backend=make_backend(cfg.backend), labels=self.train_ds.labels,
             ice_order=cfg.ice_order, max_prompt_chars=cfg.max_prompt_chars)
         if policy.variant == "learned":
-            server.allocator = allocators([self])[0]
+            server.allocator = allocators([self], save_tables=False)[0]
         if policy.variant == "proxy_only":
             server.proxy = self.proxy
             server.proxy_store = self.proxy_store
@@ -258,16 +263,16 @@ def save_shards(contexts, stage: str = "setup"):
                                  os.path.join(ctx.out_dir, "shards.json"))
 
 
-def allocators(contexts) -> list[AllocatorModel]:
+def allocators(contexts, save_tables: bool = True) -> list[AllocatorModel]:
     """Each context's stacked allocator model. A context keeps its model once
-    it has one. Otherwise its budget dataset is rebuilt and its saved model
-    loaded if it carries this run's key; the seeds without one are trained
-    together in one SGD loop of S·C rows (and marked `trained`), then saved
-    one artifact pair per seed."""
+    it has one. Otherwise its budget dataset is rebuilt (and written if
+    `save_tables`) and its saved model loaded if it carries this run's key;
+    the seeds without one are trained together in one `train` call of S·C
+    rows (and marked `trained`), then saved one artifact pair per seed."""
     todo = []
     for ctx in contexts:
         if ctx.model is None:
-            records = ctx.budget_dataset()
+            records = ctx.budget_dataset(save_tables)
             key = ctx._model_key(records)
             with _stage("train-allocator", ctx.seed_index):
                 ctx.model = ctx._cached_model(key)
@@ -452,7 +457,9 @@ def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,
 
 def _learned_transcripts(cfg: ExperimentConfig, seed_index: int):
     """The seeded run's learned-policy transcripts, read only if the run's
-    `report.json` shows a finished run of this config with that policy."""
+    `report.json` shows a finished run of this config with that policy.
+    The configs are compared without their `output_dir`, so a run directory
+    that was moved still serves its curve."""
     path = os.path.join(_seed_dir(cfg, seed_index), "transcripts_learned.jsonl")
     if not os.path.exists(path):
         raise ValidationError(f"no learned transcripts at {path}")
@@ -462,7 +469,10 @@ def _learned_transcripts(cfg: ExperimentConfig, seed_index: int):
             report = json.load(fh)
     except FileNotFoundError:
         report = {}
-    if (report.get("config") != cfg.to_dict()
+    recorded = report.get("config")
+    if isinstance(recorded, dict):  # a moved run directory is still its run
+        recorded = dict(recorded, output_dir=cfg.output_dir)
+    if (recorded != cfg.to_dict()
             or "learned" not in report.get("policies", {})):
         raise StageError(
             f"{path} is not from a finished run of this config with the "

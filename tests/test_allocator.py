@@ -1,13 +1,16 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from icebudget import allocator
 from icebudget.allocator import (PARAM_NAMES, batch_loss_and_grads, forward,
                                  init_model, load_model, predict_budget,
                                  save_model, split, train)
 from icebudget.config import TrainConfig
-from icebudget.errors import ValidationError
+from icebudget.errors import StageError, ValidationError
 from icebudget.oracle import BudgetDataset
 
 
@@ -445,6 +448,99 @@ class TestSeedMajorTraining:
             train(data, cfg, range(6), range(6), seed_indices=[3, 7])
         with pytest.raises(ValidationError, match=r"^seed 1, client 0: "):
             train(data, cfg, range(6), range(6))
+
+
+def _fixed_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(allocator, "_usable_cpus", lambda: cpus)
+
+
+def _nine_rows():
+    """Three seeds of three clients, and one shuffle and init seed per row."""
+    data = [three_client_records(37, dim=5, seed=s) for s in (4, 5, 6)]
+    return data, [102, 100, 101, 7, 3, 5, 11, 12, 13], list(range(20, 29))
+
+
+class TestRowRanges:
+    """`train` splits its rows over forked children, one per usable CPU."""
+
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
+    def test_every_cpu_count_trains_the_same_bytes(self, monkeypatch,
+                                                   validation_fraction):
+        data, shuffle, init = _nine_rows()
+        cfg = TrainConfig(epochs=12, learning_rate=0.3, batch_size=8, width=6,
+                          validation_fraction=validation_fraction)
+        models = {}
+        # 9 rows: ranges of 4+5, 3+3+3, 2+2+2+3 and single rows; 20 CPUs
+        # still give nine ranges
+        for cpus in (1, 2, 3, 4, 9, 20):
+            _fixed_cpus(monkeypatch, cpus)
+            models[cpus] = train(data, cfg, shuffle, init, input_scale=3.0)
+            assert multiprocessing.active_children() == []
+        one = models.pop(1)
+        for model in models.values():
+            for got, want in zip(model.params(), one.params()):
+                assert got.tobytes() == want.tobytes()
+            assert model.loss_history == one.loss_history
+            assert model.train_config == one.train_config
+
+    @pytest.mark.parametrize("bad, named", [
+        ({2: 20}, "seed 7, client 2"),  # only a child's rows
+        ({1: 12}, "seed 6, client 1"),
+        ({0: 10, 2: 20}, "seed 7, client 2"),  # a child's batch is earlier
+        ({0: 3, 2: 20}, "seed 5, client 2"),  # the same batch: lowest row
+    ])
+    def test_non_finite_loss_named_as_one_loop_names_it(self, monkeypatch,
+                                                        bad, named):
+        data, shuffle, init = _nine_rows()
+        for s, record in bad.items():
+            # one bad record: each row meets it in the batch its own
+            # shuffle puts it in
+            data[s].embeddings[record] = np.nan
+        cfg = TrainConfig(epochs=3, width=4)
+        for cpus in (1, 2, 3, 9):
+            _fixed_cpus(monkeypatch, cpus)
+            with pytest.raises(ValidationError,
+                               match=f"^{named}: non-finite training loss at "
+                                     f"epoch 0, batch starting 0 "):
+                train(data, cfg, shuffle, init, seed_indices=[5, 6, 7])
+            assert multiprocessing.active_children() == []
+
+    def test_child_without_a_reply_is_a_stage_error(self, monkeypatch):
+        data, shuffle, init = _nine_rows()
+        parent, train_rows = os.getpid(), allocator._train_rows
+
+        def dying_rows(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train_rows(*args)
+        monkeypatch.setattr(allocator, "_train_rows", dying_rows)
+        _fixed_cpus(monkeypatch, 2)
+        with pytest.raises(StageError, match=r"seeds \[1, 2\] .*exit code 3"):
+            train(data, TrainConfig(epochs=2, width=4), shuffle, init)
+        assert multiprocessing.active_children() == []
+
+    def test_children_ended_when_this_process_fails(self, monkeypatch):
+        data, shuffle, init = _nine_rows()
+        parent, train_rows = os.getpid(), allocator._train_rows
+
+        def failing_rows(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return train_rows(*args)
+        monkeypatch.setattr(allocator, "_train_rows", failing_rows)
+        _fixed_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            train(data, TrainConfig(epochs=200, width=4), shuffle, init)
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        data, shuffle, init = _nine_rows()
+
+        def no_fork(*args):
+            raise AssertionError("forked with one usable CPU")
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        _fixed_cpus(monkeypatch, 1)
+        train(data, TrainConfig(epochs=2, width=4), shuffle, init)
 
 
 class TestStackedPrediction:

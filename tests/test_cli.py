@@ -370,6 +370,26 @@ class TestReport:
             assert "seed0/transcripts_learned.jsonl" in err
             assert "Traceback" not in err
 
+    def test_curve_of_a_moved_run(self, config_path, tmp_path, capsys):
+        # report.json records output_dir; a moved run is still the same run
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
+        path = tmp_path / "learned.yaml"
+        path.write_text(text)
+        assert main(["--config", str(path), "run"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(path), "report", "--curve", "0.5,1"]) == 0
+        unmoved = capsys.readouterr().out
+        moved = tmp_path / "moved"
+        (tmp_path / "out").rename(moved)
+        finished = _tree_digests(moved)
+        assert main(["--config", str(path), "--out", str(moved), "report",
+                     "--curve", "0.5,1"]) == 0
+        assert capsys.readouterr().out == unmoved
+        assert _tree_digests(moved) == finished
+        assert not (tmp_path / "out").exists()
+
     def test_curve_needs_the_report_of_a_finished_run(self, config_path,
                                                        tmp_path, capsys):
         with open(config_path) as fh:
@@ -496,9 +516,25 @@ class TestReadOnlyCommands:
         finished = files()
         assert "seed0/shards.json" in finished
         assert main(["--config", str(path), "report", "--curve", "1"]) == 0
-        assert main(["--config", str(path), "infer", "--text", "q",
-                     "--policy", "uniform"]) == 0
+        for policy in ("uniform", "learned"):
+            assert main(["--config", str(path), "infer", "--text", "q",
+                         "--policy", policy]) == 0
         assert files() == finished
+
+    def test_infer_writes_only_the_models_it_trained(self, text_config_path,
+                                                     tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--config", text_config_path, "infer", "--text", "q",
+                "--policy", "learned"]
+        assert main(argv) == 0
+        trained = _tree_digests(out)
+        assert sorted(trained) == ["seed0/models/allocators.bin",
+                                   "seed0/models/allocators.json"]
+        mtimes = {name: (out / name).stat().st_mtime_ns for name in trained}
+        assert main(argv) == 0  # served from the saved models
+        assert _tree_digests(out) == trained
+        assert {name: (out / name).stat().st_mtime_ns
+                for name in trained} == mtimes
 
 
 class TestSeedIndex:

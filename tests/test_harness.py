@@ -141,21 +141,45 @@ class TestRunExperiment:
         assert trained == [[0, 2]]  # one loop for both uncached seeds
         assert _tree_bytes(tiny_config.output_dir) == fresh
 
-    def test_one_sgd_loop_per_run(self, tiny_config, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_each_row_range_runs_one_sgd_loop(self, tiny_config, monkeypatch,
+                                              tmp_path, cpus):
         tiny_config.policies = ["learned"]
         tiny_config.num_seeds = 3
-        steps = []
+        log = tmp_path / "training.jsonl"
+        train_rows = allocator._train_rows
         step = allocator.batch_loss_and_grads
 
+        def logged(*entry):  # forked children append to the same file
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), *entry]) + "\n")
+
+        def logging_rows(stack, x_train, y_train, x_val, y_val, seeds, cfg):
+            logged("rows", list(seeds))
+            return train_rows(stack, x_train, y_train, x_val, y_val, seeds,
+                              cfg)
+
         def counting_step(m, x, y):
-            steps.append(x.shape[0])
+            logged("step", x.shape[0])
             return step(m, x, y)
+        monkeypatch.setattr(allocator, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(allocator, "_train_rows", logging_rows)
         monkeypatch.setattr(allocator, "batch_loss_and_grads", counting_step)
         run_experiment(tiny_config)
-        batches = math.ceil(tiny_config.proxy_size / tiny_config.train.batch_size)
-        assert len(steps) == tiny_config.train.epochs * batches
+        entries = [json.loads(line) for line in log.read_text().splitlines()]
+        ranges = {pid: seeds for pid, kind, seeds in entries if kind == "rows"}
         rows = tiny_config.num_seeds * tiny_config.partition.num_clients
-        assert set(steps) == {rows}
+        assert len(ranges) == min(cpus, rows)
+        # the ranges partition the rows, each a contiguous run in row order
+        row_seeds = [seed for ctx in seed_contexts(tiny_config, range(3))
+                     for seed in ctx._client_seeds("shuffle")]
+        ordered = sorted(ranges.values(), key=lambda r: row_seeds.index(r[0]))
+        assert [seed for r in ordered for seed in r] == row_seeds
+        batches = math.ceil(tiny_config.proxy_size / tiny_config.train.batch_size)
+        for pid, seeds in ranges.items():
+            steps = [n for p, kind, n in entries
+                     if kind == "step" and p == pid]
+            assert steps == [len(seeds)] * (tiny_config.train.epochs * batches)
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "k", 6),
