@@ -17,13 +17,13 @@ another order and differs in the last bits, which would change the trained
 models and every report built on them.
 
 Because no row reads another, `train` cuts the rows into one contiguous
-range per usable CPU and runs the same SGD loop on each range at once:
-this process trains the first range in place, and a child made with the
-`fork` start method trains each other range and sends back its rows. Every
-row takes exactly the steps it would take in one loop over all rows, so
-the models, their loss histories and every report built on them are the
-same bytes whatever the CPU count. With one usable CPU, or no `fork`, the
-one range is trained in this process.
+range per usable CPU, at most two, and runs the same SGD loop on each
+range at once: this process trains the first range in place, and a child
+made with the `fork` start method trains the other and sends back its
+rows. Every row takes exactly the steps it would take in one loop over
+all rows, so the models, their loss histories and every report built on
+them are the same bytes whatever the CPU count. With one usable CPU, or
+no `fork`, the one range is trained in this process.
 """
 
 from __future__ import annotations
@@ -192,12 +192,21 @@ def training_record(cfg: TrainConfig, seeds) -> dict:
             "validation_fraction": cfg.validation_fraction}
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
+# The most processes `train` uses. Two is the only count whose gain has
+# been measured (on a 2-CPU host): every range still pays the full
+# per-step Python overhead, so the gain per added process shrinks while
+# the forks and their CPU time grow, and the affinity mask does not show a
+# cgroup CPU quota, under which more children would share fewer CPUs.
+_MAX_PROCESSES = 2
+
+
+def _train_processes() -> int:
+    """How many processes train the rows: the CPUs this process may run on,
+    at most _MAX_PROCESSES; 1 where it cannot fork."""
     if ("fork" not in multiprocessing.get_all_start_methods()
             or not hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(len(os.sched_getaffinity(0)), _MAX_PROCESSES)
 
 
 class _NonFinite(Exception):
@@ -280,11 +289,12 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
     bit-identical to training that client alone. `seed_indices` names the
     datasets' seeds in errors (default 0, 1, ...).
 
-    The rows are cut into P = min(S·C, usable CPUs) contiguous ranges, each
-    trained by the same `_train_rows` loop: this process trains the first
-    in place, on views of the stack and of the training data, and a child
-    forked per other range trains its copy and sends back only its trained
-    rows and loss history, which are written into the stack. Since a row's
+    The rows are cut into P = min(S·C, `_train_processes()`) contiguous
+    ranges (the usable CPUs, at most `_MAX_PROCESSES`), each trained by the
+    same `_train_rows` loop: this process trains the first in place, on
+    views of the stack and of the training data, and a child forked per
+    other range trains its copy and sends back only its trained rows and
+    loss history, which are written into the stack. Since a row's
     training never reads another row, the models are the same bytes for
     every P. A non-finite loss raises the ValidationError a single loop
     would (the earliest batch, then the lowest row); a child that ends
@@ -339,7 +349,7 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
                 x_train[rows], y_train[rows], x_val[rows], y_val[rows],
                 seeds[rows], cfg)
 
-    parts = min(num_rows, _usable_cpus())
+    parts = min(num_rows, _train_processes())
     bounds = [num_rows * i // parts for i in range(parts + 1)]
     (_, mine), *forked = zip(bounds, bounds[1:])
     history = np.empty((num_rows, cfg.epochs))

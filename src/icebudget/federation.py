@@ -61,38 +61,6 @@ class BudgetPolicy:
             raise ValidationError(f"unknown policy variant: {self.variant}")
 
 
-class _KeptRanking(np.ndarray):
-    """A kept ranking as one read-only (2, n) int64 buffer: row 0 holds the
-    ids and row 1 the bytes of the float64 distances, so an entry is one
-    array object, not a RankedSet of two. `prefix` serves a budget as two
-    slices; `id_array` and `distances` view the whole rows."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, ranked: RankedSet, depth: int) -> "_KeptRanking":
-        """A copy of the first `depth` entries of `ranked`."""
-        ids = ranked.id_array[:depth]
-        kept = np.ndarray.__new__(cls, (2, len(ids)), np.int64)
-        kept[0] = ids
-        kept[1] = ranked.distances[:depth].view(np.int64)
-        kept.flags.writeable = False
-        return kept
-
-    def prefix(self, n: int) -> RankedSet:
-        """The first `n` entries, as read-only views of this buffer."""
-        rows = np.ndarray.view(self, np.ndarray)  # plain arrays index faster
-        return RankedSet(rows[0, :n], rows[1, :n].view(np.float64))
-
-    @property
-    def id_array(self) -> np.ndarray:
-        return np.ndarray.view(self, np.ndarray)[0]
-
-    @property
-    def distances(self) -> np.ndarray:
-        return np.ndarray.view(self, np.float64, np.ndarray)[1]
-
-
 @dataclass
 class ClientNode:
     """A client: its shard, the shard's store, and the rankings it keeps
@@ -101,7 +69,7 @@ class ClientNode:
     id: int
     shard: Dataset
     store: EmbeddingStore
-    # query digest -> the query's top entries as a read-only _KeptRanking
+    # query digest -> the query's top entries as a read-only RankedSet
     rankings: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -281,11 +249,15 @@ def client_retrieve(client: ClientNode, e_q, budget: int,
     query = query_vector(e_q, client.store)
     key = hashlib.blake2b(query.tobytes(), digest_size=16).digest()
     kept = client.rankings.get(key)
-    if kept is not None and budget <= kept.shape[1]:
-        return kept.prefix(budget)
+    if kept is not None and budget <= len(kept):
+        return RankedSet(kept.id_array[:budget], kept.distances[:budget])
     ranked = top_k(query, max(budget, depth), client.shard, client.store)
     if depth:
-        client.rankings[key] = _KeptRanking.of(ranked, depth)
+        kept = RankedSet(ranked.id_array[:depth].copy(),
+                         ranked.distances[:depth].copy())
+        kept.id_array.flags.writeable = False
+        kept.distances.flags.writeable = False
+        client.rankings[key] = kept
     return RankedSet(ranked.id_array[:budget], ranked.distances[:budget])
 
 

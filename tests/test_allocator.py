@@ -450,8 +450,8 @@ class TestSeedMajorTraining:
             train(data, cfg, range(6), range(6))
 
 
-def _fixed_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(allocator, "_usable_cpus", lambda: cpus)
+def _fixed_processes(monkeypatch, cpus):
+    monkeypatch.setattr(allocator, "_train_processes", lambda: cpus)
 
 
 def _nine_rows():
@@ -461,7 +461,14 @@ def _nine_rows():
 
 
 class TestRowRanges:
-    """`train` splits its rows over forked children, one per usable CPU."""
+    """`train` cuts its rows into one range per training process and forks
+    a child for each range but the first."""
+
+    @pytest.mark.parametrize("cpus, processes", [(1, 1), (2, 2), (12, 2)])
+    def test_processes_capped_at_two(self, monkeypatch, cpus, processes):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert allocator._train_processes() == processes
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
     def test_every_cpu_count_trains_the_same_bytes(self, monkeypatch,
@@ -470,10 +477,10 @@ class TestRowRanges:
         cfg = TrainConfig(epochs=12, learning_rate=0.3, batch_size=8, width=6,
                           validation_fraction=validation_fraction)
         models = {}
-        # 9 rows: ranges of 4+5, 3+3+3, 2+2+2+3 and single rows; 20 CPUs
+        # 9 rows: ranges of 4+5, 3+3+3, 2+2+2+3 and single rows; 20 processes
         # still give nine ranges
         for cpus in (1, 2, 3, 4, 9, 20):
-            _fixed_cpus(monkeypatch, cpus)
+            _fixed_processes(monkeypatch, cpus)
             models[cpus] = train(data, cfg, shuffle, init, input_scale=3.0)
             assert multiprocessing.active_children() == []
         one = models.pop(1)
@@ -498,7 +505,7 @@ class TestRowRanges:
             data[s].embeddings[record] = np.nan
         cfg = TrainConfig(epochs=3, width=4)
         for cpus in (1, 2, 3, 9):
-            _fixed_cpus(monkeypatch, cpus)
+            _fixed_processes(monkeypatch, cpus)
             with pytest.raises(ValidationError,
                                match=f"^{named}: non-finite training loss at "
                                      f"epoch 0, batch starting 0 "):
@@ -514,7 +521,7 @@ class TestRowRanges:
                 os._exit(3)
             return train_rows(*args)
         monkeypatch.setattr(allocator, "_train_rows", dying_rows)
-        _fixed_cpus(monkeypatch, 2)
+        _fixed_processes(monkeypatch, 2)
         with pytest.raises(StageError, match=r"seeds \[1, 2\] .*exit code 3"):
             train(data, TrainConfig(epochs=2, width=4), shuffle, init)
         assert multiprocessing.active_children() == []
@@ -528,7 +535,7 @@ class TestRowRanges:
                 raise KeyboardInterrupt
             return train_rows(*args)
         monkeypatch.setattr(allocator, "_train_rows", failing_rows)
-        _fixed_cpus(monkeypatch, 3)
+        _fixed_processes(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
             train(data, TrainConfig(epochs=200, width=4), shuffle, init)
         assert multiprocessing.active_children() == []
@@ -539,7 +546,7 @@ class TestRowRanges:
         def no_fork(*args):
             raise AssertionError("forked with one usable CPU")
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        _fixed_cpus(monkeypatch, 1)
+        _fixed_processes(monkeypatch, 1)
         train(data, TrainConfig(epochs=2, width=4), shuffle, init)
 
 

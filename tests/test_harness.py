@@ -162,7 +162,7 @@ class TestRunExperiment:
         def counting_step(m, x, y):
             logged("step", x.shape[0])
             return step(m, x, y)
-        monkeypatch.setattr(allocator, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(allocator, "_train_processes", lambda: cpus)
         monkeypatch.setattr(allocator, "_train_rows", logging_rows)
         monkeypatch.setattr(allocator, "batch_loss_and_grads", counting_step)
         run_experiment(tiny_config)
