@@ -16,28 +16,23 @@ product for that client alone would; `einsum` sums the same terms in
 another order and differs in the last bits, which would change the trained
 models and every report built on them.
 
-Because no row reads another, `train` cuts the rows into one contiguous
-range per usable CPU, at most two, and runs the same SGD loop on each
-range at once: this process trains the first range in place, and a child
-made with the `fork` start method trains the other and sends back its
-rows. Every row takes exactly the steps it would take in one loop over
-all rows, so the models, their loss histories and every report built on
-them are the same bytes whatever the CPU count. With one usable CPU, or
-no `fork`, the one range is trained in this process.
+Because no row reads another, `train` runs the same SGD loop on ranges
+of rows at once (`parallel.fill`). Every row takes exactly the steps of one
+loop over all rows, so the models and every report built on them are the
+same bytes whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import TrainConfig
-from .errors import StageError, ValidationError
+from .errors import ValidationError
 from .oracle import BudgetDataset, dequantize
+from .parallel import fill
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -192,23 +187,6 @@ def training_record(cfg: TrainConfig, seeds) -> dict:
             "validation_fraction": cfg.validation_fraction}
 
 
-# The most processes `train` uses. Two is the only count whose gain has
-# been measured (on a 2-CPU host): every range still pays the full
-# per-step Python overhead, so the gain per added process shrinks while
-# the forks and their CPU time grow, and the affinity mask does not show a
-# cgroup CPU quota, under which more children would share fewer CPUs.
-_MAX_PROCESSES = 2
-
-
-def _train_processes() -> int:
-    """How many processes train the rows: the CPUs this process may run on,
-    at most _MAX_PROCESSES; 1 where it cannot fork."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), _MAX_PROCESSES)
-
-
 class _NonFinite(Exception):
     """A batch loss that is not finite, as (epoch, batch start, row)."""
 
@@ -257,24 +235,6 @@ def _train_rows(stack: AllocatorModel, x_train, y_train, x_val, y_val, seeds,
     return history
 
 
-def _train_child(send, stack: AllocatorModel, *args):
-    """A forked child's rows: sends None, then each trained parameter and the
-    loss history as raw bytes; or the `_NonFinite` location; or the text of
-    any other error, so that the child prints no traceback."""
-    try:
-        history = _train_rows(stack, *args)
-    except _NonFinite as exc:
-        send.send(exc.args)
-    except Exception as exc:
-        send.send(f"{type(exc).__name__}: {exc}")
-    else:
-        send.send(None)
-        for array in (*stack.params(), history):
-            send.send_bytes(memoryview(array).cast("B"))
-    finally:
-        send.close()
-
-
 def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
           init_seeds, input_scale: float = 1.0,
           seed_indices=None) -> AllocatorModel:
@@ -289,17 +249,10 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
     bit-identical to training that client alone. `seed_indices` names the
     datasets' seeds in errors (default 0, 1, ...).
 
-    The rows are cut into P = min(S·C, `_train_processes()`) contiguous
-    ranges (the usable CPUs, at most `_MAX_PROCESSES`), each trained by the
-    same `_train_rows` loop: this process trains the first in place, on
-    views of the stack and of the training data, and a child forked per
-    other range trains its copy and sends back only its trained rows and
-    loss history, which are written into the stack. Since a row's
-    training never reads another row, the models are the same bytes for
-    every P. A non-finite loss raises the ValidationError a single loop
-    would (the earliest batch, then the lowest row); a child that ends
-    without a reply is a StageError naming its seeds. Every child is joined
-    before this returns or raises.
+    `parallel.fill` runs `_train_rows` on ranges of rows, on views of the
+    stack and of the training data. A non-finite loss raises the
+    ValidationError a single loop would (the earliest batch, then the
+    lowest row).
 
     Shuffling is reseeded per epoch from the shuffle seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,
@@ -342,56 +295,29 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
     stack = init_model(x.shape[2], cfg.width, num_classes, init_seeds,
                        input_scale=input_scale)
 
-    def part(lo, hi):  # rows lo..hi-1: views of the stack and of their data
-        rows = slice(lo, hi)
-        return (replace(stack, **{name: getattr(stack, name)[rows]
-                                  for name in PARAM_NAMES}),
-                x_train[rows], y_train[rows], x_val[rows], y_val[rows],
-                seeds[rows], cfg)
-
-    parts = min(num_rows, _train_processes())
-    bounds = [num_rows * i // parts for i in range(parts + 1)]
-    (_, mine), *forked = zip(bounds, bounds[1:])
     history = np.empty((num_rows, cfg.epochs))
-    failures, children = [], []
-    try:
-        fork = multiprocessing.get_context("fork") if forked else None
-        for lo, hi in forked:
-            receive, send = fork.Pipe(duplex=False)
-            args = part(lo, hi)
-            child = fork.Process(target=_train_child, args=(send, *args))
-            child.start()
-            send.close()
-            children.append((lo, hi, args[0], receive, child))
+    failed = np.full((num_rows, 2), -1)  # a range's (epoch, start) at its row
+
+    def work(lo, hi):  # rows lo..hi-1, on views of the stack and their data
+        rows = slice(lo, hi)
+        part = replace(stack, **{name: getattr(stack, name)[rows]
+                                 for name in PARAM_NAMES})
         try:
-            history[:mine] = _train_rows(*part(0, mine))
+            history[rows] = _train_rows(part, x_train[rows], y_train[rows],
+                                        x_val[rows], y_val[rows], seeds[rows],
+                                        cfg)
         except _NonFinite as exc:
-            failures.append(exc.args)
-        for lo, hi, rows, receive, child in children:
-            try:
-                status = receive.recv()
-                if status is None:  # the child's rows, into the stack
-                    for array in (*rows.params(), history[lo:hi]):
-                        receive.recv_bytes_into(memoryview(array).cast("B"))
-            except EOFError:
-                child.join()
-                status = f"ended without a reply (exit code {child.exitcode})"
-            if isinstance(status, str):
-                names = sorted({seed_indices[row // num_clients]
-                                for row in range(lo, hi)})
-                raise StageError(f"training the allocators of seeds {names} "
-                                 f"in a child process: {status}")
-            if status is not None:
-                epoch, start, row = status
-                failures.append((epoch, start, lo + row))
-    except BaseException:
-        for *_, child in children:
-            child.kill()
-        raise
-    finally:
-        for *_, receive, child in children:
-            child.join()
-            receive.close()
+            epoch, start, row = exc.args
+            failed[lo + row] = epoch, start
+
+    def describe(lo, hi):
+        names = sorted({seed_indices[row // num_clients]
+                        for row in range(lo, hi)})
+        return f"training the allocators of seeds {names}"
+
+    fill(num_rows, work, [*stack.params(), history, failed], describe)
+    failures = [(*at, row) for row, at in enumerate(failed.tolist())
+                if at[0] >= 0]
     if failures:
         epoch, start, row = min(failures)
         seed, client = divmod(row, num_clients)

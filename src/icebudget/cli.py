@@ -145,7 +145,6 @@ def _cmd_infer(args):
 
 
 def _cmd_report(args):
-    from .federation import load_transcripts
     from .harness import _stage, efficiency_curve_from_run
     try:
         multipliers = [float(x) for x in args.curve.split(",") if x]
@@ -155,10 +154,8 @@ def _cmd_report(args):
         raise ValidationError(f"--curve: multipliers must be finite: {args.curve}")
     cfg = _load_cfg(args)
     with _stage("report", args.seed_index):
-        transcripts = (load_transcripts(args.transcripts)
-                       if args.transcripts else None)
         rows = efficiency_curve_from_run(cfg, args.seed_index, multipliers,
-                                         transcripts=transcripts)
+                                         args.transcripts)
     print("multiplier\tmean_recall")
     for row in rows:
         print(f"{row['multiplier']:.2f}\t{row['mean_recall']:.4f}")

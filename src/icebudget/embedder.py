@@ -3,8 +3,8 @@
 Real encoder output (e.g. from a sentence-transformer run offline) is
 ingested from a binary or JSONL file; `hash_encode_many` provides a
 dependency-free deterministic stand-in based on signed character n-gram
-feature hashing. It encodes a batch of texts and hashes each distinct n-gram
-once per call.
+feature hashing. It counts the n-grams of a whole batch of texts at once
+and hashes each distinct n-gram once per call.
 """
 
 from __future__ import annotations
@@ -222,41 +222,87 @@ def _stable_bucket(token: str, seed: int, dim: int) -> tuple[int, float]:
     return (value >> 1) % dim, sign
 
 
+# an n-gram key packs 21 bits per code point (all of Unicode), and past the
+# end of a text shorter than n a value that no code point has
+_CHAR_BITS = 21
+_PAST_END = (1 << _CHAR_BITS) - 1
+# texts are counted in runs of about this many characters, which bounds the
+# temporary arrays (about 100 bytes per character) for any batch size
+_CHUNK_CHARS = 1 << 13
+
+
 def hash_encode_many(texts, dim: int, seed: int = 0) -> np.ndarray:
     """Signed feature hashing of character 2- and 3-grams, L2-normalized:
     one row per text, as an (N, dim) float64 array.
 
     Pure function of (text, dim, seed) per row; uses a keyed blake2b hash so
-    results are stable across processes. Each distinct n-gram is hashed once
-    per call: a table per n maps it to its slot code 2*bucket + (sign > 0),
-    and a text's row is its positive minus its negative slot counts (exact
-    in float64, so equal to summing the signs one n-gram at a time).
+    results are stable across processes. A text's row is its positive minus
+    its negative slot counts (see `_count_ngrams`); counts are integers, so
+    the row and its norm are exact in float64, equal to summing the signs
+    one n-gram at a time. Each distinct n-gram is hashed once per call.
     """
     if dim < 2:
         raise ValidationError("hash encoder needs dim >= 2")
     texts = list(texts)
+    if not all(texts):
+        raise ValidationError("cannot encode empty text")
     out = np.empty((len(texts), dim), dtype=np.float64)
-    tables = {2: {}, 3: {}}  # n -> {n-gram: slot code}
-    for row, text in enumerate(texts):
-        if not text:
-            raise ValidationError("cannot encode empty text")
-        codes = []
-        for n, table in tables.items():
-            grams = [text[i:i + n] for i in range(max(len(text) - n + 1, 1))]
-            for gram in set(grams).difference(table):
-                bucket, sign = _stable_bucket(f"{n}:{gram}", seed, dim)
-                table[gram] = 2 * bucket + (sign > 0)
-            codes += map(table.__getitem__, grams)
-        counts = np.bincount(codes, minlength=2 * dim)
-        vec = (counts[1::2] - counts[0::2]).astype(np.float64)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            # all n-gram signs cancelled; fall back to a text-level bucket
-            bucket, sign = _stable_bucket(f"t:{text}", seed, dim)
-            vec[bucket] = sign
-            norm = 1.0
-        out[row] = vec / norm
+    tables = ({}, {})  # per n, n-gram key -> slot code 2*bucket + (sign > 0)
+    start = chars = 0
+    for stop, text in enumerate(texts, start=1):
+        chars += len(text)
+        if chars >= _CHUNK_CHARS or stop == len(texts):
+            out[start:stop] = _count_ngrams(texts[start:stop], dim, seed,
+                                            tables)
+            start, chars = stop, 0
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+    for row in np.flatnonzero(norms == 0.0):
+        # all n-gram signs cancelled; fall back to a text-level bucket
+        bucket, sign = _stable_bucket(f"t:{texts[row]}", seed, dim)
+        out[row, bucket] = sign
+        norms[row] = 1.0
+    out /= norms[:, None]
     return out
+
+
+def _count_ngrams(texts, dim: int, seed: int, tables) -> np.ndarray:
+    """Each text's positive minus negative slot counts over its 2- and
+    3-grams (a text shorter than n has one n-gram, itself), counted at once
+    in numpy: each window's code points are packed into one uint64 key, and
+    each distinct key not yet in `tables` is hashed and added to it."""
+    lengths = np.array([len(t) for t in texts])
+    # each text followed by two past-the-end values, so that every window
+    # of three code points that starts in a text holds only its own
+    ends = np.cumsum(lengths + 2)
+    padded = np.full(ends[-1], _PAST_END, dtype=np.uint64)
+    real = np.ones(len(padded), dtype=bool)
+    real[ends - 1] = real[ends - 2] = False
+    padded[real] = np.frombuffer(
+        "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    shift = np.uint64(_CHAR_BITS)
+    keys = (padded[:-2] << shift | padded[1:-1]) << shift | padded[2:]
+    first = np.zeros(len(keys), dtype=bool)  # where each text starts
+    first[ends - lengths - 2] = True
+    text_of = np.cumsum(first) - 1
+    slots = []
+    for n, table in zip((2, 3), tables):
+        # a window of n code points, or the whole of a text shorter than n
+        kept = real[:-2] & (real[n - 1:len(real) - 3 + n] | first)
+        distinct, inverse = np.unique(keys[kept] >> np.uint64(
+            _CHAR_BITS * (3 - n)), return_inverse=True)
+        codes = np.empty(len(distinct), dtype=np.int64)
+        for i, key in enumerate(distinct.tolist()):
+            if key not in table:
+                gram = "".join(chr(c) for c in (
+                    key >> _CHAR_BITS * j & _PAST_END
+                    for j in range(n - 1, -1, -1)) if c != _PAST_END)
+                bucket, sign = _stable_bucket(f"{n}:{gram}", seed, dim)
+                table[key] = 2 * bucket + (sign > 0)
+            codes[i] = table[key]
+        slots.append(text_of[kept] * 2 * dim + codes[inverse])
+    counts = np.bincount(np.concatenate(slots),
+                         minlength=len(texts) * 2 * dim).reshape(-1, dim, 2)
+    return counts[..., 1] - counts[..., 0]
 
 
 class HashEncoder:

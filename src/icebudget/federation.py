@@ -368,11 +368,15 @@ def save_transcripts(transcripts, path):
             fh.write(json.dumps(t.to_dict(), sort_keys=True) + "\n")
 
 
-def load_transcripts(path) -> list[Transcript]:
+def load_transcripts(path, query_ids=None, num_clients=None
+                     ) -> list[Transcript]:
     """Read a file written by `save_transcripts`. A line that is not JSON,
     not an object, or not a transcript (see `Transcript.from_dict`) raises
-    ParseError naming the file and the line."""
+    ParseError naming the file and the line. Given `query_ids`, so does a
+    line of another query or a repeated one, or with other than
+    `num_clients` budgets, and a query no line holds (named by its id)."""
     out = []
+    remaining = set(query_ids or ())
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -387,7 +391,18 @@ def load_transcripts(path) -> list[Transcript]:
                 raise ParseError(f"{path}: transcript must be a JSON object",
                                  line=lineno)
             try:
-                out.append(Transcript.from_dict(obj))
+                t = Transcript.from_dict(obj)
+                if query_ids is not None and t.query_id not in remaining:
+                    raise ValidationError(f"query id {t.query_id} is repeated "
+                                          "or not a test query of this seed")
+                if query_ids is not None and len(t.budgets_sent) != num_clients:
+                    raise ValidationError(f"{len(t.budgets_sent)} budgets for "
+                                          f"{num_clients} clients")
             except ValidationError as exc:
                 raise ParseError(f"{path}: {exc}", line=lineno) from exc
+            remaining.discard(t.query_id)
+            out.append(t)
+    if remaining:
+        raise ParseError(f"{path}: no transcript of test query "
+                         f"{min(remaining)}")
     return out

@@ -21,6 +21,7 @@ finished run leave the bytes of its files as they are; `infer` writes only
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import hashlib
 import json
@@ -46,6 +47,7 @@ from .federation import (BudgetPolicy, ClientNode, ServerNode,
 from .inference import make_backend
 from .oracle import (construct_budget_dataset, load_budget_dataset,
                      save_budget_dataset)
+from .parallel import fill
 from .retrieval import top_k
 
 SCHEMA_VERSION = 1
@@ -350,15 +352,17 @@ def _budget_histogram(transcripts, num_clients: int):
 def _stage(name: str, seed_index: int | None):
     """Prefix any error raised in the block with the stage and seed (none for
     a stage over several seeds). Package errors keep their type (and so
-    their CLI exit code); any other error becomes a StageError chained to
-    the original."""
+    their CLI exit code) and fields, such as a ParseError's line; any other
+    error becomes a StageError chained to the original."""
     where = f"stage '{name}'"
     if seed_index is not None:
         where += f" (seed {seed_index})"
     try:
         yield
     except IceBudgetError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        prefixed = copy.copy(exc)
+        prefixed.args = (f"{where}: {exc}",)
+        raise prefixed from exc
     except Exception as exc:
         raise StageError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
@@ -433,30 +437,38 @@ def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,
 
     Each (query, client) pair is ranked once, at its largest scaled budget;
     a smaller budget takes a prefix, since the top-k' under (distance, id)
-    is the first k' entries of the top-K for any k' <= K.
+    is the first k' entries of the top-K for any k' <= K. The transcripts'
+    recalls are computed over ranges of them at once (`parallel.fill`).
     """
-    multipliers = [float(m) for m in multipliers]
-    recalls = [[] for _ in multipliers]
-    for t in transcripts:
-        e_q = query_store.get(t.query_id)
-        global_top = top_k(e_q, k, global_dataset, global_store).id_set()
-        unions = [set() for _ in multipliers]
-        for shard, store, budget in zip(shards, shard_stores, t.budgets_sent):
-            scaled = [math.ceil(m * budget) for m in multipliers]
-            if max(scaled, default=0) <= 0:
-                continue
-            ranked = top_k(e_q, max(scaled), shard, store).ids
-            for union, n in zip(unions, scaled):
-                union.update(ranked[:max(n, 0)])
-        for row, union in zip(recalls, unions):
-            row.append(len(union & global_top) / k)
+    transcripts, multipliers = list(transcripts), [float(m) for m in multipliers]
+    recalls = np.empty((len(transcripts), len(multipliers)))
+
+    def work(lo, hi):
+        for row in range(lo, hi):
+            t = transcripts[row]
+            e_q = query_store.get(t.query_id)
+            global_top = top_k(e_q, k, global_dataset, global_store).id_set()
+            unions = [set() for _ in multipliers]
+            for shard, store, budget in zip(shards, shard_stores,
+                                            t.budgets_sent):
+                scaled = [math.ceil(m * budget) for m in multipliers]
+                if max(scaled, default=0) <= 0:
+                    continue
+                ranked = top_k(e_q, max(scaled), shard, store).ids
+                for union, n in zip(unions, scaled):
+                    union.update(ranked[:max(n, 0)])
+            recalls[row] = [len(union & global_top) / k for union in unions]
+
+    fill(len(transcripts), work, [recalls],
+         lambda lo, hi: f"the recalls of transcripts {lo}..{hi - 1}")
+    # each multiplier's recalls as one contiguous row, summed as a list is
     return [{"multiplier": m,
-             "mean_recall": float(np.mean(row)) if row else 0.0}
-            for m, row in zip(multipliers, recalls)]
+             "mean_recall": float(np.mean(row)) if row.size else 0.0}
+            for m, row in zip(multipliers, recalls.T.copy())]
 
 
-def _learned_transcripts(cfg: ExperimentConfig, seed_index: int):
-    """The seeded run's learned-policy transcripts, read only if the run's
+def _learned_transcripts_path(cfg: ExperimentConfig, seed_index: int) -> str:
+    """The path of the seeded run's learned-policy transcripts, if the run's
     `report.json` shows a finished run of this config with that policy.
     The configs are compared without their `output_dir`, so a run directory
     that was moved still serves its curve."""
@@ -478,16 +490,20 @@ def _learned_transcripts(cfg: ExperimentConfig, seed_index: int):
             f"{path} is not from a finished run of this config with the "
             f"learned policy: the run's report.json is missing, of another "
             f"config, or lists no learned policy")
-    return load_transcripts(path)
+    return path
 
 
 def efficiency_curve_from_run(cfg: ExperimentConfig, seed_index: int,
-                              multipliers, transcripts=None):
+                              multipliers, transcripts_path=None):
     """Rebuild the seeded run's shards and compute the efficiency curve from
-    its learned-policy transcripts."""
-    if transcripts is None:
-        transcripts = _learned_transcripts(cfg, seed_index)
+    the transcripts at `transcripts_path`, by default its learned-policy
+    ones. The file must hold one transcript of each of the seed's test
+    queries, with one budget per client (see `load_transcripts`)."""
+    if transcripts_path is None:
+        transcripts_path = _learned_transcripts_path(cfg, seed_index)
     ctx = _SeedContext.for_seed(cfg, seed_index)
+    transcripts = load_transcripts(transcripts_path, ctx.test.ids,
+                                   len(ctx.clients))
     return budget_efficiency_curve(
         transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
         ctx.train_store, ctx.test_store, cfg.k, multipliers)

@@ -20,6 +20,7 @@ import numpy as np
 from .corpus import Dataset
 from .embedder import EmbeddingStore
 from .errors import ParseError, ValidationError, is_int
+from .parallel import fill
 from .retrieval import rerank_union, top_k
 
 
@@ -75,16 +76,23 @@ def oracle_budget(e_q, k, shards, shard_stores) -> list[int]:
 def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
                              shards, shard_stores, k: int, delta: int
                              ) -> BudgetDataset:
-    """The oracle budgets of every proxy example, in id order."""
+    """The oracle budgets of every proxy example, in id order, computed over
+    ranges of the proxy queries at once (`parallel.fill`)."""
     if not shards:
         raise ValidationError("need at least one shard")
     if delta < 1:
         raise ValidationError("delta must be >= 1")
     proxy_store.check_bound(proxy)
     ids, x = proxy_store.matrix()
-    raw = [oracle_budget(e_q, k, shards, shard_stores) for e_q in x]
-    return BudgetDataset(ids, x, np.array(raw, dtype=np.int64).reshape(
-        len(ids), len(shards)), k=k, delta=delta)
+    raw = np.empty((len(ids), len(shards)), dtype=np.int64)
+
+    def work(lo, hi):
+        for i in range(lo, hi):
+            raw[i] = oracle_budget(x[i], k, shards, shard_stores)
+
+    fill(len(ids), work, [raw],
+         lambda lo, hi: f"the oracle budgets of proxy queries {lo}..{hi - 1}")
+    return BudgetDataset(ids, x, raw, k=k, delta=delta)
 
 
 def save_budget_dataset(b: BudgetDataset, path):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from icebudget import allocator
+from icebudget import allocator, parallel
 from icebudget.allocator import (PARAM_NAMES, batch_loss_and_grads, forward,
                                  init_model, load_model, predict_budget,
                                  save_model, split, train)
@@ -451,7 +451,7 @@ class TestSeedMajorTraining:
 
 
 def _fixed_processes(monkeypatch, cpus):
-    monkeypatch.setattr(allocator, "_train_processes", lambda: cpus)
+    monkeypatch.setattr(parallel, "processes", lambda: cpus)
 
 
 def _nine_rows():
@@ -463,12 +463,6 @@ def _nine_rows():
 class TestRowRanges:
     """`train` cuts its rows into one range per training process and forks
     a child for each range but the first."""
-
-    @pytest.mark.parametrize("cpus, processes", [(1, 1), (2, 2), (12, 2)])
-    def test_processes_capped_at_two(self, monkeypatch, cpus, processes):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        assert allocator._train_processes() == processes
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
     def test_every_cpu_count_trains_the_same_bytes(self, monkeypatch,

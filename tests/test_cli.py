@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from icebudget import parallel
 from icebudget.cli import main
 from icebudget.corpus import synth_clusters
 from icebudget.embedder import load_embeddings
@@ -406,6 +407,120 @@ class TestReport:
         capsys.readouterr()
         assert main(["--config", str(path), "report", "--curve", "1"]) == 2
         assert "seed0/transcripts_learned.jsonl" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def learned_run(tmp_path_factory):
+    """The config of a finished one-seed learned run, and its transcripts'
+    lines; the tests that use it only read the run."""
+    tmp = tmp_path_factory.mktemp("learned")
+    with open(write_config(tmp)) as fh:
+        text = fh.read().replace("policies: [uniform]", "policies: [learned]")
+    path = tmp / "learned.yaml"
+    path.write_text(text)
+    assert main(["--config", str(path), "run"]) == 0
+    lines = (tmp / "out" / "seed0" /
+             "transcripts_learned.jsonl").read_text().splitlines()
+    return str(path), lines
+
+
+def _with_query_id(line, query_id):
+    record = json.loads(line)
+    record["query_id"] = query_id
+    return json.dumps(record)
+
+
+class TestForeignTranscripts:
+    """`report --transcripts` reads only a file of the seed's test queries."""
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda lines: lines[:3] + [_with_query_id(lines[3], 10**6)]
+         + lines[4:], 4, "query id 1000000 is repeated or not a test query"),
+        (lambda lines: lines + lines[1:2], None, "is repeated"),
+        (lambda lines: lines[:2] + [lines[2].replace(
+            '"budgets_sent": [', '"budgets_sent": [1, ')] + lines[3:], 3,
+         "3 budgets for 2 clients"),
+    ])
+    def test_refused_with_the_file_and_the_first_bad_line(
+            self, learned_run, tmp_path, capsys, edit, line, message):
+        config, lines = learned_run
+        foreign = tmp_path / "foreign.jsonl"
+        foreign.write_text("\n".join(edit(lines)) + "\n")
+        line = line or len(lines) + 1
+        capsys.readouterr()
+        assert main(["--config", config, "report", "--curve", "1",
+                     "--transcripts", str(foreign)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage 'report' (seed 0): line {line}: "
+                              f"{foreign}: ")
+        assert message in err and "Traceback" not in err
+
+    def test_missing_query_refused(self, learned_run, tmp_path, capsys):
+        config, lines = learned_run
+        foreign = tmp_path / "foreign.jsonl"
+        foreign.write_text("\n".join(lines[:-1]) + "\n")
+        missing = json.loads(lines[-1])["query_id"]
+        capsys.readouterr()
+        assert main(["--config", config, "report", "--curve", "1",
+                     "--transcripts", str(foreign)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'report' (seed 0): {foreign}: no transcript of "
+            f"test query {missing}\n")
+
+    def test_the_runs_own_transcripts_accepted(self, learned_run, tmp_path,
+                                               capsys):
+        config, lines = learned_run
+        capsys.readouterr()
+        assert main(["--config", config, "report", "--curve", "0.5,1"]) == 0
+        own = capsys.readouterr().out
+        copy = tmp_path / "copy.jsonl"
+        copy.write_text("\n".join(reversed(lines)) + "\n\n")
+        assert main(["--config", config, "report", "--curve", "0.5,1",
+                     "--transcripts", str(copy)]) == 0
+        assert capsys.readouterr().out == own
+
+
+class TestProcessCounts:
+    """A failure inside a forked range reaches the CLI as it does from one
+    process, and the curve prints the same at every process count."""
+
+    def _outcomes(self, monkeypatch, capsys, argv):
+        outcomes = []
+        for processes in (1, 2):
+            monkeypatch.setattr(parallel, "processes", lambda: processes)
+            capsys.readouterr()
+            code = main(argv)
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def test_curve_prints_the_same(self, learned_run, monkeypatch, capsys):
+        config, _ = learned_run
+        code, out, err = self._outcomes(
+            monkeypatch, capsys,
+            ["--config", config, "report", "--curve", "0.5,1,1.25,2"])
+        assert code == 0 and len(out.splitlines()) == 5
+
+    def test_unknown_query_in_the_second_half(self, learned_run, tmp_path,
+                                              monkeypatch, capsys):
+        config, lines = learned_run
+        foreign = tmp_path / "foreign.jsonl"
+        at = len(lines) * 3 // 4
+        lines = lines[:at] + [_with_query_id(lines[at], 10**6)] + lines[at + 1:]
+        foreign.write_text("\n".join(lines) + "\n")
+        code, out, err = self._outcomes(
+            monkeypatch, capsys, ["--config", config, "report", "--curve",
+                                  "1", "--transcripts", str(foreign)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: stage 'report' (seed 0): line {at + 1}: ")
+
+    def test_empty_text_is_the_encoders_validation_error(
+            self, text_config_path, monkeypatch, capsys):
+        code, out, err = self._outcomes(
+            monkeypatch, capsys, ["--config", text_config_path, "infer",
+                                  "--text", "", "--policy", "learned"])
+        assert (code, out) == (1, "")
+        assert err == "error: stage 'infer' (seed 0): cannot encode empty text\n"
 
 
 @pytest.fixture

@@ -195,6 +195,18 @@ class TestHashEncodeMany:
                                for t in texts])
         assert batch.tobytes() == one_by_one.tobytes()
 
+    @pytest.mark.parametrize("texts", [
+        ["a", "ab", "b", "ba"],  # shorter than 3, or than both n
+        ["aaaaaa", "abababab", "aa", "aaa"],  # repeated n-grams
+        ["\U0001F600", "x\U0001F600", "\U0001F600\U00010348y",
+         "\u00e9\u0301\U0001F600\u00e9"],  # astral and combining
+        ["abc", "ab", "ab"],  # "ab" takes the zero-norm fallback at (8, 0)
+    ])
+    def test_equals_the_reference_on_edge_cases(self, texts):
+        batch = hash_encode_many(texts, 8, 0)
+        reference = np.stack([_reference_hash_encode(t, 8, 0) for t in texts])
+        assert batch.tobytes() == reference.tobytes()
+
     def test_zero_norm_fallback(self):
         # "2:ab" and "3:ab" land in one bucket with opposite signs at
         # (dim 8, seed 0), so the text-level bucket decides the vector
@@ -239,6 +251,24 @@ class TestHashEncodeMany:
         assert set(calls.values()) == {1}
         expected = np.stack([_reference_hash_encode(t, 64, 2) for t in texts])
         assert store.matrix()[1].tobytes() == expected.tobytes()
+
+
+    @pytest.mark.parametrize("chunk_chars", [1, 4, 11])
+    def test_chunks_hash_each_distinct_ngram_once(self, monkeypatch,
+                                                  chunk_chars):
+        calls = collections.Counter()
+
+        def counting_bucket(token, seed, dim):
+            calls[token] += 1
+            return _stable_bucket(token, seed, dim)
+
+        monkeypatch.setattr(embedder, "_stable_bucket", counting_bucket)
+        monkeypatch.setattr(embedder, "_CHUNK_CHARS", chunk_chars)
+        texts = ["banana", "bandana", "a", "banana", "an", "nab", "ab"] * 2
+        batch = hash_encode_many(texts, 16, 3)
+        expected = np.stack([_reference_hash_encode(t, 16, 3) for t in texts])
+        assert batch.tobytes() == expected.tobytes()
+        assert set(calls.values()) == {1}
 
 
 class TestHashEncode:

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icebudget import allocator, federation, harness
+from icebudget import allocator, federation, harness, parallel
 from icebudget.config import POLICY_VARIANTS, config_from_dict, derive_seed
 from icebudget.corpus import load_shard_manifest, synth_clusters
 from icebudget.embedder import encode_dataset
-from icebudget.errors import ValidationError
+from icebudget.errors import (BackendError, DecodeError, ParseError,
+                              ValidationError)
 from icebudget.federation import load_transcripts
 from icebudget.harness import (_SeedContext, allocators,
                                budget_efficiency_curve,
@@ -162,7 +163,7 @@ class TestRunExperiment:
         def counting_step(m, x, y):
             logged("step", x.shape[0])
             return step(m, x, y)
-        monkeypatch.setattr(allocator, "_train_processes", lambda: cpus)
+        monkeypatch.setattr(parallel, "processes", lambda: cpus)
         monkeypatch.setattr(allocator, "_train_rows", logging_rows)
         monkeypatch.setattr(allocator, "batch_loss_and_grads", counting_step)
         run_experiment(tiny_config)
@@ -256,6 +257,21 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="stage 'setup'"):
             run_experiment(tiny_config)
 
+    @pytest.mark.parametrize("error, fields", [
+        (ParseError("bad", line=3), {"line": 3}),
+        (DecodeError("bad", raw_completion=" maybe"),
+         {"raw_completion": " maybe", "transcript": None}),
+        (BackendError("bad", transcript={"query_id": 4}),
+         {"transcript": {"query_id": 4}}),
+    ])
+    def test_stage_errors_keep_their_type_and_fields(self, error, fields):
+        with pytest.raises(type(error)) as info:
+            with harness._stage("report", 0):
+                raise error
+        assert str(info.value) == f"stage 'report' (seed 0): {error}"
+        assert {name: getattr(info.value, name) for name in fields} == fields
+        assert info.value.__cause__ is error
+
 
 class TestKeptRankings:
     def test_run_writes_the_bytes_of_a_run_that_keeps_none(self, tiny_config,
@@ -293,6 +309,8 @@ class TestKeptRankings:
             return top_k(e_q, k, d, store)
         monkeypatch.setattr(harness, "seed_contexts", recorded_contexts)
         monkeypatch.setattr(federation, "top_k", counting_top_k)
+        # every call counted is made in this process
+        monkeypatch.setattr(parallel, "processes", lambda: 1)
         run_experiment(tiny_config)
         assert len(calls) == len(set(calls))  # one per (shard, query)
         assert len(calls) == sum(len(ctx.test) * len(ctx.clients)
@@ -303,8 +321,10 @@ class TestKeptRankings:
 
 
 def _count_training(monkeypatch):
-    """A list that gets the seed indices of each later `train` call."""
+    """A list that gets the seed indices of each later `train` call, all of
+    them made in this process."""
     trained = []
+    monkeypatch.setattr(parallel, "processes", lambda: 1)
 
     def counting_train(datasets, *args, **kwargs):
         trained.append(kwargs["seed_indices"])
@@ -391,6 +411,36 @@ class TestEfficiencyCurve:
         args = (transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
                 ctx.train_store, ctx.test_store, learned_run.k, multipliers)
         assert budget_efficiency_curve(*args) == _reference_curve(*args)
+
+    def _curve_args(self, learned_run):
+        ctx = _SeedContext.for_seed(learned_run, 0)
+        transcripts = load_transcripts(os.path.join(
+            learned_run.output_dir, "seed0", "transcripts_learned.jsonl"))
+        return [transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
+                ctx.train_store, ctx.test_store, learned_run.k,
+                [0.5, 1.0, 1.25, 2.0]]
+
+    def test_same_curve_at_one_and_two_processes(self, learned_run,
+                                                 monkeypatch):
+        args = self._curve_args(learned_run)
+        curves = []
+        for processes in (1, 2):
+            monkeypatch.setattr(parallel, "processes", lambda: processes)
+            curves.append(json.dumps(budget_efficiency_curve(*args)))
+        assert curves[0] == curves[1]
+
+    def test_unknown_query_in_a_childs_range_fails_as_one_process_does(
+            self, learned_run, monkeypatch):
+        args = self._curve_args(learned_run)
+        args[0][-2].query_id = 10**9  # in the second half, a child's range
+        errors = []
+        for processes in (1, 2):
+            monkeypatch.setattr(parallel, "processes", lambda: processes)
+            with pytest.raises(ValidationError) as info:
+                budget_efficiency_curve(*args)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0] == (ValidationError, f"no embedding for id {10**9}")
 
     def test_missing_transcripts_rejected(self, tiny_config):
         run_experiment(tiny_config)  # uniform only; no learned transcripts

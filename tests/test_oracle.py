@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icebudget import parallel
 from icebudget.corpus import partition_iid, partition_noniid
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ParseError, ValidationError
@@ -164,6 +165,25 @@ class TestConstructBudgetDataset:
                                           shards, stores, k=5, delta=1)
         for _, raw_counts, _ in records(bproxy):
             assert sum(raw_counts) == 5
+
+
+class TestProcessCounts:
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_same_bytes_as_one_process(self, monkeypatch, processes):
+        d, store = make_world(80, 4, seed=21, num_classes=3)
+        shards, shard_stores = random_partition(d, store, 3, seed=5)
+        proxy = d.subset(d.ids[:23])
+        proxy_store = store.subset(proxy.ids)
+        tables = []
+        for count in (1, processes):
+            monkeypatch.setattr(parallel, "processes", lambda: count)
+            tables.append(construct_budget_dataset(
+                proxy, proxy_store, shards, shard_stores, k=7, delta=2))
+        one, many = tables
+        for name in ("query_ids", "embeddings", "raw_counts"):
+            got, want = getattr(many, name), getattr(one, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def _shards(d, scheme, rng):
