@@ -198,6 +198,8 @@ class TestRunExperiment:
     ])
     def test_rerun_of_another_config_writes_the_files_of_a_fresh_run(
             self, tiny_config, monkeypatch, section, key, value):
+        # one process, which keeps six forks per case out of the suite
+        monkeypatch.setattr(parallel, "processes", lambda: 1)
         tiny_config.policies = ["learned"]
         tiny_config.num_seeds = 2
         changed = copy.deepcopy(tiny_config)

@@ -205,7 +205,10 @@ def _shards(d, scheme, rng):
 class TestMatchesReferenceConstruction:
     @pytest.mark.parametrize("scheme", ["iid", "noniid", "overlapping",
                                         "single", "k_past_shard"])
-    def test_random_worlds(self, scheme):
+    def test_random_worlds(self, monkeypatch, scheme):
+        # one process, which keeps 60 forks out of the suite; the forked
+        # ranges are checked against one process in TestProcessCounts
+        monkeypatch.setattr(parallel, "processes", lambda: 1)
         rng = np.random.default_rng(["iid", "noniid", "overlapping", "single",
                                      "k_past_shard"].index(scheme))
         for trial in range(12):
