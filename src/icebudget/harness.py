@@ -2,7 +2,8 @@
 
 run_experiment sets up every seed's data, shards and proxy split, then
 builds the budget datasets and trains every seed's allocators in one
-`train` call, then evaluates each policy per seed. Shards and budget
+`train` call, evaluating seed 0's policies but `learned` meanwhile, then
+evaluates the rest per seed, `learned` last in each. Shards and budget
 datasets are rebuilt by every run (and written as `shards.json` and
 `bproxy.jsonl`).
 Only the trained allocators are a cache: a saved pair is served only if
@@ -265,12 +266,15 @@ def save_shards(contexts, stage: str = "setup"):
                                  os.path.join(ctx.out_dir, "shards.json"))
 
 
-def allocators(contexts, save_tables: bool = True) -> list[AllocatorModel]:
+def allocators(contexts, save_tables: bool = True,
+               alongside=None) -> list[AllocatorModel]:
     """Each context's stacked allocator model. A context keeps its model once
     it has one. Otherwise its budget dataset is rebuilt (and written if
     `save_tables`) and its saved model loaded if it carries this run's key;
     the seeds without one are trained together in one `train` call of S·C
-    rows (and marked `trained`), then saved one artifact pair per seed."""
+    rows (and marked `trained`), then saved one artifact pair per seed.
+    `alongside`, if given, runs while they train (see `parallel.fill`), or
+    once the models are loaded if none needs training."""
     todo = []
     for ctx in contexts:
         if ctx.model is None:
@@ -288,7 +292,8 @@ def allocators(contexts, save_tables: bool = True) -> list[AllocatorModel]:
         with _stage("train-allocator", None):
             stack = train(tables, cfg.train, shuffle, init,
                           input_scale=_input_scale(cfg),
-                          seed_indices=[ctx.seed_index for ctx in untrained])
+                          seed_indices=[ctx.seed_index for ctx in untrained],
+                          alongside=alongside)
         for ctx, key, model in zip(untrained, keys, split(stack, len(todo))):
             model.key = key
             paths = ctx._model_paths()
@@ -296,6 +301,8 @@ def allocators(contexts, save_tables: bool = True) -> list[AllocatorModel]:
                 os.makedirs(os.path.dirname(paths[0]), exist_ok=True)
                 save_model(model, *paths)
             ctx.model, ctx.trained = model, True
+    elif alongside is not None:
+        alongside()
     return [ctx.model for ctx in contexts]
 
 
@@ -383,22 +390,43 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     histograms = []
     contexts = seed_contexts(cfg, range(cfg.num_seeds))
     save_shards(contexts)
-    if "learned" in cfg.policies:
-        allocators(contexts)
+
+    def evaluate(i, name):
+        with _stage(f"evaluate:{name}", i):
+            return (i, name, *_evaluate_policy(contexts[i], name))
+
+    def record(i, name, acc, total, transcripts):
+        save_transcripts(transcripts, os.path.join(
+            contexts[i].out_dir, f"transcripts_{name}.jsonl"))
+        policy_results[name]["per_seed_accuracy"].append(acc)
+        policy_results[name]["per_seed_samples_communicated"].append(total)
+        if name == "learned":
+            histograms.append(
+                {"seed_index": i,
+                 "per_client": _budget_histogram(
+                     transcripts, cfg.partition.num_clients)})
+
+    learned = [name for name in cfg.policies if name == "learned"]
+    others = [name for name in cfg.policies if name != "learned"]
+    held, failed = [], []  # seed 0's other results and error, in training
+
+    def evaluate_first():
+        try:
+            for name in others:
+                held.append(evaluate(0, name))
+        except Exception as exc:  # raised once training has succeeded
+            failed.append(exc)
+
+    if learned:
+        allocators(contexts, alongside=evaluate_first)
+        for result in held:
+            record(*result)
+        if failed:
+            raise failed[0]
     for i, ctx in enumerate(contexts):
-        for name in cfg.policies:
-            transcript_path = os.path.join(ctx.out_dir,
-                                           f"transcripts_{name}.jsonl")
-            with _stage(f"evaluate:{name}", i):
-                acc, total, transcripts = _evaluate_policy(ctx, name)
-            save_transcripts(transcripts, transcript_path)
-            policy_results[name]["per_seed_accuracy"].append(acc)
-            policy_results[name]["per_seed_samples_communicated"].append(total)
-            if name == "learned":
-                histograms.append(
-                    {"seed_index": i,
-                     "per_client": _budget_histogram(
-                         transcripts, cfg.partition.num_clients)})
+        # `learned` goes last; with it, seed 0's others ran in training
+        for name in (learned or others) if i == 0 else others + learned:
+            record(*evaluate(i, name))
         for client in ctx.clients:
             client.rankings.clear()  # no later seed asks these clients
 

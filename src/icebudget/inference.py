@@ -14,8 +14,6 @@ import os
 import time
 from dataclasses import dataclass
 
-import requests
-
 from .config import BackendSpec
 from .corpus import LabelSpace
 from .errors import BackendError, DecodeError, ValidationError
@@ -146,6 +144,7 @@ def decode_label(completion: str, labels: LabelSpace) -> int:
 
 
 def _post_completion(prompt: str, spec: BackendSpec) -> str:
+    import requests  # loaded by the one stage that posts, not by every import
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(spec.auth_env, "")
     if token:

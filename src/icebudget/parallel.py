@@ -35,10 +35,12 @@ def _raw(rows) -> memoryview:
     return memoryview(rows).cast("B") if rows.size else memoryview(bytearray())
 
 
-def _child(send, work, lo, hi, outputs):
-    """Run one range and send b"" and its rows of each output, or the error
-    pickled (as a StageError with its text if it does not survive that)."""
+def _child(send, work, lo, hi, outputs, niceness):
+    """Run one range at `niceness` more and send b"" and its rows of each
+    output, or the error pickled (as a StageError with its text if it does
+    not survive that)."""
     try:
+        os.nice(niceness)
         work(lo, hi)
     except Exception as exc:
         try:
@@ -55,7 +57,7 @@ def _child(send, work, lo, hi, outputs):
         send.close()
 
 
-def fill(n: int, work, outputs, describe) -> None:
+def fill(n: int, work, outputs, describe, alongside=None) -> None:
     """Run `work(lo, hi)`, which fills rows lo..hi-1 of each C-contiguous
     array in `outputs` and reads no other range's, over one contiguous range
     of 0..n-1 per process (`processes()`): this process runs the first, and
@@ -65,24 +67,39 @@ def fill(n: int, work, outputs, describe) -> None:
     lowest failing range's, with its type and message; a child that ends
     without a reply is a StageError naming its range by `describe(lo, hi)`.
     Every child is joined before this returns or raises, and killed first
-    if this process fails."""
-    parts = min(n, processes())
-    if parts <= 1:
+    if this process fails.
+
+    Given `alongside`, a callable, every range runs in a child at the
+    lowest CPU priority while this process runs `alongside()`; with one
+    process it runs after `work(0, n)`. Its error is raised only if no
+    range failed."""
+    cpus = processes()
+    parts = min(n, cpus)
+    if cpus == 1 or parts == 0 or (parts == 1 and alongside is None):
         work(0, n)
+        if alongside is not None:
+            alongside()
         return
     bounds = [n * i // parts for i in range(parts + 1)]
-    (_, mine), *forked = zip(bounds, bounds[1:])
+    forked = list(zip(bounds, bounds[1:]))
+    mine = forked.pop(0) if alongside is None else None
     fork = multiprocessing.get_context("fork")
-    children = []
+    children, side_error = [], None
     try:
         for lo, hi in forked:
             receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_child,
-                                 args=(send, work, lo, hi, outputs))
+            child = fork.Process(target=_child, args=(
+                send, work, lo, hi, outputs, 0 if mine else 19))
             child.start()
             send.close()
             children.append((lo, hi, receive, child))
-        work(0, mine)
+        if mine:
+            work(*mine)
+        else:
+            try:
+                alongside()
+            except Exception as exc:  # a failing range's error goes first
+                side_error = exc
         for lo, hi, receive, child in children:
             try:
                 reply = receive.recv_bytes()
@@ -96,6 +113,8 @@ def fill(n: int, work, outputs, describe) -> None:
                     f"a reply (exit code {child.exitcode})") from None
             if reply:
                 raise pickle.loads(reply)
+        if side_error is not None:
+            raise side_error
     except BaseException:
         for *_, child in children:
             child.kill()

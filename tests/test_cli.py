@@ -1,14 +1,17 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 import yaml
 
-from icebudget import parallel
+from icebudget import allocator, harness, parallel
 from icebudget.cli import main
 from icebudget.corpus import synth_clusters
 from icebudget.embedder import load_embeddings
+from icebudget.errors import BackendError
+from icebudget.inference import MockVoteBackend
 
 from conftest import save_dataset
 
@@ -521,6 +524,66 @@ class TestProcessCounts:
                                   "--text", "", "--policy", "learned"])
         assert (code, out) == (1, "")
         assert err == "error: stage 'infer' (seed 0): cannot encode empty text\n"
+
+
+class _DownBackend(MockVoteBackend):
+    def answer(self, prompt, votes, labels):
+        raise BackendError("backend down")
+
+
+class TestFailuresBesideTraining:
+    """Seed 0's other policies run while the allocators train; what a failed
+    run reports and leaves does not depend on the process count."""
+
+    @pytest.fixture
+    def run_outcome(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(path.read_text().replace(
+            "policies: [uniform]", "policies: [learned, infinite, uniform]"))
+        make_server = harness._SeedContext.make_server
+
+        def failing_uniform(ctx, policy):
+            server = make_server(ctx, policy)
+            if policy.variant == "uniform":
+                server.backend = _DownBackend()
+            return server
+        monkeypatch.setattr(harness._SeedContext, "make_server",
+                            failing_uniform)
+
+        def outcome():
+            """(exit code, stdout, stderr, files) of `run`, the same at 1
+            and at 2 processes, each from an empty output directory."""
+            outcomes = []
+            for processes in (1, 2):
+                monkeypatch.setattr(parallel, "processes", lambda: processes)
+                capsys.readouterr()
+                code = main(["--config", config, "run"])
+                outcomes.append((code, *capsys.readouterr(),
+                                 sorted(_tree_digests(tmp_path / "out"))))
+                shutil.rmtree(tmp_path / "out")
+            assert outcomes[0] == outcomes[1]
+            return outcomes[0]
+        return outcome
+
+    def test_failing_pass_reports_its_own_stage(self, run_outcome):
+        code, out, err, files = run_outcome()
+        assert (code, out) == (2, "")
+        assert err == ("runtime error: stage 'evaluate:uniform' (seed 0): "
+                       "backend down\n")
+        assert files == ["seed0/bproxy.jsonl", "seed0/models/allocators.bin",
+                         "seed0/models/allocators.json", "seed0/shards.json",
+                         "seed0/transcripts_infinite.jsonl"]
+
+    def test_training_error_wins(self, run_outcome, monkeypatch):
+        def non_finite(*args):
+            raise allocator._NonFinite(0, 0, 0)
+        monkeypatch.setattr(allocator, "_train_rows", non_finite)
+        code, out, err, files = run_outcome()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stage 'train-allocator': seed 0, "
+                              "client 0: non-finite training loss at epoch 0")
+        assert files == ["seed0/bproxy.jsonl", "seed0/shards.json"]
 
 
 @pytest.fixture

@@ -198,6 +198,17 @@ def test_import_loads_neither_numpy_nor_requests():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_requests():
+    # every command imports the CLI; only the HTTP backend's post needs
+    # requests, which costs about a third of the import
+    src = os.path.dirname(os.path.dirname(icebudget.__file__))
+    code = "import sys, icebudget.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
+
+
 class TestLoadConfig:
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -293,7 +293,9 @@ class TestKeptRankings:
         run_experiment(tiny_config)
         assert _tree_bytes(tiny_config.output_dir) == kept
 
-    def test_each_query_ranked_once_per_client(self, tiny_config, monkeypatch):
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_each_query_ranked_once_per_client(self, tiny_config, monkeypatch,
+                                               processes):
         tiny_config.policies = ["learned", "uniform", "random",
                                 "social_learning", "singleton"]
         tiny_config.num_seeds = 2
@@ -311,8 +313,8 @@ class TestKeptRankings:
             return top_k(e_q, k, d, store)
         monkeypatch.setattr(harness, "seed_contexts", recorded_contexts)
         monkeypatch.setattr(federation, "top_k", counting_top_k)
-        # every call counted is made in this process
-        monkeypatch.setattr(parallel, "processes", lambda: 1)
+        # the query loop never leaves this process, which counts every call
+        monkeypatch.setattr(parallel, "processes", lambda: processes)
         run_experiment(tiny_config)
         assert len(calls) == len(set(calls))  # one per (shard, query)
         assert len(calls) == sum(len(ctx.test) * len(ctx.clients)
@@ -320,6 +322,75 @@ class TestKeptRankings:
         # a seed's rankings are released before the next seed is evaluated
         assert max(holding) == 1
         assert not any(c.rankings for ctx in contexts for c in ctx.clients)
+
+
+class TestPoliciesBesideTraining:
+    """Seed 0's other policies run while the allocators train (in forked
+    children when there are two processes), and `learned` runs last."""
+
+    @pytest.mark.parametrize("policies", [
+        ["learned", "uniform", "infinite"],
+        ["uniform", "learned", "infinite"],
+        ["uniform", "infinite", "learned"],
+        ["uniform", "infinite"],
+    ])
+    def test_files_depend_on_neither_order_nor_processes(
+            self, tiny_config, monkeypatch, policies):
+        tiny_config.num_seeds = 2
+        tiny_config.alpha = 1
+        runs = {}
+        for order, processes in ((["infinite", "uniform", "learned"], 1),
+                                 (policies, 1), (policies, 2)):
+            monkeypatch.setattr(parallel, "processes", lambda: processes)
+            tiny_config.policies = order
+            report = run_experiment(tiny_config)
+            runs[tuple(order), processes] = (
+                _tree_bytes(tiny_config.output_dir), report["policies"])
+            shutil.rmtree(tiny_config.output_dir)
+        default, *_ = runs.values()
+        one, two = runs[tuple(policies), 1], runs[tuple(policies), 2]
+        assert one == two
+        files, results = one
+        assert results == {name: default[1][name] for name in policies}
+        transcripts = {path: data for path, data in files.items()
+                       if "transcripts_" in path}
+        assert len(transcripts) == 2 * len(policies)
+        assert transcripts == {path: default[0][path] for path in transcripts}
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_seed_zeros_others_run_before_the_models_are_saved(
+            self, tiny_config, monkeypatch, processes):
+        tiny_config.num_seeds = 2
+        tiny_config.policies = ["learned", "uniform", "infinite"]
+        events = []
+        evaluate, save = harness._evaluate_policy, harness.save_model
+
+        def logged_evaluate(ctx, name):
+            events.append((ctx.seed_index, name))
+            return evaluate(ctx, name)
+
+        def logged_save(*args):
+            events.append("saved")
+            return save(*args)
+        monkeypatch.setattr(parallel, "processes", lambda: processes)
+        monkeypatch.setattr(harness, "_evaluate_policy", logged_evaluate)
+        monkeypatch.setattr(harness, "save_model", logged_save)
+        run_experiment(tiny_config)
+        assert events == [(0, "uniform"), (0, "infinite"), "saved", "saved",
+                          (0, "learned"),
+                          (1, "uniform"), (1, "infinite"), (1, "learned")]
+
+    def test_saved_models_still_evaluate_every_policy(self, tiny_config,
+                                                      monkeypatch):
+        tiny_config.policies = ["learned", "uniform"]
+        run_experiment(tiny_config)
+        fresh = _tree_bytes(tiny_config.output_dir)
+        for path in Path(tiny_config.output_dir, "seed0").glob("transcripts_*"):
+            path.unlink()
+        trained = _count_training(monkeypatch)
+        run_experiment(tiny_config)  # loads the saved models
+        assert trained == []
+        assert _tree_bytes(tiny_config.output_dir) == fresh
 
 
 def _count_training(monkeypatch):

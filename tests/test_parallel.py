@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -153,3 +154,100 @@ class TestErrorsCrossProcesses:
         assert type(copy) is type(error)
         assert str(copy) == str(error)
         assert {name: getattr(copy, name) for name in fields} == fields
+
+
+class TestAlongside:
+    """`fill(..., alongside=f)`: the ranges run in children while this
+    process runs `f`, or `f` runs after them with one process."""
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_same_bytes_and_one_call_here(self, monkeypatch, n, processes):
+        _fixed_processes(monkeypatch, processes)
+        work, a, b = _squares(n)
+        calls = []
+        parallel.fill(n, work, [a, b], lambda lo, hi: "squares",
+                      alongside=lambda: calls.append(os.getpid()))
+        want_a = (np.arange(n)[:, None] ** 2 + np.arange(3)).astype(float)
+        assert a.tobytes() == want_a.tobytes()
+        assert b.tobytes() == (-np.arange(n)).tobytes()
+        assert calls == [os.getpid()]  # a child's append would not show
+        assert multiprocessing.active_children() == []
+
+    def test_one_process_works_then_runs_alongside(self, monkeypatch):
+        _fixed_processes(monkeypatch, 1)
+        events = []
+        parallel.fill(4, lambda lo, hi: events.append(("work", lo, hi)),
+                      [], lambda lo, hi: "items",
+                      alongside=lambda: events.append(("alongside",)))
+        assert events == [("work", 0, 4), ("alongside",)]
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_every_range_runs_in_a_child_at_the_lowest_priority(
+            self, monkeypatch, processes):
+        _fixed_processes(monkeypatch, processes)
+        where = np.zeros((6, 2), dtype=np.int64)
+
+        def work(lo, hi):
+            where[lo:hi] = os.getpid(), os.nice(0)
+        parallel.fill(6, work, [where], lambda lo, hi: "items",
+                      alongside=lambda: None)
+        pids = set(where[:, 0].tolist())
+        assert len(pids) == processes and os.getpid() not in pids
+        assert set(where[:, 1].tolist()) == {min(os.nice(0) + 19, 19)}
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_a_failing_range_wins_over_a_failing_alongside(self, monkeypatch,
+                                                           processes):
+        _fixed_processes(monkeypatch, processes)
+
+        def work(lo, hi):
+            if hi == 9:
+                raise ParseError("bad item 8", line=8)
+
+        def alongside():
+            raise ValidationError("alongside failed")
+        with pytest.raises(ParseError, match="^line 8: bad item 8$"):
+            parallel.fill(9, work, [], lambda lo, hi: "items",
+                          alongside=alongside)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_alongside_error_raised_after_the_ranges(self, monkeypatch,
+                                                     processes):
+        _fixed_processes(monkeypatch, processes)
+        work, a, b = _squares(9)
+
+        def alongside():
+            raise ValidationError("alongside failed")
+        with pytest.raises(ValidationError, match="^alongside failed$"):
+            parallel.fill(9, work, [a, b], lambda lo, hi: "squares",
+                          alongside=alongside)
+        assert b.tolist() == [-i for i in range(9)]  # every range came back
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_in_alongside_kills_the_children(self, monkeypatch,
+                                                       tmp_path):
+        _fixed_processes(monkeypatch, 2)
+
+        def work(lo, hi):
+            (tmp_path / f"{lo}.pid").write_text(str(os.getpid()))
+            time.sleep(60)
+
+        def alongside():
+            deadline = time.monotonic() + 20
+            while (len(list(tmp_path.glob("*.pid"))) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            parallel.fill(2, work, [], lambda lo, hi: "items",
+                          alongside=alongside)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        pids = [int(p.read_text()) for p in tmp_path.glob("*.pid")]
+        assert len(pids) == 2
+        for pid in pids:  # killed, joined and reaped
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
