@@ -56,6 +56,7 @@ class EmbeddingStore:
         self._ids = ids
         self._matrix = matrix
         self._bound_to = None  # last dataset check_bound accepted
+        self._half_norms = None  # see half_norms
 
     @classmethod
     def from_dict(cls, dim: int, vectors: dict[int, np.ndarray]) -> "EmbeddingStore":
@@ -89,6 +90,16 @@ class EmbeddingStore:
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, vectors) as aligned read-only arrays, sorted by id."""
         return self._ids, self._matrix
+
+    def half_norms(self) -> tuple[np.ndarray, float]:
+        """Half of each row's squared L2 norm, and the largest squared norm
+        (0 for an empty store). Computed on first use and kept, since the
+        matrix is read-only; a norm that overflows reads inf, without a
+        warning (einsum raises none)."""
+        if self._half_norms is None:
+            squared = np.einsum("ij,ij->i", self._matrix, self._matrix)
+            self._half_norms = (0.5 * squared, float(squared.max(initial=0.0)))
+        return self._half_norms
 
     def subset(self, ids) -> "EmbeddingStore":
         """The entries with the given ids (duplicates collapse)."""

@@ -281,7 +281,9 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
 
     A client whose budget is deeper than `depth` sends min(budget, |shard|)
     samples, but only its top-k can reach the final k, so the server takes
-    that prefix of its kept ranking and records the count alone."""
+    that prefix of its kept ranking and records the count alone. When only
+    one client sends entries and no draw is made, its top k is the final
+    set, with no rerank."""
     returned, recorded = [], []
     for client, budget in zip(clients, budgets):
         if depth and budget > depth:
@@ -295,7 +297,15 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
     transcript.total_samples_communicated = sum(
         min(budget, len(client.shard))
         for client, budget in zip(clients, budgets))
-    _, final, owners = rerank_union(returned, k, rng)
+    senders = [c for c, ranked in enumerate(returned) if len(ranked)]
+    if rng is None and len(senders) == 1:
+        # one client's ranking is already distinct and in (distance, id)
+        # order, so its top k is the rerank of the union
+        ranked = returned[senders[0]]
+        final = RankedSet(ranked.id_array[:k], ranked.distances[:k])
+        owners = np.full(len(final), senders[0])
+    else:
+        _, final, owners = rerank_union(returned, k, rng)
     transcript.fallback_zero_shot = not len(final)
     return final, _examples([client.shard for client in clients], final.ids,
                             owners.tolist())

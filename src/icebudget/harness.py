@@ -2,10 +2,11 @@
 
 run_experiment sets up every seed's data, shards and proxy split, then
 builds the budget datasets and trains every seed's allocators in one
-`train` call, evaluating seed 0's policies but `learned` meanwhile, then
-evaluates the rest per seed, `learned` last in each. Shards and budget
-datasets are rebuilt by every run (and written as `shards.json` and
-`bproxy.jsonl`).
+`train` call, evaluating seed 0's policies but `learned` meanwhile when the
+backend is the mock (any other backend is asked nothing before training
+ends), then evaluates the rest per seed, `learned` last in each. Shards
+and budget datasets are rebuilt by every run (and written as `shards.json`
+and `bproxy.jsonl`).
 Only the trained allocators are a cache: a saved pair is served only if
 its key, a digest of everything its training read, equals the key this
 run would write; any other pair is retrained and overwritten. It writes a
@@ -408,6 +409,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     learned = [name for name in cfg.policies if name == "learned"]
     others = [name for name in cfg.policies if name != "learned"]
+    # only the mock answers while training: a training failure must not
+    # follow requests sent to a real backend
+    overlap = bool(learned) and cfg.backend.type == "mock"
     held, failed = [], []  # seed 0's other results and error, in training
 
     def evaluate_first():
@@ -418,14 +422,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             failed.append(exc)
 
     if learned:
-        allocators(contexts, alongside=evaluate_first)
+        allocators(contexts, alongside=evaluate_first if overlap else None)
         for result in held:
             record(*result)
         if failed:
             raise failed[0]
     for i, ctx in enumerate(contexts):
-        # `learned` goes last; with it, seed 0's others ran in training
-        for name in (learned or others) if i == 0 else others + learned:
+        # `learned` goes last; when overlapped, seed 0's others ran in training
+        for name in learned if i == 0 and overlap else others + learned:
             record(*evaluate(i, name))
         for client in ctx.clients:
             client.rankings.clear()  # no later seed asks these clients

@@ -1,7 +1,10 @@
-"""Shared fixtures: small random retrieval worlds, a JSONL dataset writer
-and a tiny experiment config used across the module tests."""
+"""Shared fixtures: small random retrieval worlds, a JSONL dataset writer,
+a tiny experiment config and a loopback completions endpoint used across
+the module tests."""
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -73,3 +76,42 @@ def tiny_config(tmp_path):
         "backend": {"type": "mock"},
         "output_dir": str(tmp_path / "out"),
     })
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """Minimal completions endpoint; behavior driven by class attributes."""
+
+    responses = []  # list of (status, body-dict or None); popped per request
+    requests = []
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length)) if length else {}
+        type(self).requests.append((self.path, body))
+        status, payload = (type(self).responses.pop(0)
+                           if type(self).responses else (200, None))
+        if payload is None:
+            payload = {"choices": [{"text": " positive"}]}
+        data = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    _StubHandler.responses = []
+    _StubHandler.requests = []
+    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}", _StubHandler
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -586,6 +586,64 @@ class TestFailuresBesideTraining:
         assert files == ["seed0/bproxy.jsonl", "seed0/shards.json"]
 
 
+class TestHttpTrainsFirst:
+    """With a backend other than the mock, seed 0's other policies wait for
+    training, so a run whose training fails sends no request."""
+
+    @pytest.fixture
+    def http_run(self, tmp_path, stub_server, monkeypatch, capsys):
+        url, handler = stub_server
+        config = write_config(tmp_path)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(path.read_text().replace(
+            "policies: [uniform]", "policies: [learned, infinite, uniform]")
+            + f"backend:\n  type: http\n  endpoint: {url}\n")
+
+        def run(processes):
+            """(exit code, stdout, stderr, files) of `run` from an empty
+            output directory."""
+            monkeypatch.setattr(parallel, "processes", lambda: processes)
+            capsys.readouterr()
+            code = main(["--config", config, "run"])
+            files = sorted(_tree_digests(tmp_path / "out"))
+            shutil.rmtree(tmp_path / "out")
+            return (code, *capsys.readouterr(), files)
+        return run, handler
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_failed_training_sends_nothing(self, http_run, monkeypatch,
+                                           processes):
+        run, handler = http_run
+
+        def non_finite(*args):
+            raise allocator._NonFinite(0, 0, 0)
+        monkeypatch.setattr(allocator, "_train_rows", non_finite)
+        code, out, err, files = run(processes)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stage 'train-allocator': seed 0, "
+                              "client 0: non-finite training loss at epoch 0")
+        assert files == ["seed0/bproxy.jsonl", "seed0/shards.json"]
+        assert handler.requests == []
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_requests_follow_training(self, http_run, monkeypatch, processes):
+        run, handler = http_run
+        handler.responses = [(200, {"choices": [{"text": " class0"}]})] * 1000
+        train = harness.train
+        seen = []  # requests sent when training starts and when it ends
+
+        def counted(*args, **kwargs):
+            seen.append(len(handler.requests))
+            model = train(*args, **kwargs)
+            seen.append(len(handler.requests))
+            return model
+        monkeypatch.setattr(harness, "train", counted)
+        code, out, err, files = run(processes)
+        assert (code, err) == (0, "")
+        assert seen == [0, 0]
+        assert len(handler.requests) == 3 * 20  # 3 policies, 20 test queries
+
+
 @pytest.fixture
 def text_config_path(tmp_path):
     """A JSONL text dataset with hash embeddings: what `infer` accepts."""

@@ -702,17 +702,66 @@ def _overlapping_clients(seed):
             for i, shard in enumerate(halves)]
 
 
+class TestOneSender:
+    """When one client sends entries, its top k is the final set: the
+    rerank of the union, which `_gather` then skips."""
+
+    def test_equals_rerank_union(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            d, store, clients = make_clients(n=int(rng.integers(5, 60)),
+                                             dim=3, seed=900 + trial)
+            k = int(rng.integers(1, 12))
+            e_q = rng.standard_normal(3)
+            sender = int(rng.integers(len(clients)))
+            budgets = [0] * len(clients)
+            budgets[sender] = int(rng.integers(1, k + 3))
+            returned = [client_retrieve(c, e_q, b)
+                        for c, b in zip(clients, budgets)]
+            _, want, want_owners = rerank_union(returned, k)
+
+            def no_rerank(*args):
+                raise AssertionError("rerank_union called")
+            with monkeypatch.context() as patch:
+                patch.setattr(federation, "rerank_union", no_rerank)
+                transcript = Transcript(0, "singleton", budgets, [], [], 0,
+                                        None, 0)
+                final, examples = _gather(clients, e_q, budgets, k,
+                                          transcript, depth=k)
+            assert final.id_array.tobytes() == want.id_array.tobytes()
+            assert final.distances.tobytes() == want.distances.tobytes()
+            shard = clients[sender].shard.id_index()
+            assert examples == [shard[i] for i in want.ids]
+            assert set(want_owners.tolist()) <= {sender}
+
+    def test_draw_still_reranks(self):
+        # with a draw, k of a lone sender's entries are picked at random
+        d, store, clients = make_clients(n=60, dim=3, seed=17)
+        e_q = np.random.default_rng(3).standard_normal(3)
+        budgets = [12, 0, 0]
+        returned = [client_retrieve(c, e_q, b)
+                    for c, b in zip(clients, budgets)]
+        _, want, _ = rerank_union(returned, 4, _per_query_rng(0, 0))
+        transcript = Transcript(0, "social_learning", budgets, [], [], 0,
+                                None, 0)
+        final, _ = _gather(clients, e_q, budgets, 4, transcript,
+                           _per_query_rng(0, 0), depth=12)
+        assert final.ids == want.ids
+        assert final.ids != returned[0].ids[:4]
+
+
 class TestInfinitePrefixes:
     """`infinite` is served from each client's top-k prefix; its ICEs,
     their distances and its answer must be those of the whole shards."""
 
     def check(self, clients, e_q, k, alpha, labels, monkeypatch):
-        candidates = []
+        candidates = []  # each client's entries that reach the server
 
-        def counting_rerank(returned, k, rng=None):
-            candidates.append(sum(len(r) for r in returned))
-            return rerank_union(returned, k, rng)
-        monkeypatch.setattr(federation, "rerank_union", counting_rerank)
+        def counting_retrieve(*args):
+            ranked = client_retrieve(*args)
+            candidates.append(len(ranked))
+            return ranked
+        monkeypatch.setattr(federation, "client_retrieve", counting_retrieve)
         backend = _RecordingMock()
         server = make_server(k=k, alpha=alpha, policy=BudgetPolicy("infinite"),
                              labels=labels, backend=backend,
@@ -737,7 +786,8 @@ class TestInfinitePrefixes:
         # only a top-k prefix of a deeper client reaches the server; a
         # shard of k + 1 .. k + alpha entries is not deeper, so it is sent
         # whole, and only without one do at most C·k candidates arrive
-        [got] = candidates
+        assert len(candidates) == len(clients)
+        got = sum(candidates)
         assert got == sum(k if len(c.shard) > depth else len(c.shard)
                           for c in clients)
         if all(len(c.shard) > depth or len(c.shard) <= k for c in clients):

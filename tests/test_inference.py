@@ -1,7 +1,3 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-
 import numpy as np
 import pytest
 
@@ -12,45 +8,6 @@ from icebudget.inference import (MOCK_VOTE_EPSILON, HttpBackend,
                                  MockVoteBackend, PromptTemplate, answer_mock,
                                  build_prompt, decode_label, make_backend,
                                  paraphrase)
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    """Minimal completions endpoint; behavior driven by class attributes."""
-
-    responses = []  # list of (status, body-dict or None); popped per request
-    requests = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        type(self).requests.append((self.path, body))
-        status, payload = (type(self).responses.pop(0)
-                           if type(self).responses else (200, None))
-        if payload is None:
-            payload = {"choices": [{"text": " positive"}]}
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    _StubHandler.responses = []
-    _StubHandler.requests = []
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}", _StubHandler
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
 
 
 class TestMockVote:

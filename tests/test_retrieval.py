@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icebudget import parallel, retrieval
 from icebudget.corpus import Dataset, Example, LabelSpace
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ValidationError
@@ -112,6 +115,133 @@ class TestPartialSelection:
             want_ids, want_distances = _full_sort(ids, distances, k)
             assert got.id_array.tobytes() == want_ids.tobytes()
             assert got.distances.tobytes() == want_distances.tobytes()
+
+
+def _full_scan(e_q, k, store):
+    """The reference: every row's distance, then a full sort's first k."""
+    ids, matrix = store.matrix()
+    diffs = matrix - e_q
+    return _full_sort(ids, np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), k)
+
+
+def _bound(store):
+    return Dataset(tuple(Example(int(i), f"point {i}", 0) for i in store.ids),
+                   LabelSpace.default(1))
+
+
+# Each kind of store: how its rows are drawn from (rng, n, dim, exponent)
+_ROWS = {
+    # a coarse integer grid: many exact ties, at the k-th distance too
+    "grid": lambda rng, n, dim, e: rng.integers(-2, 3, (n, dim)) * 1.0,
+    # the demo's clusters at its 1e-7 scale
+    "demo": lambda rng, n, dim, e: 1e-7 * (
+        rng.standard_normal((4, dim))[rng.integers(4, size=n)]
+        + 0.2 * rng.standard_normal((n, dim))),
+    # a tight grid far from the origin: |x|^2 - 2 x.q cancels down to
+    # about the gaps between distances, which tie or round together in sqrt
+    "far": lambda rng, n, dim, e: 2.0 ** (e + 535) * (
+        1 + 2.0 ** -26 * rng.integers(-3, 4, (n, dim))),
+    # squares in the subnormal range, some of them flushed to zero, where
+    # the margin's relative part underflows and its floor must hold
+    "subnormal": lambda rng, n, dim, e: 2.0 ** e * rng.standard_normal(
+        (n, dim)),
+    # norms either side of 2^1000 and up to overflow: above it the full
+    # scan runs instead
+    "huge": lambda rng, n, dim, e: 2.0 ** (e + 1035) * rng.standard_normal(
+        (n, dim)),
+}
+
+
+@st.composite
+def _prefilter_cases(draw):
+    """(store, query, k) of one kind, the query a row or a fresh draw."""
+    kind = draw(st.sampled_from(sorted(_ROWS)))
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    exponent = draw(st.integers(-545, -525))
+    rng = np.random.default_rng(seed)
+    rows = _ROWS[kind](rng, n + 1, dim, exponent)
+    store = EmbeddingStore(np.arange(n), rows[:n])
+    query = rows[int(rng.integers(n))] if draw(st.booleans()) else rows[n]
+    k = draw(st.sampled_from([1, draw(st.integers(1, n - 1)), n - 1]))
+    return store, query, k
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(case=_prefilter_cases())
+def _prefilter_equals_full_scan(case):
+    store, query, k = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = top_k(query, k, _bound(store), store)
+    want_ids, want_distances = _full_scan(query, k, store)
+    assert got.id_array.tobytes() == want_ids.tobytes()
+    assert got.distances.tobytes() == want_distances.tobytes()
+
+
+class TestPrefilter:
+    """`top_k` ranks only the rows `_prefilter` keeps; its ids and distances
+    must be the full scan's, byte for byte."""
+
+    def test_equals_full_scan(self):
+        _prefilter_equals_full_scan()
+
+    def test_narrowed_margin_fails(self, monkeypatch):
+        # with no margin the filter drops rows the full scan ranks
+        monkeypatch.setattr(retrieval, "_UNIT", 0.0)
+        monkeypatch.setattr(retrieval, "_FLOOR", 0.0)
+        with pytest.raises(AssertionError):
+            _prefilter_equals_full_scan()
+
+    def test_keeps_few_rows(self):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore(np.arange(600), rng.standard_normal((600, 64)))
+        for _ in range(20):
+            kept = retrieval._prefilter(rng.standard_normal(64), 32, store)
+            assert kept is not None and 32 <= len(kept) < 40
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_or_huge_query_scans_all(self, small_world, bad):
+        d, store = small_world
+        query = np.zeros(store.dim)
+        query[1] = bad
+        assert retrieval._prefilter(query, 3, store) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = top_k(query, 3, d, store)
+        want_ids, want_distances = _full_scan(query, 3, store)
+        assert got.id_array.tobytes() == want_ids.tobytes()
+        assert got.distances.tobytes() == want_distances.tobytes()
+
+    def test_subset_computes_its_own_norms(self, small_world):
+        _, store = small_world
+        store.half_norms()
+        sub = store.subset([3, 5, 8])
+        halves, largest = sub.half_norms()
+        _, rows = sub.matrix()
+        squared = np.einsum("ij,ij->i", rows, rows)
+        assert halves.tobytes() == (0.5 * squared).tobytes()
+        assert largest == squared.max()
+
+    def test_forked_child_computes_its_own_norms(self, monkeypatch):
+        monkeypatch.setattr(parallel, "processes", lambda: 2)
+        d, store = make_world(50, 6, seed=4)
+        queries = np.random.default_rng(5).standard_normal((4, 6))
+        found = np.zeros((4, 5), dtype=np.int64)
+        cached = np.zeros(4, dtype=bool)  # norms kept before the call
+
+        def work(lo, hi):
+            for i in range(lo, hi):
+                cached[i] = store._half_norms is not None
+                found[i] = top_k(queries[i], 5, d, store).id_array
+
+        # every range runs in a child while this process waits
+        parallel.fill(4, work, [found, cached], lambda lo, hi: "queries",
+                      alongside=lambda: None)
+        assert store._half_norms is None  # nothing came back with the rows
+        assert cached.tolist() == [False, True, False, True]  # two ranges
+        for query, ids in zip(queries, found):
+            assert ids.tolist() == _full_scan(query, 5, store)[0].tolist()
 
 
 def _returns(e_q, groups, d, store):
