@@ -24,6 +24,7 @@ same bytes whatever the CPU count.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -354,21 +355,28 @@ def predict_budget(m: AllocatorModel, e_q, delta: int) -> list[int]:
             for cls in np.argmax(forward(m, e_q), axis=1)]
 
 
+def _digest(blob: bytes) -> str:
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
 def save_model(m: AllocatorModel, json_path, blob_path):
     """JSON metadata plus a little-endian f64 blob of the stacked parameters
-    in layer order w1, b1, w2, b2, w3, b3 (each row-major, client first)."""
+    in layer order w1, b1, w2, b2, w3, b3 (each row-major, client first).
+    The metadata records a blake2b digest of the blob."""
+    blob = np.concatenate([p.ravel() for p in m.params()]).astype("<f8")
     meta = {"num_clients": m.num_clients, "dim": m.dim, "width": m.width,
             "num_classes": m.num_classes, "train_config": m.train_config,
             "loss_history": m.loss_history, "input_scale": m.input_scale,
-            "key": m.key}
+            "key": m.key, "digest": _digest(blob.tobytes())}
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
-    blob = np.concatenate([p.ravel() for p in m.params()]).astype("<f8")
     blob.tofile(blob_path)
 
 
 def load_model(json_path, blob_path) -> AllocatorModel:
+    """Read a pair written by `save_model`. A blob without the size and the
+    digest that its metadata records raises ValidationError naming it."""
     with open(json_path, encoding="utf-8") as fh:
         meta = json.load(fh)
     c, dim, width = meta["num_clients"], meta["dim"], meta["width"]
@@ -376,10 +384,15 @@ def load_model(json_path, blob_path) -> AllocatorModel:
     shapes = [(c, dim, width), (c, width), (c, width, width), (c, width),
               (c, width, classes), (c, classes)]
     sizes = [int(np.prod(shape)) for shape in shapes]
-    flat = np.fromfile(blob_path, dtype="<f8")
-    if flat.size != sum(sizes):
-        raise ValidationError(
-            f"parameter blob has {flat.size} values, expected {sum(sizes)}")
+    with open(blob_path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) != 8 * sum(sizes):
+        raise ValidationError(f"{blob_path}: parameter blob has {len(blob)} "
+                              f"bytes, expected {8 * sum(sizes)}")
+    if _digest(blob) != meta["digest"]:
+        raise ValidationError(f"{blob_path}: digest differs from the one "
+                              f"{json_path} records")
+    flat = np.frombuffer(blob, dtype="<f8").copy()
     params = {name: part.reshape(shape) for name, part, shape in zip(
         PARAM_NAMES, np.split(flat, np.cumsum(sizes)[:-1]), shapes)}
     return AllocatorModel(dim=dim, width=width, num_classes=classes,

@@ -14,8 +14,9 @@ exactly as `top_k` returned them, keyed on a digest of the vector's bytes;
 k + alpha is the deepest budget any policy but `infinite` sends. Every later
 budget inside that prefix is served as a slice of it, with nothing ranked or
 measured again. `run_experiment` releases a seed's rankings before it
-evaluates the next seed. The final ICEs are resolved to examples through
-each shard's id index, looked up once per query.
+evaluates the next seed. `retrieval.rerank_union` alone turns the returns
+into the final ICEs, a lone sender's included, and names the client behind
+each; its shard's id index, looked up once per query, resolves the example.
 
 Only the global top-k reaches a prompt, and it is the rerank of every
 client's local top-k. So a client sent a budget deeper than k + alpha
@@ -44,6 +45,8 @@ from .embedder import EmbeddingStore
 from .errors import BackendError, ParseError, ValidationError, is_int
 from .inference import MockVoteBackend, PromptTemplate, build_prompt
 from .retrieval import RankedSet, query_vector, rerank_union, top_k
+
+TEMPLATE = PromptTemplate()  # the layout of every server prompt
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,6 @@ class ServerNode:
     proxy_store: EmbeddingStore | None = None
     # anything with answer(prompt, votes, labels) -> label index
     backend: object = field(default_factory=MockVoteBackend)
-    template: PromptTemplate = field(default_factory=PromptTemplate)
     labels: LabelSpace | None = None
     ice_order: str = "descending"  # distance order in the prompt
     max_prompt_chars: int = 1_000_000
@@ -281,9 +283,7 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
 
     A client whose budget is deeper than `depth` sends min(budget, |shard|)
     samples, but only its top-k can reach the final k, so the server takes
-    that prefix of its kept ranking and records the count alone. When only
-    one client sends entries and no draw is made, its top k is the final
-    set, with no rerank."""
+    that prefix of its kept ranking and records the count alone."""
     returned, recorded = [], []
     for client, budget in zip(clients, budgets):
         if depth and budget > depth:
@@ -297,15 +297,7 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
     transcript.total_samples_communicated = sum(
         min(budget, len(client.shard))
         for client, budget in zip(clients, budgets))
-    senders = [c for c, ranked in enumerate(returned) if len(ranked)]
-    if rng is None and len(senders) == 1:
-        # one client's ranking is already distinct and in (distance, id)
-        # order, so its top k is the rerank of the union
-        ranked = returned[senders[0]]
-        final = RankedSet(ranked.id_array[:k], ranked.distances[:k])
-        owners = np.full(len(final), senders[0])
-    else:
-        _, final, owners = rerank_union(returned, k, rng)
+    final, owners = rerank_union(returned, k, rng)
     transcript.fallback_zero_shot = not len(final)
     return final, _examples([client.shard for client in clients], final.ids,
                             owners.tolist())
@@ -325,7 +317,7 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
     if labels is None:
         raise ValidationError("server needs a label space to answer")
     query_text = query.text if isinstance(query, Example) else str(query)
-    prompt = build_prompt(ices, query_text, server.template, labels)
+    prompt = build_prompt(ices, query_text, TEMPLATE, labels)
     if len(prompt) > server.max_prompt_chars:
         raise ValidationError(
             f"prompt of {len(prompt)} chars exceeds cap {server.max_prompt_chars}")

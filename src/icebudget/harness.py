@@ -8,9 +8,10 @@ ends), then evaluates the rest per seed, `learned` last in each. Shards
 and budget datasets are rebuilt by every run (and written as `shards.json`
 and `bproxy.jsonl`).
 Only the trained allocators are a cache: a saved pair is served only if
-its key, a digest of everything its training read, equals the key this
-run would write; any other pair is retrained and overwritten. It writes a
-deterministic JSON report plus transcript JSONL and a budget-histogram CSV.
+its blob has the blake2b digest its metadata records and its key, a digest
+of everything its training read, equals the key this run would write. Any
+other pair, damaged ones too, is retrained and overwritten, and a stderr
+line says why. It writes a deterministic JSON report and transcript JSONL.
 
 Setting up a seed's context writes nothing. `run_experiment` and the
 `partition`, `build-budget-dataset` and `train-allocator` commands write
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import csv
 import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -213,12 +214,22 @@ class _SeedContext:
         return key.hexdigest()
 
     def _cached_model(self, key: str) -> AllocatorModel | None:
-        """The saved allocators if there are any and they carry `key`."""
+        """The saved allocators if there are any and they load and carry
+        `key`. Any other saved pair is a miss; a stderr line says why."""
         paths = self._model_paths()
-        if not all(map(os.path.exists, paths)):
+        if not any(map(os.path.exists, paths)):
             return None
-        model = load_model(*paths)
-        return model if model.key == key else None
+        try:
+            model = load_model(*paths)
+            if model.key == key:
+                return model
+            reason = f"{paths[0]}: saved for another configuration"
+        except (OSError, ValidationError) as exc:  # each names its file
+            reason = str(exc)
+        except (ValueError, KeyError, TypeError) as exc:
+            reason = f"{paths[0]}: {type(exc).__name__}: {exc}"
+        print(f"retraining the allocators: {reason}", file=sys.stderr)
+        return None
 
     def make_server(self, policy: BudgetPolicy) -> ServerNode:
         cfg = self.cfg
@@ -446,20 +457,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_histogram_csv(histograms,
-                         os.path.join(cfg.output_dir, "budget_hist.csv"))
     return report
-
-
-def _write_histogram_csv(histograms, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed_index", "client", "budget_value", "count"])
-        for entry in histograms:
-            for c, hist in enumerate(entry["per_client"]):
-                for budget in sorted(hist, key=int):
-                    writer.writerow([entry["seed_index"], c, budget,
-                                     hist[budget]])
 
 
 def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,

@@ -67,8 +67,6 @@ class PromptTemplate:
 class MockVoteBackend:
     """Distance-weighted vote over the prompt's in-context examples."""
 
-    name: str = "mock-vote"
-
     def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
         return answer_mock(votes)
 

@@ -1,9 +1,10 @@
 """Oracle per-client budgets and the allocator supervision dataset.
 
-The oracle budget of client c for a query is the number of ids of the
-client's local top-k that sit inside the server's rerank of the union of
-every client's local top-k (`retrieval.rerank_union`, the routine the server
-uses at query time). When the shards partition the corpus, as both
+The oracle budget of client c for a query counts the entries of the
+server's rerank of the union of every client's local top-k
+(`retrieval.rerank_union`, the routine the server uses at query time) that
+the rerank attributes to c, as the server does to resolve its ICEs, so the
+budgets sum to min(k, |union|). When the shards partition the corpus, as both
 partitioners guarantee, that rerank is the global top-k, so the budget is
 |local top-k ∩ global top-k| and the budgets sum to min(k, corpus size).
 Budgets are quantized by floor division with `delta` to form class labels.
@@ -65,12 +66,12 @@ def dequantize(cls: int, delta: int) -> int:
 
 
 def oracle_budget(e_q, k, shards, shard_stores) -> list[int]:
-    """Per-client count of the client's local top-k ids inside the rerank of
-    the union of every client's local top-k."""
+    """Per-client count of the entries of the rerank of the union of every
+    client's local top-k that the rerank attributes to the client."""
     locals_ = [top_k(e_q, k, shard, store)
                for shard, store in zip(shards, shard_stores)]
-    final = rerank_union(locals_, k)[1].id_set()
-    return [len(local.id_set() & final) for local in locals_]
+    owners = rerank_union(locals_, k)[1]
+    return np.bincount(owners, minlength=len(locals_)).tolist()
 
 
 def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,

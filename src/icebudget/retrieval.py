@@ -3,10 +3,9 @@
 This is the one module that ranks. `top_k` ranks one store: a client's
 shard, the proxy set, or the whole corpus. `rerank_union` ranks what the
 clients sent back: the server uses it for the final ICEs of every query, and
-`oracle` uses it for the supervision set, so both see the same global top-k.
-Both go through `rank`, which selects before it sorts: a partial selection
-finds the k-th smallest distance, and only the entries not above it are
-sorted, so a top-k costs one linear pass plus a sort of about k entries.
+`oracle` uses it for the supervision set, so both see the same global top-k
+and attribute each of its entries to the same client. `top_k` and
+`rerank_union` order their entries through `rank`, one (distance, id) sort.
 
 `top_k` computes exact distances only for the rows that can make its top
 k. A prefilter ranks every row by |x|^2/2 - x.q, one matrix-vector product
@@ -57,17 +56,7 @@ class RankedSet:
 
 
 def rank(ids: np.ndarray, distances: np.ndarray, k: int) -> RankedSet:
-    """The k entries minimizing (distance, id).
-
-    With 0 < k < the entry count, `np.partition` finds the k-th smallest
-    distance and only the entries not above it are sorted. That keeps every
-    entry tied at the k-th distance, so the id tie-break sees all of them,
-    and it keeps every entry when the k-th distance is NaN (NaNs sort last).
-    The result equals a full sort's first k entries, byte for byte."""
-    if 0 < k < len(distances):
-        kth = np.partition(distances, k - 1)[k - 1]
-        candidates = np.flatnonzero(~(distances > kth))
-        ids, distances = ids[candidates], distances[candidates]
+    """The k entries minimizing (distance, id); NaN distances sort last."""
     # lexsort's last key is primary: sort by distance, then id
     order = np.lexsort((ids, distances))[:k]
     return RankedSet(ids[order], distances[order])
@@ -150,14 +139,19 @@ def _prefilter(query: np.ndarray, k: int, store: EmbeddingStore):
 def rerank_union(returned: list[RankedSet], k: int, rng=None):
     """Server side of one round: deduplicate the concatenated client returns
     by id, then order the picked entries by (distance, id) and keep the
-    first k.
+    first k. Returns (the final RankedSet, for each final entry the index of
+    the first client that returned its id).
 
     The distances are the ones the clients computed, so nothing is looked up
     again. Without `rng` every union entry is a candidate (the reorder
-    step); with it, min(k, |union|) entries are drawn uniformly first.
-    Returns (union positions into the concatenation, sorted by id; the
-    final RankedSet; the index of the client each final entry came from).
-    """
+    step); with it, min(k, |union|) entries are drawn uniformly first. A
+    RankedSet holds distinct ids in (distance, id) order, so without a draw
+    one non-empty return's first k is the rerank, taken as it stands."""
+    senders = [c for c, ranked in enumerate(returned) if len(ranked)]
+    if rng is None and len(senders) == 1:
+        ranked = returned[senders[0]]
+        final = RankedSet(ranked.id_array[:k], ranked.distances[:k])
+        return final, np.full(len(final), senders[0])
     ids = np.concatenate([r.id_array for r in returned])
     distances = np.concatenate([r.distances for r in returned])
     owners = np.repeat(np.arange(len(returned)), [len(r) for r in returned])
@@ -167,5 +161,4 @@ def rerank_union(returned: list[RankedSet], k: int, rng=None):
     if rng is not None and len(ids):
         pool = rng.choice(len(ids), size=min(k, len(ids)), replace=False)
     final = rank(ids[pool], distances[pool], k)
-    order = np.searchsorted(ids, final.id_array)
-    return first, final, owners[order]
+    return final, owners[np.searchsorted(ids, final.id_array)]

@@ -106,7 +106,7 @@ def test_criterion_3_reorder_recovery():
                    for i, shard in enumerate(shards)]
         e_q = rng.standard_normal(5)
         returned = [client_retrieve(c, e_q, k) for c in clients]
-        final = rerank_union(returned, k)[1]
+        final = rerank_union(returned, k)[0]
         if final.ids != top_k(e_q, k, d, store).ids:
             failures += 1
     check(3, failures == 0, f"{failures} failures over 200 instances")

@@ -156,6 +156,45 @@ def _tree_digests(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _without_digest(path):
+    meta = json.loads(path.read_text())
+    del meta["digest"]
+    path.write_text(json.dumps(meta, sort_keys=True) + "\n")
+
+
+class TestDamagedModelCache:
+    """A damaged allocator pair is a cache miss: the run retrains, writes
+    the files of a clean run and names the damaged file on stderr."""
+
+    @pytest.mark.parametrize("name, damage, reason", [
+        ("allocators.bin", lambda p: p.write_bytes(bytes(p.stat().st_size)),
+         "digest differs"),
+        ("allocators.bin", lambda p: p.write_bytes(p.read_bytes()[:12]),
+         "has 12 bytes"),
+        ("allocators.json", lambda p: p.write_text("{not json\n"),
+         "Expecting property name"),
+        ("allocators.json", _without_digest, "KeyError: 'digest'"),
+    ], ids=["zeroed", "truncated", "not_json", "no_digest"])
+    def test_retrained_to_a_clean_runs_files(self, config_path, tmp_path,
+                                             capsys, name, damage, reason):
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
+        with open(config_path, "w") as fh:
+            fh.write(text)
+        out = tmp_path / "out"
+        assert main(["--config", config_path, "run"]) == 0
+        clean = _tree_digests(out)
+        path = out / "seed0" / "models" / name
+        damage(path)
+        capsys.readouterr()
+        assert main(["--config", config_path, "run"]) == 0
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and reason in err
+        assert len(err.splitlines()) == 1
+        assert _tree_digests(out) == clean
+
+
 class TestUsage:
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 1

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from icebudget import federation
@@ -33,7 +35,7 @@ def replay_transcript(t: Transcript, clients, e_q, k: int) -> bool:
         return False
     if t.policy == "social_learning":
         return True  # final set depends on the recorded seeded draw
-    _, final, _ = rerank_union(returned, k)
+    final, _ = rerank_union(returned, k)
     return sorted(t.final_ice_ids) == sorted(final.ids)
 
 
@@ -169,7 +171,7 @@ class TestDistributedInfer:
             budgets = [k] * len(clients)
             returned = [client_retrieve(c, e_q, b)
                         for c, b in zip(clients, budgets)]
-            _, final, _ = rerank_union(returned, k)
+            final, _ = rerank_union(returned, k)
             assert final.ids == top_k(e_q, k, d, store).ids
 
     def test_transcript_accounting(self):
@@ -189,8 +191,8 @@ class TestDistributedInfer:
         assert t.prompt_text is None
         index = d.id_index()
         ices = [(index[i].text, index[i].label) for i in t.final_ice_ids]
-        assert t.prompt_chars == len(build_prompt(ices, query.text,
-                                                  server.template, d.labels))
+        assert t.prompt_chars == len(build_prompt(
+            ices, query.text, federation.TEMPLATE, d.labels))
         assert set(t.final_ice_ids) <= set(t.aggregated_ids)
 
     def test_ice_order_descending_puts_nearest_last(self):
@@ -450,10 +452,9 @@ class TestTranscriptIo:
             _, t = distributed_infer(server, clients, query, e_q)
             returned = [client_retrieve(c, e_q, b)
                         for c, b in zip(clients, t.budgets_sent)]
-            union, _, _ = rerank_union(returned, 4)
-            flat = [i for r in returned for i in r.ids]
             v1 = {**t.to_dict(), "schema_version": 1, "prompt_text": "p",
-                  "aggregated_ids": [flat[i] for i in union.tolist()]}
+                  "aggregated_ids": sorted({i for r in returned
+                                            for i in r.ids})}
             lines.append(v1)
         path = tmp_path / "v1.jsonl"
         path.write_text("".join(json.dumps(v1) + "\n" for v1 in lines))
@@ -532,11 +533,8 @@ def _reference_candidate_rerank(clients, returned, e_q, k):
 class TestAggregateMatchesCandidateStore:
     def check(self, clients, budgets, e_q, k):
         returned = [client_retrieve(c, e_q, b) for c, b in zip(clients, budgets)]
-        union, final, owners = rerank_union(returned, k)
-        flat = [i for r in returned for i in r.ids]
-        want_union, want_final = _reference_candidate_rerank(
-            clients, returned, e_q, k)
-        assert [flat[i] for i in union.tolist()] == want_union
+        final, owners = rerank_union(returned, k)
+        _, want_final = _reference_candidate_rerank(clients, returned, e_q, k)
         assert ranked_entries(final) == tuple(want_final)
         for example_id, owner in zip(final.ids, owners.tolist()):
             assert example_id in returned[owner].ids
@@ -703,36 +701,44 @@ def _overlapping_clients(seed):
 
 
 class TestOneSender:
-    """When one client sends entries, its top k is the final set: the
-    rerank of the union, which `_gather` then skips."""
+    """Without a draw, one client's return among empty ones is the final
+    set as it stands, and `_gather` reaches it through `rerank_union`."""
 
-    def test_equals_rerank_union(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        for trial in range(30):
-            d, store, clients = make_clients(n=int(rng.integers(5, 60)),
-                                             dim=3, seed=900 + trial)
-            k = int(rng.integers(1, 12))
-            e_q = rng.standard_normal(3)
-            sender = int(rng.integers(len(clients)))
-            budgets = [0] * len(clients)
-            budgets[sender] = int(rng.integers(1, k + 3))
-            returned = [client_retrieve(c, e_q, b)
-                        for c, b in zip(clients, budgets)]
-            _, want, want_owners = rerank_union(returned, k)
-
-            def no_rerank(*args):
-                raise AssertionError("rerank_union called")
-            with monkeypatch.context() as patch:
-                patch.setattr(federation, "rerank_union", no_rerank)
-                transcript = Transcript(0, "singleton", budgets, [], [], 0,
-                                        None, 0)
-                final, examples = _gather(clients, e_q, budgets, k,
-                                          transcript, depth=k)
-            assert final.id_array.tobytes() == want.id_array.tobytes()
-            assert final.distances.tobytes() == want.distances.tobytes()
-            shard = clients[sender].shard.id_index()
-            assert examples == [shard[i] for i in want.ids]
-            assert set(want_owners.tolist()) <= {sender}
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000), num_clients=st.integers(1, 4),
+           budget=st.integers(1, 12), shift=st.sampled_from([-1, 0, 1]))
+    def test_first_k_of_a_full_sort(self, seed, num_clients, budget, shift):
+        # points on a coarse grid tie often; k is below, equal to or above
+        # the length of the one return
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(-2, 3, size=(4, 3)) * 0.5
+        n = budget + 5 * num_clients
+        d = Dataset(tuple(Example(i, f"point {i}", i % 2) for i in range(n)),
+                    LabelSpace.default(2))
+        store = EmbeddingStore(np.arange(n), grid[rng.integers(4, size=n)])
+        clients = [ClientNode(c, shard, store.subset(shard.ids))
+                   for c, shard in enumerate(partition_iid(d, num_clients,
+                                                           seed))]
+        sender = int(rng.integers(num_clients))
+        budgets = [0] * num_clients
+        budgets[sender] = budget
+        e_q = grid[0] if seed % 2 else rng.standard_normal(3)
+        returned = [client_retrieve(c, e_q, b)
+                    for c, b in zip(clients, budgets)]
+        k = max(1, len(returned[sender]) + shift)
+        ids, matrix = clients[sender].store.matrix()
+        diffs = matrix - e_q
+        distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        order = np.lexsort((ids, distances))[:min(k, budget)]
+        final, owners = rerank_union(returned, k)
+        assert final.id_array.tobytes() == ids[order].tobytes()
+        assert final.distances.tobytes() == distances[order].tobytes()
+        assert owners.tolist() == [sender] * len(final)
+        transcript = Transcript(0, "singleton", budgets, [], [], 0, None, 0)
+        gathered, examples = _gather(clients, e_q, budgets, k, transcript)
+        assert ranked_entries(gathered) == ranked_entries(final)
+        shard = clients[sender].shard.id_index()
+        assert examples == [shard[i] for i in final.ids]
 
     def test_draw_still_reranks(self):
         # with a draw, k of a lone sender's entries are picked at random
@@ -741,7 +747,7 @@ class TestOneSender:
         budgets = [12, 0, 0]
         returned = [client_retrieve(c, e_q, b)
                     for c, b in zip(clients, budgets)]
-        _, want, _ = rerank_union(returned, 4, _per_query_rng(0, 0))
+        want, _ = rerank_union(returned, 4, _per_query_rng(0, 0))
         transcript = Transcript(0, "social_learning", budgets, [], [], 0,
                                 None, 0)
         final, _ = _gather(clients, e_q, budgets, 4, transcript,

@@ -60,8 +60,9 @@ class TestRunExperiment:
         assert 0.0 <= result["mean_accuracy"] <= 1.0
         assert os.path.exists(os.path.join(tiny_config.output_dir,
                                            "report.json"))
-        assert os.path.exists(os.path.join(tiny_config.output_dir,
-                                           "budget_hist.csv"))
+        # the histograms are report.json's `budget_histograms` alone
+        assert not os.path.exists(os.path.join(tiny_config.output_dir,
+                                               "budget_hist.csv"))
 
     def test_transcripts_written_per_policy(self, tiny_config):
         run_experiment(tiny_config)

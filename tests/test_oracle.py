@@ -49,6 +49,7 @@ def _reference_construct(proxy, proxy_store, shards, shard_stores, k, delta):
     """The supervision set as it was built before the oracle shared the
     server's rerank: a union store rebuilt from every shard, and the union of
     the local top-k ranked again on distances recomputed from that store.
+    Each ranked id counts for the first client whose local top-k holds it.
     Returns [(query id, raw counts, classes)]."""
     ids, matrices = zip(*(store.matrix() for store in shard_stores))
     ids, first = np.unique(np.concatenate(ids), return_index=True)
@@ -62,8 +63,13 @@ def _reference_construct(proxy, proxy_store, shards, shard_stores, k, delta):
         sub_ids, matrix = sub.matrix()
         diffs = matrix - e_q
         dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        s_top = set(sub_ids[np.lexsort((sub_ids, dists))[:k]].tolist())
-        raw = tuple(len(local.id_set() & s_top) for local in locals_)
+        s_top = sub_ids[np.lexsort((sub_ids, dists))[:k]].tolist()
+        owner = {}
+        for c, local in enumerate(locals_):
+            for example_id in local.ids:
+                owner.setdefault(example_id, c)
+        raw = tuple(sum(owner[i] == c for i in s_top)
+                    for c in range(len(locals_)))
         records.append((ex.id, raw, tuple(c // delta for c in raw)))
     return records
 
@@ -117,6 +123,23 @@ class TestOracleBudget:
         e_q = np.random.default_rng(seed + 7).standard_normal(4)
         counts = oracle_budget(e_q, k, shards, shard_stores)
         assert sum(counts) == min(k, len(d))
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), num_clients=st.integers(2, 5),
+           k=st.integers(1, 25))
+    def test_overlapping_shards_count_each_id_once(self, seed, num_clients,
+                                                    k):
+        d, store = make_world(30, 3, seed)
+        rng = np.random.default_rng(seed)
+        shards = [d.subset(rng.choice(d.ids, size=int(rng.integers(1, 30)),
+                                      replace=False).tolist())
+                  for _ in range(num_clients)]
+        stores = [store.subset(s.ids) for s in shards]
+        e_q = rng.standard_normal(3)
+        union = set().union(*(top_k(e_q, k, s, sub).id_set()
+                              for s, sub in zip(shards, stores)))
+        counts = oracle_budget(e_q, k, shards, stores)
+        assert sum(counts) == min(k, len(union))
 
     def test_single_client_gets_everything(self):
         d, store = make_world(20, 3, seed=1)

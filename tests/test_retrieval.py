@@ -78,7 +78,7 @@ def _grid_world(seed):
     return d, EmbeddingStore(ids, grid[rng.integers(len(grid), size=n)]), grid
 
 
-class TestPartialSelection:
+class TestEqualsFullSort:
     @pytest.mark.parametrize("seed", range(20))
     def test_top_k_equals_full_sort_on_tied_grids(self, seed):
         d, store, grid = _grid_world(seed)
@@ -258,27 +258,27 @@ class TestMergeRerank:
         e_q = rng.standard_normal(store.dim)
         groups = [[0, 1, 2, 3], [2, 3, 4, 5], [10, 11]]
         union = sorted({i for g in groups for i in g})
-        got = rerank_union(_returns(e_q, groups, d, store), 4)[1]
+        got = rerank_union(_returns(e_q, groups, d, store), 4)[0]
         expected = top_k(e_q, 4, d.subset(union), store.subset(union))
         assert got.ids == expected.ids
 
     def test_duplicates_collapse(self, small_world):
         d, store = small_world
         e_q = np.zeros(store.dim)
-        once = rerank_union(_returns(e_q, [[0, 1, 2]], d, store), 5)[1]
+        once = rerank_union(_returns(e_q, [[0, 1, 2]], d, store), 5)[0]
         twice = rerank_union(_returns(e_q, [[0, 1, 2], [2, 1, 0]], d, store),
-                             5)[1]
+                             5)[0]
         assert ranked_entries(once) == ranked_entries(twice)
 
     def test_accepts_ranked_sets(self, small_world):
         d, store = small_world
         e_q = np.ones(store.dim)
         ranked = top_k(e_q, 3, d, store)
-        merged = rerank_union([ranked], 3)[1]
+        merged = rerank_union([ranked], 3)[0]
         assert merged.ids == ranked.ids
 
     def test_empty_candidates(self):
-        assert len(rerank_union([RankedSet(), RankedSet()], 3)[1]) == 0
+        assert len(rerank_union([RankedSet(), RankedSet()], 3)[0]) == 0
 
 
 class TestRankedSet:
