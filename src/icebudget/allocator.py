@@ -355,19 +355,25 @@ def predict_budget(m: AllocatorModel, e_q, delta: int) -> list[int]:
             for cls in np.argmax(forward(m, e_q), axis=1)]
 
 
-def _digest(blob: bytes) -> str:
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+def _digest(meta: dict, blob: bytes) -> str:
+    """blake2b of the metadata's other fields as sorted-key JSON, then the
+    parameter blob: what `load_model` builds a model from."""
+    fields = {name: value for name, value in meta.items() if name != "digest"}
+    text = json.dumps(fields, sort_keys=True).encode("utf-8")
+    return hashlib.blake2b(text + b"\0" + blob, digest_size=16).hexdigest()
 
 
 def save_model(m: AllocatorModel, json_path, blob_path):
     """JSON metadata plus a little-endian f64 blob of the stacked parameters
     in layer order w1, b1, w2, b2, w3, b3 (each row-major, client first).
-    The metadata records a blake2b digest of the blob."""
+    The metadata records a blake2b digest of its other fields and the blob,
+    so an edit to either file is caught on load."""
     blob = np.concatenate([p.ravel() for p in m.params()]).astype("<f8")
     meta = {"num_clients": m.num_clients, "dim": m.dim, "width": m.width,
             "num_classes": m.num_classes, "train_config": m.train_config,
             "loss_history": m.loss_history, "input_scale": m.input_scale,
-            "key": m.key, "digest": _digest(blob.tobytes())}
+            "key": m.key}
+    meta["digest"] = _digest(meta, blob.tobytes())
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
@@ -375,8 +381,9 @@ def save_model(m: AllocatorModel, json_path, blob_path):
 
 
 def load_model(json_path, blob_path) -> AllocatorModel:
-    """Read a pair written by `save_model`. A blob without the size and the
-    digest that its metadata records raises ValidationError naming it."""
+    """Read a pair written by `save_model`. A blob without the size its
+    metadata implies raises ValidationError naming the blob; a pair without
+    the digest the metadata records raises one naming both files."""
     with open(json_path, encoding="utf-8") as fh:
         meta = json.load(fh)
     c, dim, width = meta["num_clients"], meta["dim"], meta["width"]
@@ -389,9 +396,9 @@ def load_model(json_path, blob_path) -> AllocatorModel:
     if len(blob) != 8 * sum(sizes):
         raise ValidationError(f"{blob_path}: parameter blob has {len(blob)} "
                               f"bytes, expected {8 * sum(sizes)}")
-    if _digest(blob) != meta["digest"]:
-        raise ValidationError(f"{blob_path}: digest differs from the one "
-                              f"{json_path} records")
+    if _digest(meta, blob) != meta["digest"]:
+        raise ValidationError(f"{json_path}: digest differs from that of "
+                              f"its metadata and {blob_path}")
     flat = np.frombuffer(blob, dtype="<f8").copy()
     params = {name: part.reshape(shape) for name, part, shape in zip(
         PARAM_NAMES, np.split(flat, np.cumsum(sizes)[:-1]), shapes)}

@@ -17,6 +17,8 @@ measured again. `run_experiment` releases a seed's rankings before it
 evaluates the next seed. `retrieval.rerank_union` alone turns the returns
 into the final ICEs, a lone sender's included, and names the client behind
 each; its shard's id index, looked up once per query, resolves the example.
+One `build_prompt` pass over the final ICEs, in `ice_order`, gives the
+prompt and the backend's (label, distance) votes.
 
 Only the global top-k reaches a prompt, and it is the rerank of every
 client's local top-k. So a client sent a budget deeper than k + alpha
@@ -305,19 +307,19 @@ def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
 
 def _finish(server: ServerNode, query, final: RankedSet, examples,
             transcript: Transcript):
-    """Build the prompt from the final ranked set and its examples, query
-    the backend, and complete the transcript."""
-    entries = list(zip(final.ids, final.distances.tolist(), examples))
-    if server.ice_order == "descending":
-        entries = entries[::-1]  # nearest example ends up adjacent to the query
-    ices = [(ex.text, ex.label) for _, _, ex in entries]
-    votes = [(ex.label, dist) for _, dist, ex in entries]
-
+    """Build the prompt and the votes from the final ranked set and its
+    examples in one pass, query the backend, and complete the transcript."""
     labels = server.labels
     if labels is None:
         raise ValidationError("server needs a label space to answer")
+    ids, distances = final.ids, final.distances.tolist()
+    if server.ice_order == "descending":
+        # nearest example ends up adjacent to the query
+        ids, distances, examples = ids[::-1], distances[::-1], examples[::-1]
     query_text = query.text if isinstance(query, Example) else str(query)
-    prompt = build_prompt(ices, query_text, TEMPLATE, labels)
+    votes = []
+    prompt = build_prompt(zip(examples, distances), query_text, TEMPLATE,
+                          labels, votes)
     if len(prompt) > server.max_prompt_chars:
         raise ValidationError(
             f"prompt of {len(prompt)} chars exceeds cap {server.max_prompt_chars}")
@@ -325,7 +327,7 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
     transcript.prompt_text = (None if isinstance(server.backend, MockVoteBackend)
                               else prompt)
     transcript.prompt_chars = len(prompt)
-    transcript.final_ice_ids = [example_id for example_id, _, _ in entries]
+    transcript.final_ice_ids = ids
 
     try:
         answer = server.backend.answer(prompt, votes, labels)

@@ -8,10 +8,11 @@ ends), then evaluates the rest per seed, `learned` last in each. Shards
 and budget datasets are rebuilt by every run (and written as `shards.json`
 and `bproxy.jsonl`).
 Only the trained allocators are a cache: a saved pair is served only if
-its blob has the blake2b digest its metadata records and its key, a digest
-of everything its training read, equals the key this run would write. Any
-other pair, damaged ones too, is retrained and overwritten, and a stderr
-line says why. It writes a deterministic JSON report and transcript JSONL.
+it has the blake2b digest its metadata records (of the metadata's other
+fields and the blob) and its key, a digest of everything its training
+read, equals the key this run would write. Any other pair, damaged ones
+too, is retrained and overwritten, and a stderr line says why. It writes a
+deterministic JSON report and transcript JSONL.
 
 Setting up a seed's context writes nothing. `run_experiment` and the
 `partition`, `build-budget-dataset` and `train-allocator` commands write

@@ -1,5 +1,11 @@
 """Prompt construction, answering backends, and the paraphrase pass.
 
+`build_prompt` renders a prompt's ICEs and collects their votes in one pass.
+Each ICE is its label's two pieces of the template's `example_format`
+around its text, with {label} filled in once per template and label space;
+an ICE whose text holds {label}, or a template whose pieces could form one
+across the text, renders through the two replaces the pieces stand for.
+
 Two backends: a deterministic similarity-weighted vote for self-contained
 runs, and an OpenAI-style completions endpoint for real LLM answering. Each
 answers for itself through `answer(prompt, votes, labels) -> label index`,
@@ -13,6 +19,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import BackendSpec
 from .corpus import LabelSpace
@@ -95,20 +102,46 @@ def make_backend(spec: BackendSpec):
 
 
 def build_prompt(ices, query_text: str, template: PromptTemplate,
-                 labels: LabelSpace) -> str:
-    """Concatenate rendered (text, label) pairs in the given order, then the
-    rendered query. Callers decide the ICE ordering."""
-    parts = []
-    if template.instruction:
-        parts.append(template.instruction)
-    for text, label in ices:
+                 labels: LabelSpace, votes: list | None = None) -> str:
+    """The instruction if any, each ICE rendered in the given order, then
+    the rendered query, joined by the template's joiner. `ices` are
+    (example, distance) pairs; callers decide their order. Given a list
+    `votes`, each ICE's (label, distance) is appended to it in the same
+    pass. An ICE renders as its label's `_example_pieces` around its text,
+    or through the two replaces wherever those would differ."""
+    pieces = _example_pieces(template.example_format, labels.verbalizers)
+    parts = [template.instruction] if template.instruction else []
+    for example, distance in ices:
+        label, text = example.label, example.text
         if not 0 <= label < labels.count:
             raise ValidationError(f"ICE label {label} outside label space")
-        parts.append(template.example_format
-                     .replace("{text}", text)
-                     .replace("{label}", labels.verbalizers[label]))
+        if pieces is None or "{label}" in text:
+            parts.append(template.example_format
+                         .replace("{text}", text)
+                         .replace("{label}", labels.verbalizers[label]))
+        else:
+            pre, post = pieces[label]
+            parts.append(pre + text + post)
+        if votes is not None:
+            votes.append((label, distance))
     parts.append(template.query_format.replace("{text}", query_text))
     return template.joiner.join(parts)
+
+
+@lru_cache(maxsize=16)
+def _example_pieces(example_format: str, verbalizers: tuple[str, ...]):
+    """Per label index, the text of `example_format` before and after its
+    {text}, each with {label} replaced by the label's verbalizer; None when
+    the format could form a {label} across a text, i.e. the part before
+    {text} ends in a proper prefix of "{label}" or the part after it starts
+    with a proper suffix. "{label}" cannot overlap itself, so for a text
+    without one, the replaces find exactly the {label}s of the two pieces."""
+    before, after = example_format.split("{text}")
+    if any(before.endswith("{label}"[:i]) or after.startswith("{label}"[i:])
+           for i in range(1, len("{label}"))):
+        return None
+    return tuple((before.replace("{label}", v), after.replace("{label}", v))
+                 for v in verbalizers)
 
 
 def answer_mock(votes) -> int:

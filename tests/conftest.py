@@ -1,6 +1,6 @@
 """Shared fixtures: small random retrieval worlds, a JSONL dataset writer,
-a tiny experiment config and a loopback completions endpoint used across
-the module tests."""
+a tiny experiment config, the reference prompt rendering and a loopback
+completions endpoint used across the module tests."""
 
 import json
 import threading
@@ -12,6 +12,7 @@ import pytest
 from icebudget.config import config_from_dict
 from icebudget.corpus import Dataset, Example, LabelSpace
 from icebudget.embedder import EmbeddingStore
+from icebudget.errors import ValidationError
 
 
 def make_world(n, dim, seed, num_classes=2):
@@ -43,6 +44,20 @@ def brute_force_topk(e_q, k, dataset, store):
         scored.append((dist, ex.id))
     scored.sort()
     return [i for _, i in scored[:k]]
+
+
+def reference_prompt(ices, query_text, template, labels):
+    """The prompt as two replaces per (text, label) ICE render it: {text},
+    then {label} over the whole rendered example."""
+    parts = [template.instruction] if template.instruction else []
+    for text, label in ices:
+        if not 0 <= label < labels.count:
+            raise ValidationError(f"ICE label {label} outside label space")
+        parts.append(template.example_format
+                     .replace("{text}", text)
+                     .replace("{label}", labels.verbalizers[label]))
+    parts.append(template.query_format.replace("{text}", query_text))
+    return template.joiner.join(parts)
 
 
 def ranked_entries(ranked):

@@ -6,14 +6,14 @@ import shutil
 import pytest
 import yaml
 
-from icebudget import allocator, harness, parallel
+from icebudget import allocator, federation, harness, parallel
 from icebudget.cli import main
-from icebudget.corpus import synth_clusters
+from icebudget.corpus import LabelSpace, synth_clusters
 from icebudget.embedder import load_embeddings
 from icebudget.errors import BackendError
 from icebudget.inference import MockVoteBackend
 
-from conftest import save_dataset
+from conftest import reference_prompt, save_dataset
 
 
 def write_config(tmp_path):
@@ -156,25 +156,51 @@ def _tree_digests(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _without_digest(path):
+def _edit_meta(path, edit):
     meta = json.loads(path.read_text())
-    del meta["digest"]
+    edit(meta)
     path.write_text(json.dumps(meta, sort_keys=True) + "\n")
+
+
+def _without_digest(meta):
+    del meta["digest"]
+
+
+def _doubled_input_scale(meta):
+    meta["input_scale"] *= 2
+
+
+def _other_width_same_size(meta):
+    # another width, with the dim that keeps the blob's size:
+    # size / 8 = clients * (width * (dim + 2 + width + classes) + classes)
+    width, classes = meta["width"], meta["num_classes"]
+    per_row = width * (meta["dim"] + 2 + width + classes)
+    meta["width"] = next(w for w in range(width - 1, 0, -1)
+                         if per_row % w == 0
+                         and per_row // w - 2 - w - classes >= 1)
+    meta["dim"] = per_row // meta["width"] - 2 - meta["width"] - classes
 
 
 class TestDamagedModelCache:
     """A damaged allocator pair is a cache miss: the run retrains, writes
-    the files of a clean run and names the damaged file on stderr."""
+    the files of a clean run and names the damaged file on stderr. The
+    digest covers the blob and the metadata, so a mismatch names both."""
 
     @pytest.mark.parametrize("name, damage, reason", [
         ("allocators.bin", lambda p: p.write_bytes(bytes(p.stat().st_size)),
-         "digest differs"),
+         "{json}: digest differs from that of its metadata and {blob}"),
         ("allocators.bin", lambda p: p.write_bytes(p.read_bytes()[:12]),
-         "has 12 bytes"),
+         "{blob}: parameter blob has 12 bytes"),
         ("allocators.json", lambda p: p.write_text("{not json\n"),
-         "Expecting property name"),
-        ("allocators.json", _without_digest, "KeyError: 'digest'"),
-    ], ids=["zeroed", "truncated", "not_json", "no_digest"])
+         "{json}: JSONDecodeError: Expecting property name"),
+        ("allocators.json", lambda p: _edit_meta(p, _without_digest),
+         "{json}: KeyError: 'digest'"),
+        ("allocators.json", lambda p: _edit_meta(p, _doubled_input_scale),
+         "{json}: digest differs from that of its metadata and {blob}"),
+        ("allocators.json", lambda p: _edit_meta(p, _other_width_same_size),
+         "{json}: digest differs from that of its metadata and {blob}"),
+    ], ids=["zeroed", "truncated", "not_json", "no_digest", "input_scale",
+            "width"])
     def test_retrained_to_a_clean_runs_files(self, config_path, tmp_path,
                                              capsys, name, damage, reason):
         with open(config_path) as fh:
@@ -185,12 +211,16 @@ class TestDamagedModelCache:
         out = tmp_path / "out"
         assert main(["--config", config_path, "run"]) == 0
         clean = _tree_digests(out)
-        path = out / "seed0" / "models" / name
-        damage(path)
+        models = out / "seed0" / "models"
+        size = (models / "allocators.bin").stat().st_size
+        damage(models / name)
+        if name == "allocators.json":
+            assert (models / "allocators.bin").stat().st_size == size
         capsys.readouterr()
         assert main(["--config", config_path, "run"]) == 0
         err = capsys.readouterr().err
-        assert f"{path}: " in err and reason in err
+        assert reason.format(json=models / "allocators.json",
+                             blob=models / "allocators.bin") in err
         assert len(err.splitlines()) == 1
         assert _tree_digests(out) == clean
 
@@ -681,6 +711,65 @@ class TestHttpTrainsFirst:
         assert (code, err) == (0, "")
         assert seen == [0, 0]
         assert len(handler.requests) == 3 * 20  # 3 policies, 20 test queries
+
+
+# texts that hold the template's placeholders, braces and non-ASCII text
+_PROMPT_FRAGMENTS = ("{label}", "{text}", "{lab", "el}", "{", "}", "é",
+                     "日本", "😀")
+
+
+class TestHttpPromptBytes:
+    """The prompts an HTTP run posts and records are the replaces' rendering
+    of the shard texts the transcripts name, in either ICE order."""
+
+    @pytest.mark.parametrize("ice_order", ["descending", "ascending"])
+    def test_posted_and_recorded_prompts(self, tmp_path, stub_server,
+                                         ice_order):
+        url, handler = stub_server
+        handler.responses = [(200, {"choices": [{"text": " pos}"}]})] * 1000
+        labels = LabelSpace(3, ("neg {label}", "pos}", "neu {text}"))
+        examples = {}  # id -> (text, label): train ids, then eval ids
+        for name, count in (("train", 60), ("eval", 24)):
+            with open(tmp_path / f"{name}.jsonl", "w",
+                      encoding="utf-8") as fh:
+                fh.write(json.dumps(
+                    {"label_space": list(labels.verbalizers)}) + "\n")
+                for i in range(count):
+                    text = f"{name} {i % 3} {i} " + "".join(
+                        _PROMPT_FRAGMENTS[(i + j) % len(_PROMPT_FRAGMENTS)]
+                        for j in range(i % 3 + 1))
+                    examples[len(examples)] = (text, i % 3)
+                    fh.write(json.dumps({"text": text, "label": i % 3}) + "\n")
+        path = tmp_path / "http.yaml"
+        path.write_text(
+            "seed: 5\n"
+            "num_seeds: 1\n"
+            "k: 4\n"
+            "proxy_size: 20\n"
+            "policies: [uniform]\n"
+            f"ice_order: {ice_order}\n"
+            "partition: {scheme: noniid, num_clients: 3, "
+            "labels_per_client: 1}\n"
+            f"dataset: {{train_path: {tmp_path / 'train.jsonl'}, "
+            f"eval_path: {tmp_path / 'eval.jsonl'}}}\n"
+            "embeddings: {source: hash, dim: 16}\n"
+            "train: {epochs: 3, width: 8}\n"
+            f"backend: {{type: http, endpoint: {url}}}\n"
+            f"output_dir: {tmp_path / 'out'}\n")
+        assert main(["--config", str(path), "run"]) == 0
+        with open(tmp_path / "out" / "seed0" / "transcripts_uniform.jsonl",
+                  encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert records and len(records) == len(handler.requests)
+        braced = 0
+        for record, (_, body) in zip(records, handler.requests):
+            ices = [examples[i] for i in record["final_ice_ids"]]
+            want = reference_prompt(ices, examples[record["query_id"]][0],
+                                    federation.TEMPLATE, labels)
+            assert body["prompt"] == record["prompt_text"] == want
+            assert record["prompt_chars"] == len(want)
+            braced += any("{label}" in text for text, _ in ices)
+        assert braced  # some prompt took the replaces' path
 
 
 @pytest.fixture

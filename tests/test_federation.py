@@ -1,10 +1,11 @@
 import json
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -14,16 +15,16 @@ from icebudget.config import POLICY_VARIANTS, config_from_dict
 from icebudget.corpus import Dataset, Example, LabelSpace, partition_iid
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import BackendError, ParseError, ValidationError
-from icebudget.inference import MockVoteBackend, build_prompt
+from icebudget.inference import MockVoteBackend, PromptTemplate, build_prompt
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   Transcript, _finish, _gather,
                                   _per_query_rng, _random_composition,
                                   allocate, client_retrieve,
                                   distributed_infer, load_transcripts,
                                   save_transcripts)
-from icebudget.retrieval import rerank_union, top_k
+from icebudget.retrieval import RankedSet, rerank_union, top_k
 
-from conftest import make_world, ranked_entries
+from conftest import make_world, ranked_entries, reference_prompt
 
 
 def replay_transcript(t: Transcript, clients, e_q, k: int) -> bool:
@@ -190,7 +191,7 @@ class TestDistributedInfer:
         # the mock never reads the prompt, so only its length is recorded
         assert t.prompt_text is None
         index = d.id_index()
-        ices = [(index[i].text, index[i].label) for i in t.final_ice_ids]
+        ices = [(index[i], 0.0) for i in t.final_ice_ids]
         assert t.prompt_chars == len(build_prompt(
             ices, query.text, federation.TEMPLATE, d.labels))
         assert set(t.final_ice_ids) <= set(t.aggregated_ids)
@@ -848,3 +849,88 @@ class TestInfinitePrefixes:
                 distributed_infer(server, clients, query, store.get(query.id))
         assert len(calls) == len(set(calls)) == len(queries) * len(clients)
 
+
+class _PromptRecorder:
+    """A backend that reads the prompt: it keeps each prompt and votes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def answer(self, prompt, votes, labels):
+        self.calls.append((prompt, votes))
+        return 0
+
+
+# pieces of texts, verbalizers and formats: the placeholders, their halves,
+# braces and non-ASCII characters
+_FRAGMENTS = ["{label}", "{text}", "{", "}", "{lab", "el}", "{l", "l}",
+              "label", "text", "{{", "é", "日本", "😀", "\n", " ", "a"]
+_STRINGS = st.lists(st.one_of(st.sampled_from(_FRAGMENTS),
+                              st.text(max_size=3)), max_size=5).map("".join)
+
+
+@st.composite
+def _templates(draw):
+    before, between, after = (draw(_STRINGS.filter(
+        lambda s: "{text}" not in s and "{label}" not in s)) for _ in range(3))
+    first, second = draw(st.permutations(["{text}", "{label}"]))
+    example_format = before + first + between + second + after
+    assume(example_format.count("{text}") == 1
+           and example_format.count("{label}") == 1)
+    instruction = draw(st.sampled_from(["", "Classify:", "{text} {label}"]))
+    return PromptTemplate(instruction=instruction,
+                          example_format=example_format)
+
+
+class TestPromptMatchesReplaces:
+    """The server's one-pass prompt equals the two replaces per ICE for any
+    texts, verbalizers and template, in both ICE orders, and an ICE label
+    outside the label space fails with the same message."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(template=_templates(),
+           verbalizers=st.lists(_STRINGS, min_size=1, max_size=4,
+                                unique=True),
+           ices=st.lists(st.tuples(_STRINGS, st.integers(0, 3)), max_size=6),
+           bad_label=st.sampled_from([None, -1, 4, 7]),
+           query_text=_STRINGS,
+           ice_order=st.sampled_from(["ascending", "descending"]))
+    @example(template=PromptTemplate(example_format="{text}el}\n{label}"),
+             verbalizers=["pos"], ices=[("{lab", 0), ("{label}", 0)],
+             bad_label=None, query_text="q", ice_order="ascending")
+    def test_prompt_and_votes(self, template, verbalizers, ices, bad_label,
+                              query_text, ice_order):
+        labels = LabelSpace(len(verbalizers), tuple(verbalizers))
+        ices = [(text, label % labels.count) for text, label in ices]
+        if bad_label is not None and ices:
+            ices[-1] = (ices[-1][0], bad_label)
+        examples = [Example(i, text, label)
+                    for i, (text, label) in enumerate(ices)]
+        distances = [0.5 * i for i in range(len(examples))]
+        in_order = list(zip(examples, distances))
+        if ice_order == "descending":
+            in_order.reverse()
+        backend = _PromptRecorder()
+        server = make_server(k=max(1, len(examples)), labels=labels,
+                             backend=backend, ice_order=ice_order)
+        transcript = Transcript(
+            query_id=-1, policy="uniform", budgets_sent=[],
+            samples_returned=[], final_ice_ids=[], prompt_chars=0,
+            answer_label=None, total_samples_communicated=0)
+        final = RankedSet([ex.id for ex in examples], distances)
+        with mock.patch.object(federation, "TEMPLATE", template):
+            try:
+                want = reference_prompt(
+                    [(ex.text, ex.label) for ex, _ in in_order], query_text,
+                    template, labels)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    _finish(server, query_text, final, examples, transcript)
+                assert str(got.value) == str(exc)
+                return
+            _finish(server, query_text, final, examples, transcript)
+        assert backend.calls == [
+            (want, [(ex.label, dist) for ex, dist in in_order])]
+        assert transcript.prompt_text == want
+        assert transcript.prompt_chars == len(want)
+        assert transcript.final_ice_ids == [ex.id for ex, _ in in_order]

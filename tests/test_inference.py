@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icebudget.corpus import LabelSpace
+from icebudget.corpus import Example, LabelSpace
 from icebudget.errors import (BackendError, DecodeError, ValidationError)
 from icebudget.config import BackendSpec
 from icebudget.inference import (MOCK_VOTE_EPSILON, HttpBackend,
@@ -66,9 +66,12 @@ class TestPromptTemplate:
 
     def test_build_prompt_order_and_rendering(self):
         labels = LabelSpace(2, ("no", "yes"))
-        prompt = build_prompt([("first", 0), ("second", 1)], "the query",
-                              PromptTemplate(), labels)
+        votes = []
+        prompt = build_prompt([(Example(1, "first", 0), 0.5),
+                               (Example(2, "second", 1), 0.25)], "the query",
+                              PromptTemplate(), labels, votes)
         assert prompt == "first\nno\n\nsecond\nyes\n\nthe query\n"
+        assert votes == [(0, 0.5), (1, 0.25)]
 
     def test_instruction_prepended(self):
         labels = LabelSpace(1, ("x",))
@@ -79,7 +82,8 @@ class TestPromptTemplate:
     def test_bad_ice_label_rejected(self):
         labels = LabelSpace(1, ("x",))
         with pytest.raises(ValidationError):
-            build_prompt([("t", 5)], "q", PromptTemplate(), labels)
+            build_prompt([(Example(0, "t", 5), 0.0)], "q", PromptTemplate(),
+                         labels)
 
 
 def _http_backend(url, **fields):
