@@ -102,13 +102,13 @@ def make_backend(spec: BackendSpec):
 
 
 def build_prompt(ices, query_text: str, template: PromptTemplate,
-                 labels: LabelSpace, votes: list | None = None) -> str:
+                 labels: LabelSpace, votes: list) -> str:
     """The instruction if any, each ICE rendered in the given order, then
     the rendered query, joined by the template's joiner. `ices` are
-    (example, distance) pairs; callers decide their order. Given a list
-    `votes`, each ICE's (label, distance) is appended to it in the same
-    pass. An ICE renders as its label's `_example_pieces` around its text,
-    or through the two replaces wherever those would differ."""
+    (example, distance) pairs; callers decide their order. Each ICE's
+    (label, distance) is appended to `votes` in the same pass. An ICE
+    renders as its label's `_example_pieces` around its text, or through
+    the two replaces wherever those would differ."""
     pieces = _example_pieces(template.example_format, labels.verbalizers)
     parts = [template.instruction] if template.instruction else []
     for example, distance in ices:
@@ -122,8 +122,7 @@ def build_prompt(ices, query_text: str, template: PromptTemplate,
         else:
             pre, post = pieces[label]
             parts.append(pre + text + post)
-        if votes is not None:
-            votes.append((label, distance))
+        votes.append((label, distance))
     parts.append(template.query_format.replace("{text}", query_text))
     return template.joiner.join(parts)
 

@@ -193,7 +193,7 @@ class TestDistributedInfer:
         index = d.id_index()
         ices = [(index[i], 0.0) for i in t.final_ice_ids]
         assert t.prompt_chars == len(build_prompt(
-            ices, query.text, federation.TEMPLATE, d.labels))
+            ices, query.text, federation.TEMPLATE, d.labels, []))
         assert set(t.final_ice_ids) <= set(t.aggregated_ids)
 
     def test_ice_order_descending_puts_nearest_last(self):

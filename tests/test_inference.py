@@ -76,14 +76,14 @@ class TestPromptTemplate:
     def test_instruction_prepended(self):
         labels = LabelSpace(1, ("x",))
         template = PromptTemplate(instruction="Classify:")
-        prompt = build_prompt([], "q", template, labels)
+        prompt = build_prompt([], "q", template, labels, [])
         assert prompt.startswith("Classify:")
 
     def test_bad_ice_label_rejected(self):
         labels = LabelSpace(1, ("x",))
         with pytest.raises(ValidationError):
             build_prompt([(Example(0, "t", 5), 0.0)], "q", PromptTemplate(),
-                         labels)
+                         labels, [])
 
 
 def _http_backend(url, **fields):
