@@ -10,13 +10,16 @@ splits the budget and how the server selects the final ICEs.
 A budget only truncates a client's ranking of its shard for the query, so a
 client ranks each query once. It keeps, per query vector, the ids and
 distances of that vector's top-(k + alpha) entries by (distance, id),
-exactly as `top_k` returned them, keyed on a digest of the vector's bytes;
+exactly as `top_k` returns them, keyed on a digest of the vector's bytes;
 k + alpha is the deepest budget any policy but `infinite` sends. Every later
 budget inside that prefix is served as a slice of it, with nothing ranked or
-measured again. `run_experiment` releases a seed's rankings before it
-evaluates the next seed. `retrieval.rerank_union` alone turns the returns
-into the final ICEs, a lone sender's included, and names the client behind
-each; its shard's id index, looked up once per query, resolves the example.
+measured again. Before a pass whose policy asks clients, `keep_rankings`
+has each client rank every query vector of the pass that it keeps no
+ranking of in one `top_k_many` call, so that the pass itself ranks
+nothing; `run_experiment` releases a seed's rankings before it evaluates
+the next seed. `retrieval.rerank_union` alone turns the returns into the
+final ICEs, a lone sender's included, and names the client behind each;
+its shard's id index, looked up once per query, resolves the example.
 One `build_prompt` pass over the final ICEs, in `ice_order`, gives the
 prompt and the backend's (label, distance) votes.
 
@@ -46,7 +49,8 @@ from .corpus import Dataset, Example, LabelSpace
 from .embedder import EmbeddingStore
 from .errors import BackendError, ParseError, ValidationError, is_int
 from .inference import MockVoteBackend, PromptTemplate, build_prompt
-from .retrieval import RankedSet, query_vector, rerank_union, top_k
+from .retrieval import (RankedSet, query_vector, rerank_union, top_k,
+                        top_k_many)
 
 TEMPLATE = PromptTemplate()  # the layout of every server prompt
 
@@ -235,15 +239,21 @@ def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
     raise ValidationError(f"unknown policy variant: {variant}")
 
 
+def _digest(query: np.ndarray) -> bytes:
+    """The key of a float64 query vector's kept rankings."""
+    return hashlib.blake2b(query.tobytes(), digest_size=16).digest()
+
+
 def client_retrieve(client: ClientNode, e_q, budget: int,
                     depth: int = 0) -> RankedSet:
     """Local top-min(budget, |shard|); a zero budget returns nothing.
 
     The client keeps the ids and distances of the query's top-`depth`
     entries as `top_k` returned them, keyed on a digest of the query
-    vector's bytes, and serves any budget inside that prefix as a slice of
-    them, which is what `top_k` would return. A query without a kept
-    ranking, or a budget deeper than its kept prefix, goes to `top_k`. The
+    vector's bytes, and serves any budget inside that prefix (any budget
+    at all when the prefix is the whole shard) as a slice of them, which
+    is what `top_k` would return. A query without a kept ranking, or a
+    budget deeper than its kept prefix, goes to `top_k`. The
     kept prefix is a copy, so a deeper ranking is not held alive by it, and
     it is read-only, as is every slice served from it."""
     if budget < 0:
@@ -251,9 +261,9 @@ def client_retrieve(client: ClientNode, e_q, budget: int,
     if budget == 0:
         return RankedSet()
     query = query_vector(e_q, client.store)
-    key = hashlib.blake2b(query.tobytes(), digest_size=16).digest()
+    key = _digest(query)
     kept = client.rankings.get(key)
-    if kept is not None and budget <= len(kept):
+    if kept is not None and min(budget, len(client.shard)) <= len(kept):
         return RankedSet(kept.id_array[:budget], kept.distances[:budget])
     ranked = top_k(query, max(budget, depth), client.shard, client.store)
     if depth:
@@ -263,6 +273,30 @@ def client_retrieve(client: ClientNode, e_q, budget: int,
         kept.distances.flags.writeable = False
         client.rankings[key] = kept
     return RankedSet(ranked.id_array[:budget], ranked.distances[:budget])
+
+
+def keep_rankings(server: ServerNode, clients, queries):
+    """Before a pass of `server`'s policy over the query vectors (the rows
+    of `queries`): if the policy asks clients, have each client rank, in one
+    `top_k_many` call, the vectors it keeps no ranking of, and keep their
+    top-(k + alpha) entries as `client_retrieve` keeps them, as read-only
+    rows of one array under each vector's digest."""
+    if server.policy.variant in ("proxy_only", "zero_shot"):
+        return
+    queries = np.asarray(queries, dtype=np.float64)
+    rows = {}  # digest -> the first row with it
+    for row, query in enumerate(queries):
+        rows.setdefault(_digest(query), row)
+    for client in clients:
+        missing = [key for key in rows if key not in client.rankings]
+        if not missing:
+            continue
+        ids, distances = top_k_many(
+            queries.take([rows[key] for key in missing], axis=0),
+            server.k + server.alpha, client.shard, client.store)
+        ids.flags.writeable = False
+        distances.flags.writeable = False
+        client.rankings.update(zip(missing, map(RankedSet, ids, distances)))
 
 
 def _examples(datasets, ids, owners) -> list[Example]:

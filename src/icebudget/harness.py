@@ -14,6 +14,12 @@ read, equals the key this run would write. Any other pair, damaged ones
 too, is retrained and overwritten, and a stderr line says why. It writes a
 deterministic JSON report and transcript JSONL.
 
+Each policy pass first has the clients rank the seed's test vectors, one
+`retrieval.top_k_many` call per client (`federation.keep_rankings`), then
+answers its queries, posting to an HTTP backend through one connection.
+The budget tables and the efficiency curve rank their queries the same
+way, in this process; allocator training is the one stage that forks.
+
 Setting up a seed's context writes nothing. `run_experiment` and the
 `partition`, `build-budget-dataset` and `train-allocator` commands write
 its `shards.json` through `save_shards`; `run_experiment` and the last two
@@ -38,8 +44,9 @@ from . import __version__
 from .allocator import (AllocatorModel, load_model, save_model, split, train,
                         training_record)
 from .config import ExperimentConfig, derive_seed
-# `load_shard_manifest` and `load_budget_dataset` are no longer called here;
-# they stay imported because `bench/spans.py` traces them in this module
+# `load_shard_manifest`, `load_budget_dataset` and `top_k` are no longer
+# called here; they stay imported because `bench/spans.py` traces them in
+# this module
 from .corpus import (Dataset, Example, load_dataset, load_shard_manifest,
                      partition_iid, partition_noniid, sample_proxy,
                      synth_clusters, write_shard_manifest)
@@ -47,12 +54,12 @@ from .embedder import (EmbeddingStore, HashEncoder, encode_dataset,
                        load_embeddings)
 from .errors import IceBudgetError, StageError, ValidationError
 from .federation import (BudgetPolicy, ClientNode, ServerNode,
-                         distributed_infer, load_transcripts, save_transcripts)
+                         distributed_infer, keep_rankings, load_transcripts,
+                         save_transcripts)
 from .inference import make_backend
 from .oracle import (construct_budget_dataset, load_budget_dataset,
                      save_budget_dataset)
-from .parallel import fill
-from .retrieval import top_k
+from .retrieval import top_k, top_k_many
 
 SCHEMA_VERSION = 1
 
@@ -348,14 +355,20 @@ def _evaluate_policy(ctx: _SeedContext, name: str):
 
 
 def _run_queries(ctx: _SeedContext, server: ServerNode):
+    """One pass of the server's policy over the test set: the clients rank
+    the test vectors first (`keep_rankings`), then each query is answered,
+    every request to the backend going through one connection."""
     answers = []
     transcripts = []
     ctx.test_store.check_bound(ctx.test)  # row i is the i-th test example
     _, vectors = ctx.test_store.matrix()
-    for ex, e_q in zip(ctx.test.examples, vectors):
-        predicted, transcript = distributed_infer(server, ctx.clients, ex, e_q)
-        answers.append((predicted, ex.label))
-        transcripts.append(transcript)
+    keep_rankings(server, ctx.clients, vectors)
+    with server.backend.connection():
+        for ex, e_q in zip(ctx.test.examples, vectors):
+            predicted, transcript = distributed_infer(server, ctx.clients, ex,
+                                                      e_q)
+            answers.append((predicted, ex.label))
+            transcripts.append(transcript)
     return answers, transcripts
 
 
@@ -466,32 +479,36 @@ def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,
     """Mean recall of the global top-k set when every recorded per-client
     budget is scaled by each multiplier (rounded up).
 
-    Each (query, client) pair is ranked once, at its largest scaled budget;
-    a smaller budget takes a prefix, since the top-k' under (distance, id)
-    is the first k' entries of the top-K for any k' <= K. The transcripts'
-    recalls are computed over ranges of them at once (`parallel.fill`).
+    Each (query, client) pair is ranked once, in one `top_k_many` call per
+    client at the client's largest scaled budget; a smaller budget takes a
+    prefix, since the top-k' under (distance, id) is the first k' entries
+    of the top-K for any k' <= K. The global top-k of every query is one
+    `top_k_many` call too.
     """
     transcripts, multipliers = list(transcripts), [float(m) for m in multipliers]
+    queries = np.array([query_store.get(t.query_id) for t in transcripts]
+                       ).reshape(len(transcripts), query_store.dim)
+    global_top = top_k_many(queries, k, global_dataset, global_store)[0]
+    # per transcript, per client: each multiplier's scaled budget
+    scaled = [[[math.ceil(m * budget) for m in multipliers]
+               for budget in t.budgets_sent] for t in transcripts]
+    ranked = []  # per client: transcript row -> its ranked ids
+    for c, (shard, store) in enumerate(zip(shards, shard_stores)):
+        rows = [row for row, budgets in enumerate(scaled)
+                if c < len(budgets) and max(budgets[c], default=0) > 0]
+        depth = max((max(scaled[row][c]) for row in rows), default=0)
+        ranked.append(dict(zip(rows, top_k_many(
+            queries.take(rows, axis=0), depth, shard, store)[0])))
     recalls = np.empty((len(transcripts), len(multipliers)))
-
-    def work(lo, hi):
-        for row in range(lo, hi):
-            t = transcripts[row]
-            e_q = query_store.get(t.query_id)
-            global_top = top_k(e_q, k, global_dataset, global_store).id_set()
-            unions = [set() for _ in multipliers]
-            for shard, store, budget in zip(shards, shard_stores,
-                                            t.budgets_sent):
-                scaled = [math.ceil(m * budget) for m in multipliers]
-                if max(scaled, default=0) <= 0:
-                    continue
-                ranked = top_k(e_q, max(scaled), shard, store).ids
-                for union, n in zip(unions, scaled):
-                    union.update(ranked[:max(n, 0)])
-            recalls[row] = [len(union & global_top) / k for union in unions]
-
-    fill(len(transcripts), work, [recalls],
-         lambda lo, hi: f"the recalls of transcripts {lo}..{hi - 1}")
+    for row, budgets in enumerate(scaled):  # one transcript's sets at a time
+        unions = [set() for _ in multipliers]
+        for client_rows, client_scaled in zip(ranked, budgets):
+            if row in client_rows:
+                ids = client_rows[row].tolist()
+                for union, n in zip(unions, client_scaled):
+                    union.update(ids[:max(n, 0)])
+        top = set(global_top[row].tolist())
+        recalls[row] = [len(union & top) / k for union in unions]
     # each multiplier's recalls as one contiguous row, summed as a list is
     return [{"multiplier": m,
              "mean_recall": float(np.mean(row)) if row.size else 0.0}

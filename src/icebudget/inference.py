@@ -10,15 +10,20 @@ Two backends: a deterministic similarity-weighted vote for self-contained
 runs, and an OpenAI-style completions endpoint for real LLM answering. Each
 answers for itself through `answer(prompt, votes, labels) -> label index`,
 where `votes` are the prompt's ICEs as (label, distance) pairs, and
-paraphrases through `paraphrase(text, template)`. Labels are decoded from
-generated text by case-insensitive verbalizer match.
+paraphrases through `paraphrase(text, template)`. Inside a
+`with backend.connection():` block the HTTP backend posts every
+completion through one `requests.Session`, which keeps its connection
+alive, and closes it when the block ends; outside one, each completion
+opens its own connection. Labels are decoded from generated text by
+case-insensitive verbalizer match.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .config import BackendSpec
@@ -80,20 +85,39 @@ class MockVoteBackend:
     def paraphrase(self, text: str, template: str) -> str:
         return text
 
+    def connection(self):
+        return contextlib.nullcontext()
 
-@dataclass(frozen=True)
+
+@dataclass
 class HttpBackend:
     """Completions endpoint described by a validated `type: http` spec."""
 
     spec: BackendSpec
+    # the session of the open `connection()` block, if any
+    _session: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
-        return decode_label(_post_completion(prompt, self.spec), labels)
+        return decode_label(
+            _post_completion(prompt, self.spec, self._session), labels)
 
     def paraphrase(self, text: str, template: str) -> str:
         completion = _post_completion(template.replace("{text}", text),
-                                      self.spec)
+                                      self.spec, self._session)
         return completion.strip().split("\n", 1)[0].strip()
+
+    @contextlib.contextmanager
+    def connection(self):
+        """Post every completion of the block through one session, closed
+        when the block ends."""
+        import requests  # loaded by the one stage that posts
+        with requests.Session() as session:
+            self._session = session
+            try:
+                yield
+            finally:
+                self._session = None
 
 
 def make_backend(spec: BackendSpec):
@@ -173,7 +197,9 @@ def decode_label(completion: str, labels: LabelSpace) -> int:
     return best_label
 
 
-def _post_completion(prompt: str, spec: BackendSpec) -> str:
+def _post_completion(prompt: str, spec: BackendSpec, session=None) -> str:
+    """The completion of `prompt`, posted through `session`, or through a
+    connection of its own without one."""
     import requests  # loaded by the one stage that posts, not by every import
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(spec.auth_env, "")
@@ -185,8 +211,8 @@ def _post_completion(prompt: str, spec: BackendSpec) -> str:
     last_error = None
     for attempt in range(spec.max_retries + 1):
         try:
-            resp = requests.post(url, json=body, headers=headers,
-                                 timeout=spec.timeout)
+            resp = (session or requests).post(url, json=body, headers=headers,
+                                              timeout=spec.timeout)
             if resp.status_code == 200:
                 payload = resp.json()
                 try:

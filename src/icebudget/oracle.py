@@ -8,6 +8,10 @@ budgets sum to min(k, |union|). When the shards partition the corpus, as both
 partitioners guarantee, that rerank is the global top-k, so the budget is
 |local top-k ∩ global top-k| and the budgets sum to min(k, corpus size).
 Budgets are quantized by floor division with `delta` to form class labels.
+
+`oracle_budget` ranks one query; `construct_budget_dataset` ranks every
+proxy query against each shard in one `retrieval.top_k_many` call, whose
+rows are `top_k`'s, and gives each row `oracle_budget`'s counts.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import numpy as np
 from .corpus import Dataset
 from .embedder import EmbeddingStore
 from .errors import ParseError, ValidationError, is_int
-from .parallel import fill
-from .retrieval import rerank_union, top_k
+from .retrieval import RankedSet, rerank_union, top_k, top_k_many
 
 
 @dataclass(frozen=True)
@@ -68,31 +71,33 @@ def dequantize(cls: int, delta: int) -> int:
 def oracle_budget(e_q, k, shards, shard_stores) -> list[int]:
     """Per-client count of the entries of the rerank of the union of every
     client's local top-k that the rerank attributes to the client."""
-    locals_ = [top_k(e_q, k, shard, store)
-               for shard, store in zip(shards, shard_stores)]
-    owners = rerank_union(locals_, k)[1]
-    return np.bincount(owners, minlength=len(locals_)).tolist()
+    return _budgets([top_k(e_q, k, shard, store)
+                     for shard, store in zip(shards, shard_stores)], k).tolist()
+
+
+def _budgets(locals_, k) -> np.ndarray:
+    """Per client, the entries of the rerank of `locals_` it owns."""
+    return np.bincount(rerank_union(locals_, k)[1], minlength=len(locals_))
 
 
 def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
                              shards, shard_stores, k: int, delta: int
                              ) -> BudgetDataset:
-    """The oracle budgets of every proxy example, in id order, computed over
-    ranges of the proxy queries at once (`parallel.fill`)."""
+    """The oracle budgets of every proxy example, in id order, from one
+    `top_k_many` ranking of the proxy queries per shard."""
     if not shards:
         raise ValidationError("need at least one shard")
     if delta < 1:
         raise ValidationError("delta must be >= 1")
     proxy_store.check_bound(proxy)
     ids, x = proxy_store.matrix()
+    # per shard, the (ids, distances) of each proxy query's local top-k
+    ranked = [top_k_many(x, k, shard, store)
+              for shard, store in zip(shards, shard_stores)]
     raw = np.empty((len(ids), len(shards)), dtype=np.int64)
-
-    def work(lo, hi):
-        for i in range(lo, hi):
-            raw[i] = oracle_budget(x[i], k, shards, shard_stores)
-
-    fill(len(ids), work, [raw],
-         lambda lo, hi: f"the oracle budgets of proxy queries {lo}..{hi - 1}")
+    for i in range(len(ids)):
+        raw[i] = _budgets([RankedSet(local_ids[i], distances[i])
+                           for local_ids, distances in ranked], k)
     return BudgetDataset(ids, x, raw, k=k, delta=delta)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: small random retrieval worlds, a JSONL dataset writer,
 a tiny experiment config, the reference prompt rendering and a loopback
-completions endpoint used across the module tests."""
+completions endpoint (over HTTP/1.0, or over HTTP/1.1 with keep-alive) used
+across the module tests."""
 
 import json
 import threading
@@ -98,11 +99,13 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     responses = []  # list of (status, body-dict or None); popped per request
     requests = []
+    ports = []  # the client port of each request
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).requests.append((self.path, body))
+        type(self).ports.append(self.client_address[1])
         status, payload = (type(self).responses.pop(0)
                            if type(self).responses else (200, None))
         if payload is None:
@@ -118,15 +121,33 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    _StubHandler.responses = []
-    _StubHandler.requests = []
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+class _KeepAliveHandler(_StubHandler):
+    """The stub over HTTP/1.1: a connection stays open between requests
+    until the client closes it, or for at most `timeout` idle seconds."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5
+
+
+def _serve(handler):
+    handler.responses = []
+    handler.requests = []
+    handler.ports = []
+    server = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}", _StubHandler
+    yield f"http://127.0.0.1:{server.server_port}", handler
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def stub_server():
+    yield from _serve(_StubHandler)
+
+
+@pytest.fixture
+def keepalive_stub_server():
+    yield from _serve(_KeepAliveHandler)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from icebudget import allocator, federation, harness, parallel
-from icebudget.config import POLICY_VARIANTS, config_from_dict, derive_seed
+from icebudget.config import (POLICY_VARIANTS, BackendSpec, config_from_dict,
+                              derive_seed)
 from icebudget.corpus import load_shard_manifest, synth_clusters
 from icebudget.embedder import encode_dataset
 from icebudget.errors import (BackendError, DecodeError, ParseError,
@@ -20,7 +21,7 @@ from icebudget.harness import (_SeedContext, allocators,
                                efficiency_curve_from_run, evaluate_accuracy,
                                mean_std, run_experiment, save_shards,
                                seed_contexts)
-from icebudget.retrieval import RankedSet, top_k
+from icebudget.retrieval import RankedSet, top_k, top_k_many
 
 from conftest import save_dataset
 
@@ -307,13 +308,23 @@ class TestKeptRankings:
             contexts.extend(seed_contexts(*args))
             return contexts
 
-        def counting_top_k(e_q, k, d, store):
-            calls.append((id(d), np.asarray(e_q).tobytes()))
+        def count(d, queries):
+            """Record one ranking of each (shard, query) pair."""
+            calls.extend((id(d), np.asarray(e_q, dtype=np.float64).tobytes())
+                         for e_q in queries)
             holding.append(sum(any(c.rankings for c in ctx.clients)
                                for ctx in contexts))
+
+        def counting_top_k(e_q, k, d, store):  # a kept-ranking miss
+            count(d, [e_q])
             return top_k(e_q, k, d, store)
+
+        def counting_top_k_many(queries, k, d, store):  # the pass's batch
+            count(d, queries)
+            return top_k_many(queries, k, d, store)
         monkeypatch.setattr(harness, "seed_contexts", recorded_contexts)
         monkeypatch.setattr(federation, "top_k", counting_top_k)
+        monkeypatch.setattr(federation, "top_k_many", counting_top_k_many)
         # the query loop never leaves this process, which counts every call
         monkeypatch.setattr(parallel, "processes", lambda: processes)
         run_experiment(tiny_config)
@@ -323,6 +334,23 @@ class TestKeptRankings:
         # a seed's rankings are released before the next seed is evaluated
         assert max(holding) == 1
         assert not any(c.rankings for ctx in contexts for c in ctx.clients)
+
+
+class TestHttpPass:
+    def test_one_connection_per_pass(self, tiny_config, keepalive_stub_server):
+        # the stub keeps each connection open until its client closes it
+        url, handler = keepalive_stub_server
+        handler.responses = [(200, {"choices": [{"text": " class0"}]})] * 100
+        tiny_config.policies = ["uniform", "infinite"]
+        tiny_config.backend = BackendSpec(type="http", endpoint=url,
+                                          timeout=5, max_retries=0)
+        run_experiment(tiny_config)
+        queries = len(seed_contexts(tiny_config, [0])[0].test)
+        assert len(handler.ports) == 2 * queries
+        passes = handler.ports[:queries], handler.ports[queries:]
+        # one connection per pass, and a new one for the next pass
+        assert [len(set(ports)) for ports in passes] == [1, 1]
+        assert passes[0][0] != passes[1][0]
 
 
 class TestPoliciesBesideTraining:
@@ -506,7 +534,8 @@ class TestEfficiencyCurve:
     def test_unknown_query_in_a_childs_range_fails_as_one_process_does(
             self, learned_run, monkeypatch):
         args = self._curve_args(learned_run)
-        args[0][-2].query_id = 10**9  # in the second half, a child's range
+        # in the second half, a child's range when the curve forked
+        args[0][-2].query_id = 10**9
         errors = []
         for processes in (1, 2):
             monkeypatch.setattr(parallel, "processes", lambda: processes)

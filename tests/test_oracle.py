@@ -228,10 +228,7 @@ def _shards(d, scheme, rng):
 class TestMatchesReferenceConstruction:
     @pytest.mark.parametrize("scheme", ["iid", "noniid", "overlapping",
                                         "single", "k_past_shard"])
-    def test_random_worlds(self, monkeypatch, scheme):
-        # one process, which keeps 60 forks out of the suite; the forked
-        # ranges are checked against one process in TestProcessCounts
-        monkeypatch.setattr(parallel, "processes", lambda: 1)
+    def test_random_worlds(self, scheme):
         rng = np.random.default_rng(["iid", "noniid", "overlapping", "single",
                                      "k_past_shard"].index(scheme))
         for trial in range(12):
@@ -250,6 +247,31 @@ class TestMatchesReferenceConstruction:
                 proxy, store.subset(proxy.ids), shards, stores, k, delta)
             assert records(bproxy) == _reference_construct(
                 proxy, store.subset(proxy.ids), shards, stores, k, delta)
+
+
+class TestRowsEqualOracleBudget:
+    """`construct_budget_dataset` ranks the proxy in one batch per shard;
+    each of its rows must be `oracle_budget`'s, the per-query reference."""
+
+    @pytest.mark.parametrize("scheme", ["iid", "noniid", "overlapping"])
+    def test_random_worlds(self, scheme):
+        rng = np.random.default_rng(["iid", "noniid", "overlapping"].index(
+            scheme) + 40)
+        for trial in range(8):
+            n = int(rng.integers(12, 70))
+            d, store = make_world(n, 3, seed=int(rng.integers(1 << 30)),
+                                  num_classes=3)
+            shards = _shards(d, scheme, rng)
+            stores = [store.subset(s.ids) for s in shards]
+            k = int(rng.integers(1, max(len(s) for s in shards) + 3))
+            proxy = d.subset(rng.choice(d.ids, size=9, replace=False).tolist())
+            proxy_store = store.subset(proxy.ids)
+            bproxy = construct_budget_dataset(proxy, proxy_store, shards,
+                                              stores, k, delta=1)
+            for query_id, raw in zip(bproxy.query_ids.tolist(),
+                                     bproxy.raw_counts.tolist()):
+                assert raw == oracle_budget(proxy_store.get(query_id), k,
+                                            shards, stores)
 
 
 class TestBudgetDatasetIo:

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from icebudget import parallel, retrieval
 from icebudget.corpus import Dataset, Example, LabelSpace
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ValidationError
-from icebudget.retrieval import RankedSet, rank, rerank_union, top_k
+from icebudget.retrieval import (RankedSet, rank, rerank_union, top_k,
+                                 top_k_many)
 
 from conftest import brute_force_topk, make_world, ranked_entries
 
@@ -242,6 +244,87 @@ class TestPrefilter:
         assert cached.tolist() == [False, True, False, True]  # two ranges
         for query, ids in zip(queries, found):
             assert ids.tolist() == _full_scan(query, 5, store)[0].tolist()
+
+
+# A query of a `top_k_many` batch: a row of the store, a fresh draw, or a
+# fresh draw with one component that sends it to the full scan
+_BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e200}
+
+
+@st.composite
+def _batch_cases(draw):
+    """(store, queries, k, queries per block) of one kind of store."""
+    kind = draw(st.sampled_from(sorted(_ROWS)))
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    exponent = draw(st.integers(-545, -525))
+    sources = draw(st.lists(st.sampled_from(["row", "fresh", *sorted(_BAD)]),
+                            max_size=12))
+    rng = np.random.default_rng(seed)
+    rows = _ROWS[kind](rng, n + len(sources), dim, exponent)
+    queries = rows[n:].reshape(len(sources), dim)
+    for query, source in zip(queries, sources):
+        if source == "row":
+            query[:] = rows[int(rng.integers(n))]
+        elif source in _BAD:
+            query[int(rng.integers(dim))] = _BAD[source]
+    store = EmbeddingStore(np.arange(n), rows[:n])
+    k = draw(st.sampled_from([0, 1, draw(st.integers(1, n - 1)), n - 1, n,
+                              n + 3]))
+    return store, queries, k, draw(st.integers(1, 5))
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(case=_batch_cases())
+def _batch_equals_full_scan(case):
+    store, queries, k, per_block = case
+    width = min(k, len(store))
+    # blocks of `per_block` queries, the last one partial when it can be
+    block_bytes = per_block * (9 * len(store) + 16 * width * store.dim)
+    with warnings.catch_warnings(), mock.patch.object(
+            retrieval, "_BLOCK_BYTES", block_bytes):
+        warnings.simplefilter("error")
+        ids, distances = top_k_many(queries, k, _bound(store), store)
+    assert ids.shape == distances.shape == (len(queries), width)
+    for query, got_ids, got_distances in zip(queries, ids, distances):
+        want_ids, want_distances = _full_scan(query, k, store)
+        assert got_ids.tobytes() == want_ids.tobytes()
+        assert got_distances.tobytes() == want_distances.tobytes()
+
+
+class TestTopKMany:
+    """Each row of `top_k_many` must be the full scan's, as `top_k`'s is,
+    byte for byte, in every block."""
+
+    def test_equals_full_scan(self):
+        _batch_equals_full_scan()
+
+    def test_narrowed_margin_fails(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "_UNIT", 0.0)
+        monkeypatch.setattr(retrieval, "_FLOOR", 0.0)
+        with pytest.raises(AssertionError):
+            _batch_equals_full_scan()
+
+    def test_rows_equal_top_k(self, small_world):
+        d, store = small_world
+        queries = np.random.default_rng(2).standard_normal((30, store.dim))
+        for k in (0, 1, 7, len(d), len(d) + 1):
+            ids, distances = top_k_many(queries, k, d, store)
+            for query, got_ids, got_distances in zip(queries, ids, distances):
+                want = top_k(query, k, d, store)
+                assert got_ids.tobytes() == want.id_array.tobytes()
+                assert got_distances.tobytes() == want.distances.tobytes()
+
+    def test_bad_arguments_rejected(self, small_world):
+        d, store = small_world
+        with pytest.raises(ValidationError):
+            top_k_many(np.zeros((2, store.dim)), -1, d, store)
+        with pytest.raises(ValidationError):
+            top_k_many(np.zeros(store.dim), 1, d, store)
+        with pytest.raises(ValidationError):
+            top_k_many(np.zeros((2, store.dim + 1)), 1, d, store)
+        with pytest.raises(ValidationError):
+            top_k_many(np.zeros((2, store.dim)), 1, d, store.subset([0, 1]))
 
 
 def _returns(e_q, groups, d, store):
