@@ -272,6 +272,8 @@ def load_config(path) -> ExperimentConfig:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}")
+    except UnicodeDecodeError:
+        raise ValidationError(f"config file is not UTF-8: {path}") from None
     except yaml.YAMLError as exc:
         raise ValidationError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(data, dict):

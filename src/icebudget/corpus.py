@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, jsonl_values
 
 MAX_ASSIGNMENT_RETRIES = 1000
 
@@ -100,40 +100,32 @@ def load_dataset(path) -> Dataset:
     """
     records = []
     labels = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, obj in jsonl_values(path):
+        if not isinstance(obj, dict):
+            raise ParseError("record must be a JSON object", line=lineno)
+        if not records and labels is None and "label_space" in obj:
+            verbalizers = obj["label_space"]
+            if not (isinstance(verbalizers, list)
+                    and all(isinstance(v, str) for v in verbalizers)):
+                raise ParseError("label_space must be a list of strings",
+                                 line=lineno)
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("record must be a JSON object", line=lineno)
-            if not records and labels is None and "label_space" in obj:
-                verbalizers = obj["label_space"]
-                if not (isinstance(verbalizers, list)
-                        and all(isinstance(v, str) for v in verbalizers)):
-                    raise ParseError("label_space must be a list of strings",
-                                     line=lineno)
-                try:
-                    labels = LabelSpace(len(verbalizers), tuple(verbalizers))
-                except ValidationError as exc:
-                    raise ParseError(str(exc), line=lineno) from exc
-                continue
-            if "text" not in obj or "label" not in obj:
-                raise ParseError("record needs 'text' and 'label' fields", line=lineno)
-            text, label = obj["text"], obj["label"]
-            # JSON admits a lone surrogate ("\ud83d"); UTF-8 replaces it
-            if (not isinstance(text, str)
-                    or text.encode(errors="replace").decode() != text):
-                raise ParseError("text must be a UTF-8 string", line=lineno)
-            if not text:
-                raise ParseError("empty text", line=lineno)
-            if not isinstance(label, int) or isinstance(label, bool):
-                raise ParseError("label must be an integer", line=lineno)
-            records.append((lineno, text, label))
+                labels = LabelSpace(len(verbalizers), tuple(verbalizers))
+            except ValidationError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            continue
+        if "text" not in obj or "label" not in obj:
+            raise ParseError("record needs 'text' and 'label' fields", line=lineno)
+        text, label = obj["text"], obj["label"]
+        # JSON admits a lone surrogate ("\ud83d"); UTF-8 replaces it
+        if (not isinstance(text, str)
+                or text.encode(errors="replace").decode() != text):
+            raise ParseError("text must be a UTF-8 string", line=lineno)
+        if not text:
+            raise ParseError("empty text", line=lineno)
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise ParseError("label must be an integer", line=lineno)
+        records.append((lineno, text, label))
     if not records:
         raise ValidationError(f"empty dataset: {path}")
 

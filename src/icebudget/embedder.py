@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .corpus import Dataset
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, jsonl_values
 
 BINARY_MAGIC = b"ICEB"
 
@@ -168,40 +168,32 @@ def _load_binary(path) -> EmbeddingStore:
 def _load_jsonl(path) -> EmbeddingStore:
     rows = []
     first_line: dict[int, int] = {}  # id -> line, in file order
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
-                raise ParseError("record needs 'id' and 'vector'", line=lineno)
-            example_id = obj["id"]
-            if (not isinstance(example_id, int) or isinstance(example_id, bool)
-                    or not -2**63 <= example_id < 2**63):
-                raise ParseError("'id' must be a 64-bit integer", line=lineno)
-            try:
-                vec = np.asarray(obj["vector"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"'vector' is not numeric: {exc}",
-                                 line=lineno) from exc
-            if vec.size == 0:
-                raise ParseError(f"id {example_id}: empty vector", line=lineno)
-            dim = len(rows[0]) if rows else vec.size
-            if vec.shape != (dim,):
-                raise ParseError(f"id {example_id}: vector has shape {vec.shape}, "
-                                 f"expected ({dim},)", line=lineno)
-            if not np.isfinite(vec).all():
-                raise ParseError(f"id {example_id}: non-finite component",
-                                 line=lineno)
-            if example_id in first_line:
-                raise ParseError(f"duplicate embedding id {example_id} (first "
-                                 f"on line {first_line[example_id]})", line=lineno)
-            first_line[example_id] = lineno
-            rows.append(vec)
+    for lineno, obj in jsonl_values(path):
+        if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
+            raise ParseError("record needs 'id' and 'vector'", line=lineno)
+        example_id = obj["id"]
+        if (not isinstance(example_id, int) or isinstance(example_id, bool)
+                or not -2**63 <= example_id < 2**63):
+            raise ParseError("'id' must be a 64-bit integer", line=lineno)
+        try:
+            vec = np.asarray(obj["vector"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"'vector' is not numeric: {exc}",
+                             line=lineno) from exc
+        if vec.size == 0:
+            raise ParseError(f"id {example_id}: empty vector", line=lineno)
+        dim = len(rows[0]) if rows else vec.size
+        if vec.shape != (dim,):
+            raise ParseError(f"id {example_id}: vector has shape {vec.shape}, "
+                             f"expected ({dim},)", line=lineno)
+        if not np.isfinite(vec).all():
+            raise ParseError(f"id {example_id}: non-finite component",
+                             line=lineno)
+        if example_id in first_line:
+            raise ParseError(f"duplicate embedding id {example_id} (first "
+                             f"on line {first_line[example_id]})", line=lineno)
+        first_line[example_id] = lineno
+        rows.append(vec)
     if not rows:
         raise ValidationError(f"empty embedding file: {path}")
     return EmbeddingStore(list(first_line), np.stack(rows))

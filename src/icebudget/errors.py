@@ -1,10 +1,34 @@
-"""Exception hierarchy shared across the package, and the integer check
-that the loaders of JSON inputs use."""
+"""Exception hierarchy shared across the package, and the line reader and
+the integer check that the loaders of JSON inputs use."""
+
+import json
 
 
 def is_int(value) -> bool:
     """A JSON integer as loaded: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def jsonl_values(path):
+    """(line number, JSON value) of each non-blank line of the file at
+    `path`. A line that is not UTF-8 or not JSON raises ParseError naming
+    the file and the line."""
+    # an undecodable byte becomes a lone surrogate, which cannot encode
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}: not UTF-8", line=lineno) from None
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: invalid JSON: {exc.msg}",
+                                 line=lineno) from exc
+            yield lineno, value
 
 
 class IceBudgetError(Exception):

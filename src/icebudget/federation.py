@@ -8,18 +8,20 @@ query through `distributed_infer`: a policy only decides how `allocate`
 splits the budget and how the server selects the final ICEs.
 
 A budget only truncates a client's ranking of its shard for the query, so a
-client ranks each query once. It keeps, per query vector, the ids and
-distances of that vector's top-(k + alpha) entries by (distance, id),
-exactly as `top_k` returns them, keyed on a digest of the vector's bytes;
-k + alpha is the deepest budget any policy but `infinite` sends. Every later
-budget inside that prefix is served as a slice of it, with nothing ranked or
-measured again. Before a pass whose policy asks clients, `keep_rankings`
-has each client rank every query vector of the pass that it keeps no
-ranking of in one `top_k_many` call, so that the pass itself ranks
-nothing; `run_experiment` releases a seed's rankings before it evaluates
-the next seed. `retrieval.rerank_union` alone turns the returns into the
-final ICEs, a lone sender's included, and names the client behind each;
-its shard's id index, looked up once per query, resolves the example.
+client ranks each query once. Before a pass, `keep_rankings`, the one
+writer of kept rankings, has each node the policy asks (the clients, or
+the server's proxy set, a `ClientNode` too, under `proxy_only`) rank every
+query vector of the pass that it keeps no ranking of, in one `top_k_many`
+call. A node keeps each vector's top-(k + alpha) entries by
+(distance, id), keyed on a digest of the vector's bytes; k + alpha is the
+deepest budget any policy but `infinite` sends. `client_retrieve` serves
+every budget inside that prefix as a slice of it, so the pass itself
+ranks nothing; a query vector no ranking is kept of (an `infer` query) is
+ranked by `top_k` and kept nowhere. `run_experiment` releases a seed's
+rankings before it evaluates the next seed. `retrieval.rerank_union` alone
+turns the returns into the final ICEs, a lone sender's included, and names
+the client behind each; its shard's id index, looked up once per query,
+resolves the example.
 One `build_prompt` pass over the final ICEs, in `ice_order`, gives the
 prompt and the backend's (label, distance) votes.
 
@@ -47,12 +49,11 @@ from .allocator import AllocatorModel, predict_budget
 from .config import POLICY_VARIANTS
 from .corpus import Dataset, Example, LabelSpace
 from .embedder import EmbeddingStore
-from .errors import BackendError, ParseError, ValidationError, is_int
-from .inference import MockVoteBackend, PromptTemplate, build_prompt
+from .errors import (BackendError, ParseError, ValidationError, is_int,
+                     jsonl_values)
+from .inference import MockVoteBackend, build_prompt
 from .retrieval import (RankedSet, query_vector, rerank_union, top_k,
                         top_k_many)
-
-TEMPLATE = PromptTemplate()  # the layout of every server prompt
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class BudgetPolicy:
 @dataclass
 class ClientNode:
     """A client: its shard, the shard's store, and the rankings it keeps
-    (see `client_retrieve`)."""
+    (see `keep_rankings`). The server's proxy set is one too."""
 
     id: int
     shard: Dataset
@@ -92,8 +93,7 @@ class ServerNode:
     policy: BudgetPolicy = BudgetPolicy("uniform")
     allocator: AllocatorModel | None = None  # the C clients' stacked model
     delta: int = 1
-    proxy: Dataset | None = None
-    proxy_store: EmbeddingStore | None = None
+    proxy: ClientNode | None = None  # the server's own pool
     # anything with answer(prompt, votes, labels) -> label index
     backend: object = field(default_factory=MockVoteBackend)
     labels: LabelSpace | None = None
@@ -114,7 +114,7 @@ class ServerNode:
                 raise ValidationError(
                     "learned policy needs one allocator per client")
         if self.policy.variant == "proxy_only":
-            if self.proxy is None or self.proxy_store is None:
+            if self.proxy is None:
                 raise ValidationError("proxy_only policy needs the proxy set")
         if self.policy.variant == "singleton" and self.policy.client >= num_clients:
             raise ValidationError("singleton client index out of range")
@@ -244,59 +244,49 @@ def _digest(query: np.ndarray) -> bytes:
     return hashlib.blake2b(query.tobytes(), digest_size=16).digest()
 
 
-def client_retrieve(client: ClientNode, e_q, budget: int,
-                    depth: int = 0) -> RankedSet:
+def client_retrieve(client: ClientNode, e_q, budget: int) -> RankedSet:
     """Local top-min(budget, |shard|); a zero budget returns nothing.
 
-    The client keeps the ids and distances of the query's top-`depth`
-    entries as `top_k` returned them, keyed on a digest of the query
-    vector's bytes, and serves any budget inside that prefix (any budget
-    at all when the prefix is the whole shard) as a slice of them, which
-    is what `top_k` would return. A query without a kept ranking, or a
-    budget deeper than its kept prefix, goes to `top_k`. The
-    kept prefix is a copy, so a deeper ranking is not held alive by it, and
-    it is read-only, as is every slice served from it."""
+    A budget inside the query vector's kept ranking (see `keep_rankings`),
+    or any budget when that ranking is the whole shard, is served as a
+    read-only slice of it, which is what `top_k` would return. Any other
+    budget is ranked by `top_k`, and the ranking is kept nowhere."""
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
     if budget == 0:
         return RankedSet()
     query = query_vector(e_q, client.store)
-    key = _digest(query)
-    kept = client.rankings.get(key)
+    kept = client.rankings.get(_digest(query))
     if kept is not None and min(budget, len(client.shard)) <= len(kept):
         return RankedSet(kept.id_array[:budget], kept.distances[:budget])
-    ranked = top_k(query, max(budget, depth), client.shard, client.store)
-    if depth:
-        kept = RankedSet(ranked.id_array[:depth].copy(),
-                         ranked.distances[:depth].copy())
-        kept.id_array.flags.writeable = False
-        kept.distances.flags.writeable = False
-        client.rankings[key] = kept
-    return RankedSet(ranked.id_array[:budget], ranked.distances[:budget])
+    return top_k(query, budget, client.shard, client.store)
 
 
 def keep_rankings(server: ServerNode, clients, queries):
     """Before a pass of `server`'s policy over the query vectors (the rows
-    of `queries`): if the policy asks clients, have each client rank, in one
-    `top_k_many` call, the vectors it keeps no ranking of, and keep their
-    top-(k + alpha) entries as `client_retrieve` keeps them, as read-only
-    rows of one array under each vector's digest."""
-    if server.policy.variant in ("proxy_only", "zero_shot"):
+    of `queries`): have each node the policy asks (the clients, or the
+    server's proxy under `proxy_only`) rank, in one `top_k_many` call, the
+    vectors it keeps no ranking of, and keep their top-(k + alpha) entries,
+    as read-only rows of one array under each vector's digest. This is the
+    one writer of kept rankings."""
+    variant = server.policy.variant
+    if variant == "zero_shot":
         return
+    server.require_ready(len(clients))
     queries = np.asarray(queries, dtype=np.float64)
     rows = {}  # digest -> the first row with it
     for row, query in enumerate(queries):
         rows.setdefault(_digest(query), row)
-    for client in clients:
-        missing = [key for key in rows if key not in client.rankings]
+    for node in [server.proxy] if variant == "proxy_only" else clients:
+        missing = [key for key in rows if key not in node.rankings]
         if not missing:
             continue
         ids, distances = top_k_many(
             queries.take([rows[key] for key in missing], axis=0),
-            server.k + server.alpha, client.shard, client.store)
+            server.k + server.alpha, node.shard, node.store)
         ids.flags.writeable = False
         distances.flags.writeable = False
-        client.rankings.update(zip(missing, map(RankedSet, ids, distances)))
+        node.rankings.update(zip(missing, map(RankedSet, ids, distances)))
 
 
 def _examples(datasets, ids, owners) -> list[Example]:
@@ -313,20 +303,20 @@ def _examples(datasets, ids, owners) -> list[Example]:
 
 def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
             depth: int = 0):
-    """Ask every client for its local top-budget (each keeping its top-depth
-    ranking), record the round in the transcript and return the final ICEs
-    with the examples behind them.
+    """Ask every client for its local top-budget, record the round in the
+    transcript and return the final ICEs with the examples behind them.
 
-    A client whose budget is deeper than `depth` sends min(budget, |shard|)
-    samples, but only its top-k can reach the final k, so the server takes
-    that prefix of its kept ranking and records the count alone."""
+    A client whose budget is deeper than `depth` (k + alpha, the depth of
+    the kept rankings) sends min(budget, |shard|) samples, but only its
+    top-k can reach the final k, so the server takes that prefix and
+    records the count alone."""
     returned, recorded = [], []
     for client, budget in zip(clients, budgets):
         if depth and budget > depth:
-            ranked = client_retrieve(client, e_q, k, depth)
+            ranked = client_retrieve(client, e_q, k)
             recorded.append(min(budget, len(client.shard)))
         else:
-            ranked = client_retrieve(client, e_q, budget, depth)
+            ranked = client_retrieve(client, e_q, budget)
             recorded.append(ranked.ids)
         returned.append(ranked)
     transcript.samples_returned = recorded
@@ -352,8 +342,7 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
         ids, distances, examples = ids[::-1], distances[::-1], examples[::-1]
     query_text = query.text if isinstance(query, Example) else str(query)
     votes = []
-    prompt = build_prompt(zip(examples, distances), query_text, TEMPLATE,
-                          labels, votes)
+    prompt = build_prompt(zip(examples, distances), query_text, labels, votes)
     if len(prompt) > server.max_prompt_chars:
         raise ValidationError(
             f"prompt of {len(prompt)} chars exceeds cap {server.max_prompt_chars}")
@@ -390,8 +379,8 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
     if policy.variant == "zero_shot":
         final, examples = RankedSet(), []
     elif policy.variant == "proxy_only":
-        final = top_k(e_q, server.k, server.proxy, server.proxy_store)
-        examples = _examples([server.proxy], final.ids, [0] * len(final))
+        final = client_retrieve(server.proxy, e_q, server.k)
+        examples = _examples([server.proxy.shard], final.ids, [0] * len(final))
     else:
         rng = (_per_query_rng(policy.seed, query_id)
                if policy.variant == "social_learning" else None)
@@ -408,38 +397,30 @@ def save_transcripts(transcripts, path):
 
 def load_transcripts(path, query_ids=None, num_clients=None
                      ) -> list[Transcript]:
-    """Read a file written by `save_transcripts`. A line that is not JSON,
-    not an object, or not a transcript (see `Transcript.from_dict`) raises
-    ParseError naming the file and the line. Given `query_ids`, so does a
-    line of another query or a repeated one, or with other than
-    `num_clients` budgets, and a query no line holds (named by its id)."""
+    """Read a file written by `save_transcripts`. A line that is not UTF-8,
+    not JSON, not an object, or not a transcript (see
+    `Transcript.from_dict`) raises ParseError naming the file and the line.
+    Given `query_ids`, so does a line of another query or a repeated one,
+    or with other than `num_clients` budgets, and a query no line holds
+    (named by its id)."""
     out = []
     remaining = set(query_ids or ())
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid JSON: {exc.msg}",
-                                 line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}: transcript must be a JSON object",
-                                 line=lineno)
-            try:
-                t = Transcript.from_dict(obj)
-                if query_ids is not None and t.query_id not in remaining:
-                    raise ValidationError(f"query id {t.query_id} is repeated "
-                                          "or not a test query of this seed")
-                if query_ids is not None and len(t.budgets_sent) != num_clients:
-                    raise ValidationError(f"{len(t.budgets_sent)} budgets for "
-                                          f"{num_clients} clients")
-            except ValidationError as exc:
-                raise ParseError(f"{path}: {exc}", line=lineno) from exc
-            remaining.discard(t.query_id)
-            out.append(t)
+    for lineno, obj in jsonl_values(path):
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: transcript must be a JSON object",
+                             line=lineno)
+        try:
+            t = Transcript.from_dict(obj)
+            if query_ids is not None and t.query_id not in remaining:
+                raise ValidationError(f"query id {t.query_id} is repeated "
+                                      "or not a test query of this seed")
+            if query_ids is not None and len(t.budgets_sent) != num_clients:
+                raise ValidationError(f"{len(t.budgets_sent)} budgets for "
+                                      f"{num_clients} clients")
+        except ValidationError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from exc
+        remaining.discard(t.query_id)
+        out.append(t)
     if remaining:
         raise ParseError(f"{path}: no transcript of test query "
                          f"{min(remaining)}")

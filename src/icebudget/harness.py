@@ -14,8 +14,9 @@ read, equals the key this run would write. Any other pair, damaged ones
 too, is retrained and overwritten, and a stderr line says why. It writes a
 deterministic JSON report and transcript JSONL.
 
-Each policy pass first has the clients rank the seed's test vectors, one
-`retrieval.top_k_many` call per client (`federation.keep_rankings`), then
+Each policy pass first has the nodes its policy asks (the clients, or the
+server's proxy set) rank the seed's test vectors, one
+`retrieval.top_k_many` call per node (`federation.keep_rankings`), then
 answers its queries, posting to an HTTP backend through one connection.
 The budget tables and the efficiency curve rank their queries the same
 way, in this process; allocator training is the one stage that forks.
@@ -248,8 +249,8 @@ class _SeedContext:
         if policy.variant == "learned":
             server.allocator = allocators([self], save_tables=False)[0]
         if policy.variant == "proxy_only":
-            server.proxy = self.proxy
-            server.proxy_store = self.proxy_store
+            # the server's own pool, ranked per pass like a shard
+            server.proxy = ClientNode(-1, self.proxy, self.proxy_store)
         return server
 
 
@@ -355,9 +356,9 @@ def _evaluate_policy(ctx: _SeedContext, name: str):
 
 
 def _run_queries(ctx: _SeedContext, server: ServerNode):
-    """One pass of the server's policy over the test set: the clients rank
-    the test vectors first (`keep_rankings`), then each query is answered,
-    every request to the backend going through one connection."""
+    """One pass of the server's policy over the test set: the nodes it asks
+    rank the test vectors first (`keep_rankings`), then each query is
+    answered, every request to the backend going through one connection."""
     answers = []
     transcripts = []
     ctx.test_store.check_bound(ctx.test)  # row i is the i-th test example

@@ -1,10 +1,9 @@
 """Prompt construction, answering backends, and the paraphrase pass.
 
 `build_prompt` renders a prompt's ICEs and collects their votes in one pass.
-Each ICE is its label's two pieces of the template's `example_format`
-around its text, with {label} filled in once per template and label space;
-an ICE whose text holds {label}, or a template whose pieces could form one
-across the text, renders through the two replaces the pieces stand for.
+Every prompt has one layout: each ICE as its text and its label's
+verbalizer on the next line, then the query text and a newline, joined by
+blank lines.
 
 Two backends: a deterministic similarity-weighted vote for self-contained
 runs, and an OpenAI-style completions endpoint for real LLM answering. Each
@@ -24,7 +23,6 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .config import BackendSpec
 from .corpus import LabelSpace
@@ -55,24 +53,6 @@ PARAPHRASE_FEW_SHOT = (
     'Please paraphrase the original sentence. Original sentence: "{text}" '
     "Paraphrased sentence:"
 )
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    instruction: str = ""
-    example_format: str = "{text}\n{label}"
-    query_format: str = "{text}\n"
-    joiner: str = "\n\n"
-
-    def __post_init__(self):
-        for name, fmt, placeholders in (
-            ("example_format", self.example_format, ("{text}", "{label}")),
-            ("query_format", self.query_format, ("{text}",)),
-        ):
-            for ph in placeholders:
-                if fmt.count(ph) != 1:
-                    raise ValidationError(
-                        f"{name} must contain {ph} exactly once")
 
 
 @dataclass(frozen=True)
@@ -125,46 +105,30 @@ def make_backend(spec: BackendSpec):
     return HttpBackend(spec) if spec.type == "http" else MockVoteBackend()
 
 
-def build_prompt(ices, query_text: str, template: PromptTemplate,
-                 labels: LabelSpace, votes: list) -> str:
-    """The instruction if any, each ICE rendered in the given order, then
-    the rendered query, joined by the template's joiner. `ices` are
-    (example, distance) pairs; callers decide their order. Each ICE's
-    (label, distance) is appended to `votes` in the same pass. An ICE
-    renders as its label's `_example_pieces` around its text, or through
-    the two replaces wherever those would differ."""
-    pieces = _example_pieces(template.example_format, labels.verbalizers)
-    parts = [template.instruction] if template.instruction else []
+def build_prompt(ices, query_text: str, labels: LabelSpace,
+                 votes: list) -> str:
+    """Each ICE rendered in the given order, then the query text and a
+    newline, joined by blank lines. `ices` are (example, distance) pairs;
+    callers decide their order. Each ICE's (label, distance) is appended to
+    `votes` in the same pass.
+
+    An ICE renders as two replaces render the format of its text, a
+    newline and "{label}": {text} by its text, then {label} by its
+    verbalizer over the whole, so that a {label} in the text is replaced
+    too. A match cannot span the newline, which holds no part of "{label}",
+    so that is the text with its {label}s replaced, the newline and the
+    verbalizer, as built here."""
+    parts = []
     for example, distance in ices:
-        label, text = example.label, example.text
+        label = example.label
         if not 0 <= label < labels.count:
             raise ValidationError(f"ICE label {label} outside label space")
-        if pieces is None or "{label}" in text:
-            parts.append(template.example_format
-                         .replace("{text}", text)
-                         .replace("{label}", labels.verbalizers[label]))
-        else:
-            pre, post = pieces[label]
-            parts.append(pre + text + post)
+        verbalizer = labels.verbalizers[label]
+        parts.append(example.text.replace("{label}", verbalizer) + "\n"
+                     + verbalizer)
         votes.append((label, distance))
-    parts.append(template.query_format.replace("{text}", query_text))
-    return template.joiner.join(parts)
-
-
-@lru_cache(maxsize=16)
-def _example_pieces(example_format: str, verbalizers: tuple[str, ...]):
-    """Per label index, the text of `example_format` before and after its
-    {text}, each with {label} replaced by the label's verbalizer; None when
-    the format could form a {label} across a text, i.e. the part before
-    {text} ends in a proper prefix of "{label}" or the part after it starts
-    with a proper suffix. "{label}" cannot overlap itself, so for a text
-    without one, the replaces find exactly the {label}s of the two pieces."""
-    before, after = example_format.split("{text}")
-    if any(before.endswith("{label}"[:i]) or after.startswith("{label}"[i:])
-           for i in range(1, len("{label}"))):
-        return None
-    return tuple((before.replace("{label}", v), after.replace("{label}", v))
-                 for v in verbalizers)
+    parts.append(query_text + "\n")
+    return "\n\n".join(parts)
 
 
 def answer_mock(votes) -> int:

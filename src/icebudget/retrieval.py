@@ -1,25 +1,24 @@
 """Exact nearest-neighbor ranking under L2 distance.
 
-This is the one module that ranks. `top_k` ranks one store for one query:
-a client's shard, the proxy set, or the whole corpus. `top_k_many` ranks a
-block of queries against one store at once, each row the bytes `top_k`
-gives. `rerank_union` ranks what the clients sent back: the server uses it
-for the final ICEs of every query, and `oracle` uses it for the supervision
+This is the one module that ranks. `top_k_many` ranks a block of queries
+against one store: a client's shard, the server's proxy set, or the whole
+corpus. `top_k` is its one-query form, the block's single row.
+`rerank_union` ranks what the clients sent back: the server uses it for
+the final ICEs of every query, and `oracle` uses it for the supervision
 set, so both see the same global top-k and attribute each of its entries
-to the same client. `top_k` and `rerank_union` order their entries through
-`rank`, one (distance, id) sort.
+to the same client; it orders its entries through `rank`, one
+(distance, id) sort.
 
-Both top-k routines compute exact distances only for the rows that can
-make the top k. A prefilter ranks every row by |x|^2/2 - x.q against the
-store's cached squared norms (one matrix-vector product for `top_k`, one
-matrix-matrix product per block of `top_k_many`), and keeps the rows
-within a certified rounding margin of the k-th smallest value; the exact
-distances and the (distance, id) sort then run on those rows alone, and
-give the full scan's ids and distances byte for byte (the proof is in
-`_prefilter`). Every row is scanned, and the query kept out of the
-product, when there is nothing to cut (k <= 0 or k >= the row count), for
-a query with a NaN or an infinity, and for norms large enough to overflow
-the prefilter.
+`top_k_many` computes exact distances only for the rows that can make a
+query's top k. A prefilter (`_keep`) ranks every row by |x|^2/2 - x.q
+against the store's cached squared norms, one matrix-matrix product per
+block of queries, and keeps the rows within a certified rounding margin of
+the k-th smallest value; the exact distances and the (query, distance, id)
+sort then run on those rows alone, and give the full scan's ids and
+distances byte for byte (the proof is in `_keep`). A query keeps every
+row, and stays out of the product, when there is nothing to cut (k <= 0 or
+k >= the row count), when it holds a NaN or an infinity, and for norms
+large enough to overflow the prefilter.
 
 Ties are broken by ascending example id so transcripts are reproducible on
 any platform. All distance comparisons happen in float64.
@@ -80,26 +79,20 @@ def query_vector(e_q, store: EmbeddingStore) -> np.ndarray:
 
 
 def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
-    """The k entries of `d` minimizing (distance to e_q, id): a full scan's,
-    byte for byte, with exact distances computed only for the rows
-    `_prefilter` keeps."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    store.check_bound(d)
-    query = query_vector(e_q, store)
-    ids, matrix = store.matrix()
-    rows = _prefilter(query, k, store)
-    return rank(ids if rows is None else ids.take(rows),
-                _distances(matrix, rows, query), k)
+    """The k entries of `d` minimizing (distance to e_q, id): the one row
+    of `top_k_many` for this query."""
+    ids, distances = top_k_many(query_vector(e_q, store)[None], k, d, store)
+    return RankedSet(ids[0], distances[0])
 
 
 def top_k_many(queries, k: int, d: Dataset, store: EmbeddingStore):
-    """Row i is `top_k(queries[i], k, d, store)`, byte for byte, as aligned
+    """Row i holds the min(k, |d|) entries of `d` minimizing (distance to
+    queries[i], id), a full scan's byte for byte, as aligned
     (m, min(k, |d|)) int64 id and float64 distance arrays.
 
     The queries are ranked in blocks sized by their temporaries
     (`_BLOCK_BYTES`): one product prefilters a block (`_keep`), the exact
-    distances of its kept (query, row) pairs are computed as `top_k`
+    distances of its kept (query, row) pairs are computed as a full scan
     computes them, and one sort by (query, distance, id) orders them."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
@@ -132,38 +125,34 @@ def top_k_many(queries, k: int, d: Dataset, store: EmbeddingStore):
 
 
 def _distances(matrix: np.ndarray, rows, queries: np.ndarray) -> np.ndarray:
-    """The exact distance of each row of `matrix` at the positions `rows`
-    (every row when None) to its query, one for all or one per row: the
-    einsum of the squared differences, then the sqrt, as a full scan
-    computes them."""
-    if rows is None:
-        diffs = matrix - queries
-    else:
-        diffs = matrix.take(rows, axis=0)
-        diffs -= queries
+    """The exact distance of each row of `matrix` at the positions `rows` to
+    its query: the einsum of the squared differences, then the sqrt, as a
+    full scan computes them."""
+    diffs = matrix.take(rows, axis=0)
+    diffs -= queries
     return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
 
 
 def _margin(dim: int, scale):
     """The prefilter's certified margin for S + |q|^2 = `scale` (see
-    `_prefilter`)."""
+    `_keep`)."""
     return (32 * (dim + 4)) * (_UNIT * scale) + (dim + 4) * _FLOOR
 
 
-def _prefilter(query: np.ndarray, k: int, store: EmbeddingStore):
-    """Positions of the rows that can be among the k nearest to `query`, or
-    None to scan every row.
+def _keep(queries: np.ndarray, k: int, store: EmbeddingStore) -> np.ndarray:
+    """The (m, n) mask of the rows that can be among the k nearest to each
+    query, from one matrix-matrix product over the queries it can cut.
 
-    Write q for the query, x_i for row i, E_i for the full scan's squared
+    Write q for a query, x_i for row i, E_i for the full scan's squared
     distance (its einsum of squared differences, before the sqrt), and
-    P_i = |x_i|^2/2 - x_i.q, one GEMV against the store's cached half norms,
-    so that 2 P_i + |q|^2 is the squared distance. With u = 2^-53, d the
-    dimension, S the largest |x_i|^2 and gamma_n = n u / (1 - n u),
-    rounding error analysis bounds |2 P_i + |q|^2 - E_i| by
-    m0 = 4 gamma_{d+2} (S + |q|^2), plus 2d + 1 subnormal steps for
-    gradual underflow, whatever order the products x_i.q are summed in. The
-    margin m (`_margin`) is 32 (d + 4) u (S + |q|^2) plus 8 (d + 4)
-    subnormal steps, about eight times m0.
+    P_i = |x_i|^2/2 - x_i.q, the product's entry against the store's cached
+    half norms, so that 2 P_i + |q|^2 is the squared distance. With
+    u = 2^-53, d the dimension, S the largest |x_i|^2 and
+    gamma_n = n u / (1 - n u), rounding error analysis bounds
+    |2 P_i + |q|^2 - E_i| by m0 = 4 gamma_{d+2} (S + |q|^2), plus 2d + 1
+    subnormal steps for gradual underflow, whatever order the products x_i.q
+    are summed in. The margin m (`_margin`) is 32 (d + 4) u (S + |q|^2) plus
+    8 (d + 4) subnormal steps, about eight times m0.
 
     Every row that the full scan ranks in its top k has P_i <= p + m, with
     p the k-th smallest P. The k rows with P <= p have E <= 2p + |q|^2 + m0,
@@ -180,29 +169,12 @@ def _prefilter(query: np.ndarray, k: int, store: EmbeddingStore):
     whichever other rows are kept, and whichever queries are ranked with
     it.)
 
-    All rows are scanned when k <= 0 or k >= the row count, or when
-    S + |q|^2 exceeds 2^1000 (a query with a NaN or an infinity has a NaN or
-    infinite |q|^2). Below that bound P, m and p + m are finite, so no row
-    drops out on a NaN; and nothing warns, since einsum, unlike `@`, raises
-    no overflow warning for |q|^2 and a Python float sum overflows
-    silently."""
-    if not 0 < k < len(store):
-        return None
-    halves, largest = store.half_norms()
-    scale = largest + float(np.einsum("i,i->", query, query))
-    if not scale <= _LIMIT:
-        return None
-    _, matrix = store.matrix()
-    p = matrix @ query
-    np.subtract(halves, p, out=p)
-    return np.flatnonzero(
-        p <= np.partition(p, k - 1)[k - 1] + _margin(store.dim, scale))
-
-
-def _keep(queries: np.ndarray, k: int, store: EmbeddingStore) -> np.ndarray:
-    """The (m, n) mask of the rows `_prefilter` keeps for each query, from
-    one matrix-matrix product over the queries it does not scan in full;
-    those keep every row. Only the sum S + |q|^2 can overflow, silently."""
+    A query keeps every row, and stays out of the product, when k <= 0 or
+    k >= the row count, or when S + |q|^2 exceeds 2^1000 (a query with a
+    NaN or an infinity has a NaN or infinite |q|^2). Below that bound P, m
+    and p + m are finite, so no row drops out on a NaN. Only the sum
+    S + |q|^2 can overflow, and silently: einsum, unlike `@`, raises no
+    overflow warning for |q|^2."""
     keep = np.ones((len(queries), len(store)), dtype=bool)
     if not 0 < k < len(store):
         return keep

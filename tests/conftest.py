@@ -47,18 +47,19 @@ def brute_force_topk(e_q, k, dataset, store):
     return [i for _, i in scored[:k]]
 
 
-def reference_prompt(ices, query_text, template, labels):
-    """The prompt as two replaces per (text, label) ICE render it: {text},
-    then {label} over the whole rendered example."""
-    parts = [template.instruction] if template.instruction else []
+def reference_prompt(ices, query_text, labels):
+    """The prompt as two replaces per (text, label) ICE render it in the
+    one layout: {text}, then {label} over the whole rendered example, then
+    the query, joined by blank lines."""
+    parts = []
     for text, label in ices:
         if not 0 <= label < labels.count:
             raise ValidationError(f"ICE label {label} outside label space")
-        parts.append(template.example_format
+        parts.append("{text}\n{label}"
                      .replace("{text}", text)
                      .replace("{label}", labels.verbalizers[label]))
-    parts.append(template.query_format.replace("{text}", query_text))
-    return template.joiner.join(parts)
+    parts.append("{text}\n".replace("{text}", query_text))
+    return "\n\n".join(parts)
 
 
 def ranked_entries(ranked):

@@ -6,8 +6,9 @@ import shutil
 import pytest
 import yaml
 
-from icebudget import allocator, federation, harness, parallel
+from icebudget import allocator, harness, parallel
 from icebudget.cli import main
+from icebudget.config import POLICY_VARIANTS
 from icebudget.corpus import LabelSpace, synth_clusters
 from icebudget.embedder import load_embeddings
 from icebudget.errors import BackendError
@@ -64,6 +65,25 @@ class TestRun:
 
     def test_config_required(self):
         assert main(["run"]) == 1
+
+    def test_non_utf8_config_names_its_file(self, config_path, capsys):
+        with open(config_path, "ab") as fh:
+            fh.write(b"# caf\xff\n")
+        assert main(["--config", config_path, "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"config file is not UTF-8: {config_path}" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_dataset_line_named(self, text_config_path, tmp_path,
+                                         capsys):
+        eval_path = tmp_path / "eval.jsonl"
+        lines = eval_path.read_bytes().count(b"\n")
+        with open(eval_path, "ab") as fh:
+            fh.write(b'{"text": "caf\xe9", "label": 0}\n')
+        assert main(["--config", text_config_path, "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"line {lines + 1}: {eval_path}: not UTF-8" in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_seed_and_out_overrides(self, config_path, tmp_path):
         out = tmp_path / "elsewhere"
@@ -288,6 +308,18 @@ class TestEncode:
         assert main(["encode", "--dataset", str(data_path),
                      "--output", str(out_path)]) == 1
         assert "line 2" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_non_utf8_line_names_its_file_and_line(self, tmp_path, capsys):
+        data_path = tmp_path / "bad.jsonl"
+        data_path.write_bytes(b'{"text": "a", "label": 0}\n\n'
+                              b'{"text": "\xff", "label": 0}\n')
+        out_path = tmp_path / "emb.bin"
+        assert main(["encode", "--dataset", str(data_path),
+                     "--output", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 3: {data_path}: not UTF-8" in err
+        assert "Traceback" not in err
         assert not out_path.exists()
 
     def test_header_after_blank_lines(self, tmp_path):
@@ -765,7 +797,7 @@ class TestHttpPromptBytes:
         for record, (_, body) in zip(records, handler.requests):
             ices = [examples[i] for i in record["final_ice_ids"]]
             want = reference_prompt(ices, examples[record["query_id"]][0],
-                                    federation.TEMPLATE, labels)
+                                    labels)
             assert body["prompt"] == record["prompt_text"] == want
             assert record["prompt_chars"] == len(want)
             braced += any("{label}" in text for text, _ in ices)
@@ -795,8 +827,7 @@ def text_config_path(tmp_path):
 
 
 class TestInfer:
-    @pytest.mark.parametrize("policy", ["uniform", "random",
-                                        "social_learning", "learned"])
+    @pytest.mark.parametrize("policy", POLICY_VARIANTS)
     def test_answers_deterministically(self, text_config_path, capsys,
                                        policy):
         argv = ["--config", text_config_path, "infer",

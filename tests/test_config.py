@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -231,6 +232,13 @@ class TestLoadConfig:
         path = tmp_path / "bad.yaml"
         path.write_text("k: [unclosed\n")
         with pytest.raises(ValidationError):
+            load_config(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"name: caf\xe9\nk: 4\n")
+        message = f"config file is not UTF-8: {path}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_config(path)
 
     def test_non_mapping_root(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ class TestRoundtrip:
         with pytest.raises(ParseError) as exc_info:
             load_dataset(path)
         assert exc_info.value.line == 2
+
+    def test_non_utf8_line_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"text": "ok", "label": 0}\n\n'
+                         b'{"text": "caf\xe9", "label": 0}\n')
+        message = f"line 3: {path}: not UTF-8"
+        with pytest.raises(ParseError, match=re.escape(message)) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 3
+
+    def test_lines_split_at_any_newline(self, tmp_path):
+        # "\r\n" and a lone "\r" end a line, as in a text-mode read
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"text": "a", "label": 0}\r\n'
+                         b'{"text": "b", "label": 1}\r{"text": "c"}\n')
+        with pytest.raises(ParseError, match="line 3: record needs"):
+            load_dataset(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,5 +1,6 @@
 import collections
 import json
+import re
 import struct
 
 import numpy as np
@@ -133,6 +134,15 @@ class TestLoaderErrors:
         with pytest.raises(ParseError, match=f"line 3: .*{message}") as info:
             load_embeddings(path)
         assert info.value.line == 3
+
+    def test_jsonl_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, [{"id": 0, "vector": [0.0, 1.0]}])
+        with open(path, "ab") as fh:
+            fh.write(b'{"id": 1, "vector": [1.0, 0.0]} \xff\n')
+        message = f"line 2: {path}: not UTF-8"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_embeddings(path)
 
     @pytest.mark.parametrize("bad, message", [
         ((2, [1.0, float("inf")]), "record 2 .*non-finite"),

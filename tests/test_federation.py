@@ -1,11 +1,10 @@
 import json
 import math
 from dataclasses import fields
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -15,14 +14,14 @@ from icebudget.config import POLICY_VARIANTS, config_from_dict
 from icebudget.corpus import Dataset, Example, LabelSpace, partition_iid
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import BackendError, ParseError, ValidationError
-from icebudget.inference import MockVoteBackend, PromptTemplate, build_prompt
+from icebudget.inference import MockVoteBackend, build_prompt
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   Transcript, _finish, _gather,
                                   _per_query_rng, _random_composition,
                                   allocate, client_retrieve,
-                                  distributed_infer, load_transcripts,
-                                  save_transcripts)
-from icebudget.retrieval import RankedSet, rerank_union, top_k
+                                  distributed_infer, keep_rankings,
+                                  load_transcripts, save_transcripts)
+from icebudget.retrieval import RankedSet, rerank_union, top_k, top_k_many
 
 from conftest import make_world, ranked_entries, reference_prompt
 
@@ -192,8 +191,8 @@ class TestDistributedInfer:
         assert t.prompt_text is None
         index = d.id_index()
         ices = [(index[i], 0.0) for i in t.final_ice_ids]
-        assert t.prompt_chars == len(build_prompt(
-            ices, query.text, federation.TEMPLATE, d.labels, []))
+        assert t.prompt_chars == len(build_prompt(ices, query.text, d.labels,
+                                                  []))
         assert set(t.final_ice_ids) <= set(t.aggregated_ids)
 
     def test_ice_order_descending_puts_nearest_last(self):
@@ -230,14 +229,16 @@ class TestDistributedInfer:
     def test_proxy_only_uses_server_proxy(self):
         d, store, clients = make_clients(seed=41)
         proxy = d.subset(d.ids[:10])
+        proxy_store = store.subset(proxy.ids)
         server = make_server(k=3, policy=BudgetPolicy("proxy_only"),
-                             labels=d.labels, proxy=proxy,
-                             proxy_store=store.subset(proxy.ids))
+                             labels=d.labels,
+                             proxy=ClientNode(-1, proxy, proxy_store))
         e_q = store.get(d.examples[15].id)
         _, t = distributed_infer(server, clients, d.examples[15], e_q)
         assert t.total_samples_communicated == 0
-        assert set(t.final_ice_ids) <= set(proxy.ids)
-        assert t.final_ice_ids != []
+        assert t.samples_returned == [[] for _ in clients]
+        # descending: the nearest proxy example last
+        assert t.final_ice_ids == top_k(e_q, 3, proxy, proxy_store).ids[::-1]
 
     def test_final_ids_resolved_in_their_own_shard(self):
         _, _, clients = make_clients(seed=41)
@@ -384,7 +385,7 @@ def test_every_policy_name_runs_and_configures(variant):
     server = make_server(
         k=5, policy=BudgetPolicy(variant, seed=4, client=2), labels=d.labels,
         allocator=init_model(4, 8, 3, seeds=range(len(clients))),
-        proxy=proxy, proxy_store=store.subset(proxy.ids))
+        proxy=ClientNode(-1, proxy, store.subset(proxy.ids)))
     query = d.examples[20]
     answer, t = distributed_infer(server, clients, query, store.get(query.id))
     assert t.policy == variant
@@ -474,6 +475,7 @@ class TestTranscriptIo:
 
     @pytest.mark.parametrize("bad, message", [
         ("{not json", "invalid JSON"),
+        (b'{"policy": "caf\xe9"}', "not UTF-8"),
         ("[1, 2]", "must be a JSON object"),
         ('{"query_id": 1}', "missing field 'policy'"),
         ({"query_id": "7"}, "field 'query_id' must be an integer"),
@@ -489,8 +491,11 @@ class TestTranscriptIo:
         good = json.dumps(t.to_dict())
         if isinstance(bad, dict):
             bad = json.dumps({**t.to_dict(), **bad})
+        if isinstance(bad, str):
+            bad = bad.encode()
         path = tmp_path / "t.jsonl"
-        path.write_text(f"{good}\n\n{bad}\n{good}\n")
+        path.write_bytes(b"%s\n\n%s\n%s\n" % (good.encode(), bad,
+                                              good.encode()))
         with pytest.raises(ParseError) as info:
             load_transcripts(path)
         assert info.value.line == 3
@@ -510,6 +515,15 @@ class TestServerValidation:
     def test_unknown_policy_variant(self):
         with pytest.raises(ValidationError):
             BudgetPolicy("nonexistent")
+
+    def test_proxy_only_needs_the_proxy(self):
+        d, store, clients = make_clients()
+        server = make_server(policy=BudgetPolicy("proxy_only"),
+                             labels=d.labels)
+        with pytest.raises(ValidationError, match="needs the proxy set"):
+            keep_rankings(server, clients, [np.zeros(4)])
+        with pytest.raises(ValidationError, match="needs the proxy set"):
+            distributed_infer(server, clients, "q", np.zeros(4))
 
 
 def _reference_candidate_rerank(clients, returned, e_q, k):
@@ -609,6 +623,12 @@ def _same_bytes(got, want):
             and got.distances.tobytes() == want.distances.tobytes())
 
 
+def _warm(clients, queries, k, alpha):
+    """Fill the clients' kept rankings of `queries` as a uniform pass with
+    budget k and slack alpha does."""
+    keep_rankings(ServerNode(k=k, alpha=alpha), clients, queries)
+
+
 class TestKeptRankings:
     @pytest.mark.parametrize("seed", range(12))
     def test_every_budget_served_as_top_k(self, seed):
@@ -622,46 +642,47 @@ class TestKeptRankings:
             # a grid point (ties certain) and an off-grid point
             for e_q in (grid[int(rng.integers(len(grid)))],
                         rng.standard_normal(grid.shape[1])):
-                for warm in budgets:  # each budget as the first request
-                    client.rankings.clear()
-                    for budget in [warm, *budgets]:
-                        got = client_retrieve(client, e_q, budget, depth)
+                client.rankings.clear()
+                for warm in (False, True):  # without, then with a ranking
+                    if warm:
+                        _warm([client], [e_q], k, alpha)
+                    for budget in budgets:
+                        got = client_retrieve(client, e_q, budget)
                         want = top_k(e_q, budget, client.shard, client.store)
                         assert _same_bytes(got, want), (warm, budget)
+                    assert len(client.rankings) == warm
 
-    @pytest.mark.parametrize("warm", ["shallow", "depth", "whole shard"])
-    def test_ranking_kept_to_depth_as_top_k(self, warm):
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_ranking_kept_to_depth_as_top_k(self, whole):
         clients, grid = _tied_clients(3)
         client = clients[0]
-        e_q, depth = grid[0], 4
-        assert len(client.shard) > depth
-        budget = {"shallow": 1, "depth": depth,
-                  "whole shard": len(client.shard)}[warm]
-        first = client_retrieve(client, e_q, budget, depth)
+        e_q = grid[0]
+        assert len(client.shard) > 4
+        depth = len(client.shard) + 2 if whole else 4
+        _warm([client], [e_q], depth - 1, 1)
         [kept] = client.rankings.values()
         # the ids and distances a fresh top_k gives, not shard positions
         assert _same_bytes(kept, top_k(e_q, depth, client.shard,
                                        client.store))
-        # a copy: it pins no deeper ranking, and the caller's arrays are its own
-        for got in (first.id_array, first.distances):
-            for held in (kept.id_array, kept.distances):
-                assert not np.shares_memory(got, held)
         assert not (kept.id_array.flags.writeable
                     or kept.distances.flags.writeable)
-        served = client_retrieve(client, e_q, 2, depth)
-        assert _same_bytes(served, top_k(e_q, 2, client.shard, client.store))
-        assert not served.id_array.flags.writeable
-        assert len(client.rankings) == 1
-        client_retrieve(client, e_q + 1.0, 1)  # no depth: nothing kept
+        for budget in (2, depth, depth + 5):
+            served = client_retrieve(client, e_q, budget)
+            assert _same_bytes(served, top_k(e_q, budget, client.shard,
+                                             client.store))
+            # a slice of the kept ranking is read-only, a fresh one is not
+            assert served.id_array.flags.writeable == (
+                not whole and budget > depth)
+        client_retrieve(client, e_q + 1.0, 1)  # a miss: nothing kept
         assert len(client.rankings) == 1
 
     def test_mutated_query_array_ranked_anew(self):
         d, store, clients = make_clients(n=40, num_clients=2, seed=29)
         rng = np.random.default_rng(8)
         e_q = rng.standard_normal(4)
-        client_retrieve(clients[0], e_q, 3, 5)
+        _warm(clients[:1], [e_q], 4, 1)
         e_q[:] = rng.standard_normal(4)  # same array object, new query
-        got = client_retrieve(clients[0], e_q, 3, 5)
+        got = client_retrieve(clients[0], e_q, 3)
         assert _same_bytes(got, top_k(e_q, 3, clients[0].shard,
                                       clients[0].store))
 
@@ -676,12 +697,37 @@ class TestKeptRankings:
                              labels=d.labels)
         rng = np.random.default_rng(9)
         e_q = rng.standard_normal(4)
+        keep_rankings(server, clients, [e_q])  # of the first vector only
         for _ in range(5):
             _, t = distributed_infer(server, clients, query, e_q)
             assert t.samples_returned == [
                 top_k(e_q, b, c.shard, c.store).ids
                 for c, b in zip(clients, t.budgets_sent)]
             e_q[:] = rng.standard_normal(4)
+
+    @pytest.mark.parametrize("variant", POLICY_VARIANTS)
+    def test_unranked_pass_keeps_nothing_and_answers_alike(self, variant):
+        # a call without `keep_rankings` (as `infer` makes) ranks per query,
+        # keeps nothing, and writes the transcript of a warmed call
+        d, store, clients = make_clients(n=60, num_clients=3, seed=37)
+        proxy = d.subset(d.ids[:15])
+        server = make_server(
+            k=5, alpha=2, policy=BudgetPolicy(variant, seed=4, client=1),
+            labels=d.labels,
+            allocator=init_model(4, 8, 6, seeds=range(len(clients))),
+            proxy=ClientNode(-1, proxy, store.subset(proxy.ids)))
+        queries = d.examples[20:26]
+        vectors = np.array([store.get(q.id) for q in queries])
+        nodes = [*clients, server.proxy]
+
+        def transcripts():
+            return [distributed_infer(server, clients, query, e_q)[1]
+                    .to_dict() for query, e_q in zip(queries, vectors)]
+        cold = transcripts()
+        assert not any(node.rankings for node in nodes)
+        keep_rankings(server, clients, vectors)
+        assert any(node.rankings for node in nodes) == (variant != "zero_shot")
+        assert transcripts() == cold
 
 
 class _RecordingMock(MockVoteBackend):
@@ -833,20 +879,28 @@ class TestInfinitePrefixes:
 
     def test_one_ranking_per_query_and_client(self, monkeypatch):
         d, store, clients = make_clients(n=60, num_clients=3, seed=19)
-        calls = []
+        calls, misses = [], []
 
-        def counting_top_k(e_q, k, d, store):
-            calls.append((id(d), np.asarray(e_q).tobytes()))
+        def counting_top_k(e_q, k, d, store):  # a per-query ranking
+            misses.append(np.asarray(e_q).tobytes())
             return top_k(e_q, k, d, store)
+
+        def counting_top_k_many(queries, k, d, store):
+            calls.extend((id(d), query.tobytes()) for query in queries)
+            return top_k_many(queries, k, d, store)
         monkeypatch.setattr(federation, "top_k", counting_top_k)
+        monkeypatch.setattr(federation, "top_k_many", counting_top_k_many)
         queries = d.examples[:8]
+        vectors = np.array([store.get(query.id) for query in queries])
         for variant in ("infinite", "uniform", "learned", "social_learning"):
             server = make_server(
                 k=5, alpha=1, policy=BudgetPolicy(variant, seed=3),
                 labels=d.labels,
                 allocator=init_model(4, 8, 6, seeds=range(len(clients))))
-            for query in queries:
-                distributed_infer(server, clients, query, store.get(query.id))
+            keep_rankings(server, clients, vectors)  # once per pass
+            for query, e_q in zip(queries, vectors):
+                distributed_infer(server, clients, query, e_q)
+        assert not misses
         assert len(calls) == len(set(calls)) == len(queries) * len(clients)
 
 
@@ -861,45 +915,31 @@ class _PromptRecorder:
         return 0
 
 
-# pieces of texts, verbalizers and formats: the placeholders, their halves,
-# braces and non-ASCII characters
+# pieces of texts and verbalizers: the placeholders, their halves, braces,
+# newlines and non-ASCII characters
 _FRAGMENTS = ["{label}", "{text}", "{", "}", "{lab", "el}", "{l", "l}",
               "label", "text", "{{", "é", "日本", "😀", "\n", " ", "a"]
 _STRINGS = st.lists(st.one_of(st.sampled_from(_FRAGMENTS),
                               st.text(max_size=3)), max_size=5).map("".join)
 
 
-@st.composite
-def _templates(draw):
-    before, between, after = (draw(_STRINGS.filter(
-        lambda s: "{text}" not in s and "{label}" not in s)) for _ in range(3))
-    first, second = draw(st.permutations(["{text}", "{label}"]))
-    example_format = before + first + between + second + after
-    assume(example_format.count("{text}") == 1
-           and example_format.count("{label}") == 1)
-    instruction = draw(st.sampled_from(["", "Classify:", "{text} {label}"]))
-    return PromptTemplate(instruction=instruction,
-                          example_format=example_format)
-
-
 class TestPromptMatchesReplaces:
-    """The server's one-pass prompt equals the two replaces per ICE for any
-    texts, verbalizers and template, in both ICE orders, and an ICE label
-    outside the label space fails with the same message."""
+    """The server's one-pass prompt equals the two replaces per ICE of the
+    one layout for any texts and verbalizers, in both ICE orders, and an
+    ICE label outside the label space fails with the same message."""
 
     @settings(derandomize=True, deadline=None, max_examples=400)
-    @given(template=_templates(),
-           verbalizers=st.lists(_STRINGS, min_size=1, max_size=4,
+    @given(verbalizers=st.lists(_STRINGS, min_size=1, max_size=4,
                                 unique=True),
            ices=st.lists(st.tuples(_STRINGS, st.integers(0, 3)), max_size=6),
            bad_label=st.sampled_from([None, -1, 4, 7]),
            query_text=_STRINGS,
            ice_order=st.sampled_from(["ascending", "descending"]))
-    @example(template=PromptTemplate(example_format="{text}el}\n{label}"),
-             verbalizers=["pos"], ices=[("{lab", 0), ("{label}", 0)],
-             bad_label=None, query_text="q", ice_order="ascending")
-    def test_prompt_and_votes(self, template, verbalizers, ices, bad_label,
-                              query_text, ice_order):
+    @example(verbalizers=["{lab", "el}", "{label}"],
+             ices=[("{lab", 1), ("{label}", 2), ("el}{text}", 0)],
+             bad_label=None, query_text="{label}", ice_order="ascending")
+    def test_prompt_and_votes(self, verbalizers, ices, bad_label, query_text,
+                              ice_order):
         labels = LabelSpace(len(verbalizers), tuple(verbalizers))
         ices = [(text, label % labels.count) for text, label in ices]
         if bad_label is not None and ices:
@@ -918,17 +958,16 @@ class TestPromptMatchesReplaces:
             samples_returned=[], final_ice_ids=[], prompt_chars=0,
             answer_label=None, total_samples_communicated=0)
         final = RankedSet([ex.id for ex in examples], distances)
-        with mock.patch.object(federation, "TEMPLATE", template):
-            try:
-                want = reference_prompt(
-                    [(ex.text, ex.label) for ex, _ in in_order], query_text,
-                    template, labels)
-            except ValidationError as exc:
-                with pytest.raises(ValidationError) as got:
-                    _finish(server, query_text, final, examples, transcript)
-                assert str(got.value) == str(exc)
-                return
-            _finish(server, query_text, final, examples, transcript)
+        try:
+            want = reference_prompt(
+                [(ex.text, ex.label) for ex, _ in in_order], query_text,
+                labels)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                _finish(server, query_text, final, examples, transcript)
+            assert str(got.value) == str(exc)
+            return
+        _finish(server, query_text, final, examples, transcript)
         assert backend.calls == [
             (want, [(ex.label, dist) for ex, dist in in_order])]
         assert transcript.prompt_text == want

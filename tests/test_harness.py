@@ -287,7 +287,7 @@ class TestKeptRankings:
         kept = _tree_bytes(tiny_config.output_dir)
         shutil.rmtree(tiny_config.output_dir)
 
-        def fresh_ranking(client, e_q, budget, depth=0):
+        def fresh_ranking(client, e_q, budget):
             if budget == 0:
                 return RankedSet()
             return top_k(e_q, budget, client.shard, client.store)
@@ -299,10 +299,10 @@ class TestKeptRankings:
     def test_each_query_ranked_once_per_client(self, tiny_config, monkeypatch,
                                                processes):
         tiny_config.policies = ["learned", "uniform", "random",
-                                "social_learning", "singleton"]
+                                "social_learning", "singleton", "proxy_only"]
         tiny_config.num_seeds = 2
         tiny_config.alpha = 1
-        contexts, calls, holding = [], [], []
+        contexts, calls, holding, misses = [], [], [], []
 
         def recorded_contexts(*args):
             contexts.extend(seed_contexts(*args))
@@ -315,8 +315,8 @@ class TestKeptRankings:
             holding.append(sum(any(c.rankings for c in ctx.clients)
                                for ctx in contexts))
 
-        def counting_top_k(e_q, k, d, store):  # a kept-ranking miss
-            count(d, [e_q])
+        def counting_top_k(e_q, k, d, store):  # a per-query ranking
+            misses.append(id(d))
             return top_k(e_q, k, d, store)
 
         def counting_top_k_many(queries, k, d, store):  # the pass's batch
@@ -328,8 +328,10 @@ class TestKeptRankings:
         # the query loop never leaves this process, which counts every call
         monkeypatch.setattr(parallel, "processes", lambda: processes)
         run_experiment(tiny_config)
-        assert len(calls) == len(set(calls))  # one per (shard, query)
-        assert len(calls) == sum(len(ctx.test) * len(ctx.clients)
+        assert not misses
+        # one per (shard or proxy set, query)
+        assert len(calls) == len(set(calls))
+        assert len(calls) == sum(len(ctx.test) * (len(ctx.clients) + 1)
                                  for ctx in contexts)
         # a seed's rankings are released before the next seed is evaluated
         assert max(holding) == 1

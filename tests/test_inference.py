@@ -5,9 +5,8 @@ from icebudget.corpus import Example, LabelSpace
 from icebudget.errors import (BackendError, DecodeError, ValidationError)
 from icebudget.config import BackendSpec
 from icebudget.inference import (MOCK_VOTE_EPSILON, HttpBackend,
-                                 MockVoteBackend, PromptTemplate, answer_mock,
-                                 build_prompt, decode_label, make_backend,
-                                 paraphrase)
+                                 MockVoteBackend, answer_mock, build_prompt,
+                                 decode_label, make_backend, paraphrase)
 
 
 class TestMockVote:
@@ -57,33 +56,32 @@ class TestDecodeLabel:
         assert exc_info.value.raw_completion == "gibberish"
 
 
-class TestPromptTemplate:
-    def test_placeholders_required(self):
-        with pytest.raises(ValidationError):
-            PromptTemplate(example_format="{text} only")
-        with pytest.raises(ValidationError):
-            PromptTemplate(query_format="{text} and {text}")
-
+class TestBuildPrompt:
     def test_build_prompt_order_and_rendering(self):
         labels = LabelSpace(2, ("no", "yes"))
         votes = []
         prompt = build_prompt([(Example(1, "first", 0), 0.5),
                                (Example(2, "second", 1), 0.25)], "the query",
-                              PromptTemplate(), labels, votes)
+                              labels, votes)
         assert prompt == "first\nno\n\nsecond\nyes\n\nthe query\n"
         assert votes == [(0, 0.5), (1, 0.25)]
 
-    def test_instruction_prepended(self):
-        labels = LabelSpace(1, ("x",))
-        template = PromptTemplate(instruction="Classify:")
-        prompt = build_prompt([], "q", template, labels, [])
-        assert prompt.startswith("Classify:")
+    def test_no_ices_is_the_query(self):
+        assert build_prompt([], "q", LabelSpace(1, ("x",)), []) == "q\n"
+
+    def test_placeholders_in_texts(self):
+        # {label} in a text takes the verbalizer; nothing else is replaced
+        labels = LabelSpace(2, ("a {text}", "b {label}"))
+        prompt = build_prompt([(Example(0, "{label}{text}", 1), 0.0),
+                               (Example(1, "{lab", 0), 0.0)], "{label}",
+                              labels, [])
+        assert prompt == ("b {label}{text}\nb {label}\n\n{lab\na {text}"
+                          "\n\n{label}\n")
 
     def test_bad_ice_label_rejected(self):
         labels = LabelSpace(1, ("x",))
         with pytest.raises(ValidationError):
-            build_prompt([(Example(0, "t", 5), 0.0)], "q", PromptTemplate(),
-                         labels, [])
+            build_prompt([(Example(0, "t", 5), 0.0)], "q", labels, [])
 
 
 def _http_backend(url, **fields):

@@ -182,8 +182,8 @@ def _prefilter_equals_full_scan(case):
 
 
 class TestPrefilter:
-    """`top_k` ranks only the rows `_prefilter` keeps; its ids and distances
-    must be the full scan's, byte for byte."""
+    """`top_k` ranks only the rows `_keep` keeps for its query; its ids and
+    distances must be the full scan's, byte for byte."""
 
     def test_equals_full_scan(self):
         _prefilter_equals_full_scan()
@@ -198,16 +198,19 @@ class TestPrefilter:
     def test_keeps_few_rows(self):
         rng = np.random.default_rng(0)
         store = EmbeddingStore(np.arange(600), rng.standard_normal((600, 64)))
-        for _ in range(20):
-            kept = retrieval._prefilter(rng.standard_normal(64), 32, store)
-            assert kept is not None and 32 <= len(kept) < 40
+        kept = retrieval._keep(rng.standard_normal((20, 64)), 32,
+                               store).sum(axis=1)
+        assert (32 <= kept).all() and (kept < 40).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_or_huge_query_scans_all(self, small_world, bad):
         d, store = small_world
         query = np.zeros(store.dim)
         query[1] = bad
-        assert retrieval._prefilter(query, 3, store) is None
+        # the bad query keeps every row; a good one beside it is still cut
+        keep = retrieval._keep(np.stack([query, np.zeros(store.dim)]), 3,
+                               store)
+        assert keep[0].all() and not keep[1].all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = top_k(query, 3, d, store)
