@@ -8,20 +8,24 @@ query through `distributed_infer`: a policy only decides how `allocate`
 splits the budget and how the server selects the final ICEs.
 
 A budget only truncates a client's ranking of its shard for the query, so a
-client ranks each query once. Before a pass, `keep_rankings`, the one
-writer of kept rankings, has each node the policy asks (the clients, or
+client ranks each query once, and a pass is planned before its first
+answer. `plan_pass` first has each node the policy asks (the clients, or
 the server's proxy set, a `ClientNode` too, under `proxy_only`) rank every
 query vector of the pass that it keeps no ranking of, in one `top_k_many`
-call. A node keeps each vector's top-(k + alpha) entries by
-(distance, id), keyed on a digest of the vector's bytes; k + alpha is the
-deepest budget any policy but `infinite` sends. `client_retrieve` serves
-every budget inside that prefix as a slice of it, so the pass itself
-ranks nothing; a query vector no ranking is kept of (an `infer` query) is
-ranked by `top_k` and kept nowhere. `run_experiment` releases a seed's
-rankings before it evaluates the next seed. `retrieval.rerank_union` alone
-turns the returns into the final ICEs, a lone sender's included, and names
-the client behind each; its shard's id index, looked up once per query,
-resolves the example.
+call (`keep_rankings`, the one writer of kept rankings). A node keeps each
+vector's top-(k + alpha) entries by (distance, id), keyed on a digest of
+the vector's bytes; k + alpha is the deepest budget any policy but
+`infinite` sends. The plan then takes every query's budgets from
+`allocate`, gathers each client's budget prefix of its kept ranking into
+one block per 64 queries, and reranks each block in one
+`retrieval.rerank_many` call, which also names the client behind each
+final ICE; the shards' id indexes resolve the examples. `distributed_infer`
+serves each query of the pass from its plan. A query vector no pass
+planned (an `infer` query) is planned alone, from kept rankings where
+there are any and from a ranking kept nowhere otherwise, so every query
+takes the one path. `run_experiment` releases a seed's rankings before it
+evaluates the next seed. `client_retrieve` serves one client's budget from
+its kept ranking, as `top_k` would.
 One `build_prompt` pass over the final ICEs, in `ice_order`, gives the
 prompt and the backend's (label, distance) votes.
 
@@ -52,7 +56,7 @@ from .embedder import EmbeddingStore
 from .errors import (BackendError, ParseError, ValidationError, is_int,
                      jsonl_values)
 from .inference import MockVoteBackend, build_prompt
-from .retrieval import (RankedSet, query_vector, rerank_union, top_k,
+from .retrieval import (RankedSet, query_vector, rerank_many, top_k,
                         top_k_many)
 
 
@@ -99,6 +103,9 @@ class ServerNode:
     labels: LabelSpace | None = None
     ice_order: str = "descending"  # distance order in the prompt
     max_prompt_chars: int = 1_000_000
+    # (query digest, query id) -> the query's plan (see `plan_pass`)
+    plans: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -126,7 +133,7 @@ class Transcript:
     policy: str
     budgets_sent: list[int]
     # per client: the ids it returned, or how many samples it sent when its
-    # budget was deeper than the server's k + alpha (see `_gather`)
+    # budget was deeper than the server's k + alpha (see `_plan`)
     samples_returned: list[list[int] | int]
     final_ice_ids: list[int]
     prompt_chars: int
@@ -197,6 +204,12 @@ _FIELD_CHECKS = {
     "raw_completion": ("a string or null", _is_optional_str),
     "prompt_text": ("a string or null", _is_optional_str),
 }
+
+
+# queries per `_plan` call of a pass: it bounds the plan's temporary
+# arrays, which for a whole 350-query text pass at once raised the peak RSS
+# of a run by about 1 MB
+_PLAN_ROWS = 64
 
 
 def _per_query_rng(seed: int, query_id: int) -> np.random.Generator:
@@ -301,32 +314,116 @@ def _examples(datasets, ids, owners) -> list[Example]:
         raise ValidationError(f"no example with id {exc.args[0]}") from None
 
 
-def _gather(clients, e_q, budgets, k: int, transcript, rng=None,
-            depth: int = 0):
-    """Ask every client for its local top-budget, record the round in the
-    transcript and return the final ICEs with the examples behind them.
-
-    A client whose budget is deeper than `depth` (k + alpha, the depth of
-    the kept rankings) sends min(budget, |shard|) samples, but only its
-    top-k can reach the final k, so the server takes that prefix and
-    records the count alone."""
-    returned, recorded = [], []
-    for client, budget in zip(clients, budgets):
-        if depth and budget > depth:
-            ranked = client_retrieve(client, e_q, k)
-            recorded.append(min(budget, len(client.shard)))
+def _rank_into(node: ClientNode, keys, queries: np.ndarray, depth: int,
+               ids: np.ndarray, distances: np.ndarray):
+    """Write the node's top-min(depth, |shard|) entries of each query vector
+    (the rows of `queries`, under the digests `keys`) into the rows of the
+    (m, min(depth, |shard|)) `ids` and `distances`: its kept ranking of the
+    vector where it keeps one that deep, else one ranked now by
+    `top_k_many` and kept nowhere."""
+    width = ids.shape[1]
+    fresh = []
+    for row, key in enumerate(keys):
+        ranked = node.rankings.get(key)
+        if ranked is None or len(ranked) < width:
+            fresh.append(row)
         else:
-            ranked = client_retrieve(client, e_q, budget)
-            recorded.append(ranked.ids)
-        returned.append(ranked)
-    transcript.samples_returned = recorded
-    transcript.total_samples_communicated = sum(
-        min(budget, len(client.shard))
-        for client, budget in zip(clients, budgets))
-    final, owners = rerank_union(returned, k, rng)
-    transcript.fallback_zero_shot = not len(final)
-    return final, _examples([client.shard for client in clients], final.ids,
-                            owners.tolist())
+            ids[row] = ranked.id_array[:width]
+            distances[row] = ranked.distances[:width]
+    if fresh:
+        ids[fresh], distances[fresh] = top_k_many(
+            queries.take(fresh, axis=0), depth, node.shard, node.store)
+
+
+def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray, keys):
+    """Each query's (final ICEs, their examples, transcript of the round so
+    far) for the query ids and vectors (the rows of `queries`, under the
+    digests `keys`), from one `rerank_many` over every query's returns.
+
+    The budgets come from `allocate`, one query at a time. A client sends
+    the server its local top-budget, a prefix of its ranking (`_rank_into`);
+    but only its top-k can reach the final k, so a client sent a budget
+    deeper than k + alpha (only `infinite` sends one) gives the server that
+    prefix alone, and its transcript records how many samples it sent in
+    place of their ids. Under `proxy_only` the server takes the top k of
+    its own proxy set, and under `zero_shot` nothing."""
+    policy, k, depth = server.policy, server.k, server.k + server.alpha
+    budgets = [allocate(policy, query, server, clients, query_id=query_id)
+               for query_id, query in zip(query_ids, queries)]
+    m = len(budgets)
+    if not m:
+        return []
+    asked = policy.variant not in ("proxy_only", "zero_shot")
+    if asked:
+        nodes, asks = clients, np.array(budgets, dtype=np.int64)
+    else:
+        nodes = [server.proxy] if policy.variant == "proxy_only" else []
+        asks = np.full((m, len(nodes)), k, dtype=np.int64)
+    widths = [min(depth, len(node.shard)) for node in nodes]
+    deep = asks > depth
+    take = np.minimum(np.where(deep, k, asks), widths)
+    # the pass's block: each node's rankings side by side, valid where the
+    # node returned them
+    starts = np.cumsum([0, *widths]).tolist()
+    ids = np.empty((m, starts[-1]), dtype=np.int64)
+    distances = np.empty((m, starts[-1]))
+    valid = np.empty((m, starts[-1]), dtype=bool)
+    for c, node in enumerate(nodes):
+        lo, hi = starts[c], starts[c + 1]
+        _rank_into(node, keys, queries, depth, ids[:, lo:hi],
+                   distances[:, lo:hi])
+        valid[:, lo:hi] = np.arange(hi - lo) < take[:, c, None]
+    owner = np.repeat(np.arange(len(nodes)), widths)
+    rngs = ([_per_query_rng(policy.seed, query_id) for query_id in query_ids]
+            if policy.variant == "social_learning" else None)
+    rows, columns = rerank_many(ids, distances, valid, k, rngs)
+    final_ids, final_distances = ids[rows, columns], distances[rows, columns]
+    examples = _examples([node.shard for node in nodes], final_ids.tolist(),
+                         owner.take(columns).tolist())
+    bounds = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    if asked:
+        sent = np.minimum(asks, [len(client.shard) for client in clients])
+        # the ids each (query, client) return records, in (query, client)
+        # order: its whole prefix, unless it is recorded by its count
+        counts = np.where(deep, 0, take)
+        ends = np.cumsum(counts).reshape(counts.shape)
+        recorded = ids[valid & ~deep[:, owner]].tolist()
+        returns = [
+            [count if sent_all else recorded[end - n:end]
+             for count, sent_all, n, end in zip(*row)]
+            for row in zip(sent.tolist(), deep.tolist(), counts.tolist(),
+                           ends.tolist())]
+        totals = sent.sum(axis=1).tolist()
+    else:
+        returns = [[[] for _ in clients] for _ in range(m)]
+        totals = [0] * m
+    return [
+        (RankedSet(final_ids[lo:hi], final_distances[lo:hi]), examples[lo:hi],
+         Transcript(query_id=query_id, policy=policy.variant,
+                    budgets_sent=query_budgets, samples_returned=returned,
+                    final_ice_ids=[], prompt_chars=0, answer_label=None,
+                    total_samples_communicated=total,
+                    fallback_zero_shot=asked and lo == hi))
+        for query_id, query_budgets, returned, total, lo, hi in zip(
+            query_ids, budgets, returns, totals, bounds, bounds[1:])]
+
+
+def plan_pass(server: ServerNode, clients, query_ids, queries):
+    """Before a pass of `server`'s policy over the queries `query_ids`, with
+    the vectors the rows of `queries`: keep the rankings the pass reads
+    (`keep_rankings`), then plan every query of the pass (`_plan`, one call
+    per `_PLAN_ROWS` queries) and keep each plan on the server under the
+    vector's digest and the query id, for `distributed_infer` to serve
+    once."""
+    keep_rankings(server, clients, queries)
+    queries = np.asarray(queries, dtype=np.float64)
+    keys = [_digest(query) for query in queries]
+    for lo in range(0, len(keys), _PLAN_ROWS):
+        hi = lo + _PLAN_ROWS
+        server.plans.update(zip(
+            zip(keys[lo:hi], query_ids[lo:hi]),
+            _plan(server, clients, query_ids[lo:hi], queries[lo:hi],
+                  keys[lo:hi])))
 
 
 def _finish(server: ServerNode, query, final: RankedSet, examples,
@@ -367,26 +464,16 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
 
     The selection reranks the gathered union by (distance, id), except under
     social learning, where the server draws k of the union uniformly at
-    random (seeded per query) and orders only those."""
-    policy = server.policy
+    random (seeded per query) and orders only those. A query its pass
+    planned (`plan_pass`) is served from its plan, which it uses up; any
+    other (an `infer` query) is planned alone, and its plan kept nowhere."""
     query_id = query.id if isinstance(query, Example) else -1
-    budgets = allocate(policy, e_q, server, clients, query_id=query_id)
-    transcript = Transcript(
-        query_id=query_id, policy=policy.variant, budgets_sent=list(budgets),
-        samples_returned=[[] for _ in clients], final_ice_ids=[],
-        prompt_chars=0, answer_label=None, total_samples_communicated=0)
-
-    if policy.variant == "zero_shot":
-        final, examples = RankedSet(), []
-    elif policy.variant == "proxy_only":
-        final = client_retrieve(server.proxy, e_q, server.k)
-        examples = _examples([server.proxy.shard], final.ids, [0] * len(final))
-    else:
-        rng = (_per_query_rng(policy.seed, query_id)
-               if policy.variant == "social_learning" else None)
-        final, examples = _gather(clients, e_q, budgets, server.k, transcript,
-                                  rng, depth=server.k + server.alpha)
-    return _finish(server, query, final, examples, transcript)
+    vector = np.asarray(e_q, dtype=np.float64)
+    key = _digest(vector)
+    planned = server.plans.pop((key, query_id), None)
+    if planned is None:
+        [planned] = _plan(server, clients, [query_id], vector[None], [key])
+    return _finish(server, query, *planned)
 
 
 def save_transcripts(transcripts, path):

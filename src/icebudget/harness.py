@@ -14,10 +14,12 @@ read, equals the key this run would write. Any other pair, damaged ones
 too, is retrained and overwritten, and a stderr line says why. It writes a
 deterministic JSON report and transcript JSONL.
 
-Each policy pass first has the nodes its policy asks (the clients, or the
-server's proxy set) rank the seed's test vectors, one
-`retrieval.top_k_many` call per node (`federation.keep_rankings`), then
-answers its queries, posting to an HTTP backend through one connection.
+Each policy pass is planned first (`federation.plan_pass`): the nodes its
+policy asks (the clients, or the server's proxy set) rank the seed's test
+vectors, one `retrieval.top_k_many` call per node, and every query's
+budgets and final ICEs come from one `retrieval.rerank_many` call. Then
+the pass answers its queries from the plan, posting to an HTTP backend
+through one connection.
 The budget tables and the efficiency curve rank their queries the same
 way, in this process; allocator training is the one stage that forks.
 
@@ -53,9 +55,9 @@ from .corpus import (Dataset, Example, load_dataset, load_shard_manifest,
                      synth_clusters, write_shard_manifest)
 from .embedder import (EmbeddingStore, HashEncoder, encode_dataset,
                        load_embeddings)
-from .errors import IceBudgetError, StageError, ValidationError
+from .errors import IceBudgetError, ParseError, StageError, ValidationError
 from .federation import (BudgetPolicy, ClientNode, ServerNode,
-                         distributed_infer, keep_rankings, load_transcripts,
+                         distributed_infer, load_transcripts, plan_pass,
                          save_transcripts)
 from .inference import make_backend
 from .oracle import (construct_budget_dataset, load_budget_dataset,
@@ -356,14 +358,14 @@ def _evaluate_policy(ctx: _SeedContext, name: str):
 
 
 def _run_queries(ctx: _SeedContext, server: ServerNode):
-    """One pass of the server's policy over the test set: the nodes it asks
-    rank the test vectors first (`keep_rankings`), then each query is
-    answered, every request to the backend going through one connection."""
+    """One pass of the server's policy over the test set: the pass is
+    planned first (`plan_pass`), then each query is answered from its plan,
+    every request to the backend going through one connection."""
     answers = []
     transcripts = []
     ctx.test_store.check_bound(ctx.test)  # row i is the i-th test example
     _, vectors = ctx.test_store.matrix()
-    keep_rankings(server, ctx.clients, vectors)
+    plan_pass(server, ctx.clients, ctx.test.ids, vectors)
     with server.backend.connection():
         for ex, e_q in zip(ctx.test.examples, vectors):
             predicted, transcript = distributed_infer(server, ctx.clients, ex,
@@ -520,25 +522,39 @@ def _learned_transcripts_path(cfg: ExperimentConfig, seed_index: int) -> str:
     """The path of the seeded run's learned-policy transcripts, if the run's
     `report.json` shows a finished run of this config with that policy.
     The configs are compared without their `output_dir`, so a run directory
-    that was moved still serves its curve."""
+    that was moved still serves its curve.
+
+    A run with no learned transcripts or no `report.json` is unfinished (a
+    ValidationError); a `report.json` that is not a UTF-8 JSON object is a
+    ParseError naming it; a report of another config, or of no learned
+    policy, is a StageError."""
     path = os.path.join(_seed_dir(cfg, seed_index), "transcripts_learned.jsonl")
+    report_path = os.path.join(cfg.output_dir, "report.json")
     if not os.path.exists(path):
-        raise ValidationError(f"no learned transcripts at {path}")
+        raise ValidationError(f"unfinished run: no learned transcripts at "
+                              f"{path}")
+    if not os.path.exists(report_path):
+        raise ValidationError(f"unfinished run: no {report_path} for {path}")
     try:
-        with open(os.path.join(cfg.output_dir, "report.json"),
-                  encoding="utf-8") as fh:
+        with open(report_path, encoding="utf-8") as fh:
             report = json.load(fh)
-    except FileNotFoundError:
-        report = {}
+    except UnicodeDecodeError:
+        raise ParseError(f"{report_path}: not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{report_path}: invalid JSON: {exc.msg}",
+                         line=exc.lineno) from exc
+    if not isinstance(report, dict):
+        raise ParseError(f"{report_path}: report must be a JSON object")
     recorded = report.get("config")
     if isinstance(recorded, dict):  # a moved run directory is still its run
         recorded = dict(recorded, output_dir=cfg.output_dir)
-    if (recorded != cfg.to_dict()
-            or "learned" not in report.get("policies", {})):
+    policies = report.get("policies")
+    if (recorded != cfg.to_dict() or not isinstance(policies, dict)
+            or "learned" not in policies):
         raise StageError(
             f"{path} is not from a finished run of this config with the "
-            f"learned policy: the run's report.json is missing, of another "
-            f"config, or lists no learned policy")
+            f"learned policy: the run's report.json is of another config, "
+            f"or lists no learned policy")
     return path
 
 

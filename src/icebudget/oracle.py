@@ -2,16 +2,19 @@
 
 The oracle budget of client c for a query counts the entries of the
 server's rerank of the union of every client's local top-k
-(`retrieval.rerank_union`, the routine the server uses at query time) that
-the rerank attributes to c, as the server does to resolve its ICEs, so the
-budgets sum to min(k, |union|). When the shards partition the corpus, as both
-partitioners guarantee, that rerank is the global top-k, so the budget is
-|local top-k ∩ global top-k| and the budgets sum to min(k, corpus size).
+(`retrieval.rerank_many`, the routine the server plans its passes with)
+that the rerank attributes to c, as the server does to resolve its ICEs, so
+the budgets sum to min(k, |union|). When the shards partition the corpus,
+as both partitioners guarantee, that rerank is the global top-k, so the
+budget is |local top-k ∩ global top-k| and the budgets sum to
+min(k, corpus size).
 Budgets are quantized by floor division with `delta` to form class labels.
 
-`oracle_budget` ranks one query; `construct_budget_dataset` ranks every
-proxy query against each shard in one `retrieval.top_k_many` call, whose
-rows are `top_k`'s, and gives each row `oracle_budget`'s counts.
+`oracle_budget` ranks and reranks one query (`top_k`, `rerank_union`);
+`construct_budget_dataset` ranks every proxy query against each shard in
+one `retrieval.top_k_many` call, whose rows are `top_k`'s, reranks them all
+in one `rerank_many` call and counts each row's owners, `oracle_budget`'s
+counts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .corpus import Dataset
 from .embedder import EmbeddingStore
 from .errors import ParseError, ValidationError, is_int
-from .retrieval import RankedSet, rerank_union, top_k, top_k_many
+from .retrieval import rerank_many, rerank_union, top_k, top_k_many
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,10 @@ def dequantize(cls: int, delta: int) -> int:
 def oracle_budget(e_q, k, shards, shard_stores) -> list[int]:
     """Per-client count of the entries of the rerank of the union of every
     client's local top-k that the rerank attributes to the client."""
-    return _budgets([top_k(e_q, k, shard, store)
-                     for shard, store in zip(shards, shard_stores)], k).tolist()
-
-
-def _budgets(locals_, k) -> np.ndarray:
-    """Per client, the entries of the rerank of `locals_` it owns."""
-    return np.bincount(rerank_union(locals_, k)[1], minlength=len(locals_))
+    owners = rerank_union([top_k(e_q, k, shard, store)
+                           for shard, store in zip(shards, shard_stores)],
+                          k)[1]
+    return np.bincount(owners, minlength=len(shards)).tolist()
 
 
 def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
@@ -94,11 +94,16 @@ def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
     # per shard, the (ids, distances) of each proxy query's local top-k
     ranked = [top_k_many(x, k, shard, store)
               for shard, store in zip(shards, shard_stores)]
-    raw = np.empty((len(ids), len(shards)), dtype=np.int64)
-    for i in range(len(ids)):
-        raw[i] = _budgets([RankedSet(local_ids[i], distances[i])
-                           for local_ids, distances in ranked], k)
-    return BudgetDataset(ids, x, raw, k=k, delta=delta)
+    owners = np.repeat(np.arange(len(shards)),
+                       [shard_ids.shape[1] for shard_ids, _ in ranked])
+    local_ids, distances = (np.concatenate(part, axis=1)
+                            for part in zip(*ranked))
+    rows, columns = rerank_many(local_ids, distances,
+                                np.ones(local_ids.shape, dtype=bool), k, None)
+    raw = np.bincount(rows * len(shards) + owners.take(columns),
+                      minlength=len(ids) * len(shards))
+    return BudgetDataset(ids, x, raw.reshape(len(ids), len(shards)), k=k,
+                         delta=delta)
 
 
 def save_budget_dataset(b: BudgetDataset, path):

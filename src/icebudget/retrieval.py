@@ -3,11 +3,12 @@
 This is the one module that ranks. `top_k_many` ranks a block of queries
 against one store: a client's shard, the server's proxy set, or the whole
 corpus. `top_k` is its one-query form, the block's single row.
-`rerank_union` ranks what the clients sent back: the server uses it for
-the final ICEs of every query, and `oracle` uses it for the supervision
-set, so both see the same global top-k and attribute each of its entries
-to the same client; it orders its entries through `rank`, one
-(distance, id) sort.
+`rerank_many` ranks what the clients sent back, for a block of queries
+at once: the server uses it for the final ICEs of a whole pass, and
+`oracle` for the whole supervision set, so both see the same global top-k
+and attribute each of its entries to the same client. It dedupes each
+query's returns by id, the first client winning, and orders them with one
+(query, distance, id) sort; `rerank_union` is its one-row form.
 
 `top_k_many` computes exact distances only for the rows that can make a
 query's top k. A prefilter (`_keep`) ranks every row by |x|^2/2 - x.q
@@ -35,8 +36,9 @@ from .errors import ValidationError
 _UNIT = 2.0 ** -53  # unit roundoff of float64
 _FLOOR = 8 * np.finfo(np.float64).smallest_subnormal
 _LIMIT = 2.0 ** 1000  # the prefilter's bound on S + |q|^2
-# bytes of one `top_k_many` block's temporaries: its rows of P and of the
-# keep mask, and its kept rows and their queries, gathered
+# bytes of the temporaries of one block of `top_k_many` (its rows of P and
+# of the keep mask, and its kept rows and their queries, gathered) or of
+# `rerank_many`
 _BLOCK_BYTES = 2 ** 18
 
 
@@ -59,13 +61,6 @@ class RankedSet:
 
     def id_set(self) -> set[int]:
         return set(self.ids)
-
-
-def rank(ids: np.ndarray, distances: np.ndarray, k: int) -> RankedSet:
-    """The k entries minimizing (distance, id); NaN distances sort last."""
-    # lexsort's last key is primary: sort by distance, then id
-    order = np.lexsort((ids, distances))[:k]
-    return RankedSet(ids[order], distances[order])
 
 
 def query_vector(e_q, store: EmbeddingStore) -> np.ndarray:
@@ -192,29 +187,64 @@ def _keep(queries: np.ndarray, k: int, store: EmbeddingStore) -> np.ndarray:
     return keep
 
 
-def rerank_union(returned: list[RankedSet], k: int, rng=None):
-    """Server side of one round: deduplicate the concatenated client returns
-    by id, then order the picked entries by (distance, id) and keep the
-    first k. Returns (the final RankedSet, for each final entry the index of
-    the first client that returned its id).
+def rerank_many(ids, distances, valid, k: int, rngs):
+    """The server's rerank of m queries' client returns at once. Row i of
+    the (m, w) `ids` and `distances` blocks holds what the clients returned
+    for query i, their columns in client order, where the mask `valid` is
+    set. Per row: deduplicate by id, the first column winning; unless
+    `rngs` is None, draw min(k, |union|) entries of the row's union, in id
+    order, with rngs[i] (one seeded draw per query); then order by
+    (distance, id) and keep the first k. Returns the (rows, columns) of the
+    kept entries, in (row, distance, id) order.
 
-    The distances are the ones the clients computed, so nothing is looked up
-    again. Without `rng` every union entry is a candidate (the reorder
-    step); with it, min(k, |union|) entries are drawn uniformly first. A
-    RankedSet holds distinct ids in (distance, id) order, so without a draw
-    one non-empty return's first k is the rerank, taken as it stands."""
-    senders = [c for c, ranked in enumerate(returned) if len(ranked)]
-    if rng is None and len(senders) == 1:
-        ranked = returned[senders[0]]
-        final = RankedSet(ranked.id_array[:k], ranked.distances[:k])
-        return final, np.full(len(final), senders[0])
-    ids = np.concatenate([r.id_array for r in returned])
-    distances = np.concatenate([r.distances for r in returned])
+    The distances are the ones the clients computed, so nothing is looked
+    up again. The rows are reranked in blocks sized by their temporaries
+    (`_BLOCK_BYTES`)."""
+    # about ten 8-byte temporaries per entry of a block
+    block = max(1, _BLOCK_BYTES // (80 * max(1, valid.shape[1])))
+    rows, columns = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(valid), block):
+        part_rows, part_columns = _rerank_block(
+            ids[lo:lo + block], distances[lo:lo + block],
+            valid[lo:lo + block], k,
+            None if rngs is None else rngs[lo:lo + block])
+        rows.append(part_rows + lo)
+        columns.append(part_columns)
+    return np.concatenate(rows), np.concatenate(columns)
+
+
+def _rerank_block(ids, distances, valid, k: int, rngs):
+    """`rerank_many` of one block of rows."""
+    rows, columns = np.nonzero(valid)  # (row, column) order
+    picked = ids[rows, columns]
+    # lexsort is stable and its last key primary: by (row, id), and among
+    # one row's copies of an id the first column first
+    order = np.lexsort((picked, rows))
+    rows, columns, picked = rows[order], columns[order], picked[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (picked[1:] != picked[:-1])
+    rows, columns, picked = rows[first], columns[first], picked[first]
+    if rngs is not None:
+        bounds = np.searchsorted(rows, np.arange(len(valid) + 1))
+        pool = [start + rng.choice(end - start, size=min(k, end - start),
+                                   replace=False)
+                for rng, start, end in zip(rngs, bounds[:-1], bounds[1:])
+                if end > start]
+        pool = np.concatenate(pool) if pool else np.empty(0, dtype=np.intp)
+        rows, columns, picked = rows[pool], columns[pool], picked[pool]
+    order = np.lexsort((picked, distances[rows, columns], rows))
+    rows, columns = rows[order], columns[order]
+    keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
+    return rows[keep], columns[keep]
+
+
+def rerank_union(returned: list[RankedSet], k: int, rng=None):
+    """The one-row form of `rerank_many`, over the clients' returned ranked
+    sets (at least one). Returns (the final RankedSet, for each final entry
+    the index of the first client that returned its id)."""
+    ids = np.concatenate([r.id_array for r in returned])[None]
+    distances = np.concatenate([r.distances for r in returned])[None]
     owners = np.repeat(np.arange(len(returned)), [len(r) for r in returned])
-    ids, first = np.unique(ids, return_index=True)
-    distances, owners = distances[first], owners[first]
-    pool = np.arange(len(ids))
-    if rng is not None and len(ids):
-        pool = rng.choice(len(ids), size=min(k, len(ids)), replace=False)
-    final = rank(ids[pool], distances[pool], k)
-    return final, owners[np.searchsorted(ids, final.id_array)]
+    _, columns = rerank_many(ids, distances, np.ones(ids.shape, dtype=bool),
+                             k, None if rng is None else [rng])
+    return RankedSet(ids[0, columns], distances[0, columns]), owners[columns]

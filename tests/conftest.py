@@ -36,15 +36,21 @@ def save_dataset(d, path):
             fh.write(json.dumps({"text": ex.text, "label": ex.label}) + "\n")
 
 
-def brute_force_topk(e_q, k, dataset, store):
-    """Independent oracle: full sort by (distance, id) with python sorting."""
+def brute_force_ranking(e_q, dataset, store):
+    """Independent oracle: every (distance, id) of `dataset`, sorted with
+    python sorting."""
     scored = []
     for ex in dataset:
         vec = store.get(ex.id)
         dist = float(np.sqrt(np.sum((np.asarray(e_q) - vec) ** 2)))
         scored.append((dist, ex.id))
     scored.sort()
-    return [i for _, i in scored[:k]]
+    return scored
+
+
+def brute_force_topk(e_q, k, dataset, store):
+    """The ids of the first k entries of `brute_force_ranking`."""
+    return [i for _, i in brute_force_ranking(e_q, dataset, store)[:k]]
 
 
 def reference_prompt(ices, query_text, labels):

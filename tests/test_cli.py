@@ -509,8 +509,45 @@ class TestReport:
         assert not (tmp_path / "out" / "report.json").exists()
         path.write_text(text)
         capsys.readouterr()
-        assert main(["--config", str(path), "report", "--curve", "1"]) == 2
+        # an unfinished run, as one with no learned transcripts is
+        assert main(["--config", str(path), "report", "--curve", "1"]) == 1
         assert "seed0/transcripts_learned.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["report.json",
+                                         "seed0/transcripts_learned.jsonl"])
+    def test_unfinished_run_is_a_validation_error(self, learned_run, tmp_path,
+                                                  capsys, missing):
+        config, _ = learned_run
+        out = tmp_path / "run"
+        shutil.copytree(os.path.join(os.path.dirname(config), "out"), out)
+        os.remove(out / missing)
+        capsys.readouterr()
+        assert main(["--config", config, "--out", str(out), "report",
+                     "--curve", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: stage 'report' (seed 0): unfinished run: ")
+        assert str(out / missing) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage, line, message", [
+        (lambda data: data + b"\xff", False, "not UTF-8"),
+        (lambda data: data[:300], True, "invalid JSON: "),
+        (lambda data: b"[]\n", False, "report must be a JSON object"),
+    ], ids=["trailing-0xff", "truncated", "not-an-object"])
+    def test_damaged_report_named(self, learned_run, tmp_path, capsys, damage,
+                                  line, message):
+        config, _ = learned_run
+        out = tmp_path / "run"
+        shutil.copytree(os.path.join(os.path.dirname(config), "out"), out)
+        report = out / "report.json"
+        report.write_bytes(damage(report.read_bytes()))
+        capsys.readouterr()
+        assert main(["--config", config, "--out", str(out), "report",
+                     "--curve", "1"]) == 1
+        err = capsys.readouterr().err
+        prefix = "error: stage 'report' (seed 0): "
+        assert err.startswith(prefix + ("line " if line else str(report)))
+        assert f"{report}: {message}" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -9,21 +9,23 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from icebudget import federation
-from icebudget.allocator import init_model
+from icebudget.allocator import init_model, predict_budget
 from icebudget.config import POLICY_VARIANTS, config_from_dict
 from icebudget.corpus import Dataset, Example, LabelSpace, partition_iid
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import BackendError, ParseError, ValidationError
 from icebudget.inference import MockVoteBackend, build_prompt
 from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
-                                  Transcript, _finish, _gather,
-                                  _per_query_rng, _random_composition,
-                                  allocate, client_retrieve,
-                                  distributed_infer, keep_rankings,
-                                  load_transcripts, save_transcripts)
-from icebudget.retrieval import RankedSet, rerank_union, top_k, top_k_many
+                                  Transcript, _finish, _per_query_rng,
+                                  _random_composition, allocate,
+                                  client_retrieve, distributed_infer,
+                                  keep_rankings, load_transcripts, plan_pass,
+                                  save_transcripts)
+from icebudget.retrieval import (RankedSet, rerank_many, rerank_union, top_k,
+                                 top_k_many)
 
-from conftest import make_world, ranked_entries, reference_prompt
+from conftest import (brute_force_ranking, make_world, ranked_entries,
+                      reference_prompt)
 
 
 def replay_transcript(t: Transcript, clients, e_q, k: int) -> bool:
@@ -338,13 +340,19 @@ def _reference_social_learning_infer(server, clients, e_q, seed, query=None):
     c = len(clients)
     per_client = math.ceil(server.k / c)
     query_id = query.id if isinstance(query, Example) else -1
+    returned = [client_retrieve(client, e_q, per_client) for client in clients]
+    final, owners = rerank_union(returned, server.k,
+                                 _per_query_rng(seed, query_id))
     transcript = Transcript(
         query_id=query_id, policy="social_learning",
-        budgets_sent=[per_client] * c, samples_returned=[],
+        budgets_sent=[per_client] * c,
+        samples_returned=[ranked.ids for ranked in returned],
         final_ice_ids=[], prompt_text="", prompt_chars=0,
-        answer_label=None, total_samples_communicated=0)
-    final, examples = _gather(clients, e_q, transcript.budgets_sent, server.k,
-                              transcript, rng=_per_query_rng(seed, query_id))
+        answer_label=None,
+        total_samples_communicated=sum(len(ranked) for ranked in returned),
+        fallback_zero_shot=not len(final))
+    examples = [clients[owner].shard.id_index()[example_id]
+                for example_id, owner in zip(final.ids, owners.tolist())]
     return _finish(server, query, final, examples, transcript)
 
 
@@ -749,7 +757,7 @@ def _overlapping_clients(seed):
 
 class TestOneSender:
     """Without a draw, one client's return among empty ones is the final
-    set as it stands, and `_gather` reaches it through `rerank_union`."""
+    set as it stands, and a singleton pass serves it."""
 
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 10_000), num_clients=st.integers(1, 4),
@@ -781,25 +789,32 @@ class TestOneSender:
         assert final.id_array.tobytes() == ids[order].tobytes()
         assert final.distances.tobytes() == distances[order].tobytes()
         assert owners.tolist() == [sender] * len(final)
-        transcript = Transcript(0, "singleton", budgets, [], [], 0, None, 0)
-        gathered, examples = _gather(clients, e_q, budgets, k, transcript)
-        assert ranked_entries(gathered) == ranked_entries(final)
+        # a singleton pass asking the sender for `budget`, with k = budget
+        backend = _RecordingMock()
+        server = make_server(k=budget, labels=d.labels, backend=backend,
+                             policy=BudgetPolicy("singleton", client=sender),
+                             ice_order="ascending")
+        _, t = distributed_infer(server, clients, "q", e_q)
+        alone = np.lexsort((ids, distances))[:budget]
+        assert t.final_ice_ids == ids[alone].tolist()
         shard = clients[sender].shard.id_index()
-        assert examples == [shard[i] for i in final.ids]
+        assert backend.votes == [(shard[i].label, dist) for i, dist in zip(
+            ids[alone].tolist(), distances[alone].tolist())]
 
     def test_draw_still_reranks(self):
-        # with a draw, k of a lone sender's entries are picked at random
+        # with a draw, k of a lone sender's entries are picked at random:
+        # from its return in id order, then ranked by (distance, id)
         d, store, clients = make_clients(n=60, dim=3, seed=17)
         e_q = np.random.default_rng(3).standard_normal(3)
         budgets = [12, 0, 0]
         returned = [client_retrieve(c, e_q, b)
                     for c, b in zip(clients, budgets)]
-        want, _ = rerank_union(returned, 4, _per_query_rng(0, 0))
-        transcript = Transcript(0, "social_learning", budgets, [], [], 0,
-                                None, 0)
-        final, _ = _gather(clients, e_q, budgets, 4, transcript,
-                           _per_query_rng(0, 0), depth=12)
-        assert final.ids == want.ids
+        final, owners = rerank_union(returned, 4, _per_query_rng(0, 0))
+        by_id = sorted(ranked_entries(returned[0]))
+        picks = _per_query_rng(0, 0).choice(12, size=4, replace=False)
+        want = sorted((by_id[i] for i in picks), key=lambda e: (e[1], e[0]))
+        assert ranked_entries(final) == tuple(want)
+        assert owners.tolist() == [0] * 4
         assert final.ids != returned[0].ids[:4]
 
 
@@ -808,13 +823,12 @@ class TestInfinitePrefixes:
     their distances and its answer must be those of the whole shards."""
 
     def check(self, clients, e_q, k, alpha, labels, monkeypatch):
-        candidates = []  # each client's entries that reach the server
+        candidates = []  # the entries that reach the server's rerank
 
-        def counting_retrieve(*args):
-            ranked = client_retrieve(*args)
-            candidates.append(len(ranked))
-            return ranked
-        monkeypatch.setattr(federation, "client_retrieve", counting_retrieve)
+        def counting_rerank(ids, distances, valid, *args):
+            candidates.append(int(valid.sum()))
+            return rerank_many(ids, distances, valid, *args)
+        monkeypatch.setattr(federation, "rerank_many", counting_rerank)
         backend = _RecordingMock()
         server = make_server(k=k, alpha=alpha, policy=BudgetPolicy("infinite"),
                              labels=labels, backend=backend,
@@ -839,8 +853,7 @@ class TestInfinitePrefixes:
         # only a top-k prefix of a deeper client reaches the server; a
         # shard of k + 1 .. k + alpha entries is not deeper, so it is sent
         # whole, and only without one do at most C·k candidates arrive
-        assert len(candidates) == len(clients)
-        got = sum(candidates)
+        [got] = candidates
         assert got == sum(k if len(c.shard) > depth else len(c.shard)
                           for c in clients)
         if all(len(c.shard) > depth or len(c.shard) <= k for c in clients):
@@ -902,6 +915,159 @@ class TestInfinitePrefixes:
                 distributed_infer(server, clients, query, e_q)
         assert not misses
         assert len(calls) == len(set(calls)) == len(queries) * len(clients)
+
+
+def _reference_budgets(server, clients, query_id, e_q):
+    """Each policy's budgets by its rule; `random`'s draw and `learned`'s
+    prediction come from the seeded per-query draw and `predict_budget`."""
+    variant, k, c = server.policy.variant, server.k, len(clients)
+    if variant in ("uniform", "social_learning"):
+        return [-(-k // c)] * c
+    if variant == "random":
+        return _random_composition(
+            k, c, _per_query_rng(server.policy.seed, query_id))
+    if variant == "learned":
+        return [budget + server.alpha for budget in
+                predict_budget(server.allocator, e_q, server.delta)]
+    if variant == "singleton":
+        return [k if i == server.policy.client else 0 for i in range(c)]
+    if variant == "infinite":
+        return [len(client.shard) for client in clients]
+    return [0] * c
+
+
+def _reference_round(server, clients, query, e_q):
+    """One query's round done naively: each client's budget prefix of its
+    brute-force ranking, a dict union in which the first owner of an id
+    wins, a sort by (distance, id) (after `social_learning`'s seeded draw
+    over the union in id order), and the mock vote. Returns (budgets, the
+    returns as a transcript records them, samples sent, final ids, votes in
+    prompt order, fallback, answer)."""
+    variant, k = server.policy.variant, server.k
+    budgets = _reference_budgets(server, clients, query.id, e_q)
+    returned = [[] for _ in clients]
+    union = {}  # id -> (distance, example of its first owner)
+    if variant == "proxy_only":
+        shard = server.proxy.shard
+        for dist, i in brute_force_ranking(e_q, shard, server.proxy.store)[:k]:
+            union[i] = (dist, shard.id_index()[i])
+    elif variant != "zero_shot":
+        for c, (client, budget) in enumerate(zip(clients, budgets)):
+            prefix = brute_force_ranking(e_q, client.shard,
+                                         client.store)[:budget]
+            # a budget deeper than k + alpha is recorded by its count
+            returned[c] = (len(prefix) if budget > k + server.alpha
+                           else [i for _, i in prefix])
+            for dist, i in prefix:
+                union.setdefault(i, (dist, client.shard.id_index()[i]))
+    ids = sorted(union)
+    if variant == "social_learning" and ids:
+        rng = _per_query_rng(server.policy.seed, query.id)
+        ids = [ids[p] for p in rng.choice(len(ids), size=min(k, len(ids)),
+                                          replace=False)]
+    final = sorted(ids, key=lambda i: (union[i][0], i))[:k]
+    votes = [(union[i][1].label, union[i][0]) for i in final]
+    answer = MockVoteBackend().answer(None, votes, server.labels)
+    if server.ice_order == "descending":
+        final, votes = final[::-1], votes[::-1]
+    sent = sum(len(r) if isinstance(r, list) else r for r in returned)
+    fallback = variant not in ("proxy_only", "zero_shot") and not final
+    return budgets, returned, sent, final, votes, fallback, answer
+
+
+@st.composite
+def _planned_passes(draw):
+    """A world of C clients whose shards may overlap (a shared id is one
+    vector, but each client's copy has its own label), a proxy set, an
+    allocator, k (up to above a shard's size), alpha, the ICE order and a
+    pass's queries, two of which may share a vector."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_clients = draw(st.integers(1, 3))
+    n = draw(st.integers(num_clients, 24))
+    dim = draw(st.integers(1, 3))
+    grid = draw(st.booleans())  # coarse grid points tie often
+    matrix = (rng.integers(-2, 3, size=(n, dim)) * 0.5 if grid
+              else rng.standard_normal((n, dim)))
+    store = EmbeddingStore(np.arange(n), matrix)
+    labels = LabelSpace.default(3)
+    base = rng.integers(3, size=n)
+    holders = [[c] for c in rng.permutation(n) % num_clients]
+    if draw(st.booleans()):  # overlapping shards
+        for i in range(n):
+            holders[i] += [c for c in range(num_clients)
+                           if c not in holders[i] and rng.random() < 0.4]
+    clients = []
+    for c in range(num_clients):
+        held = [i for i in range(n) if c in holders[i]]
+        shard = Dataset(tuple(Example(i, f"client {c} point {i}",
+                                      int(base[i] + c) % 3) for i in held),
+                        labels)
+        clients.append(ClientNode(c, shard, store.subset(held)))
+    proxy_ids = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                  replace=False).tolist())
+    proxy = Dataset(tuple(Example(i, f"proxy {i}", int(base[i]))
+                          for i in proxy_ids), labels)
+    k = draw(st.integers(1, n + 3))
+    alpha = draw(st.sampled_from([0, 1, 3]))
+    server = dict(k=k, alpha=alpha, labels=labels,
+                  ice_order=draw(st.sampled_from(["ascending", "descending"])),
+                  allocator=init_model(dim, 8, k + 1,
+                                       seeds=range(num_clients)),
+                  proxy=ClientNode(-1, proxy, store.subset(proxy_ids)))
+    m = draw(st.integers(1, 5))
+    vectors = np.array([matrix[int(rng.integers(n))]
+                        if grid and rng.random() < 0.5
+                        else rng.standard_normal(dim) for _ in range(m)])
+    if m > 1 and draw(st.booleans()):
+        vectors[-1] = vectors[0]  # one vector, two query ids
+    if draw(st.booleans()):  # a shallower ranking kept of the first vector
+        keep_rankings(ServerNode(k=1), clients, vectors[:1])
+    queries = [Example(1000 + j, f"query {j}", 0) for j in range(m)]
+    return clients, server, queries, vectors
+
+
+class TestPlanEqualsReference:
+    """Every (policy, query) of a planned pass is the naive per-query
+    round of `_reference_round`, and a query with no plan, answered before
+    the pass is planned, gets the same transcript and answer and leaves
+    every node's kept rankings as they were."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(world=_planned_passes())
+    def test_every_policy_and_query(self, world):
+        clients, server_args, queries, vectors = world
+        nodes = [*clients, server_args["proxy"]]
+        for variant in POLICY_VARIANTS:
+            backend = _RecordingMock()
+            server = ServerNode(
+                policy=BudgetPolicy(variant, seed=5, client=len(clients) - 1),
+                backend=backend, **server_args)
+            kept = [dict(node.rankings) for node in nodes]
+            alone = [distributed_infer(server, clients, query, e_q)
+                     for query, e_q in zip(queries, vectors)]
+            assert [node.rankings for node in nodes] == kept
+            plan_pass(server, clients, [q.id for q in queries], vectors)
+            for query, e_q, (alone_answer, alone_t) in zip(queries, vectors,
+                                                          alone):
+                answer, t = distributed_infer(server, clients, query, e_q)
+                assert t.to_dict() == alone_t.to_dict(), variant
+                assert answer == alone_answer, variant
+                (budgets, returned, sent, final, votes, fallback,
+                 want_answer) = _reference_round(server, clients, query, e_q)
+                assert t.budgets_sent == budgets, variant
+                assert t.samples_returned == returned, variant
+                assert t.total_samples_communicated == sent, variant
+                assert t.final_ice_ids == final, variant
+                # each client's copy of an id has its own label, so the
+                # votes name the owner of every ICE
+                assert [label for label, _ in backend.votes] == [
+                    label for label, _ in votes], variant
+                np.testing.assert_allclose(
+                    [dist for _, dist in backend.votes],
+                    [dist for _, dist in votes], rtol=1e-12, atol=0)
+                assert t.fallback_zero_shot == fallback, variant
+                assert answer == t.answer_label == want_answer, variant
+            assert not server.plans  # each plan is served once
 
 
 class _PromptRecorder:

@@ -21,7 +21,7 @@ from icebudget.harness import (_SeedContext, allocators,
                                efficiency_curve_from_run, evaluate_accuracy,
                                mean_std, run_experiment, save_shards,
                                seed_contexts)
-from icebudget.retrieval import RankedSet, top_k, top_k_many
+from icebudget.retrieval import top_k, top_k_many
 
 from conftest import save_dataset
 
@@ -283,15 +283,14 @@ class TestKeptRankings:
         tiny_config.policies = list(POLICY_VARIANTS)
         tiny_config.num_seeds = 2
         tiny_config.alpha = 1
+        # passes of 20 queries, planned 3 at a time
+        monkeypatch.setattr(federation, "_PLAN_ROWS", 3)
         run_experiment(tiny_config)
         kept = _tree_bytes(tiny_config.output_dir)
         shutil.rmtree(tiny_config.output_dir)
 
-        def fresh_ranking(client, e_q, budget):
-            if budget == 0:
-                return RankedSet()
-            return top_k(e_q, budget, client.shard, client.store)
-        monkeypatch.setattr(federation, "client_retrieve", fresh_ranking)
+        # no pass planned: each query is planned alone, and nothing kept
+        monkeypatch.setattr(harness, "plan_pass", lambda *args: None)
         run_experiment(tiny_config)
         assert _tree_bytes(tiny_config.output_dir) == kept
 

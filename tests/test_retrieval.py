@@ -10,8 +10,7 @@ from icebudget import parallel, retrieval
 from icebudget.corpus import Dataset, Example, LabelSpace
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ValidationError
-from icebudget.retrieval import (RankedSet, rank, rerank_union, top_k,
-                                 top_k_many)
+from icebudget.retrieval import RankedSet, rerank_union, top_k, top_k_many
 
 from conftest import brute_force_topk, make_world, ranked_entries
 
@@ -106,14 +105,15 @@ class TestEqualsFullSort:
     @given(values=st.lists(st.sampled_from(
                [0.0, 0.5, 1.0, 1.0, 2.0, np.inf, np.nan]), max_size=30),
            seed=st.integers(0, 10_000), extra=st.integers(0, 2))
-    def test_rank_equals_full_sort_with_nan_and_inf(self, values, seed, extra):
+    def test_rerank_equals_full_sort_with_nan_and_inf(self, values, seed,
+                                                      extra):
         # NaN and inf distances cannot come from a valid store and a finite
-        # query, so `rank` is driven directly with them
+        # query, so the rerank is driven directly with them
         distances = np.array(values, dtype=np.float64)
         ids = np.random.default_rng(seed).permutation(len(values)).astype(
             np.int64)
         for k in range(len(values) + extra + 1):
-            got = rank(ids, distances, k)
+            got = rerank_union([RankedSet(ids, distances)], k)[0]
             want_ids, want_distances = _full_sort(ids, distances, k)
             assert got.id_array.tobytes() == want_ids.tobytes()
             assert got.distances.tobytes() == want_distances.tobytes()
