@@ -9,23 +9,22 @@ splits the budget and how the server selects the final ICEs.
 
 A budget only truncates a client's ranking of its shard for the query, so a
 client ranks each query once, and a pass is planned before its first
-answer. `plan_pass` first has each node the policy asks (the clients, or
-the server's proxy set, a `ClientNode` too, under `proxy_only`) rank every
-query vector of the pass that it keeps no ranking of, in one `top_k_many`
-call (`keep_rankings`, the one writer of kept rankings). A node keeps each
-vector's top-(k + alpha) entries by (distance, id), keyed on a digest of
-the vector's bytes; k + alpha is the deepest budget any policy but
-`infinite` sends. The plan then takes every query's budgets from
-`allocate`, gathers each client's budget prefix of its kept ranking into
-one block per 64 queries, and reranks each block in one
+answer. `plan_pass` first has each node the policy asks (`_asked`: the
+clients, or the server's proxy set, a `ClientNode` too, under
+`proxy_only`) take its one table (`_ranked`): the top-(k + alpha) entries
+by (distance, id) of each vector of the last block of query vectors it
+ranked, in one `top_k_many` call, keyed on a digest of the block's bytes
+and on k + alpha, the deepest budget any policy but `infinite` sends. A
+block under another key is ranked anew, so a seed's passes over its test
+vectors rank them once per node. The plan then takes every query's budgets
+from `allocate`, gathers each client's budget prefix of its table rows
+into one block per 64 queries, and reranks each block in one
 `retrieval.rerank_many` call, which also names the client behind each
 final ICE; the shards' id indexes resolve the examples. `distributed_infer`
 serves each query of the pass from its plan. A query vector no pass
-planned (an `infer` query) is planned alone, from kept rankings where
-there are any and from a ranking kept nowhere otherwise, so every query
-takes the one path. `run_experiment` releases a seed's rankings before it
-evaluates the next seed. `client_retrieve` serves one client's budget from
-its kept ranking, as `top_k` would.
+planned (an `infer` query) is ranked and planned alone, and nothing of it
+is kept, so every query takes the one path. `run_experiment` releases a
+seed's tables before it evaluates the next seed.
 One `build_prompt` pass over the final ICEs, in `ice_order`, gives the
 prompt and the backend's (label, distance) votes.
 
@@ -56,8 +55,7 @@ from .embedder import EmbeddingStore
 from .errors import (BackendError, ParseError, ValidationError, is_int,
                      jsonl_values)
 from .inference import MockVoteBackend, build_prompt
-from .retrieval import (RankedSet, query_vector, rerank_many, top_k,
-                        top_k_many)
+from .retrieval import RankedSet, rerank_many, top_k, top_k_many
 
 
 @dataclass(frozen=True)
@@ -77,14 +75,14 @@ class BudgetPolicy:
 
 @dataclass
 class ClientNode:
-    """A client: its shard, the shard's store, and the rankings it keeps
-    (see `keep_rankings`). The server's proxy set is one too."""
+    """A client: its shard, the shard's store, and its ranking table (see
+    `_ranked`). The server's proxy set is one too."""
 
     id: int
     shard: Dataset
     store: EmbeddingStore
-    # query digest -> the query's top entries as a read-only RankedSet
-    rankings: dict = field(default_factory=dict, repr=False, compare=False)
+    # None, or (key, ids, distances): the table of the last block ranked
+    ranked: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.store.check_bound(self.shard)
@@ -252,54 +250,38 @@ def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
     raise ValidationError(f"unknown policy variant: {variant}")
 
 
-def _digest(query: np.ndarray) -> bytes:
-    """The key of a float64 query vector's kept rankings."""
-    return hashlib.blake2b(query.tobytes(), digest_size=16).digest()
+def _digest(queries: np.ndarray) -> bytes:
+    """The key of a float64 query vector, or of a block of them."""
+    return hashlib.blake2b(queries.tobytes(), digest_size=16).digest()
 
 
 def client_retrieve(client: ClientNode, e_q, budget: int) -> RankedSet:
-    """Local top-min(budget, |shard|); a zero budget returns nothing.
-
-    A budget inside the query vector's kept ranking (see `keep_rankings`),
-    or any budget when that ranking is the whole shard, is served as a
-    read-only slice of it, which is what `top_k` would return. Any other
-    budget is ranked by `top_k`, and the ranking is kept nowhere."""
+    """Local top-min(budget, |shard|): `top_k` over the client's shard."""
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
-    if budget == 0:
-        return RankedSet()
-    query = query_vector(e_q, client.store)
-    kept = client.rankings.get(_digest(query))
-    if kept is not None and min(budget, len(client.shard)) <= len(kept):
-        return RankedSet(kept.id_array[:budget], kept.distances[:budget])
-    return top_k(query, budget, client.shard, client.store)
+    return top_k(e_q, budget, client.shard, client.store)
 
 
-def keep_rankings(server: ServerNode, clients, queries):
-    """Before a pass of `server`'s policy over the query vectors (the rows
-    of `queries`): have each node the policy asks (the clients, or the
-    server's proxy under `proxy_only`) rank, in one `top_k_many` call, the
-    vectors it keeps no ranking of, and keep their top-(k + alpha) entries,
-    as read-only rows of one array under each vector's digest. This is the
-    one writer of kept rankings."""
+def _asked(server: ServerNode, clients) -> list[ClientNode]:
+    """The nodes `server`'s policy asks: the clients, the server's proxy set
+    under `proxy_only`, or none under `zero_shot`."""
+    server.require_ready(len(clients))
     variant = server.policy.variant
     if variant == "zero_shot":
-        return
-    server.require_ready(len(clients))
-    queries = np.asarray(queries, dtype=np.float64)
-    rows = {}  # digest -> the first row with it
-    for row, query in enumerate(queries):
-        rows.setdefault(_digest(query), row)
-    for node in [server.proxy] if variant == "proxy_only" else clients:
-        missing = [key for key in rows if key not in node.rankings]
-        if not missing:
-            continue
-        ids, distances = top_k_many(
-            queries.take([rows[key] for key in missing], axis=0),
-            server.k + server.alpha, node.shard, node.store)
-        ids.flags.writeable = False
-        distances.flags.writeable = False
-        node.rankings.update(zip(missing, map(RankedSet, ids, distances)))
+        return []
+    return [server.proxy] if variant == "proxy_only" else list(clients)
+
+
+def _ranked(node: ClientNode, queries: np.ndarray, key, depth: int):
+    """The node's top-min(depth, |shard|) entries of each query vector (the
+    rows of `queries`) as read-only (m, min(depth, |shard|)) id and
+    distance arrays: its table, which it ranks anew, in one `top_k_many`
+    call, when the table was kept under another key."""
+    if node.ranked is None or node.ranked[0] != key:
+        ids, distances = top_k_many(queries, depth, node.shard, node.store)
+        ids.flags.writeable = distances.flags.writeable = False
+        node.ranked = (key, ids, distances)
+    return node.ranked[1:]
 
 
 def _examples(datasets, ids, owners) -> list[Example]:
@@ -314,38 +296,20 @@ def _examples(datasets, ids, owners) -> list[Example]:
         raise ValidationError(f"no example with id {exc.args[0]}") from None
 
 
-def _rank_into(node: ClientNode, keys, queries: np.ndarray, depth: int,
-               ids: np.ndarray, distances: np.ndarray):
-    """Write the node's top-min(depth, |shard|) entries of each query vector
-    (the rows of `queries`, under the digests `keys`) into the rows of the
-    (m, min(depth, |shard|)) `ids` and `distances`: its kept ranking of the
-    vector where it keeps one that deep, else one ranked now by
-    `top_k_many` and kept nowhere."""
-    width = ids.shape[1]
-    fresh = []
-    for row, key in enumerate(keys):
-        ranked = node.rankings.get(key)
-        if ranked is None or len(ranked) < width:
-            fresh.append(row)
-        else:
-            ids[row] = ranked.id_array[:width]
-            distances[row] = ranked.distances[:width]
-    if fresh:
-        ids[fresh], distances[fresh] = top_k_many(
-            queries.take(fresh, axis=0), depth, node.shard, node.store)
-
-
-def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray, keys):
+def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray,
+          ranked):
     """Each query's (final ICEs, their examples, transcript of the round so
-    far) for the query ids and vectors (the rows of `queries`, under the
-    digests `keys`), from one `rerank_many` over every query's returns.
+    far) for the query ids and vectors (the rows of `queries`), from one
+    `rerank_many` over every query's returns. `ranked` holds, for each node
+    the policy asks (`_asked`), its (ids, distances) rows of the queries:
+    their top-min(k + alpha, |shard|) entries.
 
     The budgets come from `allocate`, one query at a time. A client sends
-    the server its local top-budget, a prefix of its ranking (`_rank_into`);
-    but only its top-k can reach the final k, so a client sent a budget
-    deeper than k + alpha (only `infinite` sends one) gives the server that
-    prefix alone, and its transcript records how many samples it sent in
-    place of their ids. Under `proxy_only` the server takes the top k of
+    the server its local top-budget, a prefix of its ranking; but only its
+    top-k can reach the final k, so a client sent a budget deeper than
+    k + alpha (only `infinite` sends one) gives the server that prefix
+    alone, and its transcript records how many samples it sent in place of
+    their ids. Under `proxy_only` the server takes the top k of
     its own proxy set, and under `zero_shot` nothing."""
     policy, k, depth = server.policy, server.k, server.k + server.alpha
     budgets = [allocate(policy, query, server, clients, query_id=query_id)
@@ -353,13 +317,11 @@ def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray, keys):
     m = len(budgets)
     if not m:
         return []
+    nodes = _asked(server, clients)
     asked = policy.variant not in ("proxy_only", "zero_shot")
-    if asked:
-        nodes, asks = clients, np.array(budgets, dtype=np.int64)
-    else:
-        nodes = [server.proxy] if policy.variant == "proxy_only" else []
-        asks = np.full((m, len(nodes)), k, dtype=np.int64)
-    widths = [min(depth, len(node.shard)) for node in nodes]
+    asks = (np.array(budgets, dtype=np.int64) if asked
+            else np.full((m, len(nodes)), k, dtype=np.int64))
+    widths = [node_ids.shape[1] for node_ids, _ in ranked]
     deep = asks > depth
     take = np.minimum(np.where(deep, k, asks), widths)
     # the pass's block: each node's rankings side by side, valid where the
@@ -368,10 +330,9 @@ def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray, keys):
     ids = np.empty((m, starts[-1]), dtype=np.int64)
     distances = np.empty((m, starts[-1]))
     valid = np.empty((m, starts[-1]), dtype=bool)
-    for c, node in enumerate(nodes):
+    for c, (node_ids, node_distances) in enumerate(ranked):
         lo, hi = starts[c], starts[c + 1]
-        _rank_into(node, keys, queries, depth, ids[:, lo:hi],
-                   distances[:, lo:hi])
+        ids[:, lo:hi], distances[:, lo:hi] = node_ids, node_distances
         valid[:, lo:hi] = np.arange(hi - lo) < take[:, c, None]
     owner = np.repeat(np.arange(len(nodes)), widths)
     rngs = ([_per_query_rng(policy.seed, query_id) for query_id in query_ids]
@@ -410,20 +371,25 @@ def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray, keys):
 
 def plan_pass(server: ServerNode, clients, query_ids, queries):
     """Before a pass of `server`'s policy over the queries `query_ids`, with
-    the vectors the rows of `queries`: keep the rankings the pass reads
-    (`keep_rankings`), then plan every query of the pass (`_plan`, one call
-    per `_PLAN_ROWS` queries) and keep each plan on the server under the
+    the vectors the rows of `queries`: take each asked node's table of the
+    whole block (`_ranked`, under the block's shape and digest and the
+    depth k + alpha, so a seed's passes over its test vectors rank them
+    once per node), then plan every query of the pass (`_plan`, one call per
+    `_PLAN_ROWS` queries) and keep each plan on the server under the
     vector's digest and the query id, for `distributed_infer` to serve
     once."""
-    keep_rankings(server, clients, queries)
+    nodes = _asked(server, clients)
     queries = np.asarray(queries, dtype=np.float64)
+    depth = server.k + server.alpha
+    key = (queries.shape, _digest(queries), depth)
+    ranked = [_ranked(node, queries, key, depth) for node in nodes]
     keys = [_digest(query) for query in queries]
     for lo in range(0, len(keys), _PLAN_ROWS):
         hi = lo + _PLAN_ROWS
+        rows = [(ids[lo:hi], distances[lo:hi]) for ids, distances in ranked]
         server.plans.update(zip(
             zip(keys[lo:hi], query_ids[lo:hi]),
-            _plan(server, clients, query_ids[lo:hi], queries[lo:hi],
-                  keys[lo:hi])))
+            _plan(server, clients, query_ids[lo:hi], queries[lo:hi], rows)))
 
 
 def _finish(server: ServerNode, query, final: RankedSet, examples,
@@ -466,13 +432,16 @@ def distributed_infer(server: ServerNode, clients, query, e_q):
     social learning, where the server draws k of the union uniformly at
     random (seeded per query) and orders only those. A query its pass
     planned (`plan_pass`) is served from its plan, which it uses up; any
-    other (an `infer` query) is planned alone, and its plan kept nowhere."""
+    other (an `infer` query) is ranked and planned alone, and its ranking
+    and plan kept nowhere."""
     query_id = query.id if isinstance(query, Example) else -1
     vector = np.asarray(e_q, dtype=np.float64)
-    key = _digest(vector)
-    planned = server.plans.pop((key, query_id), None)
+    planned = server.plans.pop((_digest(vector), query_id), None)
     if planned is None:
-        [planned] = _plan(server, clients, [query_id], vector[None], [key])
+        ranked = [top_k_many(vector[None], server.k + server.alpha,
+                             node.shard, node.store)
+                  for node in _asked(server, clients)]
+        [planned] = _plan(server, clients, [query_id], vector[None], ranked)
     return _finish(server, query, *planned)
 
 

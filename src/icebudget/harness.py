@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -305,6 +306,10 @@ def allocators(contexts, save_tables: bool = True,
             key = ctx._model_key(records)
             with _stage("train-allocator", ctx.seed_index):
                 ctx.model = ctx._cached_model(key)
+                # a model path its save cannot write fails before training
+                for path in filter(os.path.isdir, ctx._model_paths()):
+                    raise IsADirectoryError(errno.EISDIR, "Is a directory",
+                                            path)
             if ctx.model is None:
                 todo.append((ctx, records, key))
     if todo:
@@ -460,7 +465,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for name in learned if i == 0 and overlap else others + learned:
             record(*evaluate(i, name))
         for client in ctx.clients:
-            client.rankings.clear()  # no later seed asks these clients
+            client.ranked = None  # no later seed asks these clients
 
     for name, result in policy_results.items():
         mean, std = mean_std(result["per_seed_accuracy"])

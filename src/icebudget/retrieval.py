@@ -2,7 +2,10 @@
 
 This is the one module that ranks. `top_k_many` ranks a block of queries
 against one store: a client's shard, the server's proxy set, or the whole
-corpus. `top_k` is its one-query form, the block's single row.
+corpus; each node of a pass ranks the pass's whole block of test vectors
+in one call, and `federation` keeps that block as the node's table.
+`top_k` is its one-query form: it checks that the query is one vector of
+the store's dimension, and returns the block's single row.
 `rerank_many` ranks what the clients sent back, for a block of queries
 at once: the server uses it for the final ICEs of a whole pass, and
 `oracle` for the whole supervision set, so both see the same global top-k
@@ -63,20 +66,14 @@ class RankedSet:
         return set(self.ids)
 
 
-def query_vector(e_q, store: EmbeddingStore) -> np.ndarray:
-    """`e_q` as a float64 vector of the store's dimension."""
+def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
+    """The k entries of `d` minimizing (distance to e_q, id), for e_q one
+    vector of the store's dimension: the one row of `top_k_many`."""
     query = np.asarray(e_q, dtype=np.float64)
     if query.shape != (store.dim,):
         raise ValidationError(
-            f"query has shape {query.shape}, store dim is {store.dim}"
-        )
-    return query
-
-
-def top_k(e_q, k: int, d: Dataset, store: EmbeddingStore) -> RankedSet:
-    """The k entries of `d` minimizing (distance to e_q, id): the one row
-    of `top_k_many` for this query."""
-    ids, distances = top_k_many(query_vector(e_q, store)[None], k, d, store)
+            f"query has shape {query.shape}, store dim is {store.dim}")
+    ids, distances = top_k_many(query[None], k, d, store)
     return RankedSet(ids[0], distances[0])
 
 

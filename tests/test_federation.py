@@ -19,7 +19,7 @@ from icebudget.federation import (BudgetPolicy, ClientNode, ServerNode,
                                   Transcript, _finish, _per_query_rng,
                                   _random_composition, allocate,
                                   client_retrieve, distributed_infer,
-                                  keep_rankings, load_transcripts, plan_pass,
+                                  load_transcripts, plan_pass,
                                   save_transcripts)
 from icebudget.retrieval import (RankedSet, rerank_many, rerank_union, top_k,
                                  top_k_many)
@@ -529,7 +529,7 @@ class TestServerValidation:
         server = make_server(policy=BudgetPolicy("proxy_only"),
                              labels=d.labels)
         with pytest.raises(ValidationError, match="needs the proxy set"):
-            keep_rankings(server, clients, [np.zeros(4)])
+            plan_pass(server, clients, [0], [np.zeros(4)])
         with pytest.raises(ValidationError, match="needs the proxy set"):
             distributed_infer(server, clients, "q", np.zeros(4))
 
@@ -631,81 +631,114 @@ def _same_bytes(got, want):
             and got.distances.tobytes() == want.distances.tobytes())
 
 
-def _warm(clients, queries, k, alpha):
-    """Fill the clients' kept rankings of `queries` as a uniform pass with
-    budget k and slack alpha does."""
-    keep_rankings(ServerNode(k=k, alpha=alpha), clients, queries)
+def _table(clients, queries, k, alpha):
+    """Fill the clients' tables with `queries`, as planning a uniform pass
+    with budget k and slack alpha does."""
+    queries = np.asarray(queries, dtype=np.float64)
+    plan_pass(ServerNode(k=k, alpha=alpha), clients,
+              list(range(len(queries))), queries)
 
 
-class TestKeptRankings:
+class TestRankingTable:
     @pytest.mark.parametrize("seed", range(12))
     def test_every_budget_served_as_top_k(self, seed):
         clients, grid = _tied_clients(seed)
         rng = np.random.default_rng(1000 + seed)
         k, alpha = int(rng.integers(1, 8)), int(rng.integers(0, 3))
         depth = k + alpha
+        # a grid point (ties certain) and an off-grid point
+        queries = np.array([grid[int(rng.integers(len(grid)))],
+                            rng.standard_normal(grid.shape[1])])
+        for client in clients:  # a ranking without a pass keeps nothing
+            for e_q in queries:
+                client_retrieve(client, e_q, depth)
+            assert client.ranked is None
+        _table(clients, queries, k, alpha)
         for client in clients:
             size = len(client.shard)
-            budgets = [0, 1, depth, depth + 1, size, size + 1]
-            # a grid point (ties certain) and an off-grid point
-            for e_q in (grid[int(rng.integers(len(grid)))],
-                        rng.standard_normal(grid.shape[1])):
-                client.rankings.clear()
-                for warm in (False, True):  # without, then with a ranking
-                    if warm:
-                        _warm([client], [e_q], k, alpha)
-                    for budget in budgets:
-                        got = client_retrieve(client, e_q, budget)
-                        want = top_k(e_q, budget, client.shard, client.store)
-                        assert _same_bytes(got, want), (warm, budget)
-                    assert len(client.rankings) == warm
+            _, ids, distances = client.ranked
+            assert ids.shape == distances.shape == (2, min(depth, size))
+            for row, e_q in enumerate(queries):
+                for budget in (0, 1, depth, depth + 1, size, size + 1):
+                    if min(budget, size) > ids.shape[1]:
+                        continue  # deeper than the table: not served by it
+                    served = RankedSet(ids[row, :budget],
+                                       distances[row, :budget])
+                    assert _same_bytes(served, top_k(
+                        e_q, budget, client.shard, client.store)), budget
 
     @pytest.mark.parametrize("whole", [False, True])
-    def test_ranking_kept_to_depth_as_top_k(self, whole):
+    def test_table_is_read_only_top_k_many(self, whole):
         clients, grid = _tied_clients(3)
         client = clients[0]
-        e_q = grid[0]
         assert len(client.shard) > 4
         depth = len(client.shard) + 2 if whole else 4
-        _warm([client], [e_q], depth - 1, 1)
-        [kept] = client.rankings.values()
-        # the ids and distances a fresh top_k gives, not shard positions
-        assert _same_bytes(kept, top_k(e_q, depth, client.shard,
-                                       client.store))
-        assert not (kept.id_array.flags.writeable
-                    or kept.distances.flags.writeable)
-        for budget in (2, depth, depth + 5):
-            served = client_retrieve(client, e_q, budget)
-            assert _same_bytes(served, top_k(e_q, budget, client.shard,
-                                             client.store))
-            # a slice of the kept ranking is read-only, a fresh one is not
-            assert served.id_array.flags.writeable == (
-                not whole and budget > depth)
-        client_retrieve(client, e_q + 1.0, 1)  # a miss: nothing kept
-        assert len(client.rankings) == 1
+        queries = np.array([grid[0], grid[1], grid[0] + 0.25])
+        _table([client], queries, depth - 1, 1)
+        table = client.ranked
+        _, ids, distances = table
+        # the ids and distances a fresh ranking gives, not shard positions
+        want_ids, want_distances = top_k_many(queries, depth, client.shard,
+                                              client.store)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert distances.tobytes() == want_distances.tobytes()
+        assert ids.shape == (3, min(depth, len(client.shard)))
+        assert not (ids.flags.writeable or distances.flags.writeable)
+        client_retrieve(client, queries[0] + 1.0, 1)  # kept nowhere
+        _table([client], queries.copy(), depth - 1, 1)  # the same block
+        assert client.ranked is table
 
-    def test_mutated_query_array_ranked_anew(self):
+    @pytest.mark.parametrize("change", ["depth", "mutated", "rows"])
+    def test_table_never_served_for_another_block(self, change,
+                                                  monkeypatch):
         d, store, clients = make_clients(n=40, num_clients=2, seed=29)
         rng = np.random.default_rng(8)
-        e_q = rng.standard_normal(4)
-        _warm(clients[:1], [e_q], 4, 1)
-        e_q[:] = rng.standard_normal(4)  # same array object, new query
-        got = client_retrieve(clients[0], e_q, 3)
-        assert _same_bytes(got, top_k(e_q, 3, clients[0].shard,
-                                      clients[0].store))
+        queries = rng.standard_normal((3, 4))
+        k, alpha = 4, 1
+        _table(clients, queries, k, alpha)
+        if change == "depth":  # the same block, ranked deeper
+            alpha = 3
+        elif change == "mutated":  # the same array object, one row changed
+            queries[1] = rng.standard_normal(4)
+        else:  # other rows
+            queries = queries[[2, 0]]
+        calls = []
+
+        def counting_top_k_many(block, depth, d, store):
+            calls.append(id(d))
+            return top_k_many(block, depth, d, store)
+        monkeypatch.setattr(federation, "top_k_many", counting_top_k_many)
+        server = make_server(k=k, alpha=alpha, labels=d.labels)
+        plan_pass(server, clients, list(range(len(queries))), queries)
+        assert sorted(calls) == sorted(id(c.shard) for c in clients)
+        for client in clients:
+            _, ids, distances = client.ranked
+            want_ids, want_distances = top_k_many(
+                queries, k + alpha, client.shard, client.store)
+            assert ids.tobytes() == want_ids.tobytes()
+            assert distances.tobytes() == want_distances.tobytes()
+        for query_id, e_q in enumerate(queries):
+            _, t = distributed_infer(server, clients, Example(
+                query_id, "q", 0), e_q)
+            assert t.samples_returned == [
+                top_k(e_q, b, c.shard, c.store).ids
+                for c, b in zip(clients, t.budgets_sent)]
+        assert not server.plans
 
     @pytest.mark.parametrize("query", ["free text", "example"])
     def test_one_query_id_with_other_vectors(self, query):
         # text queries all carry id -1, and a caller may reuse an example
-        # with a changed vector: the kept rankings follow the vector
+        # with a changed vector: the plans follow the vector
         d, store, clients = make_clients(n=40, num_clients=3, seed=31)
+        query_id = -1
         if query == "example":
             query = d.examples[0]
+            query_id = query.id
         server = make_server(k=4, alpha=1, policy=BudgetPolicy("uniform"),
                              labels=d.labels)
         rng = np.random.default_rng(9)
         e_q = rng.standard_normal(4)
-        keep_rankings(server, clients, [e_q])  # of the first vector only
+        plan_pass(server, clients, [query_id], e_q[None])  # the first only
         for _ in range(5):
             _, t = distributed_infer(server, clients, query, e_q)
             assert t.samples_returned == [
@@ -714,9 +747,9 @@ class TestKeptRankings:
             e_q[:] = rng.standard_normal(4)
 
     @pytest.mark.parametrize("variant", POLICY_VARIANTS)
-    def test_unranked_pass_keeps_nothing_and_answers_alike(self, variant):
-        # a call without `keep_rankings` (as `infer` makes) ranks per query,
-        # keeps nothing, and writes the transcript of a warmed call
+    def test_unplanned_query_keeps_nothing_and_answers_alike(self, variant):
+        # a query no pass planned (as `infer` asks) is ranked alone, keeps
+        # nothing, and writes the transcript of a planned one
         d, store, clients = make_clients(n=60, num_clients=3, seed=37)
         proxy = d.subset(d.ids[:15])
         server = make_server(
@@ -732,10 +765,15 @@ class TestKeptRankings:
             return [distributed_infer(server, clients, query, e_q)[1]
                     .to_dict() for query, e_q in zip(queries, vectors)]
         cold = transcripts()
-        assert not any(node.rankings for node in nodes)
-        keep_rankings(server, clients, vectors)
-        assert any(node.rankings for node in nodes) == (variant != "zero_shot")
-        assert transcripts() == cold
+        assert all(node.ranked is None for node in nodes)
+        plan_pass(server, clients, [q.id for q in queries], vectors)
+        tables = [node.ranked for node in nodes]
+        assert any(tables) == (variant != "zero_shot")
+        assert transcripts() == cold  # served from the plans
+        assert not server.plans
+        assert transcripts() == cold  # unplanned again, with tables kept
+        assert all(node.ranked is table
+                   for node, table in zip(nodes, tables))
 
 
 class _RecordingMock(MockVoteBackend):
@@ -910,7 +948,8 @@ class TestInfinitePrefixes:
                 k=5, alpha=1, policy=BudgetPolicy(variant, seed=3),
                 labels=d.labels,
                 allocator=init_model(4, 8, 6, seeds=range(len(clients))))
-            keep_rankings(server, clients, vectors)  # once per pass
+            plan_pass(server, clients, [q.id for q in queries],
+                      vectors)  # once per pass
             for query, e_q in zip(queries, vectors):
                 distributed_infer(server, clients, query, e_q)
         assert not misses
@@ -1020,8 +1059,8 @@ def _planned_passes(draw):
                         else rng.standard_normal(dim) for _ in range(m)])
     if m > 1 and draw(st.booleans()):
         vectors[-1] = vectors[0]  # one vector, two query ids
-    if draw(st.booleans()):  # a shallower ranking kept of the first vector
-        keep_rankings(ServerNode(k=1), clients, vectors[:1])
+    if draw(st.booleans()):  # a shallower table of the first vector kept
+        plan_pass(ServerNode(k=1), clients, [0], vectors[:1])
     queries = [Example(1000 + j, f"query {j}", 0) for j in range(m)]
     return clients, server, queries, vectors
 
@@ -1030,7 +1069,7 @@ class TestPlanEqualsReference:
     """Every (policy, query) of a planned pass is the naive per-query
     round of `_reference_round`, and a query with no plan, answered before
     the pass is planned, gets the same transcript and answer and leaves
-    every node's kept rankings as they were."""
+    every node's table as it was."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(world=_planned_passes())
@@ -1042,10 +1081,11 @@ class TestPlanEqualsReference:
             server = ServerNode(
                 policy=BudgetPolicy(variant, seed=5, client=len(clients) - 1),
                 backend=backend, **server_args)
-            kept = [dict(node.rankings) for node in nodes]
+            kept = [node.ranked for node in nodes]
             alone = [distributed_infer(server, clients, query, e_q)
                      for query, e_q in zip(queries, vectors)]
-            assert [node.rankings for node in nodes] == kept
+            assert all(node.ranked is table
+                       for node, table in zip(nodes, kept)), variant
             plan_pass(server, clients, [q.id for q in queries], vectors)
             for query, e_q, (alone_answer, alone_t) in zip(queries, vectors,
                                                           alone):

@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from icebudget.config import (POLICY_VARIANTS, BackendSpec, config_from_dict,
 from icebudget.corpus import load_shard_manifest, synth_clusters
 from icebudget.embedder import encode_dataset
 from icebudget.errors import (BackendError, DecodeError, ParseError,
-                              ValidationError)
+                              StageError, ValidationError)
 from icebudget.federation import load_transcripts
 from icebudget.harness import (_SeedContext, allocators,
                                budget_efficiency_curve,
@@ -311,7 +312,7 @@ class TestKeptRankings:
             """Record one ranking of each (shard, query) pair."""
             calls.extend((id(d), np.asarray(e_q, dtype=np.float64).tobytes())
                          for e_q in queries)
-            holding.append(sum(any(c.rankings for c in ctx.clients)
+            holding.append(sum(any(c.ranked is not None for c in ctx.clients)
                                for ctx in contexts))
 
         def counting_top_k(e_q, k, d, store):  # a per-query ranking
@@ -332,9 +333,9 @@ class TestKeptRankings:
         assert len(calls) == len(set(calls))
         assert len(calls) == sum(len(ctx.test) * (len(ctx.clients) + 1)
                                  for ctx in contexts)
-        # a seed's rankings are released before the next seed is evaluated
+        # a seed's tables are released before the next seed is evaluated
         assert max(holding) == 1
-        assert not any(c.rankings for ctx in contexts for c in ctx.clients)
+        assert all(c.ranked is None for ctx in contexts for c in ctx.clients)
 
 
 class TestHttpPass:
@@ -421,6 +422,33 @@ class TestPoliciesBesideTraining:
         run_experiment(tiny_config)  # loads the saved models
         assert trained == []
         assert _tree_bytes(tiny_config.output_dir) == fresh
+
+    def test_model_path_that_is_a_directory_fails_before_training(
+            self, tiny_config, monkeypatch):
+        tiny_config.policies = ["learned", "uniform"]
+        tiny_config.num_seeds = 2
+        run_experiment(tiny_config)
+        blob = os.path.join(tiny_config.output_dir, "seed1", "models",
+                            "allocators.bin")
+        os.remove(blob)
+        os.mkdir(blob)  # a path the models' save cannot write
+        calls = []
+
+        def recording_train(*args, alongside=None, **kwargs):
+            calls.append("train")
+
+            def recording_alongside():
+                calls.append("alongside")
+                alongside()
+            return allocator.train(
+                *args, alongside=alongside and recording_alongside, **kwargs)
+        monkeypatch.setattr(harness, "train", recording_train)
+        with pytest.raises(StageError) as info:
+            run_experiment(tiny_config)
+        assert str(info.value) == (
+            f"stage 'train-allocator' (seed 1): IsADirectoryError: "
+            f"[Errno {errno.EISDIR}] Is a directory: '{blob}'")
+        assert calls == []  # neither training nor seed 0's other policies
 
 
 def _count_training(monkeypatch):

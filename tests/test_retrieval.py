@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icebudget import parallel, retrieval
@@ -154,46 +154,9 @@ _ROWS = {
 }
 
 
-@st.composite
-def _prefilter_cases(draw):
-    """(store, query, k) of one kind, the query a row or a fresh draw."""
-    kind = draw(st.sampled_from(sorted(_ROWS)))
-    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 8))
-    seed = draw(st.integers(0, 2**32 - 1))
-    exponent = draw(st.integers(-545, -525))
-    rng = np.random.default_rng(seed)
-    rows = _ROWS[kind](rng, n + 1, dim, exponent)
-    store = EmbeddingStore(np.arange(n), rows[:n])
-    query = rows[int(rng.integers(n))] if draw(st.booleans()) else rows[n]
-    k = draw(st.sampled_from([1, draw(st.integers(1, n - 1)), n - 1]))
-    return store, query, k
-
-
-@settings(deadline=None, max_examples=400, derandomize=True)
-@given(case=_prefilter_cases())
-def _prefilter_equals_full_scan(case):
-    store, query, k = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = top_k(query, k, _bound(store), store)
-    want_ids, want_distances = _full_scan(query, k, store)
-    assert got.id_array.tobytes() == want_ids.tobytes()
-    assert got.distances.tobytes() == want_distances.tobytes()
-
-
 class TestPrefilter:
-    """`top_k` ranks only the rows `_keep` keeps for its query; its ids and
-    distances must be the full scan's, byte for byte."""
-
-    def test_equals_full_scan(self):
-        _prefilter_equals_full_scan()
-
-    def test_narrowed_margin_fails(self, monkeypatch):
-        # with no margin the filter drops rows the full scan ranks
-        monkeypatch.setattr(retrieval, "_UNIT", 0.0)
-        monkeypatch.setattr(retrieval, "_FLOOR", 0.0)
-        with pytest.raises(AssertionError):
-            _prefilter_equals_full_scan()
+    """`top_k` ranks only the rows `_keep` keeps for its query (its ids and
+    distances are the full scan's, byte for byte: see `TestTopKMany`)."""
 
     def test_keeps_few_rows(self):
         rng = np.random.default_rng(0)
@@ -249,20 +212,22 @@ class TestPrefilter:
             assert ids.tolist() == _full_scan(query, 5, store)[0].tolist()
 
 
-# A query of a `top_k_many` batch: a row of the store, a fresh draw, or a
-# fresh draw with one component that sends it to the full scan
+# A query of a batch: a row of the store, a fresh draw, or a fresh draw with
+# one component that sends it to the full scan
 _BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e200}
 
 
 @st.composite
 def _batch_cases(draw):
-    """(store, queries, k, queries per block) of one kind of store."""
+    """(store, queries, k, queries per block) of one kind of store; a batch
+    of one query is ranked by `top_k`."""
     kind = draw(st.sampled_from(sorted(_ROWS)))
     n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 8))
     seed = draw(st.integers(0, 2**32 - 1))
     exponent = draw(st.integers(-545, -525))
+    size = draw(st.integers(0, 12))
     sources = draw(st.lists(st.sampled_from(["row", "fresh", *sorted(_BAD)]),
-                            max_size=12))
+                            min_size=size, max_size=size))
     rng = np.random.default_rng(seed)
     rows = _ROWS[kind](rng, n + len(sources), dim, exponent)
     queries = rows[n:].reshape(len(sources), dim)
@@ -277,8 +242,18 @@ def _batch_cases(draw):
     return store, queries, k, draw(st.integers(1, 5))
 
 
-@settings(deadline=None, max_examples=400, derandomize=True)
+def _hard_batch(kind, exponent):
+    """8 fresh queries against 30 rows of `kind`, k = 5, 3 queries a block:
+    rows that only the margin's floor ("subnormal", where its relative part
+    underflows) or only its relative part ("far") keeps in the top k."""
+    rows = _ROWS[kind](np.random.default_rng(0), 38, 3, exponent)
+    return EmbeddingStore(np.arange(30), rows[:30]), rows[30:], 5, 3
+
+
+@settings(deadline=None, max_examples=600, derandomize=True)
 @given(case=_batch_cases())
+@example(case=_hard_batch("subnormal", -537))
+@example(case=_hard_batch("far", -535))
 def _batch_equals_full_scan(case):
     store, queries, k, per_block = case
     width = min(k, len(store))
@@ -287,7 +262,11 @@ def _batch_equals_full_scan(case):
     with warnings.catch_warnings(), mock.patch.object(
             retrieval, "_BLOCK_BYTES", block_bytes):
         warnings.simplefilter("error")
-        ids, distances = top_k_many(queries, k, _bound(store), store)
+        if len(queries) == 1:
+            got = top_k(queries[0], k, _bound(store), store)
+            ids, distances = got.id_array[None], got.distances[None]
+        else:
+            ids, distances = top_k_many(queries, k, _bound(store), store)
     assert ids.shape == distances.shape == (len(queries), width)
     for query, got_ids, got_distances in zip(queries, ids, distances):
         want_ids, want_distances = _full_scan(query, k, store)
@@ -296,13 +275,15 @@ def _batch_equals_full_scan(case):
 
 
 class TestTopKMany:
-    """Each row of `top_k_many` must be the full scan's, as `top_k`'s is,
-    byte for byte, in every block."""
+    """Each row of `top_k_many`, and `top_k`'s one row, must be the full
+    scan's, byte for byte, in every block, for every kind of store and
+    query."""
 
     def test_equals_full_scan(self):
         _batch_equals_full_scan()
 
     def test_narrowed_margin_fails(self, monkeypatch):
+        # with no margin the filter drops rows the full scan ranks
         monkeypatch.setattr(retrieval, "_UNIT", 0.0)
         monkeypatch.setattr(retrieval, "_FLOOR", 0.0)
         with pytest.raises(AssertionError):
