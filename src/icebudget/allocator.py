@@ -188,6 +188,23 @@ def training_record(cfg: TrainConfig, seeds) -> dict:
             "validation_fraction": cfg.validation_fraction}
 
 
+def model_key(records: BudgetDataset, cfg: TrainConfig, seeds,
+              input_scale: float) -> str:
+    """The key of the allocators `train` fits to `records` with `cfg`,
+    shuffle `seeds` and `input_scale`: a blake2b digest of their training
+    record, width, input scale and table."""
+    key = hashlib.blake2b(digest_size=16)
+    key.update(json.dumps(
+        [training_record(cfg, seeds), cfg.width, input_scale, records.k,
+         records.delta, records.embeddings.shape, records.num_clients],
+        sort_keys=True).encode())
+    for part, dtype in ((records.query_ids, "<i8"),
+                        (records.embeddings, "<f8"),
+                        (records.raw_counts, "<i8")):
+        key.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
+    return key.hexdigest()
+
+
 class _NonFinite(Exception):
     """A batch loss that is not finite, as (epoch, batch start, row)."""
 

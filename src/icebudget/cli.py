@@ -152,6 +152,9 @@ def _cmd_report(args):
         raise ValidationError(f"--curve: {exc}") from exc
     if not all(map(math.isfinite, multipliers)):
         raise ValidationError(f"--curve: multipliers must be finite: {args.curve}")
+    if any(m < 0 for m in multipliers):
+        raise ValidationError(
+            f"--curve: multipliers must be nonnegative: {args.curve}")
     cfg = _load_cfg(args)
     with _stage("report", args.seed_index):
         rows = efficiency_curve_from_run(cfg, args.seed_index, multipliers,

@@ -9,22 +9,21 @@ splits the budget and how the server selects the final ICEs.
 
 A budget only truncates a client's ranking of its shard for the query, so a
 client ranks each query once, and a pass is planned before its first
-answer. `plan_pass` first has each node the policy asks (`_asked`: the
-clients, or the server's proxy set, a `ClientNode` too, under
-`proxy_only`) take its one table (`_ranked`): the top-(k + alpha) entries
-by (distance, id) of each vector of the last block of query vectors it
-ranked, in one `top_k_many` call, keyed on a digest of the block's bytes
-and on k + alpha, the deepest budget any policy but `infinite` sends. A
-block under another key is ranked anew, so a seed's passes over its test
-vectors rank them once per node. The plan then takes every query's budgets
-from `allocate`, gathers each client's budget prefix of its table rows
-into one block per 64 queries, and reranks each block in one
-`retrieval.rerank_many` call, which also names the client behind each
-final ICE; the shards' id indexes resolve the examples. `distributed_infer`
-serves each query of the pass from its plan. A query vector no pass
-planned (an `infer` query) is ranked and planned alone, and nothing of it
-is kept, so every query takes the one path. `run_experiment` releases a
-seed's tables before it evaluates the next seed.
+answer. `plan_pass` takes the table of each node the policy asks (`_asked`:
+the clients, or the server's proxy set, a `ClientNode` too, under
+`proxy_only`) from the `tables` dict its caller passes: the top-(k + alpha)
+entries by (distance, id) of each query vector, k + alpha being the deepest
+budget any policy but `infinite` sends. A node with no entry ranks the
+pass's vectors in one `top_k_many` call, so a caller that keeps the dict
+over a seed's passes ranks its test vectors once per node. The plan then
+takes every query's budgets from `allocate`, gathers each client's budget
+prefix of its table rows into one block per 64 queries, and reranks each
+block in one `retrieval.rerank_many` call, which also names the client
+behind each final ICE; the shards' id indexes resolve the examples.
+`plan_pass` returns the plans in query order, and `distributed_infer`
+serves the plan it is handed. A query with none (an `infer` query) is
+planned alone, as a pass of one over an empty dict, so every query takes
+the one path.
 One `build_prompt` pass over the final ICEs, in `ice_order`, gives the
 prompt and the backend's (label, distance) votes.
 
@@ -41,7 +40,6 @@ lines still load.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -75,14 +73,12 @@ class BudgetPolicy:
 
 @dataclass
 class ClientNode:
-    """A client: its shard, the shard's store, and its ranking table (see
-    `_ranked`). The server's proxy set is one too."""
+    """A client: its shard and the shard's store. The server's proxy set is
+    one too."""
 
     id: int
     shard: Dataset
     store: EmbeddingStore
-    # None, or (key, ids, distances): the table of the last block ranked
-    ranked: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.store.check_bound(self.shard)
@@ -101,9 +97,6 @@ class ServerNode:
     labels: LabelSpace | None = None
     ice_order: str = "descending"  # distance order in the prompt
     max_prompt_chars: int = 1_000_000
-    # (query digest, query id) -> the query's plan (see `plan_pass`)
-    plans: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -250,11 +243,6 @@ def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
     raise ValidationError(f"unknown policy variant: {variant}")
 
 
-def _digest(queries: np.ndarray) -> bytes:
-    """The key of a float64 query vector, or of a block of them."""
-    return hashlib.blake2b(queries.tobytes(), digest_size=16).digest()
-
-
 def client_retrieve(client: ClientNode, e_q, budget: int) -> RankedSet:
     """Local top-min(budget, |shard|): `top_k` over the client's shard."""
     if budget < 0:
@@ -270,18 +258,6 @@ def _asked(server: ServerNode, clients) -> list[ClientNode]:
     if variant == "zero_shot":
         return []
     return [server.proxy] if variant == "proxy_only" else list(clients)
-
-
-def _ranked(node: ClientNode, queries: np.ndarray, key, depth: int):
-    """The node's top-min(depth, |shard|) entries of each query vector (the
-    rows of `queries`) as read-only (m, min(depth, |shard|)) id and
-    distance arrays: its table, which it ranks anew, in one `top_k_many`
-    call, when the table was kept under another key."""
-    if node.ranked is None or node.ranked[0] != key:
-        ids, distances = top_k_many(queries, depth, node.shard, node.store)
-        ids.flags.writeable = distances.flags.writeable = False
-        node.ranked = (key, ids, distances)
-    return node.ranked[1:]
 
 
 def _examples(datasets, ids, owners) -> list[Example]:
@@ -369,27 +345,34 @@ def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray,
             query_ids, budgets, returns, totals, bounds, bounds[1:])]
 
 
-def plan_pass(server: ServerNode, clients, query_ids, queries):
-    """Before a pass of `server`'s policy over the queries `query_ids`, with
-    the vectors the rows of `queries`: take each asked node's table of the
-    whole block (`_ranked`, under the block's shape and digest and the
-    depth k + alpha, so a seed's passes over its test vectors rank them
-    once per node), then plan every query of the pass (`_plan`, one call per
-    `_PLAN_ROWS` queries) and keep each plan on the server under the
-    vector's digest and the query id, for `distributed_infer` to serve
-    once."""
+def plan_pass(server: ServerNode, clients, query_ids, queries, tables):
+    """The plans of a pass of `server`'s policy over the queries
+    `query_ids`, with the vectors the rows of `queries`, in query order:
+    each query's (final ICEs, their examples, transcript of the round so
+    far), for `distributed_infer` to serve.
+
+    `tables` maps a node id to that node's table of `queries`: its
+    top-min(k + alpha, |shard|) entries of each row, as read-only id and
+    distance arrays. Each asked node (`_asked`) with no entry yet ranks the
+    whole block in one `top_k_many` call and gets one, so a caller that
+    keeps `tables` over its passes of one block of vectors, at one k +
+    alpha, ranks them once per node. The plan then takes `_PLAN_ROWS`
+    queries per `_plan` call."""
     nodes = _asked(server, clients)
     queries = np.asarray(queries, dtype=np.float64)
-    depth = server.k + server.alpha
-    key = (queries.shape, _digest(queries), depth)
-    ranked = [_ranked(node, queries, key, depth) for node in nodes]
-    keys = [_digest(query) for query in queries]
-    for lo in range(0, len(keys), _PLAN_ROWS):
+    for node in nodes:
+        if node.id not in tables:
+            ids, distances = top_k_many(queries, server.k + server.alpha,
+                                        node.shard, node.store)
+            ids.flags.writeable = distances.flags.writeable = False
+            tables[node.id] = ids, distances
+    ranked = [tables[node.id] for node in nodes]
+    plans = []
+    for lo in range(0, len(queries), _PLAN_ROWS):
         hi = lo + _PLAN_ROWS
         rows = [(ids[lo:hi], distances[lo:hi]) for ids, distances in ranked]
-        server.plans.update(zip(
-            zip(keys[lo:hi], query_ids[lo:hi]),
-            _plan(server, clients, query_ids[lo:hi], queries[lo:hi], rows)))
+        plans += _plan(server, clients, query_ids[lo:hi], queries[lo:hi], rows)
+    return plans
 
 
 def _finish(server: ServerNode, query, final: RankedSet, examples,
@@ -424,25 +407,20 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
     return answer, transcript
 
 
-def distributed_infer(server: ServerNode, clients, query, e_q):
+def distributed_infer(server: ServerNode, clients, query, e_q, plan=None):
     """One full budgeted inference round (Alg.-style): allocate budgets,
     gather client returns, select the final k ICEs, prompt, answer.
 
     The selection reranks the gathered union by (distance, id), except under
     social learning, where the server draws k of the union uniformly at
-    random (seeded per query) and orders only those. A query its pass
-    planned (`plan_pass`) is served from its plan, which it uses up; any
-    other (an `infer` query) is ranked and planned alone, and its ranking
-    and plan kept nowhere."""
-    query_id = query.id if isinstance(query, Example) else -1
-    vector = np.asarray(e_q, dtype=np.float64)
-    planned = server.plans.pop((_digest(vector), query_id), None)
-    if planned is None:
-        ranked = [top_k_many(vector[None], server.k + server.alpha,
-                             node.shard, node.store)
-                  for node in _asked(server, clients)]
-        [planned] = _plan(server, clients, [query_id], vector[None], ranked)
-    return _finish(server, query, *planned)
+    random (seeded per query) and orders only those. `plan` is the query's
+    plan from its pass (`plan_pass`); without one (an `infer` query) the
+    query is ranked and planned alone, and nothing of it is kept."""
+    if plan is None:
+        query_id = query.id if isinstance(query, Example) else -1
+        [plan] = plan_pass(server, clients, [query_id],
+                           np.asarray(e_q, dtype=np.float64)[None], {})
+    return _finish(server, query, *plan)
 
 
 def save_transcripts(transcripts, path):

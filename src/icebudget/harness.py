@@ -14,12 +14,14 @@ read, equals the key this run would write. Any other pair, damaged ones
 too, is retrained and overwritten, and a stderr line says why. It writes a
 deterministic JSON report and transcript JSONL.
 
-Each policy pass is planned first (`federation.plan_pass`): the nodes its
-policy asks (the clients, or the server's proxy set) rank the seed's test
-vectors, one `retrieval.top_k_many` call per node, and every query's
-budgets and final ICEs come from one `retrieval.rerank_many` call. Then
-the pass answers its queries from the plan, posting to an HTTP backend
-through one connection.
+Each policy pass is planned first (`federation.plan_pass`), from the
+seed's `tables`: the first pass to ask a node (a client, or the server's
+proxy set) ranks the seed's test vectors on it in one
+`retrieval.top_k_many` call, and every later pass of the seed reads that
+table. Every query's budgets and final ICEs come from one
+`retrieval.rerank_many` call. Then the pass answers each query from its
+plan, posting to an HTTP backend through one connection, and
+`run_experiment` clears the tables once the seed is evaluated.
 The budget tables and the efficiency curve rank their queries the same
 way, in this process; allocator training is the one stage that forks.
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import errno
-import hashlib
 import json
 import math
 import os
@@ -45,8 +46,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .allocator import (AllocatorModel, load_model, save_model, split, train,
-                        training_record)
+from .allocator import (AllocatorModel, load_model, model_key, save_model,
+                        split, train)
 from .config import ExperimentConfig, derive_seed
 # `load_shard_manifest`, `load_budget_dataset` and `top_k` are no longer
 # called here; they stay imported because `bench/spans.py` traces them in
@@ -121,6 +122,8 @@ class _SeedContext:
         self.seed_index = seed_index
         self.model: AllocatorModel | None = None  # set by `allocators`
         self.trained = False  # whether `allocators` trained `model`
+        # node id -> its table of the test vectors (see `plan_pass`)
+        self.tables = {}
         self._load_data(files)
         self._partition()
         self._split_proxy()
@@ -209,22 +212,6 @@ class _SeedContext:
         return [derive_seed(self.run_seed, f"{kind}-{c}")
                 for c in range(self.cfg.partition.num_clients)]
 
-    def _model_key(self, records) -> str:
-        """The key of the allocators this run would train from `records`: a
-        digest of their training record, width, input scale and table."""
-        cfg = self.cfg
-        key = hashlib.blake2b(digest_size=16)
-        key.update(json.dumps(
-            [training_record(cfg.train, self._client_seeds("shuffle")),
-             cfg.train.width, _input_scale(cfg), records.k, records.delta,
-             records.embeddings.shape, records.num_clients],
-            sort_keys=True).encode())
-        for part, dtype in ((records.query_ids, "<i8"),
-                            (records.embeddings, "<f8"),
-                            (records.raw_counts, "<i8")):
-            key.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
-        return key.hexdigest()
-
     def _cached_model(self, key: str) -> AllocatorModel | None:
         """The saved allocators if there are any and they load and carry
         `key`. Any other saved pair is a miss; a stderr line says why."""
@@ -303,7 +290,8 @@ def allocators(contexts, save_tables: bool = True,
     for ctx in contexts:
         if ctx.model is None:
             records = ctx.budget_dataset(save_tables)
-            key = ctx._model_key(records)
+            key = model_key(records, ctx.cfg.train,
+                            ctx._client_seeds("shuffle"), _input_scale(ctx.cfg))
             with _stage("train-allocator", ctx.seed_index):
                 ctx.model = ctx._cached_model(key)
                 # a model path its save cannot write fails before training
@@ -364,17 +352,18 @@ def _evaluate_policy(ctx: _SeedContext, name: str):
 
 def _run_queries(ctx: _SeedContext, server: ServerNode):
     """One pass of the server's policy over the test set: the pass is
-    planned first (`plan_pass`), then each query is answered from its plan,
-    every request to the backend going through one connection."""
+    planned first (`plan_pass`, from the seed's tables), then each query is
+    answered from its plan, every request to the backend going through one
+    connection."""
     answers = []
     transcripts = []
     ctx.test_store.check_bound(ctx.test)  # row i is the i-th test example
     _, vectors = ctx.test_store.matrix()
-    plan_pass(server, ctx.clients, ctx.test.ids, vectors)
+    plans = plan_pass(server, ctx.clients, ctx.test.ids, vectors, ctx.tables)
     with server.backend.connection():
-        for ex, e_q in zip(ctx.test.examples, vectors):
+        for ex, e_q, plan in zip(ctx.test.examples, vectors, plans):
             predicted, transcript = distributed_infer(server, ctx.clients, ex,
-                                                      e_q)
+                                                      e_q, plan)
             answers.append((predicted, ex.label))
             transcripts.append(transcript)
     return answers, transcripts
@@ -464,8 +453,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         # `learned` goes last; when overlapped, seed 0's others ran in training
         for name in learned if i == 0 and overlap else others + learned:
             record(*evaluate(i, name))
-        for client in ctx.clients:
-            client.ranked = None  # no later seed asks these clients
+        ctx.tables.clear()  # no later seed asks these nodes
 
     for name, result in policy_results.items():
         mean, std = mean_std(result["per_seed_accuracy"])
@@ -497,9 +485,12 @@ def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,
     queries = np.array([query_store.get(t.query_id) for t in transcripts]
                        ).reshape(len(transcripts), query_store.dim)
     global_top = top_k_many(queries, k, global_dataset, global_store)[0]
-    # per transcript, per client: each multiplier's scaled budget
-    scaled = [[[math.ceil(m * budget) for m in multipliers]
-               for budget in t.budgets_sent] for t in transcripts]
+    # per transcript, per client: each multiplier's scaled budget, capped at
+    # the shard (a deeper budget is the whole shard, and the cap keeps a
+    # product that overflows to inf from reaching `ceil`)
+    scaled = [[[math.ceil(min(m * budget, len(shard))) for m in multipliers]
+               for budget, shard in zip(t.budgets_sent, shards)]
+              for t in transcripts]
     ranked = []  # per client: transcript row -> its ranked ids
     for c, (shard, store) in enumerate(zip(shards, shard_stores)):
         rows = [row for row, budgets in enumerate(scaled)

@@ -123,7 +123,7 @@ class TestStageErrors:
         assert str(path) in err and "missing field 'policy'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("curve", ["a,b", "nan,1", "inf"])
+    @pytest.mark.parametrize("curve", ["a,b", "nan,1", "inf", "-1", "0.5,-2"])
     def test_bad_curve_without_traceback(self, config_path, tmp_path, capsys,
                                          curve):
         assert main(["--config", config_path, "report", "--curve", curve]) == 1
@@ -448,6 +448,24 @@ class TestReport:
         out = capsys.readouterr().out
         assert "multiplier" in out
         assert len(out.strip().splitlines()) == 3  # header + two rows
+
+    def test_finite_multiplier_past_float_range_is_the_whole_shard(
+            self, config_path, tmp_path, capsys):
+        # 1e308 times a budget overflows to inf; it means the whole shard,
+        # as 1000 does at these shard sizes
+        cfg2 = tmp_path / "cfg2.yaml"
+        with open(config_path) as fh:
+            text = fh.read().replace("policies: [uniform]",
+                                     "policies: [learned]")
+        cfg2.write_text(text)
+        assert main(["--config", str(cfg2), "run"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(cfg2), "report",
+                     "--curve", "1000,1e308"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == ["1000.00",
+                                                        f"{1e308:.2f}"]
+        assert rows[0].split("\t")[1] == rows[1].split("\t")[1]
 
     def test_report_without_transcripts_fails(self, config_path, capsys):
         assert main(["--config", config_path, "report"]) == 1

@@ -529,7 +529,7 @@ class TestServerValidation:
         server = make_server(policy=BudgetPolicy("proxy_only"),
                              labels=d.labels)
         with pytest.raises(ValidationError, match="needs the proxy set"):
-            plan_pass(server, clients, [0], [np.zeros(4)])
+            plan_pass(server, clients, [0], [np.zeros(4)], {})
         with pytest.raises(ValidationError, match="needs the proxy set"):
             distributed_infer(server, clients, "q", np.zeros(4))
 
@@ -632,11 +632,13 @@ def _same_bytes(got, want):
 
 
 def _table(clients, queries, k, alpha):
-    """Fill the clients' tables with `queries`, as planning a uniform pass
-    with budget k and slack alpha does."""
+    """The clients' tables of `queries`, as planning a uniform pass with
+    budget k and slack alpha fills them."""
     queries = np.asarray(queries, dtype=np.float64)
+    tables = {}
     plan_pass(ServerNode(k=k, alpha=alpha), clients,
-              list(range(len(queries))), queries)
+              list(range(len(queries))), queries, tables)
+    return tables
 
 
 class TestRankingTable:
@@ -649,14 +651,11 @@ class TestRankingTable:
         # a grid point (ties certain) and an off-grid point
         queries = np.array([grid[int(rng.integers(len(grid)))],
                             rng.standard_normal(grid.shape[1])])
-        for client in clients:  # a ranking without a pass keeps nothing
-            for e_q in queries:
-                client_retrieve(client, e_q, depth)
-            assert client.ranked is None
-        _table(clients, queries, k, alpha)
+        tables = _table(clients, queries, k, alpha)
+        assert sorted(tables) == [client.id for client in clients]
         for client in clients:
             size = len(client.shard)
-            _, ids, distances = client.ranked
+            ids, distances = tables[client.id]
             assert ids.shape == distances.shape == (2, min(depth, size))
             for row, e_q in enumerate(queries):
                 for budget in (0, 1, depth, depth + 1, size, size + 1):
@@ -674,9 +673,8 @@ class TestRankingTable:
         assert len(client.shard) > 4
         depth = len(client.shard) + 2 if whole else 4
         queries = np.array([grid[0], grid[1], grid[0] + 0.25])
-        _table([client], queries, depth - 1, 1)
-        table = client.ranked
-        _, ids, distances = table
+        tables = _table([client], queries, depth - 1, 1)
+        ids, distances = tables[client.id]
         # the ids and distances a fresh ranking gives, not shard positions
         want_ids, want_distances = top_k_many(queries, depth, client.shard,
                                               client.store)
@@ -684,72 +682,44 @@ class TestRankingTable:
         assert distances.tobytes() == want_distances.tobytes()
         assert ids.shape == (3, min(depth, len(client.shard)))
         assert not (ids.flags.writeable or distances.flags.writeable)
-        client_retrieve(client, queries[0] + 1.0, 1)  # kept nowhere
-        _table([client], queries.copy(), depth - 1, 1)  # the same block
-        assert client.ranked is table
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0, 0] = -1
 
-    @pytest.mark.parametrize("change", ["depth", "mutated", "rows"])
-    def test_table_never_served_for_another_block(self, change,
-                                                  monkeypatch):
-        d, store, clients = make_clients(n=40, num_clients=2, seed=29)
-        rng = np.random.default_rng(8)
-        queries = rng.standard_normal((3, 4))
-        k, alpha = 4, 1
-        _table(clients, queries, k, alpha)
-        if change == "depth":  # the same block, ranked deeper
-            alpha = 3
-        elif change == "mutated":  # the same array object, one row changed
-            queries[1] = rng.standard_normal(4)
-        else:  # other rows
-            queries = queries[[2, 0]]
-        calls = []
+    @pytest.mark.parametrize("missing", [None, 1])
+    def test_pass_ranks_only_the_nodes_without_a_table(self, missing,
+                                                       monkeypatch):
+        # a node with an entry is not ranked again, whatever the block; a
+        # node without one ranks the block and gets its entry
+        d, store, clients = make_clients(n=40, num_clients=3, seed=29)
+        queries = np.random.default_rng(8).standard_normal((3, 4))
+        tables = _table(clients, queries, 4, 1)
+        kept = dict(tables)
+        if missing is not None:
+            del tables[missing]
+        ranked = []
 
         def counting_top_k_many(block, depth, d, store):
-            calls.append(id(d))
+            ranked.append(id(d))
             return top_k_many(block, depth, d, store)
         monkeypatch.setattr(federation, "top_k_many", counting_top_k_many)
-        server = make_server(k=k, alpha=alpha, labels=d.labels)
-        plan_pass(server, clients, list(range(len(queries))), queries)
-        assert sorted(calls) == sorted(id(c.shard) for c in clients)
-        for client in clients:
-            _, ids, distances = client.ranked
-            want_ids, want_distances = top_k_many(
-                queries, k + alpha, client.shard, client.store)
-            assert ids.tobytes() == want_ids.tobytes()
-            assert distances.tobytes() == want_distances.tobytes()
-        for query_id, e_q in enumerate(queries):
-            _, t = distributed_infer(server, clients, Example(
-                query_id, "q", 0), e_q)
-            assert t.samples_returned == [
-                top_k(e_q, b, c.shard, c.store).ids
-                for c, b in zip(clients, t.budgets_sent)]
-        assert not server.plans
-
-    @pytest.mark.parametrize("query", ["free text", "example"])
-    def test_one_query_id_with_other_vectors(self, query):
-        # text queries all carry id -1, and a caller may reuse an example
-        # with a changed vector: the plans follow the vector
-        d, store, clients = make_clients(n=40, num_clients=3, seed=31)
-        query_id = -1
-        if query == "example":
-            query = d.examples[0]
-            query_id = query.id
-        server = make_server(k=4, alpha=1, policy=BudgetPolicy("uniform"),
-                             labels=d.labels)
-        rng = np.random.default_rng(9)
-        e_q = rng.standard_normal(4)
-        plan_pass(server, clients, [query_id], e_q[None])  # the first only
-        for _ in range(5):
-            _, t = distributed_infer(server, clients, query, e_q)
-            assert t.samples_returned == [
-                top_k(e_q, b, c.shard, c.store).ids
-                for c, b in zip(clients, t.budgets_sent)]
-            e_q[:] = rng.standard_normal(4)
+        server = make_server(k=4, alpha=1, labels=d.labels)
+        plans = plan_pass(server, clients, [0, 1, 2], queries.copy(), tables)
+        assert len(plans) == 3
+        assert ranked == [id(clients[c].shard) for c in [missing]
+                          if c is not None]
+        assert sorted(tables) == sorted(kept)
+        for c, table in tables.items():
+            if c == missing:
+                assert all(got.tobytes() == want.tobytes() and
+                           not got.flags.writeable
+                           for got, want in zip(table, kept[c]))
+            else:
+                assert table is kept[c]
 
     @pytest.mark.parametrize("variant", POLICY_VARIANTS)
     def test_unplanned_query_keeps_nothing_and_answers_alike(self, variant):
-        # a query no pass planned (as `infer` asks) is ranked alone, keeps
-        # nothing, and writes the transcript of a planned one
+        # a query with no plan (as `infer` asks) is ranked alone over an
+        # empty dict of tables, and writes the transcript of a planned one
         d, store, clients = make_clients(n=60, num_clients=3, seed=37)
         proxy = d.subset(d.ids[:15])
         server = make_server(
@@ -759,21 +729,19 @@ class TestRankingTable:
             proxy=ClientNode(-1, proxy, store.subset(proxy.ids)))
         queries = d.examples[20:26]
         vectors = np.array([store.get(q.id) for q in queries])
-        nodes = [*clients, server.proxy]
 
-        def transcripts():
-            return [distributed_infer(server, clients, query, e_q)[1]
-                    .to_dict() for query, e_q in zip(queries, vectors)]
-        cold = transcripts()
-        assert all(node.ranked is None for node in nodes)
-        plan_pass(server, clients, [q.id for q in queries], vectors)
-        tables = [node.ranked for node in nodes]
-        assert any(tables) == (variant != "zero_shot")
-        assert transcripts() == cold  # served from the plans
-        assert not server.plans
-        assert transcripts() == cold  # unplanned again, with tables kept
-        assert all(node.ranked is table
-                   for node, table in zip(nodes, tables))
+        def transcripts(plans):
+            return [distributed_infer(server, clients, query, e_q, plan)[1]
+                    .to_dict()
+                    for query, e_q, plan in zip(queries, vectors, plans)]
+        cold = transcripts([None] * len(queries))
+        tables = {}
+        plans = plan_pass(server, clients, [q.id for q in queries], vectors,
+                          tables)
+        asked = {"zero_shot": [], "proxy_only": [server.proxy]}.get(
+            variant, clients)
+        assert sorted(tables) == sorted(node.id for node in asked)
+        assert transcripts(plans) == cold  # served from the plans
 
 
 class _RecordingMock(MockVoteBackend):
@@ -943,15 +911,16 @@ class TestInfinitePrefixes:
         monkeypatch.setattr(federation, "top_k_many", counting_top_k_many)
         queries = d.examples[:8]
         vectors = np.array([store.get(query.id) for query in queries])
+        tables = {}  # kept over the passes, as a seed keeps them
         for variant in ("infinite", "uniform", "learned", "social_learning"):
             server = make_server(
                 k=5, alpha=1, policy=BudgetPolicy(variant, seed=3),
                 labels=d.labels,
                 allocator=init_model(4, 8, 6, seeds=range(len(clients))))
-            plan_pass(server, clients, [q.id for q in queries],
-                      vectors)  # once per pass
-            for query, e_q in zip(queries, vectors):
-                distributed_infer(server, clients, query, e_q)
+            plans = plan_pass(server, clients, [q.id for q in queries],
+                              vectors, tables)  # once per pass
+            for query, e_q, plan in zip(queries, vectors, plans):
+                distributed_infer(server, clients, query, e_q, plan)
         assert not misses
         assert len(calls) == len(set(calls)) == len(queries) * len(clients)
 
@@ -1059,8 +1028,6 @@ def _planned_passes(draw):
                         else rng.standard_normal(dim) for _ in range(m)])
     if m > 1 and draw(st.booleans()):
         vectors[-1] = vectors[0]  # one vector, two query ids
-    if draw(st.booleans()):  # a shallower table of the first vector kept
-        plan_pass(ServerNode(k=1), clients, [0], vectors[:1])
     queries = [Example(1000 + j, f"query {j}", 0) for j in range(m)]
     return clients, server, queries, vectors
 
@@ -1068,28 +1035,28 @@ def _planned_passes(draw):
 class TestPlanEqualsReference:
     """Every (policy, query) of a planned pass is the naive per-query
     round of `_reference_round`, and a query with no plan, answered before
-    the pass is planned, gets the same transcript and answer and leaves
-    every node's table as it was."""
+    the pass is planned, gets the same transcript and answer. The passes
+    share one dict of tables, as a seed's passes do."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(world=_planned_passes())
     def test_every_policy_and_query(self, world):
         clients, server_args, queries, vectors = world
-        nodes = [*clients, server_args["proxy"]]
+        tables = {}
         for variant in POLICY_VARIANTS:
             backend = _RecordingMock()
             server = ServerNode(
                 policy=BudgetPolicy(variant, seed=5, client=len(clients) - 1),
                 backend=backend, **server_args)
-            kept = [node.ranked for node in nodes]
             alone = [distributed_infer(server, clients, query, e_q)
                      for query, e_q in zip(queries, vectors)]
-            assert all(node.ranked is table
-                       for node, table in zip(nodes, kept)), variant
-            plan_pass(server, clients, [q.id for q in queries], vectors)
-            for query, e_q, (alone_answer, alone_t) in zip(queries, vectors,
-                                                          alone):
-                answer, t = distributed_infer(server, clients, query, e_q)
+            plans = plan_pass(server, clients, [q.id for q in queries],
+                              vectors, tables)
+            assert len(plans) == len(queries), variant
+            for query, e_q, plan, (alone_answer, alone_t) in zip(
+                    queries, vectors, plans, alone):
+                answer, t = distributed_infer(server, clients, query, e_q,
+                                              plan)
                 assert t.to_dict() == alone_t.to_dict(), variant
                 assert answer == alone_answer, variant
                 (budgets, returned, sent, final, votes, fallback,
@@ -1107,7 +1074,8 @@ class TestPlanEqualsReference:
                     [dist for _, dist in votes], rtol=1e-12, atol=0)
                 assert t.fallback_zero_shot == fallback, variant
                 assert answer == t.answer_label == want_answer, variant
-            assert not server.plans  # each plan is served once
+        assert not any(ids.flags.writeable or distances.flags.writeable
+                       for ids, distances in tables.values())
 
 
 class _PromptRecorder:
