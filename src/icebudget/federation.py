@@ -356,16 +356,22 @@ def plan_pass(server: ServerNode, clients, query_ids, queries, tables):
     distance arrays. Each asked node (`_asked`) with no entry yet ranks the
     whole block in one `top_k_many` call and gets one, so a caller that
     keeps `tables` over its passes of one block of vectors, at one k +
-    alpha, ranks them once per node. The plan then takes `_PLAN_ROWS`
-    queries per `_plan` call."""
+    alpha, ranks them once per node. An entry of another shape (another
+    depth or block size) is a ValidationError naming the node; one of the
+    right shape is trusted to be of these vectors. The plan then takes
+    `_PLAN_ROWS` queries per `_plan` call."""
     nodes = _asked(server, clients)
     queries = np.asarray(queries, dtype=np.float64)
+    depth = server.k + server.alpha
     for node in nodes:
+        shape = (len(queries), min(depth, len(node.shard)))
         if node.id not in tables:
-            ids, distances = top_k_many(queries, server.k + server.alpha,
-                                        node.shard, node.store)
+            ids, distances = top_k_many(queries, depth, node.shard, node.store)
             ids.flags.writeable = distances.flags.writeable = False
             tables[node.id] = ids, distances
+        elif any(part.shape != shape for part in tables[node.id]):
+            raise ValidationError(f"table of node {node.id} has shape "
+                                  f"{tables[node.id][0].shape}, not {shape}")
     ranked = [tables[node.id] for node in nodes]
     plans = []
     for lo in range(0, len(queries), _PLAN_ROWS):

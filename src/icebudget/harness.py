@@ -22,8 +22,9 @@ table. Every query's budgets and final ICEs come from one
 `retrieval.rerank_many` call. Then the pass answers each query from its
 plan, posting to an HTTP backend through one connection, and
 `run_experiment` clears the tables once the seed is evaluated.
-The budget tables and the efficiency curve rank their queries the same
-way, in this process; allocator training is the one stage that forks.
+The budget tables and the efficiency curve each take their oracle budgets
+from one `oracle.oracle_counts` call, in this process, and the curve ranks
+nothing else; allocator training is the one stage that forks.
 
 Setting up a seed's context writes nothing. `run_experiment` and the
 `partition`, `build-budget-dataset` and `train-allocator` commands write
@@ -39,7 +40,6 @@ import contextlib
 import copy
 import errno
 import json
-import math
 import os
 import sys
 
@@ -63,8 +63,8 @@ from .federation import (BudgetPolicy, ClientNode, ServerNode,
                          save_transcripts)
 from .inference import make_backend
 from .oracle import (construct_budget_dataset, load_budget_dataset,
-                     save_budget_dataset)
-from .retrieval import top_k, top_k_many
+                     oracle_counts, save_budget_dataset)
+from .retrieval import top_k
 
 SCHEMA_VERSION = 1
 
@@ -470,48 +470,31 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def budget_efficiency_curve(transcripts, shards, shard_stores, global_dataset,
-                            global_store, query_store, k, multipliers):
+def budget_efficiency_curve(transcripts, shards, shard_stores, query_store,
+                            k, multipliers):
     """Mean recall of the global top-k set when every recorded per-client
-    budget is scaled by each multiplier (rounded up).
+    budget (one per shard) is scaled by each multiplier and rounded up.
 
-    Each (query, client) pair is ranked once, in one `top_k_many` call per
-    client at the client's largest scaled budget; a smaller budget takes a
-    prefix, since the top-k' under (distance, id) is the first k' entries
-    of the top-K for any k' <= K. The global top-k of every query is one
-    `top_k_many` call too.
-    """
+    The shards must partition the corpus, as both partitioners guarantee,
+    so the global top-k entries a shard holds are its local top-o, for o
+    the client's oracle budget (`oracle_counts`): a budget b recovers
+    min(b, o) of them, and a negative one none."""
     transcripts, multipliers = list(transcripts), [float(m) for m in multipliers]
     queries = np.array([query_store.get(t.query_id) for t in transcripts]
                        ).reshape(len(transcripts), query_store.dim)
-    global_top = top_k_many(queries, k, global_dataset, global_store)[0]
-    # per transcript, per client: each multiplier's scaled budget, capped at
-    # the shard (a deeper budget is the whole shard, and the cap keeps a
-    # product that overflows to inf from reaching `ceil`)
-    scaled = [[[math.ceil(min(m * budget, len(shard))) for m in multipliers]
-               for budget, shard in zip(t.budgets_sent, shards)]
-              for t in transcripts]
-    ranked = []  # per client: transcript row -> its ranked ids
-    for c, (shard, store) in enumerate(zip(shards, shard_stores)):
-        rows = [row for row, budgets in enumerate(scaled)
-                if c < len(budgets) and max(budgets[c], default=0) > 0]
-        depth = max((max(scaled[row][c]) for row in rows), default=0)
-        ranked.append(dict(zip(rows, top_k_many(
-            queries.take(rows, axis=0), depth, shard, store)[0])))
-    recalls = np.empty((len(transcripts), len(multipliers)))
-    for row, budgets in enumerate(scaled):  # one transcript's sets at a time
-        unions = [set() for _ in multipliers]
-        for client_rows, client_scaled in zip(ranked, budgets):
-            if row in client_rows:
-                ids = client_rows[row].tolist()
-                for union, n in zip(unions, client_scaled):
-                    union.update(ids[:max(n, 0)])
-        top = set(global_top[row].tolist())
-        recalls[row] = [len(union & top) / k for union in unions]
-    # each multiplier's recalls as one contiguous row, summed as a list is
+    for t in transcripts:
+        if len(t.budgets_sent) != len(shards):
+            raise ValidationError(f"query {t.query_id}: {len(t.budgets_sent)} "
+                                  f"budgets for {len(shards)} clients")
+    oracle = oracle_counts(queries, k, shards, shard_stores)
+    budgets = np.array([t.budgets_sent for t in transcripts],
+                       dtype=np.float64).reshape(oracle.shape)
+    with np.errstate(over="ignore"):  # a product past the float range is inf
+        recalls = [np.clip(np.ceil(m * budgets), 0, oracle).sum(axis=1) / k
+                   for m in multipliers]
     return [{"multiplier": m,
-             "mean_recall": float(np.mean(row)) if row.size else 0.0}
-            for m, row in zip(multipliers, recalls.T.copy())]
+             "mean_recall": float(np.mean(r)) if r.size else 0.0}
+            for m, r in zip(multipliers, recalls)]
 
 
 def _learned_transcripts_path(cfg: ExperimentConfig, seed_index: int) -> str:
@@ -565,6 +548,5 @@ def efficiency_curve_from_run(cfg: ExperimentConfig, seed_index: int,
     ctx = _SeedContext.for_seed(cfg, seed_index)
     transcripts = load_transcripts(transcripts_path, ctx.test.ids,
                                    len(ctx.clients))
-    return budget_efficiency_curve(
-        transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
-        ctx.train_store, ctx.test_store, cfg.k, multipliers)
+    return budget_efficiency_curve(transcripts, ctx.shards, ctx.shard_stores,
+                                   ctx.test_store, cfg.k, multipliers)

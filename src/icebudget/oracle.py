@@ -11,10 +11,12 @@ min(k, corpus size).
 Budgets are quantized by floor division with `delta` to form class labels.
 
 `oracle_budget` ranks and reranks one query (`top_k`, `rerank_union`);
-`construct_budget_dataset` ranks every proxy query against each shard in
-one `retrieval.top_k_many` call, whose rows are `top_k`'s, reranks them all
-in one `rerank_many` call and counts each row's owners, `oracle_budget`'s
-counts.
+`oracle_counts` ranks a block of queries against each shard in one
+`retrieval.top_k_many` call, whose rows are `top_k`'s, reranks them all in
+one `rerank_many` call and counts each row's owners, `oracle_budget`'s
+counts. It gives the supervision set its budgets
+(`construct_budget_dataset`) and the efficiency curve its recalls
+(`harness.budget_efficiency_curve`).
 """
 
 from __future__ import annotations
@@ -80,19 +82,12 @@ def oracle_budget(e_q, k, shards, shard_stores) -> list[int]:
     return np.bincount(owners, minlength=len(shards)).tolist()
 
 
-def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
-                             shards, shard_stores, k: int, delta: int
-                             ) -> BudgetDataset:
-    """The oracle budgets of every proxy example, in id order, from one
-    `top_k_many` ranking of the proxy queries per shard."""
-    if not shards:
-        raise ValidationError("need at least one shard")
-    if delta < 1:
-        raise ValidationError("delta must be >= 1")
-    proxy_store.check_bound(proxy)
-    ids, x = proxy_store.matrix()
-    # per shard, the (ids, distances) of each proxy query's local top-k
-    ranked = [top_k_many(x, k, shard, store)
+def oracle_counts(queries, k: int, shards, shard_stores) -> np.ndarray:
+    """The (m, C) oracle budgets of the rows of `queries`: one `top_k_many`
+    ranking per shard, one `rerank_many` of all of them, and one `bincount`
+    of each row's owners, `oracle_budget`'s counts."""
+    # per shard, the (ids, distances) of each query's local top-k
+    ranked = [top_k_many(queries, k, shard, store)
               for shard, store in zip(shards, shard_stores)]
     owners = np.repeat(np.arange(len(shards)),
                        [shard_ids.shape[1] for shard_ids, _ in ranked])
@@ -101,9 +96,22 @@ def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
     rows, columns = rerank_many(local_ids, distances,
                                 np.ones(local_ids.shape, dtype=bool), k, None)
     raw = np.bincount(rows * len(shards) + owners.take(columns),
-                      minlength=len(ids) * len(shards))
-    return BudgetDataset(ids, x, raw.reshape(len(ids), len(shards)), k=k,
-                         delta=delta)
+                      minlength=len(queries) * len(shards))
+    return raw.reshape(len(queries), len(shards))
+
+
+def construct_budget_dataset(proxy: Dataset, proxy_store: EmbeddingStore,
+                             shards, shard_stores, k: int, delta: int
+                             ) -> BudgetDataset:
+    """The `oracle_counts` of every proxy example, in id order."""
+    if not shards:
+        raise ValidationError("need at least one shard")
+    if delta < 1:
+        raise ValidationError("delta must be >= 1")
+    proxy_store.check_bound(proxy)
+    ids, x = proxy_store.matrix()
+    return BudgetDataset(ids, x, oracle_counts(x, k, shards, shard_stores),
+                         k=k, delta=delta)
 
 
 def save_budget_dataset(b: BudgetDataset, path):

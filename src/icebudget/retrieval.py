@@ -1,17 +1,18 @@
 """Exact nearest-neighbor ranking under L2 distance.
 
 This is the one module that ranks. `top_k_many` ranks a block of queries
-against one store: a client's shard, the server's proxy set, or the whole
-corpus; each node of a pass ranks the pass's whole block of test vectors
-in one call, and `federation` keeps that block as the node's table.
-`top_k` is its one-query form: it checks that the query is one vector of
-the store's dimension, and returns the block's single row.
-`rerank_many` ranks what the clients sent back, for a block of queries
-at once: the server uses it for the final ICEs of a whole pass, and
-`oracle` for the whole supervision set, so both see the same global top-k
-and attribute each of its entries to the same client. It dedupes each
-query's returns by id, the first client winning, and orders them with one
-(query, distance, id) sort; `rerank_union` is its one-row form.
+against one store, a client's shard or the server's proxy set; each node
+of a pass ranks the pass's whole block of test vectors in one call, and
+`federation` keeps that block as the node's table. `top_k` is its
+one-query form: it checks that the query is one vector of the store's
+dimension, and returns the block's single row.
+`rerank_many` ranks what the clients sent back, for a block of queries at
+once: the server uses it for the final ICEs of a whole pass, and
+`oracle.oracle_counts` for the oracle budgets of a block of queries, so
+both see the same global top-k and attribute each of its entries to the
+same client. It dedupes each query's returns by id, the first client
+winning, and orders them with one (query, distance, id) sort;
+`rerank_union` is its one-row form.
 
 `top_k_many` computes exact distances only for the rows that can make a
 query's top k. A prefilter (`_keep`) ranks every row by |x|^2/2 - x.q

@@ -716,6 +716,19 @@ class TestRankingTable:
             else:
                 assert table is kept[c]
 
+    @pytest.mark.parametrize("other", ["depth", "rows"])
+    def test_table_of_another_shape_fails_naming_the_node(self, other):
+        d, store, clients = make_clients(n=40, num_clients=3, seed=29)
+        queries = np.random.default_rng(8).standard_normal((3, 4))
+        tables = _table(clients, queries, 4, 1)
+        if other == "depth":
+            tables[1] = _table(clients, queries, 3, 1)[1]
+        else:
+            tables[1] = _table(clients, queries[:2], 4, 1)[1]
+        server = make_server(k=4, alpha=1, labels=d.labels)
+        with pytest.raises(ValidationError, match="^table of node 1 has shape"):
+            plan_pass(server, clients, [0, 1, 2], queries, tables)
+
     @pytest.mark.parametrize("variant", POLICY_VARIANTS)
     def test_unplanned_query_keeps_nothing_and_answers_alike(self, variant):
         # a query with no plan (as `infer` asks) is ranked alone over an

@@ -531,49 +531,45 @@ class TestEfficiencyCurve:
         recalls = [r["mean_recall"] for r in rows]
         assert recalls == sorted(recalls)
 
-    def test_prefixes_equal_per_multiplier_ranking(self, learned_run):
-        ctx = _SeedContext(learned_run, derive_seed(learned_run.seed, "run0"),
-                           os.path.join(learned_run.output_dir, "seed0"))
+    @pytest.mark.parametrize("scheme", ["noniid", "iid"])
+    def test_equals_reference_curve(self, tiny_config, scheme):
+        tiny_config.partition.scheme = scheme
+        run_experiment(tiny_config)
+        ctx = _SeedContext.for_seed(tiny_config, 0)
         transcripts = load_transcripts(os.path.join(
-            learned_run.output_dir, "seed0", "transcripts_learned.jsonl"))
-        # vary the recorded budgets so prefixes of every length get used
+            tiny_config.output_dir, "seed0", "transcripts_uniform.jsonl"))
+        # vary the recorded budgets so prefixes of every length get used,
+        # with one negative budget and one deeper than its shard
         for i, t in enumerate(transcripts):
             t.budgets_sent = [(i + c) % 5 for c in range(len(t.budgets_sent))]
+        transcripts[0].budgets_sent[0] = -3
+        transcripts[1].budgets_sent[1] = len(ctx.shards[1]) + 7
         multipliers = [0.0, 0.5, 1.0, 1.25, 2.0, 3.0]
-        args = (transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
-                ctx.train_store, ctx.test_store, learned_run.k, multipliers)
-        assert budget_efficiency_curve(*args) == _reference_curve(*args)
+        assert budget_efficiency_curve(
+            transcripts, ctx.shards, ctx.shard_stores, ctx.test_store,
+            tiny_config.k, multipliers) == _reference_curve(
+            transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
+            ctx.train_store, ctx.test_store, tiny_config.k, multipliers)
 
     def _curve_args(self, learned_run):
         ctx = _SeedContext.for_seed(learned_run, 0)
         transcripts = load_transcripts(os.path.join(
             learned_run.output_dir, "seed0", "transcripts_learned.jsonl"))
-        return [transcripts, ctx.shards, ctx.shard_stores, ctx.train_ds,
-                ctx.train_store, ctx.test_store, learned_run.k,
-                [0.5, 1.0, 1.25, 2.0]]
+        return [transcripts, ctx.shards, ctx.shard_stores, ctx.test_store,
+                learned_run.k, [0.5, 1.0, 1.25, 2.0]]
 
-    def test_same_curve_at_one_and_two_processes(self, learned_run,
-                                                 monkeypatch):
+    def test_unknown_query_fails(self, learned_run):
         args = self._curve_args(learned_run)
-        curves = []
-        for processes in (1, 2):
-            monkeypatch.setattr(parallel, "processes", lambda: processes)
-            curves.append(json.dumps(budget_efficiency_curve(*args)))
-        assert curves[0] == curves[1]
-
-    def test_unknown_query_in_a_childs_range_fails_as_one_process_does(
-            self, learned_run, monkeypatch):
-        args = self._curve_args(learned_run)
-        # in the second half, a child's range when the curve forked
         args[0][-2].query_id = 10**9
-        errors = []
-        for processes in (1, 2):
-            monkeypatch.setattr(parallel, "processes", lambda: processes)
-            with pytest.raises(ValidationError) as info:
-                budget_efficiency_curve(*args)
-            errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1]
-        assert errors[0] == (ValidationError, f"no embedding for id {10**9}")
+        with pytest.raises(ValidationError,
+                           match=f"^no embedding for id {10**9}$"):
+            budget_efficiency_curve(*args)
+
+    def test_budget_count_other_than_the_clients_fails(self, learned_run):
+        args = self._curve_args(learned_run)
+        args[0][1].budgets_sent.append(1)
+        with pytest.raises(ValidationError, match="3 budgets for 2 clients"):
+            budget_efficiency_curve(*args)
 
     def test_missing_transcripts_rejected(self, tiny_config):
         run_experiment(tiny_config)  # uniform only; no learned transcripts
