@@ -171,8 +171,12 @@ class Transcript:
         return Transcript(**values)
 
 
+def _is_int64(value) -> bool:
+    return is_int(value) and -2**63 <= value < 2**63
+
+
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(map(is_int, value))
+    return isinstance(value, list) and all(map(_is_int64, value))
 
 
 def _is_optional_str(value) -> bool:
@@ -181,16 +185,16 @@ def _is_optional_str(value) -> bool:
 
 # each Transcript field: (its JSON type in words, the check of a loaded value)
 _FIELD_CHECKS = {
-    "query_id": ("an integer", is_int),
+    "query_id": ("an integer in the int64 range", _is_int64),
     "policy": ("a string", lambda v: isinstance(v, str)),
-    "budgets_sent": ("a list of integers", _is_int_list),
+    "budgets_sent": ("a list of integers in the int64 range", _is_int_list),
     "samples_returned": ("a list of id lists or counts",
                          lambda v: isinstance(v, list) and all(
-                             is_int(x) or _is_int_list(x) for x in v)),
-    "final_ice_ids": ("a list of integers", _is_int_list),
-    "prompt_chars": ("an integer", is_int),
+                             _is_int64(x) or _is_int_list(x) for x in v)),
+    "final_ice_ids": ("a list of integers in the int64 range", _is_int_list),
+    "prompt_chars": ("an integer in the int64 range", _is_int64),
     "answer_label": ("an integer or null", lambda v: v is None or is_int(v)),
-    "total_samples_communicated": ("an integer", is_int),
+    "total_samples_communicated": ("an integer in the int64 range", _is_int64),
     "fallback_zero_shot": ("a boolean", lambda v: isinstance(v, bool)),
     "raw_completion": ("a string or null", _is_optional_str),
     "prompt_text": ("a string or null", _is_optional_str),

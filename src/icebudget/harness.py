@@ -2,11 +2,11 @@
 
 run_experiment sets up every seed's data, shards and proxy split, then
 builds the budget datasets and trains every seed's allocators in one
-`train` call, evaluating seed 0's policies but `learned` meanwhile when the
-backend is the mock (any other backend is asked nothing before training
-ends), then evaluates the rest per seed, `learned` last in each. Shards
-and budget datasets are rebuilt by every run (and written as `shards.json`
-and `bproxy.jsonl`).
+`train` call. Meanwhile, if the backend is the mock (any other is asked
+nothing before training ends), every seed's policies but `learned` run,
+each pass's transcripts written as it finishes, so a failed run can leave
+some, but no `report.json`; each seed's `learned` runs last. Every run
+rebuilds and writes shards and budget tables (`shards.json`, `bproxy.jsonl`).
 Only the trained allocators are a cache: a saved pair is served only if
 it has the blake2b digest its metadata records (of the metadata's other
 fields and the blob) and its key, a digest of everything its training
@@ -21,7 +21,7 @@ proxy set) ranks the seed's test vectors on it in one
 table. Every query's budgets and final ICEs come from one
 `retrieval.rerank_many` call. Then the pass answers each query from its
 plan, posting to an HTTP backend through one connection, and
-`run_experiment` clears the tables once the seed is evaluated.
+`run_experiment` clears the tables once the seed's last pass has run.
 The budget tables and the efficiency curve each take their oracle budgets
 from one `oracle.oracle_counts` call, in this process, and the curve ranks
 nothing else; allocator training is the one stage that forks.
@@ -414,46 +414,42 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     contexts = seed_contexts(cfg, range(cfg.num_seeds))
     save_shards(contexts)
 
-    def evaluate(i, name):
-        with _stage(f"evaluate:{name}", i):
-            return (i, name, *_evaluate_policy(contexts[i], name))
+    learned = [name for name in cfg.policies if name == "learned"]
+    others = [name for name in cfg.policies if name != "learned"]
+    failed = []  # a model-free pass's error, raised once training succeeds
 
-    def record(i, name, acc, total, transcripts):
+    def run_pass(i, name):
+        with _stage(f"evaluate:{name}", i):
+            acc, total, transcripts = _evaluate_policy(contexts[i], name)
         save_transcripts(transcripts, os.path.join(
             contexts[i].out_dir, f"transcripts_{name}.jsonl"))
         policy_results[name]["per_seed_accuracy"].append(acc)
         policy_results[name]["per_seed_samples_communicated"].append(total)
         if name == "learned":
-            histograms.append(
-                {"seed_index": i,
-                 "per_client": _budget_histogram(
-                     transcripts, cfg.partition.num_clients)})
+            hist = _budget_histogram(transcripts, cfg.partition.num_clients)
+            histograms.append({"seed_index": i, "per_client": hist})
+        if name == (others + learned)[-1]:  # the seed's last pass has run
+            contexts[i].tables.clear()
 
-    learned = [name for name in cfg.policies if name == "learned"]
-    others = [name for name in cfg.policies if name != "learned"]
-    # only the mock answers while training: a training failure must not
-    # follow requests sent to a real backend
-    overlap = bool(learned) and cfg.backend.type == "mock"
-    held, failed = [], []  # seed 0's other results and error, in training
-
-    def evaluate_first():
+    def model_free():
         try:
-            for name in others:
-                held.append(evaluate(0, name))
-        except Exception as exc:  # raised once training has succeeded
+            for i in range(len(contexts)):
+                for name in others:
+                    run_pass(i, name)
+        except Exception as exc:
             failed.append(exc)
 
+    # only the mock answers beside training; a real backend waits for it
+    overlap = bool(learned) and cfg.backend.type == "mock"
     if learned:
-        allocators(contexts, alongside=evaluate_first if overlap else None)
-        for result in held:
-            record(*result)
-        if failed:
-            raise failed[0]
-    for i, ctx in enumerate(contexts):
-        # `learned` goes last; when overlapped, seed 0's others ran in training
-        for name in learned if i == 0 and overlap else others + learned:
-            record(*evaluate(i, name))
-        ctx.tables.clear()  # no later seed asks these nodes
+        allocators(contexts, alongside=model_free if overlap else None)
+    if not overlap:
+        model_free()
+    if failed:
+        raise failed[0]
+    for i in range(len(contexts)):
+        for name in learned:
+            run_pass(i, name)
 
     for name, result in policy_results.items():
         mean, std = mean_std(result["per_seed_accuracy"])

@@ -141,7 +141,9 @@ def _serve(handler):
     handler.requests = []
     handler.ports = []
     server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that `shutdown` returns within ~10 ms, not 0.5 s
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", handler
     server.shutdown()

@@ -583,22 +583,26 @@ def learned_run(tmp_path_factory):
     return str(path), lines
 
 
-def _with_query_id(line, query_id):
-    record = json.loads(line)
-    record["query_id"] = query_id
-    return json.dumps(record)
+def _with(line, **fields):
+    return json.dumps({**json.loads(line), **fields})
 
 
 class TestForeignTranscripts:
     """`report --transcripts` reads only a file of the seed's test queries."""
 
     @pytest.mark.parametrize("edit, line, message", [
-        (lambda lines: lines[:3] + [_with_query_id(lines[3], 10**6)]
+        (lambda lines: lines[:3] + [_with(lines[3], query_id=10**6)]
          + lines[4:], 4, "query id 1000000 is repeated or not a test query"),
         (lambda lines: lines + lines[1:2], None, "is repeated"),
         (lambda lines: lines[:2] + [lines[2].replace(
             '"budgets_sent": [', '"budgets_sent": [1, ')] + lines[3:], 3,
          "3 budgets for 2 clients"),
+        # a budget past the float range, and an id past int64
+        (lambda lines: lines[:2] + [_with(lines[2], budgets_sent=[
+            10**400, 1])] + lines[3:], 3,
+         "field 'budgets_sent' must be a list of integers in the int64 range"),
+        (lambda lines: lines[:4] + [_with(lines[4], final_ice_ids=[
+            2**63])] + lines[5:], 5, "field 'final_ice_ids' must be"),
     ])
     def test_refused_with_the_file_and_the_first_bad_line(
             self, learned_run, tmp_path, capsys, edit, line, message):
@@ -665,7 +669,7 @@ class TestProcessCounts:
         config, lines = learned_run
         foreign = tmp_path / "foreign.jsonl"
         at = len(lines) * 3 // 4
-        lines = lines[:at] + [_with_query_id(lines[at], 10**6)] + lines[at + 1:]
+        lines = lines[:at] + [_with(lines[at], query_id=10**6)] + lines[at + 1:]
         foreign.write_text("\n".join(lines) + "\n")
         code, out, err = self._outcomes(
             monkeypatch, capsys, ["--config", config, "report", "--curve",
@@ -688,8 +692,10 @@ class _DownBackend(MockVoteBackend):
 
 
 class TestFailuresBesideTraining:
-    """Seed 0's other policies run while the allocators train; what a failed
-    run reports and leaves does not depend on the process count."""
+    """Every seed's policies but `learned` run while the allocators train,
+    each pass's transcripts written as it finishes, so a failed run leaves
+    those of the passes that finished (and no `report.json`); what it
+    reports and leaves does not depend on the process count."""
 
     @pytest.fixture
     def run_outcome(self, tmp_path, monkeypatch, capsys):
@@ -739,12 +745,14 @@ class TestFailuresBesideTraining:
         assert (code, out) == (1, "")
         assert err.startswith("error: stage 'train-allocator': seed 0, "
                               "client 0: non-finite training loss at epoch 0")
-        assert files == ["seed0/bproxy.jsonl", "seed0/shards.json"]
+        assert files == ["seed0/bproxy.jsonl", "seed0/shards.json",
+                         "seed0/transcripts_infinite.jsonl"]
 
 
 class TestHttpTrainsFirst:
-    """With a backend other than the mock, seed 0's other policies wait for
-    training, so a run whose training fails sends no request."""
+    """With a backend other than the mock, no seed's policies but `learned`
+    run before training ends, so a run whose training fails sends no
+    request."""
 
     @pytest.fixture
     def http_run(self, tmp_path, stub_server, monkeypatch, capsys):
@@ -753,6 +761,7 @@ class TestHttpTrainsFirst:
         path = tmp_path / "cfg.yaml"
         path.write_text(path.read_text().replace(
             "policies: [uniform]", "policies: [learned, infinite, uniform]")
+            .replace("num_seeds: 1", "num_seeds: 2")
             + f"backend:\n  type: http\n  endpoint: {url}\n")
 
         def run(processes):
@@ -778,7 +787,8 @@ class TestHttpTrainsFirst:
         assert (code, out) == (1, "")
         assert err.startswith("error: stage 'train-allocator': seed 0, "
                               "client 0: non-finite training loss at epoch 0")
-        assert files == ["seed0/bproxy.jsonl", "seed0/shards.json"]
+        assert files == ["seed0/bproxy.jsonl", "seed0/shards.json",
+                         "seed1/bproxy.jsonl", "seed1/shards.json"]
         assert handler.requests == []
 
     @pytest.mark.parametrize("processes", [1, 2])
@@ -797,7 +807,8 @@ class TestHttpTrainsFirst:
         code, out, err, files = run(processes)
         assert (code, err) == (0, "")
         assert seen == [0, 0]
-        assert len(handler.requests) == 3 * 20  # 3 policies, 20 test queries
+        # 2 seeds, 3 policies, 20 test queries
+        assert len(handler.requests) == 2 * 3 * 20
 
 
 # texts that hold the template's placeholders, braces and non-ASCII text

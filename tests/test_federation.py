@@ -489,6 +489,16 @@ class TestTranscriptIo:
         ({"query_id": "7"}, "field 'query_id' must be an integer"),
         ({"query_id": True}, "field 'query_id' must be an integer"),
         ({"budgets_sent": [1, 2.5]}, "field 'budgets_sent' must be"),
+        ({"query_id": 2**63}, "field 'query_id' must be an integer in the "
+                              "int64 range"),
+        ({"budgets_sent": [1, 10**400]}, "field 'budgets_sent' must be"),
+        ({"samples_returned": [2**63]}, "field 'samples_returned' must be"),
+        ({"samples_returned": [[-2**63 - 1]]},
+         "field 'samples_returned' must be"),
+        ({"final_ice_ids": [-2**63 - 1]}, "field 'final_ice_ids' must be"),
+        ({"prompt_chars": 2**63}, "field 'prompt_chars' must be"),
+        ({"total_samples_communicated": 2**64},
+         "field 'total_samples_communicated' must be"),
         ({"samples_returned": [[1], "x"]}, "field 'samples_returned' must be"),
         ({"answer_label": "class0"}, "field 'answer_label' must be"),
         ({"fallback_zero_shot": 0}, "field 'fallback_zero_shot' must be"),

@@ -297,14 +297,16 @@ class TestKeptRankings:
         run_experiment(tiny_config)
         assert _tree_bytes(tiny_config.output_dir) == kept
 
+    @pytest.mark.parametrize("learned", [True, False])
     @pytest.mark.parametrize("processes", [1, 2])
     def test_each_query_ranked_once_per_client(self, tiny_config, monkeypatch,
-                                               processes):
-        tiny_config.policies = ["learned", "uniform", "random",
-                                "social_learning", "singleton", "proxy_only"]
+                                               processes, learned):
+        tiny_config.policies = ["learned"] * learned + [
+            "uniform", "random", "social_learning", "singleton", "proxy_only"]
         tiny_config.num_seeds = 2
         tiny_config.alpha = 1
         contexts, calls, holding, misses = [], [], [], []
+        released, kept = [], []  # seeds past learned; those still with tables
 
         def recorded_contexts(*args):
             contexts.extend(seed_contexts(*args))
@@ -323,7 +325,16 @@ class TestKeptRankings:
         def counting_top_k_many(queries, k, d, store):  # the pass's batch
             count(d, queries)
             return top_k_many(queries, k, d, store)
+        evaluate = harness._evaluate_policy
+
+        def logged_evaluate(ctx, name):
+            kept.extend(i for i in released if contexts[i].tables)
+            result = evaluate(ctx, name)
+            if name == "learned":
+                released.append(ctx.seed_index)
+            return result
         monkeypatch.setattr(harness, "seed_contexts", recorded_contexts)
+        monkeypatch.setattr(harness, "_evaluate_policy", logged_evaluate)
         monkeypatch.setattr(federation, "top_k", counting_top_k)
         monkeypatch.setattr(federation, "top_k_many", counting_top_k_many)
         # the query loop never leaves this process, which counts every call
@@ -334,8 +345,13 @@ class TestKeptRankings:
         assert len(calls) == len(set(calls))
         assert len(calls) == sum(len(ctx.test) * (len(ctx.clients) + 1)
                                  for ctx in contexts)
-        # a seed's tables are released before the next seed is evaluated
-        assert max(holding) == 1
+        if learned:
+            # a seed's tables are released once its learned pass has run
+            assert released == [0, 1]
+            assert kept == []
+        else:
+            # a seed's tables are released before the next seed is evaluated
+            assert max(holding) == 1
         assert not any(ctx.tables for ctx in contexts)
 
 
@@ -357,8 +373,9 @@ class TestHttpPass:
 
 
 class TestPoliciesBesideTraining:
-    """Seed 0's other policies run while the allocators train (in forked
-    children when there are two processes), and `learned` runs last."""
+    """Every seed's policies but `learned` run, seed by seed, while the
+    allocators train (in forked children when there are two processes);
+    then each seed's `learned` pass runs, in seed order."""
 
     @pytest.mark.parametrize("policies", [
         ["learned", "uniform", "infinite"],
@@ -390,7 +407,7 @@ class TestPoliciesBesideTraining:
         assert transcripts == {path: default[0][path] for path in transcripts}
 
     @pytest.mark.parametrize("processes", [1, 2])
-    def test_seed_zeros_others_run_before_the_models_are_saved(
+    def test_every_seeds_others_run_before_the_models_are_saved(
             self, tiny_config, monkeypatch, processes):
         tiny_config.num_seeds = 2
         tiny_config.policies = ["learned", "uniform", "infinite"]
@@ -408,9 +425,9 @@ class TestPoliciesBesideTraining:
         monkeypatch.setattr(harness, "_evaluate_policy", logged_evaluate)
         monkeypatch.setattr(harness, "save_model", logged_save)
         run_experiment(tiny_config)
-        assert events == [(0, "uniform"), (0, "infinite"), "saved", "saved",
-                          (0, "learned"),
-                          (1, "uniform"), (1, "infinite"), (1, "learned")]
+        assert events == [(0, "uniform"), (0, "infinite"),
+                          (1, "uniform"), (1, "infinite"), "saved", "saved",
+                          (0, "learned"), (1, "learned")]
 
     def test_saved_models_still_evaluate_every_policy(self, tiny_config,
                                                       monkeypatch):
@@ -449,7 +466,7 @@ class TestPoliciesBesideTraining:
         assert str(info.value) == (
             f"stage 'train-allocator' (seed 1): IsADirectoryError: "
             f"[Errno {errno.EISDIR}] Is a directory: '{blob}'")
-        assert calls == []  # neither training nor seed 0's other policies
+        assert calls == []  # neither training nor any model-free pass
 
 
 def _count_training(monkeypatch):
