@@ -6,20 +6,30 @@ architecture; the loss is computed from logits via log-sum-exp for
 numerical stability.
 
 The C clients' allocators of a run are one model: every weight is stacked
-along a leading row axis, (C, fan_in, fan_out), and one forward pass gives
-all C budgets of a query, so no Python loop grows with C. Training stacks
-further: `train` takes one budget dataset per seed of a run and trains all
-S·C rows (seed-major: row s·C + c is seed s, client c), returning one stack
-that `split` cuts back into one C-row model per seed. The stacked products
-use `@` (np.matmul), which multiplies each row's matrices exactly as a 2-D
+along a leading row axis, (C, fan_in, fan_out). Training stacks further:
+`train` takes one budget dataset per seed of a run and trains all S·C rows
+(seed-major: row s·C + c is seed s, client c), returning one stack that
+`split` cuts back into one C-row model per seed. The stacked products use
+`@` (np.matmul), which multiplies each row's matrices exactly as a 2-D
 product for that client alone would; `einsum` sums the same terms in
 another order and differs in the last bits, which would change the trained
 models and every report built on them.
 
-Because no row reads another, `train` runs the same SGD loop on ranges
-of rows at once (`parallel.fill`). Every row takes exactly the steps of one
-loop over all rows, so the models and every report built on them are the
-same bytes whatever the CPU count.
+One routine, `_loss_and_grads`, holds the loss and gradient math; the SGD
+loop and `batch_loss_and_grads` both run it. The loop keeps a range's
+parameters in one (rows, P) buffer and their gradients in another, each
+parameter and gradient a view of its buffer, so a step writes every
+gradient in place and updates every parameter in two numpy calls. Because
+no row reads another, `train` runs that loop on ranges of rows at once
+(`parallel.fill`). Every row takes exactly the steps of one loop over all
+rows, so the models and every report built on them are the same bytes
+whatever the CPU count.
+
+`forward` takes a block of queries shaped (m, 1, 1, dim) against the
+(C, dim, width) weights, so every product is still one query's one-row
+product for one client: a query's probabilities are the same bits in a
+block of any size. A (C, m, dim) matrix-matrix product would sum in
+another order and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -95,9 +105,9 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def _logits(m: AllocatorModel, x: np.ndarray):
-    """Forward pass on a batch: the scaled input, both ReLU activations and
-    the logits, which backprop needs. The bias adds and ReLUs run in place."""
-    x = m.input_scale * x
+    """Forward pass on inputs `x` already multiplied by the input scale:
+    both ReLU activations and the logits, which backprop needs. The bias
+    adds and ReLUs run in place."""
     a1 = x @ m.w1
     a1 += m.b1[..., None, :]
     np.maximum(a1, 0.0, out=a1)
@@ -106,7 +116,7 @@ def _logits(m: AllocatorModel, x: np.ndarray):
     np.maximum(a2, 0.0, out=a2)
     z3 = a2 @ m.w3
     z3 += m.b3[..., None, :]
-    return x, a1, a2, z3
+    return a1, a2, z3
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -115,52 +125,73 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return expz / expz.sum(axis=-1, keepdims=True)
 
 
-def forward(m: AllocatorModel, e) -> np.ndarray:
-    """(C, num_classes): each client's class probabilities for one embedding."""
-    x = np.asarray(e, dtype=np.float64)
-    if x.shape != (m.dim,):
-        raise ValidationError(f"input has shape {x.shape}, model dim is {m.dim}")
-    *_, z3 = _logits(m, x[None, :])
-    return _softmax(z3)[:, 0]
+def forward(m: AllocatorModel, queries) -> np.ndarray:
+    """(m, C, num_classes): each client's class probabilities for each of
+    the m queries, the rows of `queries`. Each (query, client) pair is a
+    one-row product, so a query's probabilities do not depend on the block
+    it is in."""
+    x = np.asarray(queries, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != m.dim:
+        raise ValidationError(f"queries have shape {x.shape}, model dim is "
+                              f"{m.dim}")
+    *_, z3 = _logits(m, m.input_scale * x[:, None, None, :])
+    return _softmax(z3)[:, :, 0]
 
 
-def batch_loss_and_grads(m: AllocatorModel, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over each row's batch and gradients for every
-    parameter.
+def _loss_and_grads(m: AllocatorModel, x: np.ndarray, onehot: np.ndarray,
+                    grads=None) -> np.ndarray:
+    """Each row's mean cross-entropy over its batch; given `grads`, the six
+    gradient arrays (stacked like the parameters, in PARAM_NAMES order),
+    also writes every parameter's gradient into its array.
 
-    `x` is (rows, batch, dim) and `y` (rows, batch); the loss is one value
-    per row and each gradient is stacked like its parameter. The loss uses
-    log-sum-exp on logits directly rather than log of the softmax output,
-    and the one `exp` of the shifted logits serves both it and the softmax.
-    A unit's ReLU mask is `a > 0`, which holds exactly where its
+    `x` is (rows, batch, dim), already multiplied by the input scale, and
+    `onehot` the (rows, batch, classes) one-hot of the labels. The loss
+    uses log-sum-exp on logits directly rather than log of the softmax
+    output, and the one `exp` of the shifted logits serves both it and the
+    softmax. A unit's ReLU mask is `a > 0`, which holds exactly where its
     preactivation is positive.
     """
     n = x.shape[-2]
-    x, a1, a2, z3 = _logits(m, x)
-    onehot = y[..., None] == np.arange(z3.shape[-1])
+    a1, a2, z3 = _logits(m, x)
     top = z3.max(axis=-1)
     dz3 = z3 - top[..., None]
     np.exp(dz3, out=dz3)
     total = dz3.sum(axis=-1)
     loss = np.log(total)
     loss += top
-    loss -= z3[onehot].reshape(y.shape)
+    loss -= z3[onehot].reshape(top.shape)
     loss = loss.sum(axis=-1) / n  # the batch mean
+    if grads is None:
+        return loss
 
+    gw1, gb1, gw2, gb2, gw3, gb3 = grads
     dz3 /= total[..., None]  # the softmax
     dz3 -= onehot
     dz3 /= n
-    gw3 = _t(a2) @ dz3
-    gb3 = dz3.sum(axis=-2)
+    np.matmul(_t(a2), dz3, out=gw3)
+    dz3.sum(axis=-2, out=gb3)
     dz2 = dz3 @ _t(m.w3)
     dz2 *= a2 > 0
-    gw2 = _t(a1) @ dz2
-    gb2 = dz2.sum(axis=-2)
+    np.matmul(_t(a1), dz2, out=gw2)
+    dz2.sum(axis=-2, out=gb2)
     dz1 = dz2 @ _t(m.w2)
     dz1 *= a1 > 0
-    gw1 = _t(x) @ dz1
-    gb1 = dz1.sum(axis=-2)
-    return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
+    np.matmul(_t(x), dz1, out=gw1)
+    dz1.sum(axis=-2, out=gb1)
+    return loss
+
+
+def batch_loss_and_grads(m: AllocatorModel, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy over each row's batch and gradients for every
+    parameter, from `_loss_and_grads`.
+
+    `x` is (rows, batch, dim) and `y` (rows, batch); the loss is one value
+    per row and each gradient is stacked like its parameter.
+    """
+    grads = [np.empty_like(p) for p in m.params()]
+    onehot = y[..., None] == np.arange(m.num_classes)
+    loss = _loss_and_grads(m, m.input_scale * x, onehot, grads)
+    return loss, grads
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -213,43 +244,59 @@ def _train_rows(stack: AllocatorModel, x_train, y_train, x_val, y_val, seeds,
                 cfg: TrainConfig) -> np.ndarray:
     """Minibatch SGD on every row of `stack`, in place; returns each row's
     mean batch loss per epoch, (rows, epochs). Raises `_NonFinite` at the
-    first batch whose loss is not finite in some row (the lowest such row)."""
+    first batch whose loss is not finite in some row (the lowest such row).
+
+    The rows' parameters are copied into one (rows, P) buffer and trained
+    there, as views of it, and copied back at the end."""
     num_rows = stack.num_clients
     rows = np.arange(num_rows)[:, None]
-    params = stack.params()
-    best = [p.copy() for p in params]
+    classes = np.arange(stack.num_classes)
+    cuts = np.cumsum([p[0].size for p in stack.params()])[:-1]
+
+    def views(buffer):
+        return [part.reshape(p.shape) for part, p in
+                zip(np.split(buffer, cuts, axis=1), stack.params())]
+
+    params = np.concatenate([p.reshape(num_rows, -1) for p in stack.params()],
+                            axis=1)
+    model = replace(stack, **dict(zip(PARAM_NAMES, views(params))))
+    grads = np.empty_like(params)
+    grad_views = views(grads)
+    best = params.copy()
     best_val = np.full(num_rows, np.inf)
     history = np.empty((num_rows, cfg.epochs))
+    x_val = stack.input_scale * x_val
+    onehot_val = y_val[..., None] == classes
     for epoch in range(cfg.epochs):
         order = np.stack([_epoch_rng(seed, epoch).permutation(x_train.shape[1])
                           for seed in seeds])
-        x_epoch, y_epoch = x_train[rows, order], y_train[rows, order]
+        x_epoch = stack.input_scale * x_train[rows, order]
+        onehot = y_train[rows, order][..., None] == classes
         epoch_loss = np.zeros(num_rows)
         n_batches = 0
         for start in range(0, order.shape[1], cfg.batch_size):
-            stop = start + cfg.batch_size
-            loss, grads = batch_loss_and_grads(stack, x_epoch[:, start:stop],
-                                               y_epoch[:, start:stop])
+            batch = slice(start, start + cfg.batch_size)
+            loss = _loss_and_grads(model, x_epoch[:, batch], onehot[:, batch],
+                                   grad_views)
             finite = np.isfinite(loss)
             if not finite.all():
                 raise _NonFinite(epoch, start, int(np.argmin(finite)))
-            for param, grad in zip(params, grads):
-                grad *= cfg.learning_rate
-                param -= grad
+            grads *= cfg.learning_rate
+            params -= grads
             epoch_loss += loss
             n_batches += 1
         history[:, epoch] = epoch_loss / max(n_batches, 1)
         if x_val.shape[1]:
-            val_loss, _ = batch_loss_and_grads(stack, x_val, y_val)
+            val_loss = _loss_and_grads(model, x_val, onehot_val)
             better = val_loss < best_val
             best_val[better] = val_loss[better]
-            for kept, param in zip(best, params):
-                kept[better] = param[better]
+            best[better] = params[better]
     if x_val.shape[1]:
         # a row whose validation loss never improved keeps its final epoch
         seen = np.isfinite(best_val)
-        for kept, param in zip(best, params):
-            param[seen] = kept[seen]
+        params[seen] = best[seen]
+    for param, view in zip(stack.params(), model.params()):
+        param[...] = view
     return history
 
 
@@ -366,10 +413,11 @@ def split(stack: AllocatorModel, parts: int) -> list[AllocatorModel]:
     return models
 
 
-def predict_budget(m: AllocatorModel, e_q, delta: int) -> list[int]:
-    """Each client's dequantized argmax class; ties go to the lowest class."""
-    return [dequantize(int(cls), delta)
-            for cls in np.argmax(forward(m, e_q), axis=1)]
+def predict_budget(m: AllocatorModel, queries, delta: int) -> np.ndarray:
+    """(m, C): each client's dequantized argmax class for each of the m
+    queries, the rows of `queries`, from one `forward` pass; ties go to the
+    lowest class."""
+    return dequantize(np.argmax(forward(m, queries), axis=-1), delta)
 
 
 def _digest(meta: dict, blob: bytes) -> str:

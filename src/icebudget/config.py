@@ -167,9 +167,11 @@ class ExperimentConfig:
             raise ValidationError("proxy_size must be >= 1")
         if not self.policies:
             raise ValidationError("at least one policy required")
-        for policy in self.policies:
+        for i, policy in enumerate(self.policies):
             if policy not in POLICY_VARIANTS:
                 raise ValidationError(f"unknown policy: {policy}")
+            if policy in self.policies[:i]:
+                raise ValidationError(f"policy {policy} is listed twice")
         if (self.synthetic is None) == (self.dataset is None):
             raise ValidationError(
                 "config needs exactly one of 'synthetic' or 'dataset'")

@@ -16,9 +16,10 @@ entries by (distance, id) of each query vector, k + alpha being the deepest
 budget any policy but `infinite` sends. A node with no entry ranks the
 pass's vectors in one `top_k_many` call, so a caller that keeps the dict
 over a seed's passes ranks its test vectors once per node. The plan then
-takes every query's budgets from `allocate`, gathers each client's budget
-prefix of its table rows into one block per 64 queries, and reranks each
-block in one `retrieval.rerank_many` call, which also names the client
+works in blocks of 64 queries: it takes a block's budgets from one
+`allocate` call (one `predict_budget` pass under `learned`), gathers each
+client's budget prefix of its table rows, and reranks the block in one
+`retrieval.rerank_many` call, which also names the client
 behind each final ICE; the shards' id indexes resolve the examples.
 `plan_pass` returns the plans in query order, and `distributed_infer`
 serves the plan it is handed. A query with none (an `infer` query) is
@@ -224,27 +225,32 @@ def _random_composition(k: int, parts: int, rng) -> list[int]:
     return [int(slots[i + 1] - slots[i] - 1) for i in range(parts)]
 
 
-def allocate(policy: BudgetPolicy, e_q, server: ServerNode, clients,
-             query_id: int = 0) -> list[int]:
-    """Per-client budget vector for one query under the given policy."""
-    c = len(clients)
+def allocate(policy: BudgetPolicy, queries, server: ServerNode, clients,
+             query_ids) -> np.ndarray:
+    """(m, C): each client's budget for each of the m queries `query_ids`,
+    with the vectors the rows of `queries`, under the given policy.
+    `learned` predicts the whole block in one `predict_budget` call, and
+    `random` draws each query's composition from its own seeded stream."""
+    c, m = len(clients), len(query_ids)
     server.require_ready(c)
     variant = policy.variant
+    budgets = np.zeros((m, c), dtype=np.int64)
     if variant in ("uniform", "social_learning"):
-        return [math.ceil(server.k / c)] * c
-    if variant == "random":
-        rng = _per_query_rng(policy.seed, query_id)
-        return _random_composition(server.k, c, rng)
-    if variant == "learned":
-        return [budget + server.alpha
-                for budget in predict_budget(server.allocator, e_q, server.delta)]
-    if variant == "singleton":
-        return [server.k if i == policy.client else 0 for i in range(c)]
-    if variant == "infinite":
-        return [len(client.shard) for client in clients]
-    if variant in ("proxy_only", "zero_shot"):
-        return [0] * c
-    raise ValidationError(f"unknown policy variant: {variant}")
+        budgets[:] = math.ceil(server.k / c)
+    elif variant == "random":
+        budgets[:] = [_random_composition(server.k, c,
+                                          _per_query_rng(policy.seed, query_id))
+                      for query_id in query_ids]
+    elif variant == "learned":
+        budgets[:] = predict_budget(server.allocator, queries, server.delta)
+        budgets += server.alpha
+    elif variant == "singleton":
+        budgets[:, policy.client] = server.k
+    elif variant == "infinite":
+        budgets[:] = [len(client.shard) for client in clients]
+    elif variant not in ("proxy_only", "zero_shot"):
+        raise ValidationError(f"unknown policy variant: {variant}")
+    return budgets
 
 
 def client_retrieve(client: ClientNode, e_q, budget: int) -> RankedSet:
@@ -284,7 +290,7 @@ def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray,
     the policy asks (`_asked`), its (ids, distances) rows of the queries:
     their top-min(k + alpha, |shard|) entries.
 
-    The budgets come from `allocate`, one query at a time. A client sends
+    The budgets come from one `allocate` call over the block. A client sends
     the server its local top-budget, a prefix of its ranking; but only its
     top-k can reach the final k, so a client sent a budget deeper than
     k + alpha (only `infinite` sends one) gives the server that prefix
@@ -292,15 +298,11 @@ def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray,
     their ids. Under `proxy_only` the server takes the top k of
     its own proxy set, and under `zero_shot` nothing."""
     policy, k, depth = server.policy, server.k, server.k + server.alpha
-    budgets = [allocate(policy, query, server, clients, query_id=query_id)
-               for query_id, query in zip(query_ids, queries)]
+    budgets = allocate(policy, queries, server, clients, query_ids)
     m = len(budgets)
-    if not m:
-        return []
     nodes = _asked(server, clients)
     asked = policy.variant not in ("proxy_only", "zero_shot")
-    asks = (np.array(budgets, dtype=np.int64) if asked
-            else np.full((m, len(nodes)), k, dtype=np.int64))
+    asks = budgets if asked else np.full((m, len(nodes)), k, dtype=np.int64)
     widths = [node_ids.shape[1] for node_ids, _ in ranked]
     deep = asks > depth
     take = np.minimum(np.where(deep, k, asks), widths)
@@ -346,7 +348,7 @@ def _plan(server: ServerNode, clients, query_ids, queries: np.ndarray,
                     total_samples_communicated=total,
                     fallback_zero_shot=asked and lo == hi))
         for query_id, query_budgets, returned, total, lo, hi in zip(
-            query_ids, budgets, returns, totals, bounds, bounds[1:])]
+            query_ids, budgets.tolist(), returns, totals, bounds, bounds[1:])]
 
 
 def plan_pass(server: ServerNode, clients, query_ids, queries, tables):

@@ -64,11 +64,11 @@ class BudgetDataset:
         return len(self.query_ids)
 
 
-def dequantize(cls: int, delta: int) -> int:
-    """Lower bin edge: class * delta."""
+def dequantize(cls, delta: int):
+    """Lower bin edge: class * delta, of one class or an array of them."""
     if delta < 1:
         raise ValidationError("delta must be >= 1")
-    if cls < 0:
+    if np.any(np.less(cls, 0)):
         raise ValidationError("class must be nonnegative")
     return cls * delta
 

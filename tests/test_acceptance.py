@@ -292,15 +292,16 @@ def test_criterion_9_baseline_arithmetic():
     for k in (1, 4, 6, 7, 32):
         server = ServerNode(k=k, policy=BudgetPolicy("uniform"),
                             labels=d.labels)
-        budgets = allocate(server.policy, np.zeros(4), server, clients)
+        [budgets] = allocate(server.policy, np.zeros((1, 4)), server, clients,
+                             [0]).tolist()
         if budgets != [math.ceil(k / 4)] * 4:
             problems.append(f"uniform k={k}: {budgets}")
 
     server = ServerNode(k=7, policy=BudgetPolicy("random", seed=3),
                         labels=d.labels)
-    for query_id in range(10_000):
-        budgets = allocate(server.policy, np.zeros(4), server, clients,
-                           query_id=query_id)
+    draws = allocate(server.policy, np.zeros((10_000, 4)), server, clients,
+                     range(10_000)).tolist()
+    for query_id, budgets in enumerate(draws):
         if sum(budgets) != 7 or min(budgets) < 0:
             problems.append(f"random draw {query_id}: {budgets}")
             break

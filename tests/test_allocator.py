@@ -115,7 +115,7 @@ class TestGradients:
         x = np.random.default_rng(4).standard_normal((7, 3))
         y = np.array([0, 1, 0, 1, 1, 0, 1])
         [loss], _ = batch_loss_and_grads(model, x[None], y[None])
-        probs = np.stack([forward(model, row)[0] for row in x])
+        probs = forward(model, x)[:, 0]
         expected = -np.mean(np.log(probs[np.arange(7), y]))
         assert np.isclose(loss, expected)
 
@@ -123,9 +123,9 @@ class TestGradients:
 class TestForward:
     def test_probabilities_sum_to_one(self):
         model = init_model(dim=4, width=5, num_classes=3, seeds=[7, 8])
-        probs = forward(model, np.ones(4))
-        assert probs.shape == (2, 3)
-        assert np.allclose(probs.sum(axis=1), 1.0)
+        probs = forward(model, np.ones((1, 4)))
+        assert probs.shape == (1, 2, 3)
+        assert np.allclose(probs.sum(axis=-1), 1.0)
         assert np.all(probs > 0)
 
     def test_input_scale_is_w1_reparameterization(self):
@@ -133,13 +133,13 @@ class TestForward:
         scaled = clone(base)
         scaled.input_scale = 10.0
         scaled.w1 = base.w1 / 10.0
-        e = np.random.default_rng(1).standard_normal(3)
+        e = np.random.default_rng(1).standard_normal((1, 3))
         assert np.allclose(forward(base, e), forward(scaled, e))
 
     def test_wrong_shape_rejected(self):
         model = init_model(dim=4, width=5, num_classes=3, seeds=[7])
         with pytest.raises(ValidationError):
-            forward(model, np.ones(5))
+            forward(model, np.ones((1, 5)))
 
 
 class TestInit:
@@ -163,7 +163,7 @@ class TestTraining:
         model = train([records], cfg, seeds=[1], init_seeds=[1])
         x = records.embeddings
         y = records.classes[:, 0]
-        predicted = np.array([int(np.argmax(forward(model, row)[0])) for row in x])
+        predicted = np.argmax(forward(model, x)[:, 0], axis=-1)
         assert np.mean(predicted == y) > 0.95
         assert model.loss_history[-1] < model.loss_history[0]
 
@@ -208,9 +208,9 @@ class TestTraining:
 class TestPredictBudget:
     def test_dequantizes_argmax(self):
         model = init_model(dim=2, width=3, num_classes=4, seeds=[1])
-        e = np.ones(2)
-        cls = int(np.argmax(forward(model, e)[0]))
-        assert predict_budget(model, e, delta=3) == [cls * 3]
+        e = np.ones((1, 2))
+        cls = int(np.argmax(forward(model, e)[0, 0]))
+        assert predict_budget(model, e, delta=3).tolist() == [[cls * 3]]
 
 
 class TestModelIo:
@@ -545,24 +545,26 @@ class TestRowRanges:
 
 
 class TestStackedPrediction:
+    @pytest.mark.parametrize("block", [1, 7, 64, 500])
     @pytest.mark.parametrize("dim, width, num_classes, seeds, input_scale", [
         (5, 6, 4, [1, 2, 3], 1.0),
         (32, 64, 5, [4, 5, 6, 7], 1e7),  # the demo's tiny-magnitude inputs
     ])
-    def test_equals_per_client_reference(self, dim, width, num_classes, seeds,
-                                         input_scale):
-        rng = np.random.default_rng(dim)
+    def test_equals_per_client_reference(self, dim, width, num_classes,
+                                         seeds, input_scale, block):
+        rng = np.random.default_rng(dim + block)
         stack = init_model(dim, width, num_classes, seeds,
                            input_scale=input_scale)
         # off the zero-bias init, so every layer's bias matters
         for param in stack.params():
             param += 0.5 * rng.standard_normal(param.shape) / np.sqrt(width)
         clients = [client_model(stack, c) for c in range(len(seeds))]
-        for _ in range(100):
-            e_q = rng.standard_normal(dim) / input_scale
-            got = predict_budget(stack, e_q, delta=2)
-            probs = forward(stack, e_q)
+        queries = rng.standard_normal((block, dim)) / input_scale
+        budgets = predict_budget(stack, queries, delta=2)
+        probs = forward(stack, queries)
+        assert budgets.shape == probs.shape[:2] == (block, len(seeds))
+        for q, e_q in enumerate(queries):
             for c, client in enumerate(clients):
                 budget, want = _reference_predict_budget(client, e_q, delta=2)
-                assert got[c] == budget
-                assert np.array_equal(probs[c], want)
+                assert budgets[q, c] == budget
+                assert probs[q, c].tobytes() == want.tobytes()

@@ -85,6 +85,15 @@ class TestRun:
         assert f"line {lines + 1}: {eval_path}: not UTF-8" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_repeated_policy_is_validation_error(self, config_path, tmp_path,
+                                                 capsys):
+        path = tmp_path / "cfg.yaml"  # config_path's file
+        path.write_text(path.read_text().replace(
+            "policies: [uniform]", "policies: [uniform, uniform, learned]"))
+        assert main(["--config", config_path, "run"]) == 1
+        assert "policy uniform is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_and_out_overrides(self, config_path, tmp_path):
         out = tmp_path / "elsewhere"
         assert main(["--config", config_path, "--seed", "9",
@@ -700,7 +709,7 @@ class TestFailuresBesideTraining:
     @pytest.fixture
     def run_outcome(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path)
-        path = tmp_path / "cfg.yaml"
+        path = tmp_path / "cfg.yaml"  # config_path's file
         path.write_text(path.read_text().replace(
             "policies: [uniform]", "policies: [learned, infinite, uniform]"))
         make_server = harness._SeedContext.make_server
@@ -758,7 +767,7 @@ class TestHttpTrainsFirst:
     def http_run(self, tmp_path, stub_server, monkeypatch, capsys):
         url, handler = stub_server
         config = write_config(tmp_path)
-        path = tmp_path / "cfg.yaml"
+        path = tmp_path / "cfg.yaml"  # config_path's file
         path.write_text(path.read_text().replace(
             "policies: [uniform]", "policies: [learned, infinite, uniform]")
             .replace("num_seeds: 1", "num_seeds: 2")

@@ -57,68 +57,88 @@ class TestAllocate:
     def test_uniform_is_ceil_k_over_c(self):
         d, store, clients = make_clients(num_clients=4)
         server = make_server(k=6, policy=BudgetPolicy("uniform"))
-        assert allocate(server.policy, np.zeros(4), server, clients) == [2] * 4
+        assert allocate(server.policy, np.zeros((1, 4)), server, clients,
+                        [0]).tolist() == [[2] * 4]
 
     def test_random_sums_to_k(self):
         d, store, clients = make_clients(num_clients=3)
         policy = BudgetPolicy("random", seed=99)
         server = make_server(k=7, policy=policy)
-        for qid in range(200):
-            budgets = allocate(policy, np.zeros(4), server, clients,
-                               query_id=qid)
-            assert sum(budgets) == 7
-            assert all(b >= 0 for b in budgets)
+        budgets = allocate(policy, np.zeros((200, 4)), server, clients,
+                           range(200))
+        assert budgets.sum(axis=1).tolist() == [7] * 200
+        assert budgets.min() >= 0
 
     def test_random_draw_for_text_queries(self):
         # ad-hoc text queries carry query id -1: still a seeded draw
         d, store, clients = make_clients(num_clients=3)
         policy = BudgetPolicy("random", seed=5)
         server = make_server(k=9, policy=policy)
-        a = allocate(policy, np.zeros(4), server, clients, query_id=-1)
-        assert sum(a) == 9
-        assert a == allocate(policy, np.zeros(4), server, clients,
-                             query_id=-1)
+        a = allocate(policy, np.zeros((1, 4)), server, clients, [-1])
+        assert a.sum() == 9
+        assert a.tolist() == allocate(policy, np.zeros((1, 4)), server,
+                                      clients, [-1]).tolist()
 
     def test_random_deterministic_per_query(self):
         d, store, clients = make_clients(num_clients=3)
         policy = BudgetPolicy("random", seed=5)
         server = make_server(k=9, policy=policy)
-        a = allocate(policy, np.zeros(4), server, clients, query_id=42)
-        b = allocate(policy, np.zeros(4), server, clients, query_id=42)
-        assert a == b
+        a = allocate(policy, np.zeros((1, 4)), server, clients, [42])
+        b = allocate(policy, np.zeros((1, 4)), server, clients, [42])
+        assert a.tolist() == b.tolist()
 
     def test_singleton(self):
         d, store, clients = make_clients(num_clients=3)
         policy = BudgetPolicy("singleton", client=1)
         server = make_server(k=5, policy=policy)
-        assert allocate(policy, np.zeros(4), server, clients) == [0, 5, 0]
+        assert allocate(policy, np.zeros((1, 4)), server, clients,
+                        [0]).tolist() == [[0, 5, 0]]
 
     def test_infinite_requests_whole_shards(self):
         d, store, clients = make_clients(num_clients=3)
         policy = BudgetPolicy("infinite")
         server = make_server(k=5, policy=policy)
-        budgets = allocate(policy, np.zeros(4), server, clients)
-        assert budgets == [len(c.shard) for c in clients]
+        budgets = allocate(policy, np.zeros((1, 4)), server, clients, [0])
+        assert budgets.tolist() == [[len(c.shard) for c in clients]]
 
     def test_zero_shot_and_proxy_only_send_nothing(self):
         d, store, clients = make_clients()
         for variant in ("zero_shot",):
             policy = BudgetPolicy(variant)
             server = make_server(policy=policy)
-            assert allocate(policy, np.zeros(4), server, clients) == [0, 0, 0]
+            assert allocate(policy, np.zeros((1, 4)), server, clients,
+                            [0]).tolist() == [[0, 0, 0]]
 
     def test_learned_requires_allocators(self):
         d, store, clients = make_clients()
         server = make_server(policy=BudgetPolicy("learned"))
         with pytest.raises(ValidationError):
-            allocate(server.policy, np.zeros(4), server, clients)
+            allocate(server.policy, np.zeros((1, 4)), server, clients, [0])
 
     def test_singleton_client_bound(self):
         d, store, clients = make_clients(num_clients=2)
         policy = BudgetPolicy("singleton", client=5)
         server = make_server(policy=policy)
         with pytest.raises(ValidationError):
-            allocate(policy, np.zeros(4), server, clients)
+            allocate(policy, np.zeros((1, 4)), server, clients, [0])
+
+    def test_learned_block_plans_each_query_as_alone(self):
+        # 150 queries: three plan blocks, the last one ragged
+        d, store, clients = make_clients(n=60, num_clients=3, seed=29)
+        rng = np.random.default_rng(8)
+        model = init_model(4, 16, 7, seeds=[1, 2, 3])
+        for param in model.params():
+            param += 0.5 * rng.standard_normal(param.shape)
+        server = make_server(k=6, alpha=1, policy=BudgetPolicy("learned"),
+                             allocator=model, labels=d.labels)
+        vectors = rng.standard_normal((150, 4))
+        query_ids = list(range(2000, 2150))
+        plans = plan_pass(server, clients, query_ids, vectors, {})
+        for query_id, e_q, (*_, t) in zip(query_ids, vectors, plans):
+            [(*_, alone)] = plan_pass(server, clients, [query_id], e_q[None],
+                                      {})
+            assert t.budgets_sent == alone.budgets_sent
+        assert len({tuple(t.budgets_sent) for *_, t in plans}) > 1
 
 
 class TestRandomComposition:
@@ -958,8 +978,9 @@ def _reference_budgets(server, clients, query_id, e_q):
         return _random_composition(
             k, c, _per_query_rng(server.policy.seed, query_id))
     if variant == "learned":
-        return [budget + server.alpha for budget in
-                predict_budget(server.allocator, e_q, server.delta)]
+        [budgets] = predict_budget(server.allocator, np.asarray(e_q)[None],
+                                   server.delta)
+        return (budgets + server.alpha).tolist()
     if variant == "singleton":
         return [k if i == server.policy.client else 0 for i in range(c)]
     if variant == "infinite":

@@ -152,7 +152,7 @@ class TestRunExperiment:
         tiny_config.num_seeds = 3
         log = tmp_path / "training.jsonl"
         train_rows = allocator._train_rows
-        step = allocator.batch_loss_and_grads
+        step = allocator._loss_and_grads
 
         def logged(*entry):  # forked children append to the same file
             with open(log, "a", encoding="utf-8") as fh:
@@ -163,12 +163,12 @@ class TestRunExperiment:
             return train_rows(stack, x_train, y_train, x_val, y_val, seeds,
                               cfg)
 
-        def counting_step(m, x, y):
+        def counting_step(m, x, onehot, grads=None):
             logged("step", x.shape[0])
-            return step(m, x, y)
+            return step(m, x, onehot, grads)
         monkeypatch.setattr(parallel, "processes", lambda: cpus)
         monkeypatch.setattr(allocator, "_train_rows", logging_rows)
-        monkeypatch.setattr(allocator, "batch_loss_and_grads", counting_step)
+        monkeypatch.setattr(allocator, "_loss_and_grads", counting_step)
         run_experiment(tiny_config)
         entries = [json.loads(line) for line in log.read_text().splitlines()]
         ranges = {pid: seeds for pid, kind, seeds in entries if kind == "rows"}
