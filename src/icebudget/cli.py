@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -139,7 +138,7 @@ def _cmd_infer(args):
         server = ctx.make_server(_policy_for(cfg.policies[0], ctx.run_seed))
         answer, transcript = distributed_infer(server, ctx.clients, args.text,
                                                e_q)
-    print(json.dumps(transcript.to_dict(), sort_keys=True))
+    print(transcript.to_json())
     print(f"answer: {ctx.train_ds.labels.verbalizers[answer]} ({answer})")
     return 0
 

@@ -26,7 +26,11 @@ serves the plan it is handed. A query with none (an `infer` query) is
 planned alone, as a pass of one over an empty dict, so every query takes
 the one path.
 One `build_prompt` pass over the final ICEs, in `ice_order`, gives the
-prompt and the backend's (label, distance) votes.
+prompt and the backend's (label, distance) votes. The server keeps each
+ICE's rendered piece in a cache of its own, per label space and keyed by
+the example object (two clients' copies of one id may differ), so a pass,
+which the harness serves with a server of its own, renders each example
+once.
 
 Only the global top-k reaches a prompt, and it is the rerank of every
 client's local top-k. So a client sent a budget deeper than k + alpha
@@ -36,7 +40,9 @@ transcript records how many samples it sent in place of their ids.
 A transcript (schema 2) holds only what a run cannot rebuild: the union
 the server reranked is derived from `samples_returned`, and the prompt is
 recorded only for a backend that reads it (not `MockVoteBackend`). Schema 1
-lines still load.
+lines still load. `Transcript.to_json` formats a record's line directly, in
+the bytes `json.dumps(to_dict(), sort_keys=True)` would write; the files and
+`infer`'s printed line both come from it.
 """
 
 from __future__ import annotations
@@ -98,6 +104,10 @@ class ServerNode:
     labels: LabelSpace | None = None
     ice_order: str = "descending"  # distance order in the prompt
     max_prompt_chars: int = 1_000_000
+    # (label space, the `build_prompt` cache of the ICEs this server has
+    # rendered under it); the harness makes one server per pass
+    _pieces: tuple = field(default=(None, None), init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -151,6 +161,28 @@ class Transcript:
             del record["prompt_text"]
         return record
 
+    def to_json(self) -> str:
+        """The record as `json.dumps(self.to_dict(), sort_keys=True)` writes
+        it, formatted field by field in that sorted key order: a plain int,
+        or a list of plain ints and lists of them, by its repr (which is
+        what json writes for them), any other value through a json encoder
+        with sort_keys, so strings keep json's ASCII escaping and a value
+        json refuses (a numpy scalar) is refused here too."""
+        prompt_text = ("" if self.prompt_text is None
+                       else f'"prompt_text": {_json(self.prompt_text)}, ')
+        return (f'{{"answer_label": {_json(self.answer_label)}, '
+                f'"budgets_sent": {_json(self.budgets_sent)}, '
+                f'"fallback_zero_shot": {_json(self.fallback_zero_shot)}, '
+                f'"final_ice_ids": {_json(self.final_ice_ids)}, '
+                f'"policy": {_json(self.policy)}, '
+                f'"prompt_chars": {_json(self.prompt_chars)}, {prompt_text}'
+                f'"query_id": {_json(self.query_id)}, '
+                f'"raw_completion": {_json(self.raw_completion)}, '
+                f'"samples_returned": {_json(self.samples_returned)}, '
+                '"schema_version": 2, '
+                '"total_samples_communicated": '
+                f'{_json(self.total_samples_communicated)}}}')
+
     @staticmethod
     def from_dict(obj) -> "Transcript":
         """A schema 1 or 2 record; a missing optional field takes its
@@ -170,6 +202,31 @@ class Transcript:
                 raise ValidationError(f"field '{f.name}' must be {kind}")
             values[f.name] = obj[f.name]
         return Transcript(**values)
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(v, sort_keys=True)
+_INT = {int}
+
+
+def _is_int_tree(values) -> bool:
+    """Whether each item is an int or a list of ints, each of type int
+    itself (json writes a bool as true and refuses a numpy integer): then
+    the repr of `values` is its JSON."""
+    if _INT.issuperset(map(type, values)):  # a flat list, in one C loop
+        return True
+    return all(type(v) is int or type(v) is list
+               and _INT.issuperset(map(type, v)) for v in values)
+
+
+def _json(value) -> str:
+    """`value` as `json.dumps(value, sort_keys=True)` writes it."""
+    if type(value) is int or type(value) is list and _is_int_tree(value):
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return _encode(value)
 
 
 def _is_int64(value) -> bool:
@@ -194,7 +251,8 @@ _FIELD_CHECKS = {
                              _is_int64(x) or _is_int_list(x) for x in v)),
     "final_ice_ids": ("a list of integers in the int64 range", _is_int_list),
     "prompt_chars": ("an integer in the int64 range", _is_int64),
-    "answer_label": ("an integer or null", lambda v: v is None or is_int(v)),
+    "answer_label": ("an integer in the int64 range or null",
+                     lambda v: v is None or _is_int64(v)),
     "total_samples_communicated": ("an integer in the int64 range", _is_int64),
     "fallback_zero_shot": ("a boolean", lambda v: isinstance(v, bool)),
     "raw_completion": ("a string or null", _is_optional_str),
@@ -390,7 +448,8 @@ def plan_pass(server: ServerNode, clients, query_ids, queries, tables):
 def _finish(server: ServerNode, query, final: RankedSet, examples,
             transcript: Transcript):
     """Build the prompt and the votes from the final ranked set and its
-    examples in one pass, query the backend, and complete the transcript."""
+    examples in one pass, each ICE rendered once per server and label
+    space, query the backend, and complete the transcript."""
     labels = server.labels
     if labels is None:
         raise ValidationError("server needs a label space to answer")
@@ -399,8 +458,13 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
         # nearest example ends up adjacent to the query
         ids, distances, examples = ids[::-1], distances[::-1], examples[::-1]
     query_text = query.text if isinstance(query, Example) else str(query)
+    rendered_under, pieces = server._pieces
+    if rendered_under is not labels:  # a new server, or new labels
+        pieces = {}
+        server._pieces = labels, pieces
     votes = []
-    prompt = build_prompt(zip(examples, distances), query_text, labels, votes)
+    prompt = build_prompt(zip(examples, distances), query_text, labels, votes,
+                          pieces)
     if len(prompt) > server.max_prompt_chars:
         raise ValidationError(
             f"prompt of {len(prompt)} chars exceeds cap {server.max_prompt_chars}")
@@ -436,9 +500,11 @@ def distributed_infer(server: ServerNode, clients, query, e_q, plan=None):
 
 
 def save_transcripts(transcripts, path):
+    """One `Transcript.to_json` line per transcript, written as it is
+    formatted."""
     with open(path, "w", encoding="utf-8") as fh:
         for t in transcripts:
-            fh.write(json.dumps(t.to_dict(), sort_keys=True) + "\n")
+            fh.write(t.to_json() + "\n")
 
 
 def load_transcripts(path, query_ids=None, num_clients=None

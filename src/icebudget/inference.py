@@ -106,7 +106,7 @@ def make_backend(spec: BackendSpec):
 
 
 def build_prompt(ices, query_text: str, labels: LabelSpace,
-                 votes: list) -> str:
+                 votes: list, pieces: dict | None = None) -> str:
     """Each ICE rendered in the given order, then the query text and a
     newline, joined by blank lines. `ices` are (example, distance) pairs;
     callers decide their order. Each ICE's (label, distance) is appended to
@@ -117,16 +117,30 @@ def build_prompt(ices, query_text: str, labels: LabelSpace,
     verbalizer over the whole, so that a {label} in the text is replaced
     too. A match cannot span the newline, which holds no part of "{label}",
     so that is the text with its {label}s replaced, the newline and the
-    verbalizer, as built here."""
+    verbalizer, as built here.
+
+    `pieces` is a cache of rendered ICEs that the caller keeps for one
+    label space (a server keeps one per pass): it maps `id(example)` to
+    (example, piece), so each example is rendered, and its label checked,
+    on its first use only. The key is the example object, not its id
+    field, because two clients' copies of one id may differ in text and
+    label; the entry holds the example, so no other object can take its
+    `id` while the entry stands. Without `pieces` every ICE is rendered."""
+    if pieces is None:
+        pieces = {}
     parts = []
     for example, distance in ices:
-        label = example.label
-        if not 0 <= label < labels.count:
-            raise ValidationError(f"ICE label {label} outside label space")
-        verbalizer = labels.verbalizers[label]
-        parts.append(example.text.replace("{label}", verbalizer) + "\n"
-                     + verbalizer)
-        votes.append((label, distance))
+        entry = pieces.get(id(example))
+        if entry is None:
+            label = example.label
+            if not 0 <= label < labels.count:
+                raise ValidationError(f"ICE label {label} outside label space")
+            verbalizer = labels.verbalizers[label]
+            entry = pieces[id(example)] = (
+                example,
+                example.text.replace("{label}", verbalizer) + "\n" + verbalizer)
+        parts.append(entry[1])
+        votes.append((example.label, distance))
     parts.append(query_text + "\n")
     return "\n\n".join(parts)
 

@@ -612,6 +612,10 @@ class TestForeignTranscripts:
          "field 'budgets_sent' must be a list of integers in the int64 range"),
         (lambda lines: lines[:4] + [_with(lines[4], final_ice_ids=[
             2**63])] + lines[5:], 5, "field 'final_ice_ids' must be"),
+        # an answer past the float range
+        (lambda lines: lines[:2] + [_with(lines[2], answer_label=10**400)]
+         + lines[3:], 3, "field 'answer_label' must be an integer in the "
+                         "int64 range or null"),
     ])
     def test_refused_with_the_file_and_the_first_bad_line(
             self, learned_run, tmp_path, capsys, edit, line, message):
@@ -912,7 +916,10 @@ class TestInfer:
             assert main(argv) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
-        transcript = json.loads(outs[0].splitlines()[0])
+        line = outs[0].splitlines()[0]
+        # the line `save_transcripts` would write for it
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+        transcript = json.loads(line)
         assert transcript["policy"] == policy
         assert transcript["query_id"] == -1
         assert outs[0].splitlines()[1].startswith("answer: ")

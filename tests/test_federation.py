@@ -521,6 +521,8 @@ class TestTranscriptIo:
          "field 'total_samples_communicated' must be"),
         ({"samples_returned": [[1], "x"]}, "field 'samples_returned' must be"),
         ({"answer_label": "class0"}, "field 'answer_label' must be"),
+        ({"answer_label": 2**63}, "field 'answer_label' must be an integer "
+                                  "in the int64 range or null"),
         ({"fallback_zero_shot": 0}, "field 'fallback_zero_shot' must be"),
         ({"schema_version": 3}, "schema_version 3"),
     ])
@@ -994,7 +996,8 @@ def _reference_round(server, clients, query, e_q):
     wins, a sort by (distance, id) (after `social_learning`'s seeded draw
     over the union in id order), and the mock vote. Returns (budgets, the
     returns as a transcript records them, samples sent, final ids, votes in
-    prompt order, fallback, answer)."""
+    prompt order, fallback, answer, the final ICEs as (text, label) of
+    their owners in prompt order)."""
     variant, k = server.policy.variant, server.k
     budgets = _reference_budgets(server, clients, query.id, e_q)
     returned = [[] for _ in clients]
@@ -1022,9 +1025,10 @@ def _reference_round(server, clients, query, e_q):
     answer = MockVoteBackend().answer(None, votes, server.labels)
     if server.ice_order == "descending":
         final, votes = final[::-1], votes[::-1]
+    ices = [(union[i][1].text, union[i][1].label) for i in final]
     sent = sum(len(r) if isinstance(r, list) else r for r in returned)
     fallback = variant not in ("proxy_only", "zero_shot") and not final
-    return budgets, returned, sent, final, votes, fallback, answer
+    return budgets, returned, sent, final, votes, fallback, answer, ices
 
 
 @st.composite
@@ -1104,7 +1108,8 @@ class TestPlanEqualsReference:
                 assert t.to_dict() == alone_t.to_dict(), variant
                 assert answer == alone_answer, variant
                 (budgets, returned, sent, final, votes, fallback,
-                 want_answer) = _reference_round(server, clients, query, e_q)
+                 want_answer, _) = _reference_round(server, clients, query,
+                                                    e_q)
                 assert t.budgets_sent == budgets, variant
                 assert t.samples_returned == returned, variant
                 assert t.total_samples_communicated == sent, variant
@@ -1120,6 +1125,34 @@ class TestPlanEqualsReference:
                 assert answer == t.answer_label == want_answer, variant
         assert not any(ids.flags.writeable or distances.flags.writeable
                        for ids, distances in tables.values())
+
+
+class TestPlannedPromptsMatchReference:
+    """Every prompt of a planned pass is `reference_prompt` of the naive
+    round's final examples in prompt order, each with the text and label of
+    the client that owns it. A server renders each example once, and two
+    clients' copies of one id are two examples, which one pass may both
+    place in prompts."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(world=_planned_passes())
+    def test_every_prompt_of_a_pass(self, world):
+        clients, server_args, queries, vectors = world
+        tables = {}
+        for variant in POLICY_VARIANTS:
+            backend = _PromptRecorder()
+            server = ServerNode(
+                policy=BudgetPolicy(variant, seed=5, client=len(clients) - 1),
+                backend=backend, **server_args)
+            plans = plan_pass(server, clients, [q.id for q in queries],
+                              vectors, tables)
+            for query, e_q, plan in zip(queries, vectors, plans):
+                distributed_infer(server, clients, query, e_q, plan)
+            assert [prompt for prompt, _ in backend.calls] == [
+                reference_prompt(
+                    _reference_round(server, clients, query, e_q)[-1],
+                    query.text, server.labels)
+                for query, e_q in zip(queries, vectors)], variant
 
 
 class _PromptRecorder:
@@ -1191,3 +1224,150 @@ class TestPromptMatchesReplaces:
         assert transcript.prompt_text == want
         assert transcript.prompt_chars == len(want)
         assert transcript.final_ice_ids == [ex.id for ex, _ in in_order]
+
+
+class _CountedText(str):
+    """An example text that counts how often it is rendered."""
+
+    renders = 0
+
+    def replace(self, *args):
+        self.renders += 1
+        return super().replace(*args)
+
+
+class TestRenderOncePerServer:
+    """A server renders each example once, keyed by the example object and
+    the label space: another example with the same id, or the same example
+    under another label space, is rendered again."""
+
+    def _prompts(self, server, ice_lists):
+        transcript = Transcript(
+            query_id=-1, policy="uniform", budgets_sent=[],
+            samples_returned=[], final_ice_ids=[], prompt_chars=0,
+            answer_label=None, total_samples_communicated=0)
+        for examples in ice_lists:
+            final = RankedSet([ex.id for ex in examples],
+                              [0.5 * i for i in range(len(examples))])
+            _finish(server, "q", final, list(examples), transcript)
+        return [prompt for prompt, _ in server.backend.calls]
+
+    def test_an_example_is_rendered_once(self):
+        labels = LabelSpace.default(2)
+        first = Example(3, _CountedText("one {label}"), 1)
+        second = Example(4, _CountedText("two"), 0)
+        server = make_server(k=2, labels=labels, backend=_PromptRecorder(),
+                             ice_order="ascending")
+        prompts = self._prompts(server, [[first, second], [second, first],
+                                         [first]])
+        assert prompts == [
+            reference_prompt([(ex.text, ex.label) for ex in examples], "q",
+                             labels)
+            for examples in ([first, second], [second, first], [first])]
+        assert (first.text.renders, second.text.renders) == (1, 1)
+
+    def test_two_copies_of_one_id_keep_their_texts(self):
+        labels = LabelSpace.default(2)
+        copies = [Example(7, "client 0 copy", 0), Example(7, "client 1 copy", 1)]
+        server = make_server(k=1, labels=labels, backend=_PromptRecorder())
+        prompts = self._prompts(server, [[copies[0]], [copies[1]],
+                                         [copies[0]]])
+        assert prompts == [
+            reference_prompt([(ex.text, ex.label)], "q", labels)
+            for ex in (copies[0], copies[1], copies[0])]
+
+    def test_another_label_space_renders_again(self):
+        example = Example(1, "text {label}", 1)
+        server = make_server(k=1, labels=LabelSpace(2, ("no", "yes")),
+                             backend=_PromptRecorder())
+        self._prompts(server, [[example]])
+        server.labels = LabelSpace(2, ("bad", "good"))
+        self._prompts(server, [[example]])
+        assert [prompt for prompt, _ in server.backend.calls] == [
+            "text yes\nyes\n\nq\n", "text good\ngood\n\nq\n"]
+
+    def test_a_label_outside_the_space_fails_every_time(self):
+        server = make_server(k=1, labels=LabelSpace.default(2),
+                             backend=_PromptRecorder())
+        example = Example(1, "text", 5)
+        for _ in range(2):
+            with pytest.raises(ValidationError,
+                               match="ICE label 5 outside label space"):
+                self._prompts(server, [[example]])
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", " ", "é",
+     "日", "😀"])), max_size=8)
+_INT64 = st.one_of(st.sampled_from([-1, 0, 2**63 - 1, -(2**63 - 1)]),
+                   st.integers(-2**63, 2**63 - 1))
+_INT_LISTS = st.lists(_INT64, max_size=4)
+
+
+@st.composite
+def _transcripts(draw):
+    """A transcript of any field values a run or a loaded line can hold."""
+    return Transcript(
+        query_id=draw(_INT64), policy=draw(_TEXT),
+        budgets_sent=draw(_INT_LISTS),
+        samples_returned=draw(st.lists(st.one_of(_INT64, _INT_LISTS),
+                                       max_size=4)),
+        final_ice_ids=draw(_INT_LISTS), prompt_chars=draw(_INT64),
+        answer_label=draw(st.one_of(st.none(), _INT64)),
+        total_samples_communicated=draw(_INT64),
+        fallback_zero_shot=draw(st.booleans()),
+        raw_completion=draw(st.one_of(st.none(), _TEXT)),
+        prompt_text=draw(st.one_of(st.none(), _TEXT)))
+
+
+def _transcript(**changes):
+    return Transcript(**{**dict(
+        query_id=1, policy="uniform", budgets_sent=[2, 2],
+        samples_returned=[[1, 2], 4], final_ice_ids=[2, 1], prompt_chars=9,
+        answer_label=0, total_samples_communicated=6), **changes})
+
+
+class TestTranscriptLines:
+    """`save_transcripts` formats each line itself; every line is what
+    `json.dumps(t.to_dict(), sort_keys=True)` writes, and a value json
+    refuses is refused."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(transcripts=st.lists(_transcripts(), max_size=3))
+    def test_lines_are_sorted_key_json(self, tmp_path_factory, transcripts):
+        path = tmp_path_factory.mktemp("lines") / "t.jsonl"
+        save_transcripts(transcripts, path)
+        assert path.read_text(encoding="ascii") == "".join(
+            json.dumps(t.to_dict(), sort_keys=True) + "\n"
+            for t in transcripts)
+        assert [t.to_dict() for t in load_transcripts(path)] == [
+            t.to_dict() for t in transcripts]
+
+    @pytest.mark.parametrize("changes", [
+        {"budgets_sent": [True, 1]},
+        {"samples_returned": [[1, False], 3, True]},
+        {"final_ice_ids": [1.5, -0.0, float("nan")]},
+        {"prompt_chars": 2.0, "fallback_zero_shot": 1},
+        {"answer_label": np.float64(1.0)},
+        {"samples_returned": [{"b": 1, "a": [2]}]},
+        {"policy": 3, "raw_completion": ["x"], "prompt_text": ""},
+    ])
+    def test_other_values_as_json_writes_them(self, changes):
+        t = _transcript(**changes)
+        assert t.to_json() == json.dumps(t.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("changes", [
+        {"query_id": np.int64(5)},
+        {"final_ice_ids": [1, np.int64(5)]},
+        {"samples_returned": [[1], [np.int64(5)]]},
+        {"budgets_sent": [np.float32(1.0)]},
+        {"fallback_zero_shot": np.bool_(True)},
+    ])
+    def test_values_json_refuses_are_refused(self, tmp_path, changes):
+        t = _transcript(**changes)
+        with pytest.raises(TypeError):
+            json.dumps(t.to_dict(), sort_keys=True)
+        with pytest.raises(TypeError):
+            t.to_json()
+        with pytest.raises(TypeError):
+            save_transcripts([t], tmp_path / "t.jsonl")
