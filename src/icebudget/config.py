@@ -178,6 +178,12 @@ class ExperimentConfig:
         if self.dataset is not None and self.embeddings.source == "synthetic":
             raise ValidationError(
                 "file datasets need 'hash' or 'file' embeddings")
+        if (self.synthetic is not None
+                and self.embeddings.dim != self.synthetic.dim):
+            raise ValidationError(
+                f"embeddings.dim {self.embeddings.dim} differs from "
+                f"synthetic.dim {self.synthetic.dim}, the dimension synthetic "
+                f"data is drawn at")
         if self.ice_order not in ("descending", "ascending"):
             raise ValidationError("ice_order must be descending or ascending")
         if self.max_prompt_chars < 1:
@@ -218,15 +224,6 @@ def _build(cls, values: dict, where: str = ""):
         raise ValidationError(f"{where}{exc}") from exc
 
 
-def _pop_section(data: dict, key: str, cls):
-    section = data.pop(key, None)
-    if section is None:
-        return None
-    if not isinstance(section, dict):
-        raise ValidationError(f"config section '{key}' must be a mapping")
-    return _build(cls, section, f"config section '{key}': ")
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
     preset_name = data.pop("preset", None)
@@ -245,21 +242,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                              "labels_per_client": preset["labels_per_client"],
                              **part}
 
-    sections = {
-        "partition": (PartitionConfig, True),
-        "synthetic": (SyntheticSpec, False),
-        "dataset": (DatasetSpec, False),
-        "embeddings": (EmbeddingSpec, True),
-        "train": (TrainConfig, True),
-        "backend": (BackendSpec, True),
-    }
+    synthetic = data.get("synthetic")
+    embeddings = {} if data.get("embeddings") is None else data["embeddings"]
+    if isinstance(synthetic, dict) and isinstance(embeddings, dict):
+        # an omitted dim is `synthetic.dim`; `__post_init__` refuses another
+        data["embeddings"] = {"dim": synthetic.get("dim", SyntheticSpec.dim),
+                              **embeddings}
+    sections = {"partition": PartitionConfig, "synthetic": SyntheticSpec,
+                "dataset": DatasetSpec, "embeddings": EmbeddingSpec,
+                "train": TrainConfig, "backend": BackendSpec}
     kwargs = {}
-    for key, (cls, has_default) in sections.items():
-        value = _pop_section(data, key, cls)
-        if value is not None:
-            kwargs[key] = value
-        elif not has_default:
-            kwargs[key] = None
+    for key, cls in sections.items():
+        section = data.pop(key, None)
+        if section is None:  # the field's default
+            continue
+        if not isinstance(section, dict):
+            raise ValidationError(f"config section '{key}' must be a mapping")
+        kwargs[key] = _build(cls, section, f"config section '{key}': ")
     known = {f.name for f in fields(ExperimentConfig)} - sections.keys()
     for key in data:
         if key not in known:

@@ -3,16 +3,18 @@
 run_experiment sets up every seed's data, shards and proxy split, then
 builds the budget datasets and trains every seed's allocators in one
 `train` call. Meanwhile, if the backend is the mock (any other is asked
-nothing before training ends), every seed's policies but `learned` run,
-each pass's transcripts written as it finishes, so a failed run can leave
-some, but no `report.json`; each seed's `learned` runs last. Every run
-rebuilds and writes shards and budget tables (`shards.json`, `bproxy.jsonl`).
-Only the trained allocators are a cache: a saved pair is served only if
-it has the blake2b digest its metadata records (of the metadata's other
-fields and the blob) and its key, a digest of everything its training
-read, equals the key this run would write. Any other pair, damaged ones
-too, is retrained and overwritten, and a stderr line says why. It writes a
-deterministic JSON report and transcript JSONL.
+nothing before training ends), every seed's policies but `learned` run;
+each seed's `learned` runs last. Each pass is reduced to its `tally` as
+it finishes, then its transcripts are written and dropped, so a failed
+run can leave some, but no `report.json`: that is `summarize` over the
+tallies. A tally reads only the transcripts and the seed's test labels,
+so a finished run's report is rebuilt from its transcript files alone.
+Every run rebuilds and writes shards and budget tables (`shards.json`,
+`bproxy.jsonl`). Only the trained allocators are a cache: a saved pair is
+served only if it has the blake2b digest its metadata records (of the
+metadata's other fields and the blob) and its key, a digest of everything
+its training read, equals the key this run would write. Any other pair,
+damaged ones too, is retrained and overwritten, and a stderr line says why.
 
 Each policy pass is planned first (`federation.plan_pass`), from the
 seed's `tables`: the first pass to ask a node (a client, or the server's
@@ -42,6 +44,7 @@ import errno
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -331,51 +334,63 @@ def _policy_for(name: str, run_seed: int, client: int = 0) -> BudgetPolicy:
 
 
 def _evaluate_policy(ctx: _SeedContext, name: str):
-    """Run one policy over the whole test set; returns (accuracy, total
-    communicated samples, transcripts)."""
-    if name == "singleton":
-        # averaged over every choice of the single client
-        accs, totals = [], []
-        all_transcripts = []
-        for c in range(len(ctx.clients)):
-            server = ctx.make_server(_policy_for(name, ctx.run_seed, client=c))
-            answers, transcripts = _run_queries(ctx, server)
-            accs.append(evaluate_accuracy(answers))
-            totals.append(sum(t.total_samples_communicated for t in transcripts))
-            all_transcripts.extend(transcripts)
-        return float(np.mean(accs)), float(np.mean(totals)), all_transcripts
-    server = ctx.make_server(_policy_for(name, ctx.run_seed))
-    answers, transcripts = _run_queries(ctx, server)
-    total = sum(t.total_samples_communicated for t in transcripts)
-    return evaluate_accuracy(answers), float(total), transcripts
+    """Run one policy over the whole test set: its passes, one transcript
+    list each, one pass per client under `singleton` and one otherwise."""
+    clients = range(len(ctx.clients)) if name == "singleton" else [0]
+    return [_run_queries(ctx, ctx.make_server(
+                _policy_for(name, ctx.run_seed, client=c))) for c in clients]
 
 
 def _run_queries(ctx: _SeedContext, server: ServerNode):
-    """One pass of the server's policy over the test set: the pass is
-    planned first (`plan_pass`, from the seed's tables), then each query is
-    answered from its plan, every request to the backend going through one
-    connection."""
-    answers = []
-    transcripts = []
+    """One pass of the server's policy over the test set, as its
+    transcripts: the pass is planned first (`plan_pass`, from the seed's
+    tables), then each query is answered from its plan, every request to
+    the backend going through one connection."""
     ctx.test_store.check_bound(ctx.test)  # row i is the i-th test example
     _, vectors = ctx.test_store.matrix()
     plans = plan_pass(server, ctx.clients, ctx.test.ids, vectors, ctx.tables)
     with server.backend.connection():
-        for ex, e_q, plan in zip(ctx.test.examples, vectors, plans):
-            predicted, transcript = distributed_infer(server, ctx.clients, ex,
-                                                      e_q, plan)
-            answers.append((predicted, ex.label))
-            transcripts.append(transcript)
-    return answers, transcripts
+        return [distributed_infer(server, ctx.clients, ex, e_q, plan)[1]
+                for ex, e_q, plan in zip(ctx.test.examples, vectors, plans)]
 
 
-def _budget_histogram(transcripts, num_clients: int):
-    """Per-client counts of sent budget values."""
-    hists = [{} for _ in range(num_clients)]
-    for t in transcripts:
-        for c, budget in enumerate(t.budgets_sent):
-            hists[c][str(budget)] = hists[c].get(str(budget), 0) + 1
-    return hists
+def tally(ctx: _SeedContext, passes) -> dict:
+    """One policy's report numbers from its `passes` over the seed's test
+    set, one transcript list each: the mean over passes of the accuracy
+    and of the samples communicated, each client's count of each budget it
+    was sent (keyed by the budget's string), and the queries of a pass."""
+    gold = {ex.id: ex.label for ex in ctx.test.examples}
+    accuracy = [evaluate_accuracy((t.answer_label, gold[t.query_id]) for t in p)
+                for p in passes]
+    samples = [sum(t.total_samples_communicated for t in p) for p in passes]
+    sent = zip(*(t.budgets_sent for p in passes for t in p))
+    return {"accuracy": float(np.mean(accuracy)),
+            "samples_communicated": float(np.mean(samples)),
+            "budget_histogram": [dict(Counter(map(str, c))) for c in sent],
+            "queries": len(passes[0])}
+
+
+def summarize(cfg: ExperimentConfig, tallies) -> dict:
+    """The report of a run of `cfg` from the `tally` of each (seed index,
+    policy): per policy, each seed's accuracy and samples communicated and
+    the accuracy's mean and std over seeds; each seed's `learned` budget
+    histograms; and the queries of a pass."""
+    policies = {}
+    for name in cfg.policies:
+        per_seed = [tallies[i, name] for i in range(cfg.num_seeds)]
+        mean, std = mean_std(t["accuracy"] for t in per_seed)
+        policies[name] = {
+            "per_seed_accuracy": [t["accuracy"] for t in per_seed],
+            "per_seed_samples_communicated": [t["samples_communicated"]
+                                              for t in per_seed],
+            "mean_accuracy": mean, "std_accuracy": std}
+    histograms = [{"seed_index": i,
+                   "per_client": tallies[i, "learned"]["budget_histogram"]}
+                  for i in range(cfg.num_seeds) if "learned" in cfg.policies]
+    return {"schema_version": SCHEMA_VERSION, "version": __version__,
+            "name": cfg.name, "config": cfg.to_dict(), "policies": policies,
+            "budget_histograms": histograms,
+            "num_test_queries": tallies[0, cfg.policies[0]]["queries"]}
 
 
 @contextlib.contextmanager
@@ -407,27 +422,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     report_path = os.path.join(cfg.output_dir, "report.json")
     with contextlib.suppress(FileNotFoundError):
         os.remove(report_path)
-    policy_results = {name: {"per_seed_accuracy": [],
-                             "per_seed_samples_communicated": []}
-                      for name in cfg.policies}
-    histograms = []
     contexts = seed_contexts(cfg, range(cfg.num_seeds))
     save_shards(contexts)
 
     learned = [name for name in cfg.policies if name == "learned"]
     others = [name for name in cfg.policies if name != "learned"]
     failed = []  # a model-free pass's error, raised once training succeeds
+    tallies = {}  # (seed index, policy) -> its passes' `tally`
 
     def run_pass(i, name):
         with _stage(f"evaluate:{name}", i):
-            acc, total, transcripts = _evaluate_policy(contexts[i], name)
-        save_transcripts(transcripts, os.path.join(
+            passes = _evaluate_policy(contexts[i], name)
+            tallies[i, name] = tally(contexts[i], passes)
+        save_transcripts((t for p in passes for t in p), os.path.join(
             contexts[i].out_dir, f"transcripts_{name}.jsonl"))
-        policy_results[name]["per_seed_accuracy"].append(acc)
-        policy_results[name]["per_seed_samples_communicated"].append(total)
-        if name == "learned":
-            hist = _budget_histogram(transcripts, cfg.partition.num_clients)
-            histograms.append({"seed_index": i, "per_client": hist})
         if name == (others + learned)[-1]:  # the seed's last pass has run
             contexts[i].tables.clear()
 
@@ -451,15 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for name in learned:
             run_pass(i, name)
 
-    for name, result in policy_results.items():
-        mean, std = mean_std(result["per_seed_accuracy"])
-        result["mean_accuracy"] = mean
-        result["std_accuracy"] = std
-
-    report = {"schema_version": SCHEMA_VERSION, "version": __version__,
-              "name": cfg.name, "config": cfg.to_dict(),
-              "policies": policy_results, "budget_histograms": histograms,
-              "num_test_queries": len(contexts[0].test)}
+    report = summarize(cfg, tallies)
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")

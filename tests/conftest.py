@@ -1,7 +1,7 @@
 """Shared fixtures: small random retrieval worlds, a JSONL dataset writer,
-a tiny experiment config, the reference prompt rendering and a loopback
-completions endpoint (over HTTP/1.0, or over HTTP/1.1 with keep-alive) used
-across the module tests."""
+a tiny experiment config and a text-shaped one, the reference prompt
+rendering and a loopback completions endpoint (over HTTP/1.0, or over
+HTTP/1.1 with keep-alive) used across the module tests."""
 
 import json
 import threading
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from icebudget.config import config_from_dict
-from icebudget.corpus import Dataset, Example, LabelSpace
+from icebudget.corpus import Dataset, Example, LabelSpace, synth_clusters
 from icebudget.embedder import EmbeddingStore
 from icebudget.errors import ValidationError
 
@@ -99,6 +99,28 @@ def tiny_config(tmp_path):
         "backend": {"type": "mock"},
         "output_dir": str(tmp_path / "out"),
     })
+
+
+@pytest.fixture
+def text_config_path(tmp_path):
+    """A JSONL text dataset with hash embeddings: what `infer` accepts."""
+    train, _ = synth_clusters(3, 20, 4, 0.3, seed=1)
+    evals, _ = synth_clusters(3, 15, 4, 0.3, seed=2)
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_dataset(evals, tmp_path / "eval.jsonl")
+    path = tmp_path / "text.yaml"
+    path.write_text(
+        "seed: 5\n"
+        "num_seeds: 1\n"
+        "k: 4\n"
+        "proxy_size: 20\n"
+        "partition: {scheme: noniid, num_clients: 3, labels_per_client: 1}\n"
+        f"dataset: {{train_path: {tmp_path / 'train.jsonl'}, "
+        f"eval_path: {tmp_path / 'eval.jsonl'}}}\n"
+        "embeddings: {source: hash, dim: 16}\n"
+        "train: {epochs: 3, width: 8}\n"
+        f"output_dir: {tmp_path / 'out'}\n")
+    return str(path)
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -883,28 +883,6 @@ class TestHttpPromptBytes:
         assert braced  # some prompt took the replaces' path
 
 
-@pytest.fixture
-def text_config_path(tmp_path):
-    """A JSONL text dataset with hash embeddings: what `infer` accepts."""
-    train, _ = synth_clusters(3, 20, 4, 0.3, seed=1)
-    evals, _ = synth_clusters(3, 15, 4, 0.3, seed=2)
-    save_dataset(train, tmp_path / "train.jsonl")
-    save_dataset(evals, tmp_path / "eval.jsonl")
-    path = tmp_path / "text.yaml"
-    path.write_text(
-        "seed: 5\n"
-        "num_seeds: 1\n"
-        "k: 4\n"
-        "proxy_size: 20\n"
-        "partition: {scheme: noniid, num_clients: 3, labels_per_client: 1}\n"
-        f"dataset: {{train_path: {tmp_path / 'train.jsonl'}, "
-        f"eval_path: {tmp_path / 'eval.jsonl'}}}\n"
-        "embeddings: {source: hash, dim: 16}\n"
-        "train: {epochs: 3, width: 8}\n"
-        f"output_dir: {tmp_path / 'out'}\n")
-    return str(path)
-
-
 class TestInfer:
     @pytest.mark.parametrize("policy", POLICY_VARIANTS)
     def test_answers_deterministically(self, text_config_path, capsys,

@@ -140,10 +140,24 @@ class TestValidation:
         {"train": {"learning_rate": False}},
         {"backend": {"timeout": "30"}},
         {"embeddings": {"train_path": 1}},
+        {"embeddings": 0},
     ])
     def test_stage_settings_checked_at_load(self, override):
         with pytest.raises(ValidationError):
             config_from_dict({**MINIMAL, **override})
+
+    def test_synthetic_embedding_dim_is_the_synthetic_dim(self):
+        # synthetic vectors are drawn at synthetic.dim: an embeddings.dim
+        # set to another is refused, naming both, and an omitted one
+        # records synthetic.dim
+        with pytest.raises(ValidationError,
+                           match="embeddings.dim 5 differs from "
+                                 "synthetic.dim 4"):
+            config_from_dict({**MINIMAL, "embeddings": {"dim": 5}})
+        for embeddings in ({}, {"dim": 4}, {"source": "synthetic"}):
+            cfg = config_from_dict({**MINIMAL, "embeddings": embeddings})
+            assert cfg.embeddings.dim == 4
+        assert config_from_dict(dict(MINIMAL)).embeddings.dim == 4
 
     def test_int_is_a_float_and_optional_takes_none(self):
         cfg = config_from_dict({**MINIMAL, "train": {"learning_rate": 1},

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from icebudget import allocator, federation, harness, parallel
 from icebudget.config import (POLICY_VARIANTS, BackendSpec, config_from_dict,
-                              derive_seed)
+                              derive_seed, load_config)
 from icebudget.corpus import load_shard_manifest, synth_clusters
 from icebudget.embedder import encode_dataset
 from icebudget.errors import (BackendError, DecodeError, ParseError,
@@ -467,6 +468,77 @@ class TestPoliciesBesideTraining:
             f"stage 'train-allocator' (seed 1): IsADirectoryError: "
             f"[Errno {errno.EISDIR}] Is a directory: '{blob}'")
         assert calls == []  # neither training nor any model-free pass
+
+
+class TestReportFromTranscripts:
+    """`report.json` is `summarize` over each pass's `tally`, so a finished
+    run's report is rebuilt from its transcript files alone."""
+
+    @pytest.mark.parametrize("shape", ["tiny_config", "text_config_path"])
+    def test_rebuilt_from_the_reloaded_transcripts(self, request, shape):
+        cfg = request.getfixturevalue(shape)
+        if shape == "text_config_path":
+            cfg = load_config(cfg)
+        cfg.policies, cfg.num_seeds = list(POLICY_VARIANTS), 2
+        run_experiment(cfg)
+        written = Path(cfg.output_dir, "report.json").read_bytes()
+        report = json.loads(written)
+        contexts = seed_contexts(cfg, range(cfg.num_seeds))
+        tallies = {}
+        for ctx in contexts:
+            n = len(ctx.test)
+            gold = {ex.id: ex.label for ex in ctx.test.examples}
+            for name in cfg.policies:
+                path = os.path.join(ctx.out_dir, f"transcripts_{name}.jsonl")
+                # plain: singleton's file holds each query once per client
+                transcripts = load_transcripts(path)
+                passes = [transcripts[j:j + n]
+                          for j in range(0, len(transcripts), n)]
+                assert len(passes) == (len(ctx.clients)
+                                       if name == "singleton" else 1)
+                tallies[ctx.seed_index, name] = harness.tally(ctx, passes)
+                # each seed's accuracy is the mean over its passes, each
+                # pass's its own fraction of right answers
+                accuracy = [sum(t.answer_label == gold[t.query_id]
+                                for t in p) / n for p in passes]
+                assert (report["policies"][name]["per_seed_accuracy"]
+                        [ctx.seed_index] == sum(accuracy) / len(accuracy))
+            # the histograms count the budgets learned sent, by their string
+            learned = [json.loads(line) for line in Path(
+                ctx.out_dir, "transcripts_learned.jsonl").read_text(
+                    encoding="utf-8").splitlines()]
+            assert report["budget_histograms"][ctx.seed_index] == {
+                "seed_index": ctx.seed_index,
+                "per_client": [
+                    dict(Counter(str(r["budgets_sent"][c]) for r in learned))
+                    for c in range(len(ctx.clients))]}
+        rebuilt = harness.summarize(cfg, tallies)
+        assert (json.dumps(rebuilt, sort_keys=True, indent=2) + "\n"
+                ).encode("utf-8") == written
+        assert rebuilt == report  # its histogram keys are strings too
+
+    def test_tally_means_the_passes_and_counts_every_budget(self,
+                                                            tiny_config):
+        # two passes over the same ten queries, one and two right: the
+        # accuracy is the mean of 0.1 and 0.2, which in floats is not the
+        # 3/20 of one accuracy over the twenty answers
+        [ctx] = seed_contexts(tiny_config, [0])
+        queries = ctx.test.examples[:10]
+
+        def one_pass(right, budgets, samples):
+            return [federation.Transcript(
+                query_id=ex.id, policy="singleton", budgets_sent=budgets,
+                samples_returned=[[], []], final_ice_ids=[], prompt_chars=0,
+                answer_label=ex.label if j < right else ex.label + 1,
+                total_samples_communicated=samples)
+                for j, ex in enumerate(queries)]
+        counts = harness.tally(ctx, [one_pass(1, [10, 2], 3),
+                                     one_pass(2, [2, 10], 4)])
+        assert counts == {"accuracy": (0.1 + 0.2) / 2,
+                          "samples_communicated": 35.0,
+                          "budget_histogram": [{"10": 10, "2": 10}] * 2,
+                          "queries": 10}
+        assert counts["accuracy"] != 3 / 20
 
 
 def _count_training(monkeypatch):
