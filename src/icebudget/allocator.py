@@ -302,7 +302,7 @@ def _train_rows(stack: AllocatorModel, x_train, y_train, x_val, y_val, seeds,
 
 def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
           init_seeds, input_scale: float = 1.0,
-          seed_indices=None, alongside=None) -> AllocatorModel:
+          seed_indices=None) -> AllocatorModel:
     """Minibatch SGD on every client of every dataset; returns the stack of
     S·C rows, seed-major.
 
@@ -317,8 +317,9 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
     `parallel.fill` runs `_train_rows` on ranges of rows, on views of the
     stack and of the training data. A non-finite loss raises the
     ValidationError a single loop would (the earliest batch, then the
-    lowest row). `alongside`, if given, is handed to `fill`: this process
-    runs it while every range trains in a child.
+    lowest row). `run_experiment` makes this call inside the allocator
+    stage that it forks beside the model-free passes (`parallel.beside`),
+    so the ranges train in that child and in one it forks.
 
     Shuffling is reseeded per epoch from the shuffle seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,
@@ -381,8 +382,7 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
                         for row in range(lo, hi)})
         return f"training the allocators of seeds {names}"
 
-    fill(num_rows, work, [*stack.params(), history, failed], describe,
-         alongside)
+    fill(num_rows, work, [*stack.params(), history, failed], describe)
     failures = [(*at, row) for row, at in enumerate(failed.tolist())
                 if at[0] >= 0]
     if failures:

@@ -478,6 +478,8 @@ def _finish(server: ServerNode, query, final: RankedSet, examples,
         answer = server.backend.answer(prompt, votes, labels)
     except BackendError as exc:
         exc.transcript = transcript
+        if isinstance(query, Example):  # an ad-hoc text query has no id
+            exc.args = (f"query {query.id}: {exc}",)
         raise
     transcript.answer_label = answer
     return answer, transcript

@@ -1,10 +1,13 @@
 """End-to-end experiment orchestration.
 
 run_experiment sets up every seed's data, shards and proxy split, then
-builds the budget datasets and trains every seed's allocators in one
-`train` call. Meanwhile, if the backend is the mock (any other is asked
-nothing before training ends), every seed's policies but `learned` run;
-each seed's `learned` runs last. Each pass is reduced to its `tally` as
+runs the allocator stage (`allocators`): it builds and writes every seed's
+budget table, checks the model cache, trains the seeds without a saved
+model in one `train` call and saves them. If the backend is the mock (any
+other is asked nothing before that stage ends), the stage runs in a child
+(`parallel.beside`) while this process runs every seed's policies but
+`learned`; the child sends back the models and its stderr lines, and each
+seed's `learned` runs last. Each pass is reduced to its `tally` as
 it finishes, then its transcripts are written and dropped, so a failed
 run can leave some, but no `report.json`: that is `summarize` over the
 tallies. A tally reads only the transcripts and the seed's test labels,
@@ -25,8 +28,9 @@ table. Every query's budgets and final ICEs come from one
 plan, posting to an HTTP backend through one connection, and
 `run_experiment` clears the tables once the seed's last pass has run.
 The budget tables and the efficiency curve each take their oracle budgets
-from one `oracle.oracle_counts` call, in this process, and the curve ranks
-nothing else; allocator training is the one stage that forks.
+from one `oracle.oracle_counts` call, and the curve ranks nothing else.
+Only the allocator stage forks, and every query is answered in this
+process.
 
 Setting up a seed's context writes nothing. `run_experiment` and the
 `partition`, `build-budget-dataset` and `train-allocator` commands write
@@ -67,6 +71,7 @@ from .federation import (BudgetPolicy, ClientNode, ServerNode,
 from .inference import make_backend
 from .oracle import (construct_budget_dataset, load_budget_dataset,
                      oracle_counts, save_budget_dataset)
+from .parallel import beside
 from .retrieval import top_k
 
 SCHEMA_VERSION = 1
@@ -280,15 +285,12 @@ def save_shards(contexts, stage: str = "setup"):
                                  os.path.join(ctx.out_dir, "shards.json"))
 
 
-def allocators(contexts, save_tables: bool = True,
-               alongside=None) -> list[AllocatorModel]:
+def allocators(contexts, save_tables: bool = True) -> list[AllocatorModel]:
     """Each context's stacked allocator model. A context keeps its model once
     it has one. Otherwise its budget dataset is rebuilt (and written if
     `save_tables`) and its saved model loaded if it carries this run's key;
     the seeds without one are trained together in one `train` call of S·C
-    rows (and marked `trained`), then saved one artifact pair per seed.
-    `alongside`, if given, runs while they train (see `parallel.fill`), or
-    once the models are loaded if none needs training."""
+    rows (and marked `trained`), then saved one artifact pair per seed."""
     todo = []
     for ctx in contexts:
         if ctx.model is None:
@@ -311,8 +313,7 @@ def allocators(contexts, save_tables: bool = True,
         with _stage("train-allocator", None):
             stack = train(tables, cfg.train, shuffle, init,
                           input_scale=_input_scale(cfg),
-                          seed_indices=[ctx.seed_index for ctx in untrained],
-                          alongside=alongside)
+                          seed_indices=[ctx.seed_index for ctx in untrained])
         for ctx, key, model in zip(untrained, keys, split(stack, len(todo))):
             model.key = key
             paths = ctx._model_paths()
@@ -320,8 +321,6 @@ def allocators(contexts, save_tables: bool = True,
                 os.makedirs(os.path.dirname(paths[0]), exist_ok=True)
                 save_model(model, *paths)
             ctx.model, ctx.trained = model, True
-    elif alongside is not None:
-        alongside()
     return [ctx.model for ctx in contexts]
 
 
@@ -427,7 +426,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     learned = [name for name in cfg.policies if name == "learned"]
     others = [name for name in cfg.policies if name != "learned"]
-    failed = []  # a model-free pass's error, raised once training succeeds
+    failed = []  # a model-free pass's error, raised once the allocators load
     tallies = {}  # (seed index, policy) -> its passes' `tally`
 
     def run_pass(i, name):
@@ -447,11 +446,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         except Exception as exc:
             failed.append(exc)
 
-    # only the mock answers beside training; a real backend waits for it
-    overlap = bool(learned) and cfg.backend.type == "mock"
-    if learned:
-        allocators(contexts, alongside=model_free if overlap else None)
-    if not overlap:
+    # only the mock answers beside the allocator stage; a real backend
+    # waits for it
+    if learned and cfg.backend.type == "mock":
+        models = beside(lambda: allocators(contexts), model_free)
+        for ctx, model in zip(contexts, models):  # the child's copies
+            ctx.model = model
+    else:
+        if learned:
+            allocators(contexts)
         model_free()
     if failed:
         raise failed[0]

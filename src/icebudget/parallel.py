@@ -1,11 +1,17 @@
-"""Independent items in contiguous ranges, run at once in forked processes."""
+"""Work run at once in forked processes: independent items in contiguous
+ranges (`fill`), or one piece of work beside this process's own
+(`beside`)."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import multiprocessing
 import os
 import pickle
+import signal
+import sys
 
 from .errors import StageError
 
@@ -35,29 +41,98 @@ def _raw(rows) -> memoryview:
     return memoryview(rows).cast("B") if rows.size else memoryview(bytearray())
 
 
-def _child(send, work, lo, hi, outputs, niceness):
-    """Run one range at `niceness` more and send b"" and its rows of each
-    output, or the error pickled (as a StageError with its text if it does
-    not survive that)."""
+def _error_reply(exc: Exception) -> bytes:
+    """A child's reply for its error: the error pickled, or a StageError
+    with its text if it does not survive that."""
     try:
-        os.nice(niceness)
-        work(lo, hi)
-    except Exception as exc:
+        reply = pickle.dumps(exc)
+        pickle.loads(reply)
+    except Exception:
+        reply = pickle.dumps(StageError(f"{type(exc).__name__}: {exc}"))
+    return reply
+
+
+def _range_child(send, work, lo, hi, outputs):
+    """Run one range and send b"" and its rows of each output, or the error
+    reply."""
+    with send:
         try:
-            reply = pickle.dumps(exc)
-            pickle.loads(reply)
-        except Exception:
-            reply = pickle.dumps(StageError(f"{type(exc).__name__}: {exc}"))
-        send.send_bytes(reply)
-    else:
+            work(lo, hi)
+        except Exception as exc:
+            send.send_bytes(_error_reply(exc))
+            return
         send.send_bytes(b"")
         for out in outputs:
             send.send_bytes(_raw(out[lo:hi]))
+
+
+def _stage_child(send, work):
+    """Lead a new process group at the lowest CPU priority, run `work()`
+    with sys.stderr kept, and send what it wrote there pickled, then b""
+    and the result pickled, or the error reply."""
+    os.setpgid(0, 0)
+    os.nice(19)
+    with send, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            reply = [b"", pickle.dumps(work())]
+        except Exception as exc:
+            reply = [_error_reply(exc)]
+        for message in [pickle.dumps(err.getvalue()), *reply]:
+            send.send_bytes(message)
+
+
+def _kill(child) -> None:
+    """SIGKILL the child and the process group it leads, if it leads one."""
+    try:
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:  # no group of that id: it leads none
+        child.kill()
+
+
+@contextlib.contextmanager
+def _forked():
+    """A list of (receive end, child) pairs, for `_start`. Leaving the
+    block joins every child and closes its pipe, killing each first (see
+    `_kill`) if the block failed, an interrupt included."""
+    children = []
+    try:
+        yield children
+    except BaseException:
+        for _, child in children:
+            _kill(child)
+        raise
     finally:
-        send.close()
+        for receive, child in children:
+            child.join()
+            receive.close()
 
 
-def fill(n: int, work, outputs, describe, alongside=None) -> None:
+def _start(children, target, *args):
+    """Fork a child running `target(send, *args)` and add it, with the
+    receive end of its pipe, to `children`; returns that pair."""
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=target, args=(send, *args))
+    child.start()
+    send.close()
+    children.append((receive, child))
+    return receive, child
+
+
+@contextlib.contextmanager
+def _replied(child, describe: str):
+    """Turn the child's pipe ending early into a StageError naming it by
+    `describe`, once it has exited."""
+    try:
+        yield
+    except EOFError:
+        child.join()
+        raise StageError(
+            f"{describe} in a child process: ended without a reply (exit "
+            f"code {child.exitcode})") from None
+
+
+def fill(n: int, work, outputs, describe) -> None:
     """Run `work(lo, hi)`, which fills rows lo..hi-1 of each C-contiguous
     array in `outputs` and reads no other range's, over one contiguous range
     of 0..n-1 per process (`processes()`): this process runs the first, and
@@ -67,59 +142,64 @@ def fill(n: int, work, outputs, describe, alongside=None) -> None:
     lowest failing range's, with its type and message; a child that ends
     without a reply is a StageError naming its range by `describe(lo, hi)`.
     Every child is joined before this returns or raises, and killed first
-    if this process fails.
-
-    Given `alongside`, a callable, every range runs in a child at the
-    lowest CPU priority while this process runs `alongside()`; with one
-    process it runs after `work(0, n)`. Its error is raised only if no
-    range failed."""
-    cpus = processes()
-    parts = min(n, cpus)
-    if cpus == 1 or parts == 0 or (parts == 1 and alongside is None):
+    if this process fails."""
+    parts = min(n, processes())
+    if parts <= 1:
         work(0, n)
-        if alongside is not None:
-            alongside()
         return
     bounds = [n * i // parts for i in range(parts + 1)]
-    forked = list(zip(bounds, bounds[1:]))
-    mine = forked.pop(0) if alongside is None else None
-    fork = multiprocessing.get_context("fork")
-    children, side_error = [], None
-    try:
-        for lo, hi in forked:
-            receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_child, args=(
-                send, work, lo, hi, outputs, 0 if mine else 19))
-            child.start()
-            send.close()
-            children.append((lo, hi, receive, child))
-        if mine:
-            work(*mine)
-        else:
-            try:
-                alongside()
-            except Exception as exc:  # a failing range's error goes first
-                side_error = exc
-        for lo, hi, receive, child in children:
-            try:
+    ranges = list(zip(bounds, bounds[1:]))
+    with _forked() as children:
+        for lo, hi in ranges[1:]:
+            _start(children, _range_child, work, lo, hi, outputs)
+        work(*ranges[0])
+        for (lo, hi), (receive, child) in zip(ranges[1:], children):
+            with _replied(child, describe(lo, hi)):
                 reply = receive.recv_bytes()
                 if not reply:
                     for out in outputs:
                         receive.recv_bytes_into(_raw(out[lo:hi]))
-            except EOFError:
-                child.join()
-                raise StageError(
-                    f"{describe(lo, hi)} in a child process: ended without "
-                    f"a reply (exit code {child.exitcode})") from None
             if reply:
                 raise pickle.loads(reply)
-        if side_error is not None:
-            raise side_error
-    except BaseException:
-        for *_, child in children:
-            child.kill()
-        raise
-    finally:
-        for *_, receive, child in children:
-            child.join()
-            receive.close()
+
+
+def beside(work, alongside):
+    """`work()`'s result, with `alongside()` run meanwhile in this process:
+    `work()` runs in a child made with the `fork` start method, at the
+    lowest CPU priority and leading its own process group, and its result
+    comes back pickled. With one process (`processes()`) both run here,
+    `alongside()` first, so that what they leave behind, on success or on
+    failure, does not depend on the process count.
+
+    What the child writes to sys.stderr is written to this process's once
+    it replies, before its result is returned or its error raised. Its
+    error is raised with its type and message as one process would raise
+    it, and wins over an error of `alongside()`; a child that ends without
+    a reply is a StageError. The child is joined before this returns or
+    raises; if this process fails, an interrupt included, the child is
+    killed first together with its process group, and so with any child it
+    forked (`fill`'s)."""
+    with _forked() as children:
+        if processes() == 1:
+            finish = work
+        else:
+            receive, child = _start(children, _stage_child, work)
+            # the group exists before this process can kill it; the
+            # child joins it itself too, and may have already
+            with contextlib.suppress(OSError):
+                os.setpgid(child.pid, child.pid)
+
+            def finish():
+                with _replied(child, "forked work"):
+                    sys.stderr.write(pickle.loads(receive.recv_bytes()))
+                    reply = receive.recv_bytes()
+                    result = None if reply else receive.recv_bytes()
+                if reply:
+                    raise pickle.loads(reply)
+                return pickle.loads(result)
+        try:
+            alongside()
+        except Exception:
+            finish()  # whose error goes first
+            raise
+        return finish()

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import os
+import re
 import shutil
+import time
 
 import pytest
 import yaml
 
 from icebudget import allocator, harness, parallel
 from icebudget.cli import main
-from icebudget.config import POLICY_VARIANTS
+from icebudget.config import POLICY_VARIANTS, load_config
 from icebudget.corpus import LabelSpace, synth_clusters
 from icebudget.embedder import load_embeddings
 from icebudget.errors import BackendError
@@ -705,7 +707,7 @@ class _DownBackend(MockVoteBackend):
 
 
 class TestFailuresBesideTraining:
-    """Every seed's policies but `learned` run while the allocators train,
+    """Every seed's policies but `learned` run beside the allocator stage,
     each pass's transcripts written as it finishes, so a failed run leaves
     those of the passes that finished (and no `report.json`); what it
     reports and leaves does not depend on the process count."""
@@ -744,8 +746,8 @@ class TestFailuresBesideTraining:
     def test_failing_pass_reports_its_own_stage(self, run_outcome):
         code, out, err, files = run_outcome()
         assert (code, out) == (2, "")
-        assert err == ("runtime error: stage 'evaluate:uniform' (seed 0): "
-                       "backend down\n")
+        assert re.fullmatch(r"runtime error: stage 'evaluate:uniform' "
+                            r"\(seed 0\): query \d+: backend down\n", err)
         assert files == ["seed0/bproxy.jsonl", "seed0/models/allocators.bin",
                          "seed0/models/allocators.json", "seed0/shards.json",
                          "seed0/transcripts_infinite.jsonl"]
@@ -760,6 +762,29 @@ class TestFailuresBesideTraining:
                               "client 0: non-finite training loss at epoch 0")
         assert files == ["seed0/bproxy.jsonl", "seed0/shards.json",
                          "seed0/transcripts_infinite.jsonl"]
+
+
+class TestExhaustedRetries:
+    def test_error_names_the_stage_and_the_query(self, tmp_path, stub_server,
+                                                 monkeypatch, capsys):
+        url, handler = stub_server
+        handler.responses = [(503, {})] * 3
+        config = write_config(tmp_path)
+        path = tmp_path / "cfg.yaml"  # config_path's file
+        path.write_text(path.read_text() + f"backend:\n  type: http\n"
+                        f"  endpoint: {url}\n  max_retries: 2\n")
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        [ctx] = harness.seed_contexts(load_config(config), [0])
+        capsys.readouterr()
+        assert main(["--config", config, "run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"runtime error: stage 'evaluate:uniform' (seed 0): query "
+            f"{ctx.test.ids[0]}: completion request failed with HTTP 503\n")
+        assert len(handler.requests) == 3 and waits == [0.5, 1.0]
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestHttpTrainsFirst:

@@ -375,7 +375,7 @@ class TestHttpPass:
 
 class TestPoliciesBesideTraining:
     """Every seed's policies but `learned` run, seed by seed, while the
-    allocators train (in forked children when there are two processes);
+    allocator stage runs in a forked child (before it, with one process);
     then each seed's `learned` pass runs, in seed order."""
 
     @pytest.mark.parametrize("policies", [
@@ -412,11 +412,12 @@ class TestPoliciesBesideTraining:
             self, tiny_config, monkeypatch, processes):
         tiny_config.num_seeds = 2
         tiny_config.policies = ["learned", "uniform", "infinite"]
-        events = []
+        events, loaded = [], []
         evaluate, save = harness._evaluate_policy, harness.save_model
 
         def logged_evaluate(ctx, name):
             events.append((ctx.seed_index, name))
+            loaded.append(ctx.model is not None)
             return evaluate(ctx, name)
 
         def logged_save(*args):
@@ -426,9 +427,20 @@ class TestPoliciesBesideTraining:
         monkeypatch.setattr(harness, "_evaluate_policy", logged_evaluate)
         monkeypatch.setattr(harness, "save_model", logged_save)
         run_experiment(tiny_config)
-        assert events == [(0, "uniform"), (0, "infinite"),
-                          (1, "uniform"), (1, "infinite"), "saved", "saved",
-                          (0, "learned"), (1, "learned")]
+        if processes == 1:
+            assert events == [(0, "uniform"), (0, "infinite"),
+                              (1, "uniform"), (1, "infinite"), "saved", "saved",
+                              (0, "learned"), (1, "learned")]
+        else:  # the forked stage saves, out of this process's sight
+            assert events == [(0, "uniform"), (0, "infinite"),
+                              (1, "uniform"), (1, "infinite"),
+                              (0, "learned"), (1, "learned")]
+        # what this process sees: the models come back only once every
+        # seed's other passes have run
+        assert loaded == [False] * 4 + [True] * 2
+        for i in range(2):
+            assert Path(tiny_config.output_dir, f"seed{i}", "models",
+                        "allocators.json").is_file()
 
     def test_saved_models_still_evaluate_every_policy(self, tiny_config,
                                                       monkeypatch):
@@ -442,8 +454,9 @@ class TestPoliciesBesideTraining:
         assert trained == []
         assert _tree_bytes(tiny_config.output_dir) == fresh
 
+    @pytest.mark.parametrize("processes", [1, 2])
     def test_model_path_that_is_a_directory_fails_before_training(
-            self, tiny_config, monkeypatch):
+            self, tiny_config, monkeypatch, processes):
         tiny_config.policies = ["learned", "uniform"]
         tiny_config.num_seeds = 2
         run_experiment(tiny_config)
@@ -451,23 +464,27 @@ class TestPoliciesBesideTraining:
                             "allocators.bin")
         os.remove(blob)
         os.mkdir(blob)  # a path the models' save cannot write
-        calls = []
+        evaluated = []
+        evaluate = harness._evaluate_policy
 
-        def recording_train(*args, alongside=None, **kwargs):
-            calls.append("train")
+        def logged_evaluate(ctx, name):
+            evaluated.append((ctx.seed_index, name))
+            return evaluate(ctx, name)
 
-            def recording_alongside():
-                calls.append("alongside")
-                alongside()
-            return allocator.train(
-                *args, alongside=alongside and recording_alongside, **kwargs)
-        monkeypatch.setattr(harness, "train", recording_train)
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the model path was checked")
+        monkeypatch.setattr(parallel, "processes", lambda: processes)
+        monkeypatch.setattr(harness, "_evaluate_policy", logged_evaluate)
+        monkeypatch.setattr(harness, "train", no_training)
         with pytest.raises(StageError) as info:
             run_experiment(tiny_config)
         assert str(info.value) == (
             f"stage 'train-allocator' (seed 1): IsADirectoryError: "
             f"[Errno {errno.EISDIR}] Is a directory: '{blob}'")
-        assert calls == []  # neither training nor any model-free pass
+        # at either process count, after every model-free pass
+        assert evaluated == [(0, "uniform"), (1, "uniform")]
+        assert not os.path.exists(os.path.join(tiny_config.output_dir,
+                                               "report.json"))
 
 
 class TestReportFromTranscripts:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -128,12 +130,17 @@ class TestHttpBackend:
         assert backend.answer("p", [], labels) == 0
         assert len(handler.requests) == 2
 
-    def test_exhausted_retries_raise(self, stub_server):
+    def test_exhausted_retries_raise(self, stub_server, monkeypatch):
         url, handler = stub_server
         handler.responses = [(503, {}), (503, {}), (503, {})]
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
         backend = _http_backend(url, model="m", timeout=5, max_retries=2)
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="^completion request failed "
+                                               "with HTTP 503$"):
             backend.answer("p", [], LabelSpace(1, ("x",)))
+        assert len(handler.requests) == 3
+        assert waits == [0.5, 1.0]  # one wait between each two requests
 
     def test_bad_response_shape(self, stub_server):
         url, handler = stub_server

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import pickle
+import sys
 import time
 
 import numpy as np
@@ -58,6 +59,13 @@ def _squares(n, columns=3):
             a[i] = i * i + np.arange(columns)
             b[i] = -i
     return work, a, b
+
+
+def _announce(directory, lo):
+    """Write this process's pid to `<lo>.pid` in `directory`, whole: a
+    reader that sees the file sees the pid."""
+    (directory / f"{lo}.tmp").write_text(str(os.getpid()))
+    (directory / f"{lo}.tmp").rename(directory / f"{lo}.pid")
 
 
 class TestFill:
@@ -127,6 +135,30 @@ class TestFill:
                           lambda lo, hi: f"items {lo}..{hi - 1}")
         assert multiprocessing.active_children() == []
 
+    def test_interrupt_in_this_processs_range_kills_the_children(
+            self, monkeypatch, tmp_path):
+        _fixed_processes(monkeypatch, 3)
+
+        def work(lo, hi):
+            if lo:
+                _announce(tmp_path, lo)
+                time.sleep(60)
+            deadline = time.monotonic() + 20
+            while (len(list(tmp_path.glob("*.pid"))) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            parallel.fill(3, work, [], lambda lo, hi: "items")
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        pids = [int(p.read_text()) for p in tmp_path.glob("*.pid")]
+        assert len(pids) == 2
+        for pid in pids:  # killed, joined and reaped
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     def test_one_process_forks_nothing(self, monkeypatch):
         def no_fork(*args):
             raise AssertionError("forked with one process")
@@ -156,82 +188,148 @@ class TestErrorsCrossProcesses:
         assert {name: getattr(copy, name) for name in fields} == fields
 
 
-class TestAlongside:
-    """`fill(..., alongside=f)`: the ranges run in children while this
-    process runs `f`, or `f` runs after them with one process."""
+def _gone(pid, seconds=10):
+    """Whether the process `pid` has ended within `seconds`: reaped, or a
+    zombie that its new parent has yet to reap."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except (ProcessLookupError, FileNotFoundError):
+            return True
+        time.sleep(0.01)
+    return False
+
+
+class TestBeside:
+    """`beside(work, alongside)`: `work()` runs in a child while this
+    process runs `alongside()`, or after it with one process."""
 
     @pytest.mark.parametrize("processes", [1, 2, 3])
-    @pytest.mark.parametrize("n", [0, 1, 10])
-    def test_same_bytes_and_one_call_here(self, monkeypatch, n, processes):
+    def test_result_comes_back_and_alongside_runs_here(self, monkeypatch,
+                                                       processes):
         _fixed_processes(monkeypatch, processes)
-        work, a, b = _squares(n)
         calls = []
-        parallel.fill(n, work, [a, b], lambda lo, hi: "squares",
-                      alongside=lambda: calls.append(os.getpid()))
-        want_a = (np.arange(n)[:, None] ** 2 + np.arange(3)).astype(float)
+
+        def work():
+            work, a, b = _squares(10)
+            work(0, 10)
+            return os.getpid(), a, b
+        pid, a, b = parallel.beside(work,
+                                    lambda: calls.append(os.getpid()))
+        want_a = (np.arange(10)[:, None] ** 2 + np.arange(3)).astype(float)
         assert a.tobytes() == want_a.tobytes()
-        assert b.tobytes() == (-np.arange(n)).tobytes()
+        assert b.tolist() == [-i for i in range(10)]
+        assert (pid == os.getpid()) == (processes == 1)
         assert calls == [os.getpid()]  # a child's append would not show
         assert multiprocessing.active_children() == []
 
-    def test_one_process_works_then_runs_alongside(self, monkeypatch):
+    def test_one_process_runs_alongside_then_work_and_forks_nothing(
+            self, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("forked with one process")
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         _fixed_processes(monkeypatch, 1)
         events = []
-        parallel.fill(4, lambda lo, hi: events.append(("work", lo, hi)),
-                      [], lambda lo, hi: "items",
-                      alongside=lambda: events.append(("alongside",)))
-        assert events == [("work", 0, 4), ("alongside",)]
+        assert parallel.beside(lambda: events.append("work") or 7,
+                               lambda: events.append("alongside")) == 7
+        assert events == ["alongside", "work"]
 
     @pytest.mark.parametrize("processes", [2, 3])
-    def test_every_range_runs_in_a_child_at_the_lowest_priority(
+    def test_work_and_its_ranges_run_at_the_lowest_priority_in_one_group(
             self, monkeypatch, processes):
         _fixed_processes(monkeypatch, processes)
-        where = np.zeros((6, 2), dtype=np.int64)
 
-        def work(lo, hi):
-            where[lo:hi] = os.getpid(), os.nice(0)
-        parallel.fill(6, work, [where], lambda lo, hi: "items",
-                      alongside=lambda: None)
+        def work():
+            where = np.zeros((6, 3), dtype=np.int64)
+
+            def rows(lo, hi):
+                where[lo:hi] = os.getpid(), os.nice(0), os.getpgid(0)
+            parallel.fill(6, rows, [where], lambda lo, hi: "items")
+            return os.getpid(), where
+        pid, where = parallel.beside(work, lambda: None)
         pids = set(where[:, 0].tolist())
-        assert len(pids) == processes and os.getpid() not in pids
+        assert pid != os.getpid() and pid in pids
+        assert len(pids) == processes  # fill's ranges, one per process
         assert set(where[:, 1].tolist()) == {min(os.nice(0) + 19, 19)}
+        assert set(where[:, 2].tolist()) == {pid}  # the child leads the group
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("processes", [1, 2, 3])
-    def test_a_failing_range_wins_over_a_failing_alongside(self, monkeypatch,
-                                                           processes):
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_failing_work_wins_over_a_failing_alongside(self, monkeypatch,
+                                                          processes):
         _fixed_processes(monkeypatch, processes)
 
-        def work(lo, hi):
-            if hi == 9:
-                raise ParseError("bad item 8", line=8)
+        def work():
+            raise ParseError("bad item 8", line=8)
 
         def alongside():
             raise ValidationError("alongside failed")
-        with pytest.raises(ParseError, match="^line 8: bad item 8$"):
-            parallel.fill(9, work, [], lambda lo, hi: "items",
-                          alongside=alongside)
+        with pytest.raises(ParseError, match="^line 8: bad item 8$") as info:
+            parallel.beside(work, alongside)
+        assert info.value.line == 8
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("processes", [1, 2, 3])
-    def test_alongside_error_raised_after_the_ranges(self, monkeypatch,
-                                                     processes):
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_alongside_error_raised_after_the_work(self, monkeypatch,
+                                                   tmp_path, processes):
         _fixed_processes(monkeypatch, processes)
-        work, a, b = _squares(9)
+        done = tmp_path / "done"
 
         def alongside():
             raise ValidationError("alongside failed")
         with pytest.raises(ValidationError, match="^alongside failed$"):
-            parallel.fill(9, work, [a, b], lambda lo, hi: "squares",
-                          alongside=alongside)
-        assert b.tolist() == [-i for i in range(9)]  # every range came back
+            parallel.beside(done.touch, alongside)
+        assert done.exists()  # the work ran to its end
         assert multiprocessing.active_children() == []
 
-    def test_interrupt_in_alongside_kills_the_children(self, monkeypatch,
-                                                       tmp_path):
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_stderr_of_the_work_reaches_this_process(self, monkeypatch,
+                                                     capsys, processes,
+                                                     fails):
+        _fixed_processes(monkeypatch, processes)
+
+        def work():
+            print("from the work", file=sys.stderr)
+            if fails:
+                raise ValidationError("work failed")
+            return 1
+        if fails:
+            with pytest.raises(ValidationError, match="^work failed$"):
+                parallel.beside(work, lambda: None)
+        else:
+            assert parallel.beside(work, lambda: None) == 1
+        assert capsys.readouterr().err == "from the work\n"
+
+    def test_error_that_does_not_pickle_keeps_its_text(self, monkeypatch):
         _fixed_processes(monkeypatch, 2)
 
-        def work(lo, hi):
-            (tmp_path / f"{lo}.pid").write_text(str(os.getpid()))
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def work():
+            raise Unpicklable("this", "that")
+        with pytest.raises(StageError, match="^Unpicklable: this and that$"):
+            parallel.beside(work, lambda: None)
+
+    def test_child_without_a_reply_is_a_stage_error(self, monkeypatch):
+        _fixed_processes(monkeypatch, 2)
+        with pytest.raises(StageError, match=r"^forked work in a child "
+                                             r"process: .*exit code 3\)$"):
+            parallel.beside(lambda: os._exit(3), lambda: None)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_in_alongside_kills_the_work_and_its_children(
+            self, monkeypatch, tmp_path):
+        _fixed_processes(monkeypatch, 2)
+
+        def rows(lo, hi):
+            _announce(tmp_path, lo)
             time.sleep(60)
 
         def alongside():
@@ -242,12 +340,13 @@ class TestAlongside:
             raise KeyboardInterrupt
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            parallel.fill(2, work, [], lambda lo, hi: "items",
-                          alongside=alongside)
+            parallel.beside(
+                lambda: parallel.fill(2, rows, [], lambda lo, hi: "items"),
+                alongside)
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
-        pids = [int(p.read_text()) for p in tmp_path.glob("*.pid")]
-        assert len(pids) == 2
-        for pid in pids:  # killed, joined and reaped
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        child, grandchild = (int((tmp_path / f"{lo}.pid").read_text())
+                             for lo in (0, 1))
+        with pytest.raises(ProcessLookupError):  # killed, joined and reaped
+            os.kill(child, 0)
+        assert _gone(grandchild)  # fill's child, killed with its group

@@ -203,9 +203,10 @@ class TestPrefilter:
                 cached[i] = store._half_norms is not None
                 found[i] = top_k(queries[i], 5, d, store).id_array
 
-        # every range runs in a child while this process waits
-        parallel.fill(4, work, [found, cached], lambda lo, hi: "queries",
-                      alongside=lambda: None)
+        def forked():  # every range runs in a child of this process
+            parallel.fill(4, work, [found, cached], lambda lo, hi: "queries")
+            return found, cached
+        found, cached = parallel.beside(forked, lambda: None)
         assert store._half_norms is None  # nothing came back with the rows
         assert cached.tolist() == [False, True, False, True]  # two ranges
         for query, ids in zip(queries, found):
