@@ -20,10 +20,10 @@ loop and `batch_loss_and_grads` both run it. The loop keeps a range's
 parameters in one (rows, P) buffer and their gradients in another, each
 parameter and gradient a view of its buffer, so a step writes every
 gradient in place and updates every parameter in two numpy calls. Because
-no row reads another, `train` runs that loop on ranges of rows at once
-(`parallel.fill`). Every row takes exactly the steps of one loop over all
-rows, so the models and every report built on them are the same bytes
-whatever the CPU count.
+no row reads another, `train` runs that loop on the two halves of its
+rows at once (`parallel.fill`). Every row takes exactly the steps of one
+loop over all rows, so the models and every report built on them are the
+same bytes whatever the CPU count.
 
 `forward` takes a block of queries shaped (m, 1, 1, dim) against the
 (C, dim, width) weights, so every product is still one query's one-row
@@ -314,12 +314,13 @@ def train(datasets: list[BudgetDataset], cfg: TrainConfig, seeds,
     bit-identical to training that client alone. `seed_indices` names the
     datasets' seeds in errors (default 0, 1, ...).
 
-    `parallel.fill` runs `_train_rows` on ranges of rows, on views of the
-    stack and of the training data. A non-finite loss raises the
-    ValidationError a single loop would (the earliest batch, then the
-    lowest row). `run_experiment` makes this call inside the allocator
-    stage that it forks beside the model-free passes (`parallel.beside`),
-    so the ranges train in that child and in one it forks.
+    `parallel.fill` runs `_train_rows` on the rows in one range, or in two
+    halves at once, on views of the stack and of the training data. A
+    non-finite loss raises the ValidationError a single loop would (the
+    earliest batch, then the lowest row). `run_experiment` makes this call
+    inside the allocator stage that it forks beside the model-free passes
+    (`parallel.beside`), so the second half trains in that child and the
+    first in one it forks; both die with the run if it is killed.
 
     Shuffling is reseeded per epoch from the shuffle seed. With a nonzero
     validation_fraction the best-validation-loss parameters are returned,

@@ -7,11 +7,13 @@ model in one `train` call and saves them. If the backend is the mock (any
 other is asked nothing before that stage ends), the stage runs in a child
 (`parallel.beside`) while this process runs every seed's policies but
 `learned`; the child sends back the models and its stderr lines, and each
-seed's `learned` runs last. Each pass is reduced to its `tally` as
-it finishes, then its transcripts are written and dropped, so a failed
-run can leave some, but no `report.json`: that is `summarize` over the
-tallies. A tally reads only the transcripts and the seed's test labels,
-so a finished run's report is rebuilt from its transcript files alone.
+seed's `learned` runs last. A stage error is raised before a model-free
+pass's (`beside`), and the child dies with this process. Each pass is
+reduced to its `tally` as it finishes, then its transcripts are written
+and dropped, so a failed run can leave some, but no `report.json`: that
+is `summarize` over the tallies. A tally reads only the transcripts and
+the seed's test labels, so a finished run's report is rebuilt from its
+transcript files alone.
 Every run rebuilds and writes shards and budget tables (`shards.json`,
 `bproxy.jsonl`). Only the trained allocators are a cache: a saved pair is
 served only if it has the blake2b digest its metadata records (of the
@@ -426,7 +428,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     learned = [name for name in cfg.policies if name == "learned"]
     others = [name for name in cfg.policies if name != "learned"]
-    failed = []  # a model-free pass's error, raised once the allocators load
     tallies = {}  # (seed index, policy) -> its passes' `tally`
 
     def run_pass(i, name):
@@ -439,12 +440,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             contexts[i].tables.clear()
 
     def model_free():
-        try:
-            for i in range(len(contexts)):
-                for name in others:
-                    run_pass(i, name)
-        except Exception as exc:
-            failed.append(exc)
+        for i in range(len(contexts)):
+            for name in others:
+                run_pass(i, name)
 
     # only the mock answers beside the allocator stage; a real backend
     # waits for it
@@ -456,8 +454,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if learned:
             allocators(contexts)
         model_free()
-    if failed:
-        raise failed[0]
     for i in range(len(contexts)):
         for name in learned:
             run_pass(i, name)

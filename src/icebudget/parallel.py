@@ -1,10 +1,13 @@
-"""Work run at once in forked processes: independent items in contiguous
-ranges (`fill`), or one piece of work beside this process's own
-(`beside`)."""
+"""Work run at once in a forked child: the first half of a range of
+independent items (`fill`), or one piece of work beside this process's own
+(`beside`). `_fork` is the one place that forks. Its child ignores SIGINT,
+which this process handles, and Linux SIGKILLs it when this process ends,
+so no child outlives the run, whatever ends it."""
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import math
 import multiprocessing
@@ -15,16 +18,18 @@ import sys
 
 from .errors import StageError
 
-# Two is the only process count whose gain has been measured (2-CPU host).
+# Two is the only process count whose gain has been measured (2-CPU host),
+# and `fill` splits its items in two halves.
 MAX_PROCESSES = 2
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"  # cgroup v2: "<quota> <period>" or "max …"
+_PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
 
 
 def processes() -> int:
     """The CPUs this process may run on, bounded by the cgroup CPU quota
-    (rounded up) and by MAX_PROCESSES; 1 where it cannot fork."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")):
+    (rounded up) and by MAX_PROCESSES; 1 anywhere but Linux, where a child
+    cannot be made to die with its parent."""
+    if sys.platform != "linux":
         return 1
     cpus = min(len(os.sched_getaffinity(0)), MAX_PROCESSES)
     try:
@@ -34,11 +39,6 @@ def processes() -> int:
             cpus, max(1, math.ceil(int(quota) / int(period))))
     except (OSError, ValueError):  # no cgroup v2 file: no quota
         return cpus
-
-
-def _raw(rows) -> memoryview:
-    """The rows of a C-contiguous array as writable bytes."""
-    return memoryview(rows).cast("B") if rows.size else memoryview(bytearray())
 
 
 def _error_reply(exc: Exception) -> bytes:
@@ -52,28 +52,27 @@ def _error_reply(exc: Exception) -> bytes:
     return reply
 
 
-def _range_child(send, work, lo, hi, outputs):
-    """Run one range and send b"" and its rows of each output, or the error
-    reply."""
-    with send:
-        try:
-            work(lo, hi)
-        except Exception as exc:
-            send.send_bytes(_error_reply(exc))
-            return
-        send.send_bytes(b"")
-        for out in outputs:
-            send.send_bytes(_raw(out[lo:hi]))
+def _die_with(parent: int) -> None:
+    """Have Linux SIGKILL this process when its parent ends, and end it now
+    if its parent is no longer `parent`, which has then ended already."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
 
 
-def _stage_child(send, work):
-    """Lead a new process group at the lowest CPU priority, run `work()`
-    with sys.stderr kept, and send what it wrote there pickled, then b""
-    and the result pickled, or the error reply."""
-    os.setpgid(0, 0)
-    os.nice(19)
+def _child(send, parent, work, niceness):
+    """Ignore SIGINT, die with `parent`, lower this process's CPU priority
+    by `niceness`, run `work()` with sys.stderr kept, and send what it wrote
+    there pickled, then b"" and the result pickled, or the error reply."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     with send, contextlib.redirect_stderr(io.StringIO()) as err:
         try:
+            _die_with(parent)
+            os.nice(niceness)
             reply = [b"", pickle.dumps(work())]
         except Exception as exc:
             reply = [_error_reply(exc)]
@@ -81,125 +80,87 @@ def _stage_child(send, work):
             send.send_bytes(message)
 
 
-def _kill(child) -> None:
-    """SIGKILL the child and the process group it leads, if it leads one."""
+def _both(alongside, finish):
+    """`finish()`'s result, `alongside()` run first; if `alongside()` fails,
+    `finish()` still runs, and its error goes first."""
     try:
-        os.killpg(child.pid, signal.SIGKILL)
-    except ProcessLookupError:  # no group of that id: it leads none
-        child.kill()
-
-
-@contextlib.contextmanager
-def _forked():
-    """A list of (receive end, child) pairs, for `_start`. Leaving the
-    block joins every child and closes its pipe, killing each first (see
-    `_kill`) if the block failed, an interrupt included."""
-    children = []
-    try:
-        yield children
-    except BaseException:
-        for _, child in children:
-            _kill(child)
+        alongside()
+    except Exception:
+        finish()
         raise
-    finally:
-        for receive, child in children:
-            child.join()
-            receive.close()
+    return finish()
 
 
-def _start(children, target, *args):
-    """Fork a child running `target(send, *args)` and add it, with the
-    receive end of its pipe, to `children`; returns that pair."""
+def _fork(work, alongside, describe: str, niceness: int = 0):
+    """`work()`'s result, with `alongside()` run meanwhile in this process:
+    `work()` runs in a child made with the `fork` start method (`_child`)
+    and its result comes back pickled. What the child writes to sys.stderr
+    is written to this process's once it replies. Its error is raised with
+    its type and message, and wins over an error of `alongside()` (`_both`);
+    a child that ends without a reply is a StageError naming its work by
+    `describe`. The child is joined before this returns or raises, and
+    killed first if this process fails, an interrupt included; any child it
+    forked dies with it."""
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=target, args=(send, *args))
-    child.start()
-    send.close()
-    children.append((receive, child))
-    return receive, child
+    with receive:
+        with send:
+            child = fork.Process(target=_child,
+                                 args=(send, os.getpid(), work, niceness))
+            child.start()
 
-
-@contextlib.contextmanager
-def _replied(child, describe: str):
-    """Turn the child's pipe ending early into a StageError naming it by
-    `describe`, once it has exited."""
-    try:
-        yield
-    except EOFError:
-        child.join()
-        raise StageError(
-            f"{describe} in a child process: ended without a reply (exit "
-            f"code {child.exitcode})") from None
+        def finish():
+            try:
+                sys.stderr.write(pickle.loads(receive.recv_bytes()))
+                reply = receive.recv_bytes()
+                result = None if reply else receive.recv_bytes()
+            except EOFError:
+                child.join()
+                raise StageError(
+                    f"{describe} in a child process: ended without a reply "
+                    f"(exit code {child.exitcode})") from None
+            if reply:
+                raise pickle.loads(reply)
+            return pickle.loads(result)
+        try:
+            return _both(alongside, finish)
+        except BaseException:
+            child.kill()
+            raise
+        finally:
+            child.join()
 
 
 def fill(n: int, work, outputs, describe) -> None:
-    """Run `work(lo, hi)`, which fills rows lo..hi-1 of each C-contiguous
-    array in `outputs` and reads no other range's, over one contiguous range
-    of 0..n-1 per process (`processes()`): this process runs the first, and
-    a child made with the `fork` start method each other one, sending back
-    only its rows as raw bytes. So the outputs are the same bytes for every
-    process count. An error is raised as one process would raise it: the
-    lowest failing range's, with its type and message; a child that ends
-    without a reply is a StageError naming its range by `describe(lo, hi)`.
-    Every child is joined before this returns or raises, and killed first
-    if this process fails."""
-    parts = min(n, processes())
-    if parts <= 1:
+    """Run `work(lo, hi)`, which fills rows lo..hi-1 of each array in
+    `outputs` and reads no other range's, over 0..n-1. With two processes
+    (`processes()`) and two items or more, a child (`_fork`) runs the first
+    half, 0..n//2-1, and sends back its rows pickled, while this process
+    runs the second; otherwise this process runs them all. So the outputs
+    are the same bytes for every process count. An error is raised as one
+    process would raise it: the first half's before the second's, with its
+    type and message; a child that ends without a reply is a StageError
+    naming its half by `describe(lo, hi)`."""
+    half = n // 2
+    if half == 0 or processes() == 1:
         work(0, n)
         return
-    bounds = [n * i // parts for i in range(parts + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-    with _forked() as children:
-        for lo, hi in ranges[1:]:
-            _start(children, _range_child, work, lo, hi, outputs)
-        work(*ranges[0])
-        for (lo, hi), (receive, child) in zip(ranges[1:], children):
-            with _replied(child, describe(lo, hi)):
-                reply = receive.recv_bytes()
-                if not reply:
-                    for out in outputs:
-                        receive.recv_bytes_into(_raw(out[lo:hi]))
-            if reply:
-                raise pickle.loads(reply)
+
+    def first():
+        work(0, half)
+        return [out[:half] for out in outputs]
+    rows = _fork(first, lambda: work(half, n), describe(0, half))
+    for out, part in zip(outputs, rows):
+        out[:half] = part
 
 
 def beside(work, alongside):
     """`work()`'s result, with `alongside()` run meanwhile in this process:
-    `work()` runs in a child made with the `fork` start method, at the
-    lowest CPU priority and leading its own process group, and its result
-    comes back pickled. With one process (`processes()`) both run here,
-    `alongside()` first, so that what they leave behind, on success or on
-    failure, does not depend on the process count.
-
-    What the child writes to sys.stderr is written to this process's once
-    it replies, before its result is returned or its error raised. Its
-    error is raised with its type and message as one process would raise
-    it, and wins over an error of `alongside()`; a child that ends without
-    a reply is a StageError. The child is joined before this returns or
-    raises; if this process fails, an interrupt included, the child is
-    killed first together with its process group, and so with any child it
-    forked (`fill`'s)."""
-    with _forked() as children:
-        if processes() == 1:
-            finish = work
-        else:
-            receive, child = _start(children, _stage_child, work)
-            # the group exists before this process can kill it; the
-            # child joins it itself too, and may have already
-            with contextlib.suppress(OSError):
-                os.setpgid(child.pid, child.pid)
-
-            def finish():
-                with _replied(child, "forked work"):
-                    sys.stderr.write(pickle.loads(receive.recv_bytes()))
-                    reply = receive.recv_bytes()
-                    result = None if reply else receive.recv_bytes()
-                if reply:
-                    raise pickle.loads(reply)
-                return pickle.loads(result)
-        try:
-            alongside()
-        except Exception:
-            finish()  # whose error goes first
-            raise
-        return finish()
+    `work()` runs in a child (`_fork`) at the lowest CPU priority, and so
+    does any `fill` child it forks. With one process (`processes()`) both
+    run here, `alongside()` first, so that what they leave behind, on
+    success or on failure, does not depend on the process count. An error
+    of `work()` wins over one of `alongside()`."""
+    if processes() == 1:
+        return _both(alongside, work)
+    return _fork(work, alongside, "forked work", niceness=19)

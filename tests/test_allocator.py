@@ -461,8 +461,8 @@ def _nine_rows():
 
 
 class TestRowRanges:
-    """`train` cuts its rows into one range per training process and forks
-    a child for each range but the first."""
+    """`train` cuts its rows in two halves with two training processes,
+    and forks a child for the first."""
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.25])
     def test_every_cpu_count_trains_the_same_bytes(self, monkeypatch,
@@ -471,9 +471,8 @@ class TestRowRanges:
         cfg = TrainConfig(epochs=12, learning_rate=0.3, batch_size=8, width=6,
                           validation_fraction=validation_fraction)
         models = {}
-        # 9 rows: ranges of 4+5, 3+3+3, 2+2+2+3 and single rows; 20 processes
-        # still give nine ranges
-        for cpus in (1, 2, 3, 4, 9, 20):
+        # 9 rows: all in one process, or halves of 4 and 5
+        for cpus in (1, 2):
             _fixed_processes(monkeypatch, cpus)
             models[cpus] = train(data, cfg, shuffle, init, input_scale=3.0)
             assert multiprocessing.active_children() == []
@@ -485,9 +484,10 @@ class TestRowRanges:
             assert model.train_config == one.train_config
 
     @pytest.mark.parametrize("bad, named", [
-        ({2: 20}, "seed 7, client 2"),  # only a child's rows
+        ({0: 20}, "seed 5, client 1"),  # only the child's rows
+        ({2: 20}, "seed 7, client 2"),  # only this process's rows
         ({1: 12}, "seed 6, client 1"),
-        ({0: 10, 2: 20}, "seed 7, client 2"),  # a child's batch is earlier
+        ({0: 10, 2: 20}, "seed 7, client 2"),  # this process's batch is earlier
         ({0: 3, 2: 20}, "seed 5, client 2"),  # the same batch: lowest row
     ])
     def test_non_finite_loss_named_as_one_loop_names_it(self, monkeypatch,
@@ -498,7 +498,7 @@ class TestRowRanges:
             # shuffle puts it in
             data[s].embeddings[record] = np.nan
         cfg = TrainConfig(epochs=3, width=4)
-        for cpus in (1, 2, 3, 9):
+        for cpus in (1, 2):
             _fixed_processes(monkeypatch, cpus)
             with pytest.raises(ValidationError,
                                match=f"^{named}: non-finite training loss at "
@@ -516,7 +516,7 @@ class TestRowRanges:
             return train_rows(*args)
         monkeypatch.setattr(allocator, "_train_rows", dying_rows)
         _fixed_processes(monkeypatch, 2)
-        with pytest.raises(StageError, match=r"seeds \[1, 2\] .*exit code 3"):
+        with pytest.raises(StageError, match=r"seeds \[0, 1\] .*exit code 3"):
             train(data, TrainConfig(epochs=2, width=4), shuffle, init)
         assert multiprocessing.active_children() == []
 
@@ -529,7 +529,7 @@ class TestRowRanges:
                 raise KeyboardInterrupt
             return train_rows(*args)
         monkeypatch.setattr(allocator, "_train_rows", failing_rows)
-        _fixed_processes(monkeypatch, 3)
+        _fixed_processes(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
             train(data, TrainConfig(epochs=200, width=4), shuffle, init)
         assert multiprocessing.active_children() == []

@@ -146,7 +146,7 @@ class TestRunExperiment:
         assert trained == [[0, 2]]  # one loop for both uncached seeds
         assert _tree_bytes(tiny_config.output_dir) == fresh
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_each_row_range_runs_one_sgd_loop(self, tiny_config, monkeypatch,
                                               tmp_path, cpus):
         tiny_config.policies = ["learned"]

@@ -1,7 +1,12 @@
+import contextlib
+import ctypes
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -48,6 +53,11 @@ class TestProcesses:
         _cpus(monkeypatch, 1, "400000 100000", tmp_path)
         assert parallel.processes() == 1
 
+    def test_one_process_anywhere_but_linux(self, monkeypatch, tmp_path):
+        _cpus(monkeypatch, 4, tmp_path=tmp_path)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert parallel.processes() == 1
+
 
 def _squares(n, columns=3):
     """A `fill` of n rows: row i of `a` is i*i + column, `b` holds -i."""
@@ -69,7 +79,7 @@ def _announce(directory, lo):
 
 
 class TestFill:
-    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("n, columns", [(0, 3), (1, 3), (10, 3), (10, 0)])
     def test_every_process_count_fills_the_same_bytes(self, monkeypatch, n,
                                                       columns, processes):
@@ -81,32 +91,40 @@ class TestFill:
         assert b.tobytes() == (-np.arange(n)).tobytes()
         assert multiprocessing.active_children() == []
 
-    def test_ranges_are_contiguous_and_cover_every_item(self, monkeypatch):
-        _fixed_processes(monkeypatch, 3)
-        ranges = np.zeros((10, 3), dtype=np.int64)
+    def test_a_child_runs_the_first_half_and_this_process_the_second(
+            self, monkeypatch):
+        _fixed_processes(monkeypatch, 2)
+        ranges = np.zeros((9, 3), dtype=np.int64)
 
         def work(lo, hi):
             ranges[lo:hi] = os.getpid(), lo, hi
-        parallel.fill(10, work, [ranges], lambda lo, hi: "ranges")
+        parallel.fill(9, work, [ranges], lambda lo, hi: "ranges")
         assert [tuple(r[1:]) for r in ranges.tolist()] == (
-            [(0, 3)] * 3 + [(3, 6)] * 3 + [(6, 10)] * 4)
-        assert ranges[0, 0] == os.getpid()
-        assert len(set(ranges[:, 0].tolist())) == 3
+            [(0, 4)] * 4 + [(4, 9)] * 5)
+        assert set(ranges[4:, 0].tolist()) == {os.getpid()}
+        assert ranges[0, 0] != os.getpid()
+        assert set(ranges[:4, 0].tolist()) == {ranges[0, 0]}
 
-    @pytest.mark.parametrize("processes", [1, 2, 3])
-    def test_error_of_the_lowest_failing_range(self, monkeypatch, processes):
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("bad", [
+        (2, 7),  # one item of each half: the child's error wins
+        (5, 8),  # this process's half alone
+        (1, 3),  # the child's half alone
+    ])
+    def test_error_of_the_lowest_failing_item(self, monkeypatch, processes,
+                                              bad):
         _fixed_processes(monkeypatch, processes)
         out = np.zeros(9)
 
         def work(lo, hi):
             for i in range(lo, hi):
-                if i in (5, 8):  # ranges 1 of 2, and 1 and 2 of 3
+                if i in bad:
                     raise ParseError(f"bad item {i}", line=i)
                 out[i] = i
         with pytest.raises(ParseError) as info:
             parallel.fill(9, work, [out], lambda lo, hi: "items")
-        assert str(info.value) == "line 5: bad item 5"
-        assert info.value.line == 5
+        assert str(info.value) == f"line {bad[0]}: bad item {bad[0]}"
+        assert info.value.line == bad[0]
         assert multiprocessing.active_children() == []
 
     def test_error_that_does_not_pickle_keeps_its_text(self, monkeypatch):
@@ -117,7 +135,7 @@ class TestFill:
                 super().__init__(f"{a} and {b}")
 
         def work(lo, hi):
-            if lo:
+            if not lo:  # the child's half
                 raise Unpicklable("this", "that")
         with pytest.raises(StageError, match="^Unpicklable: this and that$"):
             parallel.fill(4, work, [np.zeros(4)], lambda lo, hi: "items")
@@ -129,35 +147,32 @@ class TestFill:
         def work(lo, hi):
             if os.getpid() != parent:
                 os._exit(3)
-        with pytest.raises(StageError, match=r"^items 2\.\.3 in a child "
+        with pytest.raises(StageError, match=r"^items 0\.\.1 in a child "
                                              r"process: .*exit code 3\)$"):
             parallel.fill(4, work, [np.zeros(4)],
                           lambda lo, hi: f"items {lo}..{hi - 1}")
         assert multiprocessing.active_children() == []
 
-    def test_interrupt_in_this_processs_range_kills_the_children(
+    def test_interrupt_in_this_processs_half_kills_the_child(
             self, monkeypatch, tmp_path):
-        _fixed_processes(monkeypatch, 3)
+        _fixed_processes(monkeypatch, 2)
 
         def work(lo, hi):
-            if lo:
+            if not lo:  # the child's half
                 _announce(tmp_path, lo)
                 time.sleep(60)
             deadline = time.monotonic() + 20
-            while (len(list(tmp_path.glob("*.pid"))) < 2
+            while (not (tmp_path / "0.pid").exists()
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             raise KeyboardInterrupt
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            parallel.fill(3, work, [], lambda lo, hi: "items")
+            parallel.fill(2, work, [], lambda lo, hi: "items")
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
-        pids = [int(p.read_text()) for p in tmp_path.glob("*.pid")]
-        assert len(pids) == 2
-        for pid in pids:  # killed, joined and reaped
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        with pytest.raises(ProcessLookupError):  # killed, joined and reaped
+            os.kill(int((tmp_path / "0.pid").read_text()), 0)
 
     def test_one_process_forks_nothing(self, monkeypatch):
         def no_fork(*args):
@@ -188,6 +203,16 @@ class TestErrorsCrossProcesses:
         assert {name: getattr(copy, name) for name in fields} == fields
 
 
+def _death_signal():
+    """The signal this process gets when its parent ends (0 for none)."""
+    signal_number = ctypes.c_int()
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
+    prctl.restype = ctypes.c_int
+    assert prctl(2, ctypes.byref(signal_number)) == 0  # PR_GET_PDEATHSIG
+    return signal_number.value
+
+
 def _gone(pid, seconds=10):
     """Whether the process `pid` has ended within `seconds`: reaped, or a
     zombie that its new parent has yet to reap."""
@@ -208,7 +233,7 @@ class TestBeside:
     """`beside(work, alongside)`: `work()` runs in a child while this
     process runs `alongside()`, or after it with one process."""
 
-    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("processes", [1, 2])
     def test_result_comes_back_and_alongside_runs_here(self, monkeypatch,
                                                        processes):
         _fixed_processes(monkeypatch, processes)
@@ -238,24 +263,31 @@ class TestBeside:
                                lambda: events.append("alongside")) == 7
         assert events == ["alongside", "work"]
 
-    @pytest.mark.parametrize("processes", [2, 3])
-    def test_work_and_its_ranges_run_at_the_lowest_priority_in_one_group(
-            self, monkeypatch, processes):
-        _fixed_processes(monkeypatch, processes)
+    def test_work_and_its_fill_child_run_niced_and_die_with_their_parents(
+            self, monkeypatch):
+        _fixed_processes(monkeypatch, 2)
 
         def work():
-            where = np.zeros((6, 3), dtype=np.int64)
+            where = np.zeros((6, 6), dtype=np.int64)
 
             def rows(lo, hi):
-                where[lo:hi] = os.getpid(), os.nice(0), os.getpgid(0)
+                where[lo:hi] = (os.getpid(), os.getppid(), os.nice(0),
+                                os.getpgid(0), _death_signal(),
+                                signal.getsignal(signal.SIGINT)
+                                is signal.SIG_IGN)
             parallel.fill(6, rows, [where], lambda lo, hi: "items")
             return os.getpid(), where
         pid, where = parallel.beside(work, lambda: None)
-        pids = set(where[:, 0].tolist())
-        assert pid != os.getpid() and pid in pids
-        assert len(pids) == processes  # fill's ranges, one per process
-        assert set(where[:, 1].tolist()) == {min(os.nice(0) + 19, 19)}
-        assert set(where[:, 2].tolist()) == {pid}  # the child leads the group
+        assert pid != os.getpid()
+        assert set(where[3:, 0].tolist()) == {pid}  # fill's second half
+        grandchild = where[0, 0]
+        assert grandchild not in (pid, os.getpid())
+        assert where[:, 1].tolist() == [pid] * 3 + [os.getpid()] * 3
+        assert set(where[:, 2].tolist()) == {min(os.nice(0) + 19, 19)}
+        assert set(where[:, 3].tolist()) == {os.getpgid(0)}  # this group
+        assert set(where[:, 4].tolist()) == {signal.SIGKILL}
+        assert set(where[:, 5].tolist()) == {1}  # SIGINT ignored
+        assert _death_signal() == 0  # set in the children alone
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("processes", [1, 2])
@@ -345,8 +377,58 @@ class TestBeside:
                 alongside)
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
-        child, grandchild = (int((tmp_path / f"{lo}.pid").read_text())
+        # fill's child runs the first half, the work's process the second
+        grandchild, child = (int((tmp_path / f"{lo}.pid").read_text())
                              for lo in (0, 1))
         with pytest.raises(ProcessLookupError):  # killed, joined and reaped
             os.kill(child, 0)
-        assert _gone(grandchild)  # fill's child, killed with its group
+        assert _gone(grandchild)  # fill's child, killed as its parent died
+
+
+_KILLED_RUN = textwrap.dedent("""\
+    import os, sys, time
+    from pathlib import Path
+    from icebudget import parallel
+
+    parallel.processes = lambda: 2
+    out = Path(sys.argv[1])
+
+    def rows(lo, hi):
+        (out / f"{lo}.tmp").write_text(str(os.getpid()))
+        (out / f"{lo}.tmp").rename(out / f"{lo}.pid")
+        time.sleep(60)
+
+    parallel.beside(lambda: parallel.fill(2, rows, [], lambda lo, hi: "rows"),
+                    lambda: time.sleep(60))
+""")
+
+
+class TestKilledParent:
+    """A process killed while `beside`'s child and that child's `fill` child
+    run leaves neither behind."""
+
+    @pytest.mark.parametrize("signal_number",
+                             [signal.SIGKILL, signal.SIGTERM],
+                             ids=["SIGKILL", "SIGTERM"])
+    def test_no_child_outlives_its_parent(self, tmp_path, signal_number):
+        src = os.path.dirname(os.path.dirname(parallel.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.Popen([sys.executable, "-c", _KILLED_RUN,
+                                str(tmp_path)], env=env)
+        pids = []
+        try:
+            deadline = time.monotonic() + 20
+            while (len(list(tmp_path.glob("*.pid"))) < 2
+                   and time.monotonic() < deadline and run.poll() is None):
+                time.sleep(0.01)
+            pids = [int(p.read_text()) for p in tmp_path.glob("*.pid")]
+            assert len(pids) == 2
+            run.send_signal(signal_number)
+            assert run.wait(timeout=10) == -signal_number
+            assert [pid for pid in pids if not _gone(pid, 5)] == []
+        finally:
+            run.kill()
+            run.wait()
+            for pid in pids:  # what a failed check left running
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
