@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -19,7 +18,6 @@ from .config import POLICY_VARIANTS, load_config
 from .corpus import load_dataset
 from .embedder import HashEncoder, encode_dataset, save_embeddings
 from .errors import IceBudgetError, ValidationError
-from .inference import make_backend, paraphrase as run_paraphrase
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--dataset", required=True)
     encode.add_argument("--output", required=True)
     encode.add_argument("--dim", type=int, default=64)
-    encode.add_argument("--format", choices=["binary", "jsonl"],
-                        default="binary")
 
     sub.add_parser("build-budget-dataset",
                    help="construct the allocator supervision set")
@@ -56,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--curve", default="0.5,1.0,1.25,2.0",
                         help="comma-separated budget multipliers")
     report.add_argument("--seed-index", type=int, default=0)
-
-    para = sub.add_parser("paraphrase", help="paraphrase text via the backend")
-    para.add_argument("--text", required=True)
     return parser
 
 
@@ -116,7 +109,7 @@ def _cmd_encode(args):
     dataset = load_dataset(args.dataset)
     seed = args.seed if args.seed is not None else 0
     store = encode_dataset(dataset, HashEncoder(args.dim, seed))
-    save_embeddings(store, args.output, format=args.format)
+    save_embeddings(store, args.output)
     print(f"wrote {len(store)} embeddings (dim {store.dim}) to {args.output}")
     return 0
 
@@ -164,14 +157,6 @@ def _cmd_report(args):
     return 0
 
 
-def _cmd_paraphrase(args):
-    cfg = _load_cfg(args)
-    # a paraphrase is a sentence, not a label: allow a longer completion
-    backend = make_backend(dataclasses.replace(cfg.backend, max_tokens=64))
-    print(run_paraphrase(args.text, backend))
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "partition": functools.partial(_per_seed, _describe_partition),
@@ -181,7 +166,6 @@ _COMMANDS = {
     "train-allocator": functools.partial(_per_seed, _describe_allocators),
     "infer": _cmd_infer,
     "report": _cmd_report,
-    "paraphrase": _cmd_paraphrase,
 }
 
 

@@ -1,22 +1,22 @@
 """Embedding stores and the deterministic fallback text encoder.
 
 Real encoder output (e.g. from a sentence-transformer run offline) is
-ingested from a binary or JSONL file; `hash_encode_many` provides a
-dependency-free deterministic stand-in based on signed character n-gram
-feature hashing. It counts the n-grams of a whole batch of texts at once
-and hashes each distinct n-gram once per call.
+ingested from one binary format (see `load_embeddings`), which `encode`
+writes; `hash_encode_many` provides a dependency-free deterministic
+stand-in based on signed character n-gram feature hashing. It counts the
+n-grams of a whole batch of texts at once and hashes each distinct n-gram
+once per call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 
 import numpy as np
 
 from .corpus import Dataset
-from .errors import ParseError, ValidationError, jsonl_values
+from .errors import ParseError, ValidationError
 
 BINARY_MAGIC = b"ICEB"
 
@@ -118,21 +118,14 @@ class EmbeddingStore:
         self._bound_to = d
 
 
-def load_embeddings(path) -> EmbeddingStore:
-    """Load a store from the binary format (magic 'ICEB') or JSONL."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == BINARY_MAGIC:
-        return _load_binary(path)
-    return _load_jsonl(path)
-
-
 def _record_dtype(dim: int) -> np.dtype:
     """One binary record: little-endian u64 id, then dim float32 values."""
     return np.dtype([("id", "<u8"), ("vector", "<f4", (dim,))])
 
 
-def _load_binary(path) -> EmbeddingStore:
+def load_embeddings(path) -> EmbeddingStore:
+    """Load a store from the binary format: the magic 'ICEB', a u32 dim and
+    a u64 record count, then the records (see `_record_dtype`)."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != BINARY_MAGIC:
@@ -165,55 +158,15 @@ def _load_binary(path) -> EmbeddingStore:
     return EmbeddingStore(ids.astype(np.int64), vectors)
 
 
-def _load_jsonl(path) -> EmbeddingStore:
-    rows = []
-    first_line: dict[int, int] = {}  # id -> line, in file order
-    for lineno, obj in jsonl_values(path):
-        if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
-            raise ParseError("record needs 'id' and 'vector'", line=lineno)
-        example_id = obj["id"]
-        if (not isinstance(example_id, int) or isinstance(example_id, bool)
-                or not -2**63 <= example_id < 2**63):
-            raise ParseError("'id' must be a 64-bit integer", line=lineno)
-        try:
-            vec = np.asarray(obj["vector"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"'vector' is not numeric: {exc}",
-                             line=lineno) from exc
-        if vec.size == 0:
-            raise ParseError(f"id {example_id}: empty vector", line=lineno)
-        dim = len(rows[0]) if rows else vec.size
-        if vec.shape != (dim,):
-            raise ParseError(f"id {example_id}: vector has shape {vec.shape}, "
-                             f"expected ({dim},)", line=lineno)
-        if not np.isfinite(vec).all():
-            raise ParseError(f"id {example_id}: non-finite component",
-                             line=lineno)
-        if example_id in first_line:
-            raise ParseError(f"duplicate embedding id {example_id} (first "
-                             f"on line {first_line[example_id]})", line=lineno)
-        first_line[example_id] = lineno
-        rows.append(vec)
-    if not rows:
-        raise ValidationError(f"empty embedding file: {path}")
-    return EmbeddingStore(list(first_line), np.stack(rows))
-
-
-def save_embeddings(store: EmbeddingStore, path, format="binary"):
+def save_embeddings(store: EmbeddingStore, path):
+    """Write the store in the binary format `load_embeddings` reads."""
     ids, matrix = store.matrix()
-    if format == "binary":
-        records = np.empty(len(ids), dtype=_record_dtype(store.dim))
-        records["id"] = ids
-        records["vector"] = matrix
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIQ", BINARY_MAGIC, store.dim, len(store)))
-            fh.write(records.tobytes())
-    elif format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for example_id, vec in zip(ids.tolist(), matrix.tolist()):
-                fh.write(json.dumps({"id": example_id, "vector": vec}) + "\n")
-    else:
-        raise ValidationError(f"unknown embedding format: {format}")
+    records = np.empty(len(ids), dtype=_record_dtype(store.dim))
+    records["id"] = ids
+    records["vector"] = matrix
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIQ", BINARY_MAGIC, store.dim, len(store)))
+        fh.write(records.tobytes())
 
 
 def _stable_bucket(token: str, seed: int, dim: int) -> tuple[int, float]:

@@ -39,10 +39,11 @@ transcript records how many samples it sent in place of their ids.
 
 A transcript (schema 2) holds only what a run cannot rebuild: the union
 the server reranked is derived from `samples_returned`, and the prompt is
-recorded only for a backend that reads it (not `MockVoteBackend`). Schema 1
-lines still load. `Transcript.to_json` formats a record's line directly, in
-the bytes `json.dumps(to_dict(), sort_keys=True)` would write; the files and
-`infer`'s printed line both come from it.
+recorded only for a backend that reads it (not `MockVoteBackend`). A line
+of any other schema, or of none, is refused. `Transcript.to_json` formats
+a record's line directly, in the bytes `json.dumps(to_dict(),
+sort_keys=True)` would write; the files and `infer`'s printed line both
+come from it.
 """
 
 from __future__ import annotations
@@ -185,11 +186,11 @@ class Transcript:
 
     @staticmethod
     def from_dict(obj) -> "Transcript":
-        """A schema 1 or 2 record; a missing optional field takes its
-        default, and schema 1's stored union is dropped. A missing required
-        field, or a field of the wrong JSON type, is a ValidationError."""
-        version = obj.get("schema_version", 1)
-        if version not in (1, 2):
+        """A schema 2 record; a missing optional field takes its default. A
+        record of another schema or none, a missing required field, or a
+        field of the wrong JSON type, is a ValidationError."""
+        version = obj.get("schema_version")
+        if not (is_int(version) and version == 2):
             raise ValidationError(f"unknown transcript schema_version {version}")
         values = {}
         for f in fields(Transcript):

@@ -111,9 +111,14 @@ def _load_files(cfg: ExperimentConfig):
         train_store = encode_dataset(train_ds, encoder)
         eval_store = encode_dataset(eval_ds, encoder)
     else:
-        train_store = load_embeddings(cfg.embeddings.train_path)
-        eval_ids, eval_matrix = load_embeddings(
-            cfg.embeddings.eval_path).matrix()
+        stores = []
+        for path in (cfg.embeddings.train_path, cfg.embeddings.eval_path):
+            stores.append(load_embeddings(path))
+            if stores[-1].dim != cfg.embeddings.dim:
+                raise ValidationError(
+                    f"{path}: embedding dimension {stores[-1].dim} differs "
+                    f"from embeddings.dim {cfg.embeddings.dim}")
+        train_store, (eval_ids, eval_matrix) = stores[0], stores[1].matrix()
         eval_store = EmbeddingStore(eval_ids + offset, eval_matrix)
     return train_ds, train_store, eval_ds, eval_store, encoder
 
@@ -167,8 +172,6 @@ class _SeedContext:
             self.files = files or _load_files(cfg)
             (self.train_ds, self.train_store, self.eval_ds, self.eval_store,
              self.encoder) = self.files
-        if self.train_store.dim != self.eval_store.dim:
-            raise ValidationError("train/eval embedding dimensions differ")
         self.train_store.check_bound(self.train_ds)
         self.eval_store.check_bound(self.eval_ds)
 

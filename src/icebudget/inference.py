@@ -1,4 +1,4 @@
-"""Prompt construction, answering backends, and the paraphrase pass.
+"""Prompt construction and answering backends.
 
 `build_prompt` renders a prompt's ICEs and collects their votes in one pass.
 Every prompt has one layout: each ICE as its text and its label's
@@ -8,8 +8,7 @@ blank lines.
 Two backends: a deterministic similarity-weighted vote for self-contained
 runs, and an OpenAI-style completions endpoint for real LLM answering. Each
 answers for itself through `answer(prompt, votes, labels) -> label index`,
-where `votes` are the prompt's ICEs as (label, distance) pairs, and
-paraphrases through `paraphrase(text, template)`. Inside a
+where `votes` are the prompt's ICEs as (label, distance) pairs. Inside a
 `with backend.connection():` block the HTTP backend posts every
 completion through one `requests.Session`, which keeps its connection
 alive, and closes it when the block ends; outside one, each completion
@@ -30,30 +29,6 @@ from .errors import BackendError, DecodeError, ValidationError
 
 MOCK_VOTE_EPSILON = 1e-6
 
-PARAPHRASE_FEW_SHOT = (
-    'Please paraphrase the original sentence. Original sentence: "a stirring , '
-    'funny and finally transporting re-imagining of beauty and the beast and '
-    '1930s horror films" Paraphrased sentence: A captivating, humorous, and '
-    "ultimately uplifting reinterpretation of Beauty and the Beast combined "
-    "with 1930s horror films. \n"
-    "Please paraphrase the original sentence. Original sentence: \"jonathan "
-    "parker 's bartleby should have been the be-all-end-all of the "
-    'modern-office anomie films" Paraphrased sentence: Jonathan Parker\'s '
-    '"Bartleby" had the potential to be the definitive film capturing the '
-    "sense of alienation in modern office settings. \n"
-    'Please paraphrase the original sentence. Original sentence: "a fan film '
-    'that for the uninitiated plays better on video with the sound turned '
-    'down" Paraphrased sentence: A fan film that, for those not familiar with '
-    "the source material, is more enjoyable when watched with the sound "
-    "turned off. \n"
-    'Please paraphrase the original sentence. Original sentence: "apparently '
-    'reassembled from the cutting-room floor of any given daytime soap" '
-    "Paraphrased sentence: It appears to be pieced together from the outtakes "
-    "of any given daytime soap opera. \n"
-    'Please paraphrase the original sentence. Original sentence: "{text}" '
-    "Paraphrased sentence:"
-)
-
 
 @dataclass(frozen=True)
 class MockVoteBackend:
@@ -61,9 +36,6 @@ class MockVoteBackend:
 
     def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
         return answer_mock(votes)
-
-    def paraphrase(self, text: str, template: str) -> str:
-        return text
 
     def connection(self):
         return contextlib.nullcontext()
@@ -81,11 +53,6 @@ class HttpBackend:
     def answer(self, prompt: str, votes, labels: LabelSpace) -> int:
         return decode_label(
             _post_completion(prompt, self.spec, self._session), labels)
-
-    def paraphrase(self, text: str, template: str) -> str:
-        completion = _post_completion(template.replace("{text}", text),
-                                      self.spec, self._session)
-        return completion.strip().split("\n", 1)[0].strip()
 
     @contextlib.contextmanager
     def connection(self):
@@ -205,12 +172,3 @@ def _post_completion(prompt: str, spec: BackendSpec, session=None) -> str:
         if attempt < spec.max_retries:
             time.sleep(min(2.0 ** attempt * 0.5, 8.0))
     raise last_error
-
-
-def paraphrase(text: str, backend, template: str = PARAPHRASE_FEW_SHOT) -> str:
-    """Few-shot paraphrase through the backend's `paraphrase(text, template)`:
-    the mock backend is the identity, the HTTP backend trims its reply at the
-    first newline."""
-    if not text:
-        raise ValidationError("cannot paraphrase empty text")
-    return backend.paraphrase(text, template)

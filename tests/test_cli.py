@@ -126,7 +126,7 @@ class TestStageErrors:
     def test_report_on_malformed_transcripts(self, config_path, tmp_path,
                                              capsys):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"query_id": 1}\n')
+        path.write_text('{"schema_version": 2, "query_id": 1}\n')
         assert main(["--config", config_path, "report",
                      "--transcripts", str(path)]) == 1
         err = capsys.readouterr().err
@@ -300,7 +300,7 @@ class TestEncode:
             encoding="utf-8")
         out_path = tmp_path / "golden.bin"
         assert main(["encode", "--dataset", str(data_path), "--output",
-                     str(out_path), "--dim", "8", "--format", "binary"]) == 0
+                     str(out_path), "--dim", "8"]) == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "f5d7b819fe07b570f6b6ef2dcdd15016f945fdc039c9cb3a57ce3167b35af26d")
 
@@ -1030,8 +1030,84 @@ class TestSeedIndex:
         assert not (tmp_path / "out" / "seed1").exists()
 
 
-class TestParaphrase:
-    def test_mock_identity(self, config_path, capsys):
-        assert main(["--config", config_path, "paraphrase",
-                     "--text", "hello there"]) == 0
-        assert capsys.readouterr().out.strip() == "hello there"
+class TestFileEmbeddings:
+    @pytest.mark.parametrize("case", ["binary", "jsonl", "other_dim"])
+    def test_encoded_files_through_run(self, text_config_path, tmp_path,
+                                       capsys, case):
+        paths = {split: tmp_path / f"{split}.emb"
+                 for split in ("train", "eval")}
+        for split, path in paths.items():  # the fixture's JSONL datasets
+            dataset = tmp_path / f"{split}.jsonl"
+            assert main(["encode", "--dataset", str(dataset),
+                         "--output", str(path), "--dim", "16"]) == 0
+        named = None  # the file the error names
+        if case == "jsonl":  # the eval vectors in the retired JSONL format
+            named = paths["eval"]
+            ids, matrix = load_embeddings(named).matrix()
+            named.write_text("".join(
+                json.dumps({"id": i, "vector": v}) + "\n"
+                for i, v in zip(ids.tolist(), matrix.tolist())))
+        if case == "other_dim":
+            named = paths["train"]
+        dim = 8 if case == "other_dim" else 16
+        path = tmp_path / "file.yaml"
+        with open(text_config_path) as fh:
+            path.write_text(fh.read().replace(
+                "embeddings: {source: hash, dim: 16}",
+                f"embeddings: {{source: file, dim: {dim}, "
+                f"train_path: {paths['train']}, eval_path: {paths['eval']}}}"))
+        code = main(["--config", str(path), "run"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        report_path = tmp_path / "out" / "report.json"
+        if named is None:
+            assert code == 0
+            report = json.loads(report_path.read_text())
+            assert report["config"]["embeddings"]["dim"] == 16
+            assert "uniform" in report["policies"]
+            return
+        assert code == 1
+        assert str(named) in err
+        if case == "other_dim":
+            assert ("embedding dimension 16 differs from embeddings.dim 8"
+                    in err)
+        assert not report_path.exists()
+
+
+class TestRetiredPaths:
+    """The `paraphrase` command, `encode --format` (and with it the JSONL
+    embeddings format) and schema-1 transcripts are gone: each exits 1 with
+    a message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["paraphrase", "--text", "hello there"],
+         "invalid choice: 'paraphrase'"),
+        (["encode", "--dataset", "d.jsonl", "--output", "e.bin",
+          "--format", "jsonl"], "unrecognized arguments: --format jsonl"),
+    ])
+    def test_command_or_option_exits_1(self, config_path, capsys, argv,
+                                       message):
+        assert main(["--config", config_path, *argv]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("version", [1, None])
+    def test_schema_1_transcript_exits_1(self, config_path, tmp_path,
+                                         capsys, version):
+        record = {"query_id": 0, "policy": "uniform", "budgets_sent": [2, 2],
+                  "samples_returned": [[1, 2], [3, 4]],
+                  "aggregated_ids": [1, 2, 3, 4],
+                  "final_ice_ids": [1, 2, 3, 4], "prompt_chars": 10,
+                  "answer_label": 0, "total_samples_communicated": 4}
+        if version is not None:  # schema 1 files may also leave it out
+            record["schema_version"] = version
+        path = tmp_path / "v1.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["--config", config_path, "report", "--curve", "1",
+                     "--transcripts", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"line 1: {path}: unknown transcript schema_version "
+                f"{version}") in err
+        assert "Traceback" not in err

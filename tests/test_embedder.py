@@ -1,5 +1,4 @@
 import collections
-import json
 import re
 import struct
 
@@ -68,19 +67,10 @@ class TestEmbeddingStore:
 
 
 class TestSerialization:
-    def test_jsonl_roundtrip_exact(self, tmp_path):
-        store = random_store(10, 4, seed=7)
-        path = tmp_path / "emb.jsonl"
-        save_embeddings(store, path, format="jsonl")
-        loaded = load_embeddings(path)
-        assert sorted(loaded.ids) == sorted(store.ids)
-        for i in store.ids:
-            assert np.array_equal(loaded.get(i), store.get(i))
-
     def test_binary_roundtrip_float32(self, tmp_path):
         store = random_store(10, 4, seed=7)
         path = tmp_path / "emb.bin"
-        save_embeddings(store, path, format="binary")
+        save_embeddings(store, path)
         loaded = load_embeddings(path)
         assert loaded.dim == 4
         for i in store.ids:
@@ -91,26 +81,16 @@ class TestSerialization:
     def test_binary_detected_by_magic(self, tmp_path):
         store = random_store(3, 2)
         path = tmp_path / "emb"
-        save_embeddings(store, path, format="binary")
+        save_embeddings(store, path)
         assert path.read_bytes()[:4] == b"ICEB"
 
     def test_truncated_binary_rejected(self, tmp_path):
         store = random_store(3, 2)
         path = tmp_path / "emb.bin"
-        save_embeddings(store, path, format="binary")
+        save_embeddings(store, path)
         (tmp_path / "cut.bin").write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ParseError):
             load_embeddings(tmp_path / "cut.bin")
-
-    def test_empty_jsonl_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ValidationError):
-            load_embeddings(path)
-
-
-def write_jsonl(path, records):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
 def write_binary(path, dim, records):
@@ -122,25 +102,15 @@ def write_binary(path, dim, records):
 
 
 class TestLoaderErrors:
-    @pytest.mark.parametrize("bad, message", [
-        ({"id": 2, "vector": [1.0]}, "shape"),
-        ({"id": 2, "vector": [1.0, float("nan")]}, "non-finite"),
-        ({"id": 0, "vector": [1.0, 2.0]}, "duplicate"),
+    @pytest.mark.parametrize("content", [
+        b"",
+        b'{"id": 0, "vector": [0.0, 1.0]}\n',  # the retired JSONL format
+        b"ICEB\x01\x00",  # a header cut short
     ])
-    def test_jsonl_record_errors_carry_line(self, tmp_path, bad, message):
+    def test_file_without_the_binary_header_is_named(self, tmp_path, content):
         path = tmp_path / "emb.jsonl"
-        write_jsonl(path, [{"id": 0, "vector": [0.0, 1.0]},
-                           {"id": 1, "vector": [1.0, 0.0]}, bad])
-        with pytest.raises(ParseError, match=f"line 3: .*{message}") as info:
-            load_embeddings(path)
-        assert info.value.line == 3
-
-    def test_jsonl_non_utf8_line_named(self, tmp_path):
-        path = tmp_path / "emb.jsonl"
-        write_jsonl(path, [{"id": 0, "vector": [0.0, 1.0]}])
-        with open(path, "ab") as fh:
-            fh.write(b'{"id": 1, "vector": [1.0, 0.0]} \xff\n')
-        message = f"line 2: {path}: not UTF-8"
+        path.write_bytes(content)
+        message = f"not a binary embedding file: {path}"
         with pytest.raises(ParseError, match=re.escape(message)):
             load_embeddings(path)
 

@@ -8,7 +8,7 @@ from icebudget.errors import (BackendError, DecodeError, ValidationError)
 from icebudget.config import BackendSpec
 from icebudget.inference import (MOCK_VOTE_EPSILON, HttpBackend,
                                  MockVoteBackend, answer_mock, build_prompt,
-                                 decode_label, make_backend, paraphrase)
+                                 decode_label, make_backend)
 
 
 class TestMockVote:
@@ -148,22 +148,3 @@ class TestHttpBackend:
         backend = _http_backend(url, model="m", timeout=5, max_retries=0)
         with pytest.raises(BackendError):
             backend.answer("p", [], LabelSpace(1, ("x",)))
-
-
-class TestParaphrase:
-    def test_mock_backend_is_identity(self):
-        assert paraphrase("keep me", MockVoteBackend()) == "keep me"
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(ValidationError):
-            paraphrase("", MockVoteBackend())
-
-    def test_http_trims_at_first_newline(self, stub_server):
-        url, handler = stub_server
-        handler.responses = [
-            (200, {"choices": [{"text": "  A rewording. \nPlease paraphrase"}]})]
-        backend = _http_backend(url, model="m", timeout=5, max_retries=0)
-        assert paraphrase("original", backend) == "A rewording."
-        _, body = handler.requests[0]
-        assert 'original' in body["prompt"]
-        assert "{text}" not in body["prompt"]
